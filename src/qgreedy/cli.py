@@ -7,7 +7,8 @@ conditionality growth), ``verify`` (named check suites), ``bootstrap``
 Reports go to standard output or ``--out``; diagnostics go to standard
 error.  Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 basis-invariant failure.  Identical configurations (including the seed)
-produce byte-identical primary output files, independent of ``--threads``.
+produce byte-identical primary output files; ``--threads`` is accepted and
+has no effect.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit search seed")
     parser.add_argument("--budget", type=int, default=10000, help="sample budget per estimator")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for enumeration kernels (results are "
-                        "independent of this setting)")
+                        help="accepted for compatibility; has no effect (every kernel "
+                        "runs in one thread)")
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--out", type=Path, default=None, help="output directory or file")
 
@@ -195,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials is not None:
         kwargs["trials"] = args.trials
     if args.max_m is not None:
-        kwargs["max_m"] = args.max_m
+        kwargs["max_m" if args.suite == "bootstrap" else "m_max"] = args.max_m
     if args.iters is not None:
         kwargs["iters"] = args.iters
     if args.big_c is not None:

@@ -1,16 +1,16 @@
 """Democracy functions and the related sign-constant estimators.
 
 phi_u(m) is the sup of ||sum_{n in A} x_n|| over |A| <= m, phi_l(m) the inf
-over |A| >= m.  Exact mode enumerates subsets (or, for identity coordinates
-in a block space, optimizes block occupancies, which is exact far beyond
-subset range).  Random mode reports witness-certified one-sided bounds.
+over |A| >= m.  Exact mode enumerates each subset size once per call (or,
+for identity coordinates in a block space, optimizes block occupancies,
+which is exact far beyond subset range).  Random mode reports
+witness-certified one-sided bounds.  ``threads`` arguments have no effect.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -59,48 +59,53 @@ def indicator_gauge(basis: Basis, A, signs=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _subset_count(d: int, sizes) -> int:
-    return sum(math.comb(d, k) for k in sizes)
-
-
-def _size_extremes(basis: Basis, k: int, threads: int = 1):
+def _size_extremes(basis: Basis, k: int):
     """(max, argmax, min, argmin) of the indicator gauge over all |A| = k."""
-    d = basis.d
-
-    def eval_chunk(chunk: list[tuple[int, ...]]):
-        idx = np.asarray(chunk, dtype=int)
-        sums = basis.vectors[idx].sum(axis=1)
+    best_hi, arg_hi = -math.inf, None
+    best_lo, arg_lo = math.inf, None
+    it = itertools.combinations(range(basis.d), k)
+    while chunk := list(itertools.islice(it, _CHUNK)):
+        sums = basis.vectors[np.asarray(chunk, dtype=int)].sum(axis=1)
         g = ambient_gauge_rows(basis.space, sums)
         hi = int(np.argmax(g))
         lo = int(np.argmin(g))
-        return float(g[hi]), chunk[hi], float(g[lo]), chunk[lo]
-
-    def chunks():
-        it = itertools.combinations(range(d), k)
-        while True:
-            chunk = list(itertools.islice(it, _CHUNK))
-            if not chunk:
-                return
-            yield chunk
-
-    best_hi, arg_hi = -math.inf, None
-    best_lo, arg_lo = math.inf, None
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(eval_chunk, chunks())
-            for hi, ahi, lo, alo in results:
-                if hi > best_hi:
-                    best_hi, arg_hi = hi, ahi
-                if lo < best_lo:
-                    best_lo, arg_lo = lo, alo
-    else:
-        for chunk in chunks():
-            hi, ahi, lo, alo = eval_chunk(chunk)
-            if hi > best_hi:
-                best_hi, arg_hi = hi, ahi
-            if lo < best_lo:
-                best_lo, arg_lo = lo, alo
+        if g[hi] > best_hi:
+            best_hi, arg_hi = float(g[hi]), chunk[hi]
+        if g[lo] < best_lo:
+            best_lo, arg_lo = float(g[lo]), chunk[lo]
     return best_hi, arg_hi, best_lo, arg_lo
+
+
+def _exact_extremes(basis: Basis, lo: int, hi: int, bound: str) -> tuple[list, list]:
+    """Exact phi estimates from the set sizes lo..hi, each size enumerated once.
+
+    ups[k - lo] is the max over lo <= |A| <= k (a prefix max), downs[k - lo]
+    the min over k <= |A| <= hi (a suffix min).  Ties go to the smallest size,
+    as in a strict-inequality scan by increasing size.  ``bound`` names the
+    size range in the overflow error.
+    """
+    d = basis.d
+    if sum(math.comb(d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
+        raise CombinatorialOverflowError(
+            f"exact enumeration over sets of size {bound} in d = {d} exceeds "
+            f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
+        )
+    per_size = [_size_extremes(basis, k) for k in range(lo, hi + 1)]
+    ups, downs = [], []
+    up, down = (-math.inf, None), (math.inf, None)
+    for (hi_val, hi_arg, _, _), (_, _, lo_val, lo_arg) in zip(per_size, per_size[::-1]):
+        if hi_val > up[0]:
+            up = (hi_val, hi_arg)
+        if lo_val <= down[0]:
+            down = (lo_val, lo_arg)
+        ups.append(_exact_estimate(*up))
+        downs.insert(0, _exact_estimate(*down))
+    return ups, downs
+
+
+def _exact_estimate(value: float, arg) -> BoundEstimate:
+    return BoundEstimate(value, value, {"set": list(arg)}, upper_certified=True,
+                         heuristic=False)
 
 
 def _occupancy_extremes(space: BlockLpL2, m: int) -> tuple[float, list[int], float, list[int]]:
@@ -227,18 +232,7 @@ def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
             best, occ, _, _ = _occupancy_extremes(basis.space, m)
             witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
             return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
-        if _subset_count(d, range(1, m + 1)) > EXACT_SUBSET_LIMIT:
-            raise CombinatorialOverflowError(
-                f"exact enumeration over sets of size <= {m} in d = {d} exceeds "
-                f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
-            )
-        best, arg = -math.inf, None
-        for k in range(1, m + 1):
-            hi, ahi, _, _ = _size_extremes(basis, k, threads)
-            if hi > best:
-                best, arg = hi, ahi
-        return BoundEstimate(best, best, {"set": list(arg)}, upper_certified=True,
-                             heuristic=False)
+        return _exact_extremes(basis, 1, m, f"<= {m}")[0][-1]
     if mode != "random":
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
 
@@ -279,18 +273,7 @@ def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
             _, _, best, occ = _occupancy_extremes(basis.space, m)
             witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
             return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
-        if _subset_count(d, range(m, d + 1)) > EXACT_SUBSET_LIMIT:
-            raise CombinatorialOverflowError(
-                f"exact enumeration over sets of size >= {m} in d = {d} exceeds "
-                f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
-            )
-        best, arg = math.inf, None
-        for k in range(m, d + 1):
-            _, _, lo, alo = _size_extremes(basis, k, threads)
-            if lo < best:
-                best, arg = lo, alo
-        return BoundEstimate(best, best, {"set": list(arg)}, upper_certified=True,
-                             heuristic=False)
+        return _exact_extremes(basis, m, d, f">= {m}")[1][0]
     if mode != "random":
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
 
@@ -544,6 +527,12 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     m_max = min(int(m_max), d)
     if mode == "random":
         rows = _random_profile_rows(basis, m_max, budget, seed)
+    elif mode == "exact" and not _use_occupancy(basis):
+        # lower_democracy(1) spans every size, so its overflow guard is the
+        # first one the per-m calls would trip
+        ups, downs = _exact_extremes(basis, 1, d, ">= 1")
+        rows = [ProfileRow(m=m, phi_u=ups[m - 1], phi_l=downs[m - 1])
+                for m in range(1, m_max + 1)]
     else:
         rows = [
             ProfileRow(

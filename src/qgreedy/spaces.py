@@ -59,22 +59,38 @@ def check_exponent(p) -> float:
     return p
 
 
+def _scaled_lp(a: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise (sum a_j^p)^(1/p) of moduli with each row's max factored out."""
+    scale = a.max(axis=-1, keepdims=True)
+    ratio = np.divide(a, scale, out=np.zeros_like(a), where=scale > 0)
+    return scale[..., 0] * np.sum(ratio**p, axis=-1) ** (1.0 / p)
+
+
 def lp_gauge(f, p) -> float:
-    """(sum |f_j|^p)^(1/p) for finite p, max |f_j| for p = inf."""
+    """(sum |f_j|^p)^(1/p) for finite p, max |f_j| for p = inf; an over- or
+    underflowed plain result is recomputed with the largest modulus factored out."""
     f = as_vector(f)
     p = check_exponent(p)
     a = np.abs(f)
     if math.isinf(p):
         return float(a.max()) if a.size else 0.0
-    return float(np.sum(a**p) ** (1.0 / p))
+    val = float(np.sum(a**p) ** (1.0 / p))
+    if val == math.inf or (val == 0.0 and a.any()):
+        val = float(_scaled_lp(a, p))
+    return val
 
 
 def lp_gauge_rows(mat: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise lp gauge of a 2-d array (fast path, no per-row validation)."""
+    """Row-wise lp gauge of a 2-d array (fast path, no per-row validation);
+    rows whose plain result is 0 or inf are recomputed as in :func:`lp_gauge`."""
     a = np.abs(mat)
     if math.isinf(p):
         return a.max(axis=1)
-    return np.sum(a**p, axis=1) ** (1.0 / p)
+    out = np.sum(a**p, axis=1) ** (1.0 / p)
+    redo = (out == 0.0) | (out == math.inf)
+    if redo.any():
+        out[redo] = _scaled_lp(a[redo], p)
+    return out
 
 
 @dataclass(frozen=True)

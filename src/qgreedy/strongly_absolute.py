@@ -224,7 +224,7 @@ class SquareFunctionComparison:
     samples: int
 
 
-def _gauge_p_mean_exact(vectors: np.ndarray, p: float, threads: int = 1) -> float:
+def _gauge_p_mean_exact(vectors: np.ndarray, p: float) -> float:
     k = vectors.shape[0]
     total_patterns = 1 << k
     chunk_sums: list[float] = []

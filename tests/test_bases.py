@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import qgreedy.bases as bases_module
 from qgreedy.bases import (
     Basis,
+    _gray_best_over_family,
     coefficient_transform,
     coordinate_projection,
     load_basis,
@@ -82,6 +84,13 @@ class TestBasisInvariants:
         vectors[1] = 0.0
         with pytest.raises(NotABasisError):
             Basis(Lp(0.5, 2), vectors, np.eye(2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_extreme_scales_accepted(self):
+        eye = np.eye(2)
+        basis = Basis(Lp(2, 2), 1e-200 * eye, 1e200 * eye)
+        assert basis.vector_norms.tolist() == pytest.approx([1e-200, 1e-200], rel=1e-15)
+        assert basis.dual_norms.tolist() == pytest.approx([1e200, 1e200], rel=1e-15)
 
     def test_semi_normalization_constants(self, diff4):
         # vector gauges: ||d_1|| = 1, ||d_n|| = 2^(1/p) = 4; dual sup norms 1
@@ -325,6 +334,68 @@ class TestExactMultiplierEnumeration:
                 basis.space, sign_operator(basis, np.array(signs), f)) / nf)
         est = unconditional_constant(basis, mode="exact")
         assert est.lower >= best - 1e-9
+
+
+def gray_rank(gamma, signs: bool) -> int:
+    """Position of a {0,1} (signs=False) or {-1,1} (signs=True) multiplier in
+    Gray-code order: bit n of the code is gamma_n == 1, resp. gamma_n == -1."""
+    g = sum(1 << n for n, x in enumerate(gamma) if x == (-1.0 if signs else 1.0))
+    i, shift = g, 1
+    while g >> shift:
+        i ^= g >> shift
+        shift += 1
+    return i
+
+
+class TestBatchedGraySearch:
+    @pytest.mark.parametrize("name,d,seed,integer", [
+        ("difference", 10, 0, True),
+        ("difference", 8, 1, False),
+        ("perturbed_unit", 8, 3, False),
+        ("perturbed_unit", 7, 5, False),
+    ])
+    @pytest.mark.parametrize("signs", [False, True])
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_matches_product_bruteforce(self, name, d, seed, integer, signs, chunk,
+                                        monkeypatch):
+        import itertools
+
+        if chunk is not None:  # many chunks, the last one partial
+            monkeypatch.setattr(bases_module, "_GRAY_CHUNK", chunk)
+        basis = zoo(name, p=0.5, dim=d, seed=seed)
+        rng = np.random.default_rng(seed)
+        if integer:
+            coeffs = rng.integers(-3, 4, size=d).astype(float)
+        else:
+            coeffs = rng.standard_normal(d)
+        f = synthesize(basis, coeffs)
+        coeffs = coefficient_transform(basis, f)
+        value, gamma = _gray_best_over_family(basis, coeffs, signs)
+
+        family = (-1.0, 1.0) if signs else (0.0, 1.0)
+        scores = {g: ambient_gauge(basis.space, sign_operator(basis, np.array(g), f))
+                  for g in itertools.product(family, repeat=d)}
+        best = max(scores.values())
+        assert value == pytest.approx(best, rel=1e-12)
+        # first maximizer in Gray order (ties within rounding count as ties)
+        maximizers = [g for g, s in scores.items() if s >= best * (1 - 1e-12)]
+        first = min(maximizers, key=lambda g: gray_rank(g, signs))
+        assert tuple(gamma.tolist()) == first
+        replay = ambient_gauge(basis.space, sign_operator(basis, gamma, f))
+        if integer:
+            assert replay == value
+        else:
+            assert replay == pytest.approx(value, rel=1e-12)
+
+    def test_exact_unconditional_replays_witness(self):
+        basis = zoo("perturbed_unit", p=0.5, dim=12, seed=3)
+        est = unconditional_constant(basis, mode="exact", seed=3)
+        f = np.array(est.witness["f"])
+        gamma = np.array(est.witness["gamma"])
+        replay = (ambient_gauge(basis.space, sign_operator(basis, gamma, f))
+                  / ambient_gauge(basis.space, f))
+        assert est.lower == pytest.approx(17.396683419181, rel=1e-12)
+        assert replay == pytest.approx(est.lower, rel=1e-13)
 
 
 class TestCustomFileZoo:

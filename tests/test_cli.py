@@ -128,6 +128,19 @@ class TestDeterminism:
         assert first == second == third
         assert "democracy_profile.csv" in first
 
+    def test_exact_mode_byte_identical_across_threads(self, tmp_path, capsys):
+        outputs = []
+        for threads in (1, 4):
+            out_dir = tmp_path / f"exact-{threads}"
+            code = main([
+                "analyze", "--zoo", "perturbed_unit", "--p", "0.5", "--dim", "12",
+                "--mode", "exact", "--budget", "60", "--seed", "3",
+                "--threads", str(threads), "--format", "csv", "--out", str(out_dir)])
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["democracy_profile.csv"].count(b"\n") >= 12
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("args", [
@@ -143,6 +156,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("suite,default_text,capped_text", [
+        ("lemma34", "(m <= 12)", "(m <= 3)"),
+        ("democracy-lp", "for m <= 12", "for m <= 3"),
+    ])
+    def test_max_m_reaches_suite(self, capsys, suite, default_text, capped_text):
+        args = ["verify", suite, "--trials", "500", "--seed", "1"]
+        code, default_out, _ = run_cli(args, capsys)
+        assert code == 0 and default_text in default_out
+        code, capped_out, _ = run_cli(args + ["--max-m", "3"], capsys)
+        assert code == 0 and capped_text in capped_out
+        assert default_text not in capped_out
 
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "nonsense"]) == 2

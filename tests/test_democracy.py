@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,57 @@ class TestExactDemocracy:
         assert all(a <= b + 1e-12 for a, b in zip(phi_l, phi_l[1:]))
         # a size-m set is feasible for both, so phi_l(m) <= phi_u(m)
         assert all(l <= u + 1e-12 for l, u in zip(phi_l, phi_u))
+
+
+def first_extremes(basis, m):
+    """Per-m oracle of the exact kernels: the first max over |A| <= m and the
+    first min over |A| >= m, scanning sizes upward and each size's sets in
+    itertools.combinations order, with strict improvement."""
+    d = basis.d
+    best_u, set_u = -math.inf, None
+    best_l, set_l = math.inf, None
+    for k in range(1, d + 1):
+        for combo in itertools.combinations(range(d), k):
+            gauge = ambient_gauge(basis.space, basis.vectors[list(combo)].sum(axis=0))
+            if k <= m and gauge > best_u:
+                best_u, set_u = gauge, list(combo)
+            if k >= m and gauge < best_l:
+                best_l, set_l = gauge, list(combo)
+    return best_u, set_u, best_l, set_l
+
+
+class TestExactProfile:
+    @pytest.mark.parametrize("name,p,d,seed", [
+        ("difference", 0.5, 10, 0),
+        ("perturbed_unit", 0.5, 9, 2),
+        ("perturbed_unit", 0.5, 10, 3),
+        ("unit", 0.5, 8, 0),
+        ("unit", math.inf, 6, 0),  # every set has gauge 1: ties across all sizes
+    ])
+    def test_rows_match_per_m_definitions(self, name, p, d, seed):
+        basis = zoo(name, p=p, dim=d, seed=seed)
+        profile = democracy_profile(basis, m_max=d, mode="exact", budget=20, seed=seed)
+        assert [row.m for row in profile.rows] == list(range(1, d + 1))
+        for row in profile.rows:
+            hi, set_hi, lo, set_lo = first_extremes(basis, row.m)
+            assert (row.phi_u.lower, row.phi_u.upper) == (hi, hi)
+            assert (row.phi_l.lower, row.phi_l.upper) == (lo, lo)
+            assert row.phi_u.witness == {"set": set_hi}
+            assert row.phi_l.witness == {"set": set_lo}
+            single_u = upper_democracy(basis, row.m, mode="exact")
+            single_l = lower_democracy(basis, row.m, mode="exact")
+            assert (single_u.lower, single_u.witness) == (hi, row.phi_u.witness)
+            assert (single_l.lower, single_l.witness) == (lo, row.phi_l.witness)
+            assert not (row.phi_u.heuristic or row.phi_l.heuristic)
+
+    def test_profile_overflow_message_unchanged(self):
+        basis = zoo("difference", p=0.5, dim=24)
+        message = (r"exact enumeration over sets of size >= 1 in d = 24 exceeds "
+                   r"10000000 subsets; use mode='random'")
+        with pytest.raises(CombinatorialOverflowError, match=message):
+            democracy_profile(basis, m_max=3, mode="exact")
+        with pytest.raises(CombinatorialOverflowError, match=message):
+            lower_democracy(basis, 1, mode="exact")
 
 
 class TestRandomDemocracy:

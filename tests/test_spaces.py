@@ -18,6 +18,7 @@ from qgreedy.spaces import (
     ambient_gauge_rows,
     dual_gauge,
     lp_gauge,
+    lp_gauge_rows,
     nonincreasing_rearrangement,
     p_triangle_defect,
 )
@@ -40,6 +41,33 @@ class TestLpGauge:
     def test_zero_iff_zero_vector(self):
         assert lp_gauge([0.0, 0.0], 0.5) == 0.0
         assert lp_gauge([0.0, 1e-300], 0.5) > 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_extreme_magnitudes(self):
+        root2 = math.sqrt(2.0)
+        assert lp_gauge([1e200, 1e200], 2) == pytest.approx(root2 * 1e200, rel=1e-15)
+        assert lp_gauge([1e-200, 1e-200], 2) == pytest.approx(root2 * 1e-200, rel=1e-15)
+        assert lp_gauge([1e200, -1e200], 0.5) == pytest.approx(4e200, rel=1e-15)
+        assert lp_gauge([1e-200, 0.0], 0.5) == pytest.approx(1e-200, rel=1e-15)
+        # a true value beyond the float range stays inf
+        assert lp_gauge([1e308, 1e308], 0.5) == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rows_extreme_magnitudes(self):
+        mat = np.array([[1e200, 1e200], [0.0, 0.0], [1e-200, -1e-200], [3.0, 4.0]])
+        out = lp_gauge_rows(mat, 2)
+        expected = [math.sqrt(2.0) * 1e200, 0.0, math.sqrt(2.0) * 1e-200, 5.0]
+        assert out.tolist() == pytest.approx(expected, rel=1e-15)
+        assert out[1] == 0.0
+
+    def test_in_range_values_unchanged(self):
+        rng = np.random.default_rng(2)
+        mat = rng.standard_normal((50, 7)) * 10.0 ** rng.integers(-5, 5, size=(50, 1))
+        for p in (0.3, 0.5, 1.0, 2.0):
+            plain = np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
+            assert np.array_equal(lp_gauge_rows(mat, p), plain)
+            for row in mat:
+                assert lp_gauge(row, p) == float(np.sum(np.abs(row) ** p) ** (1.0 / p))
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidVectorError):
