@@ -35,6 +35,8 @@ from .spaces import (
     BlockLpL2,
     Lp,
     LorentzSpace,
+    _ROW_CAP,
+    _row_chunks,
     ambient_gauge,
     ambient_gauge_rows,
     as_vector,
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 BIORTHOGONALITY_TOL = 1e-9
-_GRAY_CHUNK = 4096  # multipliers scored per batched gauge call
+_GRAY_CHUNK = _ROW_CAP  # multipliers scored per batched gauge call
 
 ZOO_NAMES = ("unit", "difference", "block_l2", "perturbed_unit", "custom_file")
 
@@ -199,13 +201,18 @@ def coordinate_projection(basis: Basis, A, f) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _gauge_row(basis: Basis, f: np.ndarray) -> float:
+    """The row kernel's gauge of one vector (no validation)."""
+    return float(ambient_gauge_rows(basis.space, f[None, :])[0])
+
+
 def _descend_multiplier(basis: Basis, coeffs: np.ndarray, start: np.ndarray,
                         max_passes: int = 4) -> tuple[np.ndarray, float]:
     """Coordinate descent of gamma over {-1, 0, 1}^d maximizing the gauge."""
     gamma = start.astype(float).copy()
     scaled = coeffs[:, None] * basis.vectors
     current = gamma @ scaled
-    best = ambient_gauge(basis.space, current)
+    best = _gauge_row(basis, current)
     for _ in range(max_passes):
         improved = False
         for n in range(basis.d):
@@ -213,7 +220,7 @@ def _descend_multiplier(basis: Basis, coeffs: np.ndarray, start: np.ndarray,
                 if cand == gamma[n]:
                     continue
                 trial = current + (cand - gamma[n]) * scaled[n]
-                val = ambient_gauge(basis.space, trial)
+                val = _gauge_row(basis, trial)
                 if val > best * (1 + 1e-12):
                     current = trial
                     gamma[n] = cand
@@ -227,13 +234,19 @@ def _descend_multiplier(basis: Basis, coeffs: np.ndarray, start: np.ndarray,
 def _gray_best_over_family(basis: Basis, coeffs: np.ndarray, signs: bool) -> tuple[float, np.ndarray]:
     """Exact max of ||S_gamma f|| over gamma in {0,1}^d (signs=False) or
     {-1,1}^d (signs=True), scored in chunks of Gray-code order; the first
-    maximizer in that order wins."""
+    maximizer in that order wins.
+
+    ||S_{-gamma} f|| = ||S_gamma f||, and the top bit of the Gray code
+    i ^ (i >> 1) is the top bit of i, so the sign family enumerates only
+    i < 2^(d-1): that half holds the earlier member of every pair {gamma, -gamma}.
+    """
     d = basis.d
     scaled = coeffs[:, None] * basis.vectors
     shifts = np.arange(d)
     best, best_gamma = -math.inf, None
-    for start in range(0, 1 << d, _GRAY_CHUNK):
-        i = np.arange(start, min(start + _GRAY_CHUNK, 1 << d))
+    stop = 1 << (d - 1 if signs else d)
+    for start in range(0, stop, _GRAY_CHUNK):
+        i = np.arange(start, min(start + _GRAY_CHUNK, stop))
         bits = ((i ^ (i >> 1))[:, None] >> shifts) & 1
         gammas = 1.0 - 2.0 * bits if signs else bits.astype(float)
         vals = ambient_gauge_rows(basis.space, gammas @ scaled)
@@ -273,6 +286,51 @@ def _certified_ku_upper(basis: Basis) -> tuple[float, bool, str]:
     return math.inf, False, ""
 
 
+def _sampled_vectors(basis: Basis, budget: int, seed: int):
+    """The random-mode test vectors, drawn one substream each, in order."""
+    for i in range(budget):
+        rng = substream(seed, KU_SEARCH, i)
+        coeffs = rng.standard_normal(basis.d)
+        if i % 3 == 1:
+            coeffs = rng.choice([-1.0, 1.0], size=basis.d)
+        elif i % 3 == 2:
+            keep = rng.integers(1, basis.d + 1)
+            mask = np.zeros(basis.d)
+            mask[rng.choice(basis.d, size=keep, replace=False)] = 1.0
+            coeffs = coeffs * mask
+        yield synthesize(basis, coeffs)
+
+
+def _sign_flip_pass(basis: Basis, vectors, tracker: RatioTracker, keep: int = 8) -> list[np.ndarray]:
+    """Score ||S_gamma f|| / ||f|| for one multiplier per vector f (the signs
+    of its coefficients, every second one flipped) in capped blocks.
+
+    Offers each block's first best ratio, with its witness, to ``tracker`` and
+    returns the ``keep`` best-scoring vectors, the earlier first among equal
+    scores; vectors with f = 0 are skipped.
+    """
+    top: list[tuple[float, int, np.ndarray]] = []
+    seen = 0
+    for chunk in _row_chunks(vectors, basis.dim):
+        fs = np.array(chunk)
+        nf = ambient_gauge_rows(basis.space, fs)
+        coeffs = fs @ basis.duals.T
+        gammas = np.where(coeffs < 0, -1.0, 1.0)
+        gammas[:, 1::2] *= -1.0
+        vals = ambient_gauge_rows(basis.space, (gammas * coeffs) @ basis.vectors)
+        live = np.flatnonzero(nf > 0)
+        ratios = vals[live] / nf[live]
+        best = np.argsort(-ratios, kind="stable")[:keep]
+        if best.size:
+            j = live[best[0]]
+            tracker.update(float(ratios[best[0]]), {"f": chunk[j].tolist(),
+                                                    "gamma": gammas[j].tolist()})
+        top += [(-float(ratios[b]), seen + int(live[b]), chunk[live[b]]) for b in best]
+        top = sorted(top, key=lambda item: item[:2])[:keep]
+        seen += len(chunk)
+    return [f for _, _, f in top]
+
+
 def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 2000,
                            seed: int = 0) -> BoundEstimate:
     """Two-sided estimate of sup over ||gamma||_inf <= 1 of ||S_gamma||.
@@ -295,42 +353,15 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
     f0 = basis.vectors[0]
     tracker.update(1.0, {"f": f0.tolist(), "gamma": [1.0] * basis.d})
 
-    canonical = _canonical_test_vectors(basis)
-    sampled: list[np.ndarray] = []
-    if mode == "random":
-        for i in range(budget):
-            rng = substream(seed, KU_SEARCH, i)
-            coeffs = rng.standard_normal(basis.d)
-            if i % 3 == 1:
-                coeffs = rng.choice([-1.0, 1.0], size=basis.d)
-            elif i % 3 == 2:
-                keep = rng.integers(1, basis.d + 1)
-                mask = np.zeros(basis.d)
-                mask[rng.choice(basis.d, size=keep, replace=False)] = 1.0
-                coeffs = coeffs * mask
-            sampled.append(synthesize(basis, coeffs))
-
-    # cheap scoring pass: one sign-flip multiplier per sampled vector, then
-    # coordinate descent only on the most promising survivors
-    scored: list[tuple[float, np.ndarray]] = []
-    for f in sampled:
-        nf = ambient_gauge(basis.space, f)
+    # cheap scoring pass over the samples, then coordinate descent only on
+    # the most promising survivors
+    sampled = _sampled_vectors(basis, budget if mode == "random" else 0, seed)
+    pool = _canonical_test_vectors(basis) + _sign_flip_pass(basis, sampled, tracker)
+    norms = ambient_gauge_rows(basis.space, np.array(pool))
+    for f, nf in zip(pool, norms.tolist()):
         if nf <= 0:
             continue
-        coeffs = coefficient_transform(basis, f)
-        gamma = np.where(coeffs < 0, -1.0, 1.0)
-        gamma[1::2] *= -1.0
-        val = ambient_gauge(basis.space, (gamma * coeffs) @ basis.vectors)
-        tracker.update(val / nf, {"f": f.tolist(), "gamma": gamma.tolist()})
-        scored.append((val / nf, f))
-    scored.sort(key=lambda item: -item[0])
-    pool = canonical + [f for _, f in scored[:8]]
-
-    for f in pool:
-        nf = ambient_gauge(basis.space, f)
-        if nf <= 0:
-            continue
-        coeffs = coefficient_transform(basis, f)
+        coeffs = basis.duals @ f
         if mode == "exact":
             for signs in (False, True):
                 val, gamma = _gray_best_over_family(basis, coeffs, signs)

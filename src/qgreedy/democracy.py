@@ -4,7 +4,10 @@ phi_u(m) is the sup of ||sum_{n in A} x_n|| over |A| <= m, phi_l(m) the inf
 over |A| >= m.  Exact mode enumerates each subset size once per call (or,
 for identity coordinates in a block space, optimizes block occupancies,
 which is exact far beyond subset range).  Random mode reports
-witness-certified one-sided bounds.  ``threads`` arguments have no effect.
+witness-certified one-sided bounds; it scores its structured and sampled
+sets in blocks, one row-kernel call per block within the row cap of
+:mod:`qgreedy.spaces`, and the first best set in feed order wins.
+``threads`` arguments have no effect.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .greedy import quasi_greedy_constant
 from .numerics import loglog_slope, sign_patterns
 from .rng import DEMOCRACY_SETS, SIGN_CHANGE, SUCC_PAIRS, SUPER_DEMOCRACY, substream
 from .sampling import random_subset, structured_subsets
-from .spaces import BlockLpL2, ambient_gauge, ambient_gauge_rows, p_convexity
+from .spaces import BlockLpL2, _row_chunks, ambient_gauge, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "indicator_gauge",
@@ -52,6 +55,45 @@ def indicator_gauge(basis: Basis, A, signs=None) -> float:
     if signs is not None:
         rows = np.asarray(signs, dtype=float)[:, None] * rows
     return ambient_gauge(basis.space, rows.sum(axis=0))
+
+
+def _indicator_gauges(basis: Basis, sets: list) -> np.ndarray:
+    """Gauges of sum_{n in A} x_n for index sets A, in one rows call.
+
+    Sets of one size are summed together, one member position at a time, so
+    each sum adds its vectors in the order :func:`indicator_gauge` adds them
+    and no temporary is larger than the block of sums.
+    """
+    sizes = np.array([len(s) for s in sets])
+    sums = np.zeros((len(sets), basis.dim))
+    for k in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == k)
+        idx = np.array([sets[i] for i in at], dtype=int).reshape(at.size, k)
+        block = np.zeros((at.size, basis.dim))
+        for col in idx.T:
+            block += basis.vectors[col]
+        sums[at] = block
+    return ambient_gauge_rows(basis.space, sums)
+
+
+def _offer_extreme(tracker, gauges: np.ndarray, eligible: np.ndarray, sets: list,
+                   maximize: bool) -> None:
+    """Offer the first largest (or smallest) eligible gauge of a block of sets
+    to the tracker: the same winner as offering every set in order."""
+    if not eligible.any():
+        return
+    if maximize:
+        j = int(np.argmax(np.where(eligible, gauges, -math.inf)))
+    else:
+        j = int(np.argmin(np.where(eligible, gauges, math.inf)))
+    tracker.update(float(gauges[j]), {"set": [int(i) for i in sets[j]]})
+
+
+def _scan_sets(basis: Basis, sets, tracker, maximize: bool) -> None:
+    """Feed index sets (any iterable) to one tracker in capped blocks."""
+    for chunk in _row_chunks(sets, basis.dim):
+        gauges = _indicator_gauges(basis, chunk)
+        _offer_extreme(tracker, gauges, np.ones(len(chunk), dtype=bool), chunk, maximize)
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +241,30 @@ def _block_spread_sets(basis: Basis) -> list[np.ndarray]:
 
 
 def _swap_refine(basis: Basis, s, maximize: bool, passes: int = 2) -> tuple[list[int], float]:
-    """Size-preserving single-swap hill climb on the indicator gauge."""
-    current = {int(i) for i in s}
-    best = indicator_gauge(basis, sorted(current))
+    """Size-preserving single-swap hill climb on the indicator gauge.
+
+    Each member in turn is swapped against every non-member in one rows call;
+    the first improving swap (by increasing index) is taken before moving on
+    to the next member, so every accepted set has the starting size.
+    """
+    current = sorted(int(i) for i in s)
+    best = float(_indicator_gauges(basis, [current])[0])
     for _ in range(passes):
         improved = False
-        for out in sorted(current):
-            for into in range(basis.d):
-                if into in current:
-                    continue
-                trial = sorted(current - {out} | {into})
-                val = indicator_gauge(basis, trial)
-                if (val > best * (1 + 1e-12)) if maximize else (val < best * (1 - 1e-12)):
-                    current = set(trial)
-                    best = val
-                    improved = True
+        for out in list(current):
+            rest = [i for i in current if i != out]
+            trials = [sorted(rest + [into]) for into in range(basis.d) if into not in current]
+            if not trials:
+                continue
+            vals = _indicator_gauges(basis, trials)
+            better = vals > best * (1 + 1e-12) if maximize else vals < best * (1 - 1e-12)
+            if better.any():
+                j = int(np.argmax(better))
+                current, best = trials[j], float(vals[j])
+                improved = True
         if not improved:
             break
-    return sorted(current), best
+    return current, best
 
 
 def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
@@ -236,18 +284,16 @@ def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
     if mode != "random":
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
 
+    def sets():
+        for k in range(1, m + 1):
+            yield from structured_subsets(d, k)
+        yield from (s for s in _block_spread_sets(basis) if s.size <= m)
+        for i in range(budget):
+            rng = substream(seed, DEMOCRACY_SETS, i)
+            yield random_subset(rng, d, m if i % 3 else int(rng.integers(1, m + 1)))
+
     tracker = RatioTracker()
-    for k in range(1, m + 1):
-        for s in structured_subsets(d, k):
-            tracker.update(indicator_gauge(basis, s), {"set": [int(i) for i in s]})
-    for s in _block_spread_sets(basis):
-        if s.size <= m:
-            tracker.update(indicator_gauge(basis, s), {"set": [int(i) for i in s]})
-    for i in range(budget):
-        rng = substream(seed, DEMOCRACY_SETS, i)
-        size = m if i % 3 else int(rng.integers(1, m + 1))
-        s = random_subset(rng, d, size)
-        tracker.update(indicator_gauge(basis, s), {"set": [int(i) for i in s]})
+    _scan_sets(basis, sets(), tracker, maximize=True)
     if tracker.witness is not None:
         refined, val = _swap_refine(basis, tracker.witness["set"], maximize=True)
         tracker.update(val, {"set": refined})
@@ -277,18 +323,16 @@ def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
     if mode != "random":
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
 
+    def sets():
+        for k in range(m, d + 1):
+            yield from structured_subsets(d, k)
+        yield from (s for s in _block_spread_sets(basis) if s.size >= m)
+        for i in range(budget):
+            rng = substream(seed, DEMOCRACY_SETS, budget + i)
+            yield random_subset(rng, d, m if i % 3 else int(rng.integers(m, d + 1)))
+
     tracker = MinTracker()
-    for k in range(m, d + 1):
-        for s in structured_subsets(d, k):
-            tracker.update(indicator_gauge(basis, s), {"set": [int(i) for i in s]})
-    for s in _block_spread_sets(basis):
-        if s.size >= m:
-            tracker.update(indicator_gauge(basis, s), {"set": [int(i) for i in s]})
-    for i in range(budget):
-        rng = substream(seed, DEMOCRACY_SETS, budget + i)
-        size = m if i % 3 else int(rng.integers(m, d + 1))
-        s = random_subset(rng, d, size)
-        tracker.update(indicator_gauge(basis, s), {"set": [int(i) for i in s]})
+    _scan_sets(basis, sets(), tracker, maximize=False)
     if tracker.witness is not None:
         refined, val = _swap_refine(basis, tracker.witness["set"], maximize=False)
         tracker.update(val, {"set": refined})
@@ -473,24 +517,20 @@ def _random_profile_rows(basis: Basis, m_max: int, budget: int, seed: int) -> li
     up = [RatioTracker() for _ in range(m_max)]
     down = [MinTracker() for _ in range(m_max)]
 
-    def feed(s: np.ndarray) -> None:
-        size = len(s)
-        gauge = indicator_gauge(basis, s)
-        witness = {"set": [int(i) for i in s]}
-        for m in range(size, m_max + 1):
-            up[m - 1].update(gauge, witness)
-        for m in range(1, min(size, m_max) + 1):
-            down[m - 1].update(gauge, witness)
+    def sets():
+        for k in range(1, d + 1):
+            yield from structured_subsets(d, k)
+        yield from _block_spread_sets(basis)
+        for i in range(budget):
+            rng = substream(seed, DEMOCRACY_SETS, i)
+            yield random_subset(rng, d, int(rng.integers(1, d + 1)))
 
-    for k in range(1, d + 1):
-        for s in structured_subsets(d, k):
-            feed(s)
-    for s in _block_spread_sets(basis):
-        feed(s)
-    for i in range(budget):
-        rng = substream(seed, DEMOCRACY_SETS, i)
-        size = int(rng.integers(1, d + 1))
-        feed(random_subset(rng, d, size))
+    for chunk in _row_chunks(sets(), basis.dim):
+        gauges = _indicator_gauges(basis, chunk)
+        sizes = np.array([len(s) for s in chunk])
+        for m in range(1, m_max + 1):
+            _offer_extreme(up[m - 1], gauges, sizes <= m, chunk, maximize=True)
+            _offer_extreme(down[m - 1], gauges, sizes >= m, chunk, maximize=False)
     for m in range(1, m_max + 1):
         if up[m - 1].witness is not None:
             refined, val = _swap_refine(basis, up[m - 1].witness["set"], maximize=True)

@@ -7,10 +7,17 @@ modulus while keeping their signs.  The estimators below report witness-backed
 lower bounds for the associated operator constants; upper bounds are claimed
 only where they can be certified (diagonal systems, or summed product bounds
 under r-convexity).
+
+The searches score their candidates in blocks: one row-kernel call covers a
+block's norms, another its greedy prefixes (or, in forward selection, every
+candidate with every index still available), and no call exceeds the row cap
+of :mod:`qgreedy.spaces`.  Within and across blocks the first best candidate
+wins, as in a one-at-a-time scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -22,7 +29,7 @@ from .errors import InvalidExponentError
 from .estimates import BoundEstimate, RatioTracker
 from .rng import CONDITIONALITY_SEARCH, QG_SEARCH, TRUNCATION_SEARCH, substream
 from .sampling import COEFF_KINDS, coefficient_sample, plateau_coefficients
-from .spaces import Lp, ambient_gauge, ambient_gauge_rows
+from .spaces import Lp, _row_chunks, ambient_gauge_rows
 
 __all__ = [
     "greedy_order",
@@ -80,59 +87,65 @@ def greedy_truncation(basis: Basis, f, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ratios_over_m(basis: Basis, coeffs: np.ndarray, truncate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Gauges of G_m f (or U_m f) for m = 1..d, via vectorized prefix sums.
-
-    Returns (order, gauges) where order is the greedy permutation.
+def _ratios_over_m(basis: Basis, coeffs: np.ndarray, truncate: bool) -> np.ndarray:
+    """Gauges of G_m f (or U_m f) for m = 1..d and every row of the 2-d
+    ``coeffs`` (shape (rows, d)), via prefix sums in greedy order (a stable
+    sort by decreasing modulus: ties go to the smaller index) and one rows call.
     """
-    order = np.lexsort((np.arange(basis.d), -np.abs(coeffs)))
-    sorted_coeffs = coeffs[order]
+    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
+    sorted_coeffs = np.take_along_axis(coeffs, order, axis=1)[:, :, None]
+    vectors = basis.vectors[order]
     if truncate:
         signs = np.where(sorted_coeffs < 0, -1.0, 1.0)
-        prefixes = np.cumsum(signs[:, None] * basis.vectors[order], axis=0)
-        prefixes = np.abs(sorted_coeffs)[:, None] * prefixes
+        prefixes = np.abs(sorted_coeffs) * np.cumsum(signs * vectors, axis=1)
     else:
-        prefixes = np.cumsum(sorted_coeffs[:, None] * basis.vectors[order], axis=0)
-    return order, ambient_gauge_rows(basis.space, prefixes)
+        prefixes = np.cumsum(sorted_coeffs * vectors, axis=1)
+    return ambient_gauge_rows(basis.space, prefixes.reshape(-1, basis.dim)).reshape(coeffs.shape)
+
+
+def _operator_candidates(d: int, budget: int, seed: int, stream: int):
+    """Coefficient arrays in search order: the flat vector (m = d reproduces f
+    for the projection and gives ratio 1 after full flattening of a flat
+    vector, so a trivial witness always exists), then with a budget the unit
+    vectors, alternating signs, deterministic plateaus and the samples."""
+    yield np.ones(d)
+    if budget <= 0:
+        return
+    yield from np.eye(d)
+    alt = np.ones(d)
+    alt[1::2] = -1.0
+    yield alt
+    for delta in (1e-3, 1e-6, 1e-9):
+        for start in (0, 1):
+            boosted = np.arange(start, d, 2)
+            if boosted.size:
+                yield plateau_coefficients(d, boosted, delta)
+    yield from _coefficient_samples(d, budget, seed, stream)
+
+
+def _coefficient_samples(d: int, budget: int, seed: int, stream: int):
+    """The budgeted coefficient samples of one search stream, in order."""
+    for i in range(budget):
+        rng = substream(seed, stream, i)
+        yield coefficient_sample(rng, d, COEFF_KINDS[i % len(COEFF_KINDS)])
 
 
 def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
                        truncate: bool) -> BoundEstimate:
     d = basis.d
     tracker = RatioTracker()
-    # m = d reproduces f for the projection and gives ratio 1 after full
-    # flattening of a flat vector, so a trivial witness always exists
-    flat = np.ones(d)
-    f = flat @ basis.vectors
-    nf = ambient_gauge(basis.space, f)
-    _, gauges = _ratios_over_m(basis, flat, truncate)
-    m0 = int(np.argmax(gauges)) + 1
-    tracker.update(float(gauges[m0 - 1]) / nf, {"coeffs": flat.tolist(), "m": m0})
-
-    candidates: list[np.ndarray] = []
-    if budget > 0:
-        candidates.extend(np.eye(d))
-        alt = np.ones(d)
-        alt[1::2] = -1.0
-        candidates.append(alt)
-        for delta in (1e-3, 1e-6, 1e-9):
-            for start in (0, 1):
-                boosted = np.arange(start, d, 2)
-                if boosted.size:
-                    candidates.append(plateau_coefficients(d, boosted, delta))
-        for i in range(budget):
-            rng = substream(seed, stream, i)
-            kind = COEFF_KINDS[i % len(COEFF_KINDS)]
-            candidates.append(coefficient_sample(rng, d, kind))
-
-    for coeffs in candidates:
-        f = coeffs @ basis.vectors
-        nf = ambient_gauge(basis.space, f)
-        if nf <= 0:
-            continue
-        _, gauges = _ratios_over_m(basis, coeffs, truncate)
-        m = int(np.argmax(gauges)) + 1
-        tracker.update(float(gauges[m - 1]) / nf, {"coeffs": coeffs.tolist(), "m": m})
+    # every candidate costs d prefix rows
+    for chunk in _row_chunks(_operator_candidates(d, budget, seed, stream), basis.dim, d):
+        coeffs = np.array(chunk)
+        nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
+        gauges = _ratios_over_m(basis, coeffs, truncate)
+        m = np.argmax(gauges, axis=1)
+        live = nf > 0
+        ratios = np.full(len(chunk), -math.inf)
+        ratios[live] = gauges[live, m[live]] / nf[live]
+        j = int(np.argmax(ratios))
+        if live[j]:
+            tracker.update(float(ratios[j]), {"coeffs": chunk[j].tolist(), "m": int(m[j]) + 1})
 
     if basis.is_diagonal():
         # projections and truncations shrink coordinate moduli pointwise
@@ -181,30 +194,38 @@ class ConditionalityRow:
     witness: dict[str, Any] | None
 
 
-def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauge: float,
-                       max_m: int, rows: list[ConditionalityRow],
-                       coeff_list: list[float]) -> None:
-    """Greedily grow A one index at a time, maximizing ||S_A f|| at each size."""
-    scaled = coeffs[:, None] * basis.vectors
-    chosen: list[int] = []
-    running = np.zeros(basis.dim)
-    available = set(range(basis.d))
+def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
+                       max_m: int, rows: list[ConditionalityRow]) -> None:
+    """Greedily grow A one index at a time for every row of ``coeffs``,
+    maximizing ||S_A f|| at each size; one rows call per size scores every
+    candidate with every index still available.  Ties go to the smaller
+    index, and each row of ``rows`` keeps the first best ratio in candidate
+    order."""
+    n, d = coeffs.shape
+    if n == 0:
+        return
+    at = np.arange(n)
+    scaled = coeffs[:, :, None] * basis.vectors
+    running = np.zeros((n, basis.dim))
+    available = np.tile(np.arange(d), (n, 1))
+    chosen = np.empty((n, 0), dtype=int)
     for m in range(1, max_m + 1):
-        best_val, best_n = -math.inf, None
-        for n in available:
-            val = ambient_gauge(basis.space, running + scaled[n])
-            if val > best_val:
-                best_val, best_n = val, n
-        if best_n is None:
-            break
-        running = running + scaled[best_n]
-        chosen.append(int(best_n))
-        available.discard(best_n)
-        ratio = best_val / f_gauge
+        trials = running[:, None, :] + scaled[at[:, None], available]
+        vals = ambient_gauge_rows(basis.space, trials.reshape(-1, basis.dim))
+        vals = vals.reshape(available.shape)
+        j = np.argmax(vals, axis=1)
+        picked = available[at, j]
+        running = running + scaled[at, picked]
+        chosen = np.column_stack((chosen, picked))
+        keep = np.ones(available.shape, dtype=bool)
+        keep[at, j] = False
+        available = available[keep].reshape(n, -1)
+        ratios = vals[at, j] / f_gauges
+        i = int(np.argmax(ratios))
         row = rows[m - 1]
-        if ratio > row.lower:
-            row.lower = ratio
-            row.witness = {"coeffs": coeff_list, "set": sorted(chosen)}
+        if ratios[i] > row.lower:
+            row.lower = float(ratios[i])
+            row.witness = {"coeffs": coeffs[i].tolist(), "set": sorted(chosen[i].tolist())}
 
 
 def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
@@ -239,29 +260,20 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
         for m in range(1, max_m + 1)
     ]
 
-    candidates: list[np.ndarray] = list(np.eye(d))
-    candidates.append(np.ones(d))
-    for i in range(budget):
-        rng = substream(seed, CONDITIONALITY_SEARCH, i)
-        kind = COEFF_KINDS[i % len(COEFF_KINDS)]
-        candidates.append(coefficient_sample(rng, d, kind))
-
-    for coeffs in candidates:
-        f = coeffs @ basis.vectors
-        nf = ambient_gauge(basis.space, f)
-        if nf <= 0:
-            continue
-        coeff_list = [float(c) for c in coeffs]
-        _forward_selection(basis, coeffs, nf, max_m, rows, coeff_list)
+    # every candidate costs at most d rows per size
+    candidates = itertools.chain(np.eye(d), [np.ones(d)],
+                                 _coefficient_samples(d, budget, seed, CONDITIONALITY_SEARCH))
+    for chunk in _row_chunks(candidates, basis.dim, d):
+        coeffs = np.array(chunk)
+        nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
+        live = nf > 0
+        _forward_selection(basis, coeffs[live], nf[live], max_m, rows)
 
     # ambient unit vectors as inputs
-    for j in range(basis.dim):
-        e = np.zeros(basis.dim)
-        e[j] = 1.0
-        nf = ambient_gauge(basis.space, e)
-        coeffs = coefficient_transform(basis, e)
-        coeff_list = [float(c) for c in coeffs]
-        _forward_selection(basis, coeffs, nf, max_m, rows, coeff_list)
+    for chunk in _row_chunks(range(basis.dim), basis.dim, d):
+        units = np.eye(basis.dim)[chunk]
+        nf = ambient_gauge_rows(basis.space, units)
+        _forward_selection(basis, units @ basis.duals.T, nf, max_m, rows)
 
     for row in rows:
         row.lower = max(row.lower, 1.0)

@@ -13,13 +13,11 @@ length equal to the vector dimension.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidWeightError
 from .numerics import compensated_cumsum
-from .spaces import as_vector, check_exponent, nonincreasing_rearrangement
+from .spaces import _guarded, _lorentz_sum, as_vector, check_exponent, nonincreasing_rearrangement
 
 __all__ = [
     "check_weight",
@@ -101,7 +99,4 @@ def lorentz_gauge(f, q, w) -> float:
     if f.size == 0:
         return 0.0
     a = nonincreasing_rearrangement(f)
-    s = primitive_weight(w)
-    if math.isinf(q):
-        return float(np.max(s * a))
-    return float(np.sum(a**q * s ** (q - 1.0) * w) ** (1.0 / q))
+    return float(_guarded(_lorentz_sum, a, q, w, primitive_weight(w)))

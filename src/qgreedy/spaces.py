@@ -3,13 +3,20 @@
 All spaces are finite-dimensional and real.  Three ambient kinds are
 supported: plain ``lp`` with 0 < p <= inf, block spaces taking the Euclidean
 norm inside consecutive coordinate blocks before an outer lp sum, and
-weighted Lorentz spaces (gauge evaluated in :mod:`qgreedy.lorentz`).
+weighted Lorentz spaces (weights and primitive weights in :mod:`qgreedy.lorentz`).
+
+Each space has one plain formula, evaluated along the last axis of the
+moduli, for the scalar and the row gauges alike.  A result that over- or
+underflowed is recomputed with the largest modulus factored out, so no gauge
+returns inf or 0 when the true value is finite and nonzero.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -20,6 +27,7 @@ from .errors import (
     InvalidVectorError,
     InvalidWeightError,
 )
+from .numerics import compensated_cumsum
 
 __all__ = [
     "Lp",
@@ -59,11 +67,51 @@ def check_exponent(p) -> float:
     return p
 
 
-def _scaled_lp(a: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise (sum a_j^p)^(1/p) of moduli with each row's max factored out."""
-    scale = a.max(axis=-1, keepdims=True)
-    ratio = np.divide(a, scale, out=np.zeros_like(a), where=scale > 0)
-    return scale[..., 0] * np.sum(ratio**p, axis=-1) ** (1.0 / p)
+# A batched gauge call scores at most _ROW_CAP rows, and the search loops size
+# their blocks so that no (rows x dimension) temporary exceeds _BLOCK_FLOATS
+# floats (256 KB): 1024 rows at dimension 32.
+_ROW_CAP = 4096
+_BLOCK_FLOATS = 1 << 15
+
+
+def _row_chunks(items, width: int, rows_per_item: int = 1):
+    """Consecutive lists of ``items`` (any iterable, consumed lazily) that fit
+    one capped rows call at ``rows_per_item`` rows of length ``width`` each."""
+    it = iter(items)
+    rows = min(_ROW_CAP, _BLOCK_FLOATS // max(1, width))
+    size = max(1, rows // max(1, rows_per_item))
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk
+
+
+def _guarded(plain, a: np.ndarray, *args):
+    """``plain(a, *args)`` over the last axis of the moduli ``a`` (one vector or
+    a 2-d block of rows).  The gauges are homogeneous, so a result that came
+    out inf, nan, or 0 is recomputed as M * plain(a / M, *args) with M the
+    row's largest modulus; in-range results are the plain formula's."""
+    out = plain(a, *args)
+    if a.ndim == 1:
+        if (out == 0.0 or not math.isfinite(out)) and a.any():
+            scale = a.max()
+            out = scale * plain(a / scale, *args)
+        return out
+    if out.size == 0 or (out.min() > 0.0 and math.isfinite(out.sum())) or a.shape[1] == 0:
+        return out
+    bad = ~np.isfinite(out) | (out == 0.0)
+    if bad.any():
+        sub = a[bad]
+        scale = sub.max(axis=1, keepdims=True)
+        ratio = np.divide(sub, scale, out=np.zeros_like(sub), where=scale > 0)
+        out[bad] = scale[:, 0] * plain(ratio, *args)
+    return out
+
+
+def _lp_sum(a: np.ndarray, p: float):
+    return np.sum(a**p, axis=-1) ** (1.0 / p)
+
+
+def _lp_moduli(a: np.ndarray, p: float):
+    return a.max(axis=-1) if math.isinf(p) else _guarded(_lp_sum, a, p)
 
 
 def lp_gauge(f, p) -> float:
@@ -71,26 +119,13 @@ def lp_gauge(f, p) -> float:
     underflowed plain result is recomputed with the largest modulus factored out."""
     f = as_vector(f)
     p = check_exponent(p)
-    a = np.abs(f)
-    if math.isinf(p):
-        return float(a.max()) if a.size else 0.0
-    val = float(np.sum(a**p) ** (1.0 / p))
-    if val == math.inf or (val == 0.0 and a.any()):
-        val = float(_scaled_lp(a, p))
-    return val
+    return float(_lp_moduli(np.abs(f), p)) if f.size else 0.0
 
 
 def lp_gauge_rows(mat: np.ndarray, p: float) -> np.ndarray:
     """Row-wise lp gauge of a 2-d array (fast path, no per-row validation);
     rows whose plain result is 0 or inf are recomputed as in :func:`lp_gauge`."""
-    a = np.abs(mat)
-    if math.isinf(p):
-        return a.max(axis=1)
-    out = np.sum(a**p, axis=1) ** (1.0 / p)
-    redo = (out == 0.0) | (out == math.inf)
-    if redo.any():
-        out[redo] = _scaled_lp(a[redo], p)
-    return out
+    return _lp_moduli(np.abs(mat), p)
 
 
 @dataclass(frozen=True)
@@ -129,17 +164,22 @@ class BlockLpL2:
     def dim(self) -> int:
         return sum(self.blocks)
 
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.blocks)[:-1])).astype(int)
 
 
 @dataclass(frozen=True, eq=False)
 class LorentzSpace:
-    """Weighted Lorentz sequence space d_q(w) at dimension ``len(weight)``."""
+    """Weighted Lorentz sequence space d_q(w) at dimension ``len(weight)``.
+
+    The weight is validated and its primitive weight (compensated running
+    sums) computed once, here; every gauge evaluation reads the stored array.
+    """
 
     q: float
     weight: np.ndarray
+    primitive: np.ndarray = field(init=False, repr=False)
     kind: ClassVar[str] = "lorentz"
 
     def __post_init__(self) -> None:
@@ -150,6 +190,7 @@ class LorentzSpace:
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise InvalidWeightError("weight entries must be positive and finite")
         object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "primitive", compensated_cumsum(w))
         object.__setattr__(self, "q", float(self.q))
 
     @property
@@ -160,20 +201,39 @@ class LorentzSpace:
 AmbientSpace = Union[Lp, BlockLpL2, LorentzSpace]
 
 
-def _block_norms(space: BlockLpL2, f: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.add.reduceat(f * f, space.offsets))
+def _block_norms(space: BlockLpL2, a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the blocks along the last axis (plain formula)."""
+    return np.sqrt(np.add.reduceat(a * a, space.offsets, axis=-1))
+
+
+def _block_sum(a: np.ndarray, space: BlockLpL2):
+    norms = _block_norms(space, a)
+    return norms.max(axis=-1) if math.isinf(space.p) else _lp_sum(norms, space.p)
+
+
+def _lorentz_sum(a: np.ndarray, q: float, w: np.ndarray, s: np.ndarray):
+    """d_q(w) gauge of non-increasing moduli ``a`` against the primitive weight ``s``."""
+    if math.isinf(q):
+        return np.max(s * a, axis=-1)
+    return np.sum(a**q * s ** (q - 1.0) * w, axis=-1) ** (1.0 / q)
+
+
+def _moduli_gauge(space: AmbientSpace, a: np.ndarray):
+    """Ambient gauge of the moduli ``a`` along the last axis (one vector or rows)."""
+    if isinstance(space, Lp):
+        return _lp_moduli(a, space.p)
+    if isinstance(space, BlockLpL2):
+        return _guarded(_block_sum, a, space)
+    # a contiguous non-increasing rearrangement: numpy may take a different
+    # power kernel for a strided view, and the last ulp would follow it
+    a = -np.sort(-a, axis=-1)
+    return _guarded(_lorentz_sum, a, space.q, space.weight, space.primitive)
 
 
 def ambient_gauge(space: AmbientSpace, f) -> float:
     """Gauge of ``f`` in the given ambient space."""
     f = as_vector(f, dim=space.dim)
-    if isinstance(space, Lp):
-        return lp_gauge(f, space.p)
-    if isinstance(space, BlockLpL2):
-        return lp_gauge(_block_norms(space, f), space.p)
-    from .lorentz import lorentz_gauge
-
-    return lorentz_gauge(f, space.q, space.weight)
+    return float(_moduli_gauge(space, np.abs(f)))
 
 
 def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray) -> np.ndarray:
@@ -181,20 +241,17 @@ def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:
         raise DimensionMismatchError(f"expected rows of length {space.dim}")
-    if isinstance(space, Lp):
-        return lp_gauge_rows(mat, space.p)
-    if isinstance(space, BlockLpL2):
-        norms = np.sqrt(np.add.reduceat(mat * mat, space.offsets, axis=1))
-        return lp_gauge_rows(norms, space.p)
-    a = np.sort(np.abs(mat), axis=1)[:, ::-1]
-    w = space.weight
-    from .lorentz import primitive_weight
+    return _moduli_gauge(space, np.abs(mat))
 
-    s = primitive_weight(w)
-    if math.isinf(space.q):
-        return np.max(s[None, :] * a, axis=1)
-    q = space.q
-    return np.sum(a**q * (s ** (q - 1.0) * w)[None, :], axis=1) ** (1.0 / q)
+
+def _dual_sum(a: np.ndarray, space: AmbientSpace):
+    inner = a if isinstance(space, Lp) else _block_norms(space, a)
+    p = space.p
+    if p <= 1.0:
+        return inner.max(axis=-1)
+    if math.isinf(p):
+        return inner.sum(axis=-1)
+    return _lp_sum(inner, p / (p - 1.0))
 
 
 def dual_gauge(space: AmbientSpace, u) -> float:
@@ -208,16 +265,7 @@ def dual_gauge(space: AmbientSpace, u) -> float:
     u = as_vector(u, dim=space.dim)
     if isinstance(space, LorentzSpace):
         raise NotImplementedError("dual gauge for weighted Lorentz ambients is not provided")
-    if isinstance(space, Lp):
-        inner = np.abs(u)
-    else:
-        inner = _block_norms(space, u)
-    p = space.p
-    if p <= 1.0:
-        return float(inner.max()) if inner.size else 0.0
-    if math.isinf(p):
-        return float(inner.sum())
-    return lp_gauge(inner, p / (p - 1.0))
+    return float(_guarded(_dual_sum, np.abs(u), space))
 
 
 def p_convexity(space: AmbientSpace) -> float | None:

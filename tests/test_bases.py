@@ -387,6 +387,30 @@ class TestBatchedGraySearch:
         else:
             assert replay == pytest.approx(value, rel=1e-12)
 
+    @pytest.mark.parametrize("d,seed", [(1, 0), (5, 1), (9, 2)])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_sign_family_scores_half_at_odd_d(self, d, seed, chunk, monkeypatch):
+        import itertools
+
+        if chunk is not None:
+            monkeypatch.setattr(bases_module, "_GRAY_CHUNK", chunk)
+        scored = []
+        real = bases_module.ambient_gauge_rows
+        monkeypatch.setattr(bases_module, "ambient_gauge_rows",
+                            lambda space, mat: scored.append(len(mat)) or real(space, mat))
+        basis = zoo("difference", p=0.5, dim=d)
+        rng = np.random.default_rng(seed)
+        f = synthesize(basis, rng.integers(-3, 4, size=d).astype(float))
+        value, gamma = _gray_best_over_family(basis, coefficient_transform(basis, f), True)
+        # gamma and -gamma score alike, so only i < 2^(d-1) is enumerated
+        assert sum(scored) == 1 << (d - 1)
+        scores = {g: ambient_gauge(basis.space, sign_operator(basis, np.array(g), f))
+                  for g in itertools.product((-1.0, 1.0), repeat=d)}
+        best = max(scores.values())
+        assert value == pytest.approx(best, rel=1e-12)
+        maximizers = [g for g, s in scores.items() if s >= best * (1 - 1e-12)]
+        assert tuple(gamma.tolist()) == min(maximizers, key=lambda g: gray_rank(g, True))
+
     def test_exact_unconditional_replays_witness(self):
         basis = zoo("perturbed_unit", p=0.5, dim=12, seed=3)
         est = unconditional_constant(basis, mode="exact", seed=3)

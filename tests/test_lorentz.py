@@ -139,3 +139,31 @@ class TestPrimitivePrefix:
     def test_prefix_out_of_range(self):
         with pytest.raises(InvalidWeightError):
             primitive_weight([1, 1], 3)
+
+
+class TestStoredPrimitiveWeight:
+    def test_computed_once_at_construction(self, monkeypatch):
+        import qgreedy.lorentz as lorentz_module
+        import qgreedy.spaces as spaces_module
+        from qgreedy.spaces import LorentzSpace, ambient_gauge, ambient_gauge_rows
+
+        w = power_weight(2.0, 16)
+        space = LorentzSpace(0.5, w)
+        assert np.array_equal(space.primitive, primitive_weight(w))
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((20, 16))
+        expected = [lorentz_gauge(row, 0.5, w) for row in mat]
+
+        calls = []
+        for module, name in ((lorentz_module, "check_weight"),
+                             (lorentz_module, "primitive_weight"),
+                             (spaces_module, "compensated_cumsum")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        scalar = [ambient_gauge(space, row) for row in mat]
+        rows = ambient_gauge_rows(space, mat)
+        assert calls == []
+        # the same accumulation of the same weight: bit-identical values
+        assert scalar == expected
+        assert rows.tolist() == pytest.approx(expected, rel=1e-15)

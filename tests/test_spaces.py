@@ -22,6 +22,7 @@ from qgreedy.spaces import (
     nonincreasing_rearrangement,
     p_triangle_defect,
 )
+from qgreedy.lorentz import lorentz_gauge, primitive_weight
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=10).map(np.array)
@@ -106,6 +107,59 @@ class TestAmbientGauge:
             rows = ambient_gauge_rows(space, mat)
             for i in range(mat.shape[0]):
                 assert rows[i] == pytest.approx(ambient_gauge(space, mat[i]), rel=1e-12)
+
+
+class TestOverflowSafeGauges:
+    """Block and Lorentz gauges recompute an over- or underflowed result with
+    the largest modulus factored out, as the lp gauges do."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_block_extreme_magnitudes(self):
+        space = BlockLpL2(0.5, (2,))
+        root2 = math.sqrt(2.0)
+        assert ambient_gauge(space, [1e200, 1e200]) == pytest.approx(root2 * 1e200, rel=1e-15)
+        assert ambient_gauge(space, [1e-200, 1e-200]) == pytest.approx(root2 * 1e-200, rel=1e-15)
+        rows = ambient_gauge_rows(space, np.array([[1e200, 1e200], [1e-200, -1e-200], [0.0, 0.0]]))
+        assert rows.tolist() == pytest.approx([root2 * 1e200, root2 * 1e-200, 0.0], rel=1e-15)
+        # one overflowing block beside an in-range one, and the dual gauge
+        two = BlockLpL2(0.5, (1, 1))
+        assert ambient_gauge(two, [1e200, 1.0]) == pytest.approx(1e200, rel=1e-15)
+        assert dual_gauge(BlockLpL2(2.0, (2,)), [1e200, 1e200]) == pytest.approx(
+            root2 * 1e200, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_lorentz_extreme_magnitudes(self):
+        space = LorentzSpace(2, np.ones(2))
+        root3 = math.sqrt(3.0)
+        assert ambient_gauge(space, [1e200, 1e200]) == pytest.approx(root3 * 1e200, rel=1e-15)
+        assert ambient_gauge(space, [1e-200, 1e-200]) == pytest.approx(root3 * 1e-200, rel=1e-15)
+        rows = ambient_gauge_rows(space, np.array([[1e200, 1e200], [1e-200, 1e-200], [0.0, 0.0]]))
+        assert rows.tolist() == pytest.approx([root3 * 1e200, root3 * 1e-200, 0.0], rel=1e-15)
+        assert lorentz_gauge([1e200, 1e200], 2, np.ones(2)) == pytest.approx(root3 * 1e200,
+                                                                            rel=1e-15)
+
+    def test_in_range_values_match_plain_formulas(self):
+        rng = np.random.default_rng(4)
+        mat = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-5, 5, size=(40, 1))
+        a = np.abs(mat)
+        for p in (0.3, 0.5, 2.0):
+            space = BlockLpL2(p, (2, 3, 1))
+            norms = np.sqrt(np.add.reduceat(mat * mat, space.offsets, axis=1))
+            assert np.array_equal(ambient_gauge_rows(space, mat),
+                                  np.sum(norms**p, axis=1) ** (1.0 / p))
+            for row, n in zip(mat, norms):
+                assert ambient_gauge(space, row) == float(np.sum(n**p) ** (1.0 / p))
+        for q in (0.5, 1.5):
+            w = np.arange(1.0, 7.0)
+            space = LorentzSpace(q, w)
+            s = primitive_weight(w)
+            srt = np.sort(a, axis=1)[:, ::-1].copy()
+            assert np.array_equal(ambient_gauge_rows(space, mat),
+                                  np.sum(srt**q * s ** (q - 1.0) * w, axis=1) ** (1.0 / q))
+            for row, r in zip(mat, srt):
+                plain = float(np.sum(r**q * s ** (q - 1.0) * w) ** (1.0 / q))
+                assert ambient_gauge(space, row) == plain
+                assert lorentz_gauge(row, q, w) == plain
 
 
 class TestDualGauge:
