@@ -43,7 +43,9 @@ __all__ = [
 
 EXACT_SUBSET_LIMIT = 10**7
 _CHUNK = 4096
-_SIGN_ENUM_CAP = 12  # exhaustive sign patterns up to 2^12 per sampled set
+# A set of at most _SIGN_ENUM_CAP members has its sign patterns enumerated; a
+# larger one is scored on 128 patterns from its own stream, made only for it.
+_SIGN_ENUM_CAP = 12
 
 
 def indicator_gauge(basis: Basis, A, signs=None) -> float:
@@ -346,16 +348,46 @@ def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
 # ---------------------------------------------------------------------------
 
 
-def _sign_gauges(basis: Basis, idx: np.ndarray, rng=None) -> tuple[np.ndarray, np.ndarray]:
-    """(gauges, signs) of sum_{n in idx} eps_n x_n over sign patterns
-    (exhaustive when |idx| <= _SIGN_ENUM_CAP, otherwise 128 sampled)."""
-    k = idx.size
-    rows = basis.vectors[idx]
-    if k <= _SIGN_ENUM_CAP:
-        signs = sign_patterns(k, 0, 1 << k)
-    else:
-        signs = rng.choice([-1.0, 1.0], size=(128, k)) if rng is not None else np.ones((1, k))
-    return ambient_gauge_rows(basis.space, signs @ rows), signs
+def _sign_gauges(basis: Basis, sets: list, stream=None):
+    """Yield (positions, index rows, signs (n, P, k), gauges (n, P)) for the
+    sums sum_{n in A} eps_n x_n over the sign patterns of index sets A, in
+    capped blocks of one size k, in order within a size.  For k <= _SIGN_ENUM_CAP
+    the patterns are the 2^(k-1) ids whose last sign is -1, built once per size
+    (negation keeps a gauge, so they hold the first extremes of all 2^k);
+    otherwise 128 drawn from ``stream(i)`` (i = position in ``sets``), which
+    is made only then and is required."""
+    by_size: dict[int, list[int]] = {}
+    for i, a in enumerate(sets):
+        by_size.setdefault(len(a), []).append(i)
+    for k, members in by_size.items():
+        if k > _SIGN_ENUM_CAP and stream is None:
+            raise ValueError(f"sets of {k} > {_SIGN_ENUM_CAP} members need a sign stream")
+        table = sign_patterns(k, 0, 1 << (k - 1)) if k <= _SIGN_ENUM_CAP else None
+        for chunk in _row_chunks(members, basis.dim, 128 if table is None else len(table)):
+            signs = (np.broadcast_to(table, (len(chunk), *table.shape)) if table is not None else
+                     np.stack([stream(i).choice([-1.0, 1.0], size=(128, k)) for i in chunk]))
+            idx = np.array([sets[i] for i in chunk], dtype=int)
+            yield chunk, idx, signs, _stacked_gauges(basis, signs @ basis.vectors[idx])
+
+
+def _stacked_gauges(basis: Basis, sums: np.ndarray) -> np.ndarray:
+    """Gauges (n, P) of a stack of (n, P, d) ambient vectors, in one rows call."""
+    return ambient_gauge_rows(basis.space, sums.reshape(-1, basis.dim)).reshape(sums.shape[:2])
+
+
+def _sign_extremes(basis: Basis, sets: list, stream):
+    """Per set, in order: its first largest and first smallest gauge over its
+    sign patterns, and (pattern of the largest, pattern of the smallest)."""
+    hi, lo, patterns = np.empty(len(sets)), np.empty(len(sets)), [None] * len(sets)
+    for chunk, _, signs, gauges in _sign_gauges(basis, sets, stream):
+        j_hi, j_lo = np.argmax(gauges, axis=1), np.argmin(gauges, axis=1)
+        rows = np.arange(len(chunk))
+        hi[chunk], lo[chunk] = gauges[rows, j_hi], gauges[rows, j_lo]
+        # copies of the two rows only, so no block of drawn signs outlives its scoring
+        patterns_hi, patterns_lo = signs[rows, j_hi], signs[rows, j_lo]
+        for r, i in enumerate(chunk):
+            patterns[i] = (patterns_hi[r], patterns_lo[r])
+    return hi, lo, patterns
 
 
 def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstimate:
@@ -378,21 +410,28 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         a = np.sort(rng.choice(b, size=asize, replace=False))
         pairs.append((a, b))
 
-    for a, b in pairs:
-        rng = substream(seed, SUCC_PAIRS, budget + hash((tuple(a), tuple(b))) % (1 << 30))
-        b_list = [int(x) for x in b]
-        pos = np.searchsorted(b, a)
-        if b.size <= _SIGN_ENUM_CAP:
-            signs = sign_patterns(b.size, 0, 1 << b.size)
-        else:
-            signs = rng.choice([-1.0, 1.0], size=(128, b.size))
-        den = ambient_gauge_rows(basis.space, signs @ basis.vectors[b])
-        num = ambient_gauge_rows(basis.space, signs[:, pos] @ basis.vectors[a])
-        ratios = num / den
-        j = int(np.argmax(ratios))
-        tracker.update(float(ratios[j]), {
-            "A": [int(x) for x in a], "B": b_list, "signs": signs[j].tolist(),
-        })
+    def stream(i):
+        a, b = pairs[i]
+        return substream(seed, SUCC_PAIRS, budget + hash((tuple(a), tuple(b))) % (1 << 30))
+
+    # per pair, its first largest ratio and that pattern
+    best, patterns = np.empty(len(pairs)), [None] * len(pairs)
+    for chunk, idx, signs, den in _sign_gauges(basis, [b for _, b in pairs], stream):
+        # B's signs outside A zeroed: a zero term adds exactly 0, so these are the sums over A
+        mask = np.zeros(idx.shape)
+        for r, i in enumerate(chunk):
+            mask[r, np.searchsorted(pairs[i][1], pairs[i][0])] = 1.0
+        ratios = _stacked_gauges(basis, (signs * mask[:, None, :]) @ basis.vectors[idx]) / den
+        rows = np.arange(len(chunk))
+        j = np.argmax(ratios, axis=1)
+        best[chunk], chosen = ratios[rows, j], signs[rows, j]
+        for r, i in enumerate(chunk):
+            patterns[i] = chosen[r]
+    if pairs:
+        i = int(np.argmax(best))
+        tracker.update(float(best[i]), {"A": [int(x) for x in pairs[i][0]],
+                                        "B": [int(x) for x in pairs[i][1]],
+                                        "signs": patterns[i].tolist()})
     return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
 
 
@@ -411,24 +450,21 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
         size = int(rng.integers(1, d + 1))
         sets.append(random_subset(rng, d, size))
 
-    for idx, a in enumerate(sets):
-        rng = substream(seed, SIGN_CHANGE, budget + idx)
-        gauges, signs = _sign_gauges(basis, np.asarray(a, dtype=int), rng)
-        hi, lo = int(np.argmax(gauges)), int(np.argmin(gauges))
-        if gauges[lo] <= 0:
-            continue
-        tracker.update(float(gauges[hi] / gauges[lo]), {
-            "A": [int(x) for x in a],
-            "theta": signs[hi].tolist(),
-            "eps": signs[lo].tolist(),
-        })
+    hi, lo, patterns = _sign_extremes(
+        basis, sets, lambda i: substream(seed, SIGN_CHANGE, budget + i))
+    ratios = np.divide(hi, lo, out=np.full(len(sets), -math.inf), where=lo > 0)
+    i = int(np.argmax(ratios))
+    tracker.update(float(ratios[i]), {"A": [int(x) for x in sets[i]],
+                                      "theta": patterns[i][0].tolist(),
+                                      "eps": patterns[i][1].tolist()})
     return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
 
 
 def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int = 500,
                              seed: int = 0) -> BoundEstimate:
     """Equal-size signed comparison: sup over |A| = |B| and signs of
-    ||sum_A theta_n x_n|| / ||sum_B eps_n x_n||."""
+    ||sum_A theta_n x_n|| / ||sum_B eps_n x_n||.  Per size, the first largest
+    gauge is set against the first smallest positive one."""
     d = basis.d
     if m_max is None:
         m_max = d
@@ -442,20 +478,14 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
         for i in range(per_size):
             rng = substream(seed, SUPER_DEMOCRACY, m * budget + i)
             cands.append(random_subset(rng, d, m))
-        best_hi, arg_hi, sig_hi = -math.inf, None, None
-        best_lo, arg_lo, sig_lo = math.inf, None, None
-        for a in cands:
-            rng = substream(seed, SUPER_DEMOCRACY, (m_max + m) * budget + hash(tuple(a)) % (1 << 30))
-            gauges, signs = _sign_gauges(basis, np.asarray(a, dtype=int), rng)
-            hi, lo = int(np.argmax(gauges)), int(np.argmin(gauges))
-            if gauges[hi] > best_hi:
-                best_hi, arg_hi, sig_hi = float(gauges[hi]), a, signs[hi]
-            if 0 < gauges[lo] < best_lo:
-                best_lo, arg_lo, sig_lo = float(gauges[lo]), a, signs[lo]
-        if arg_hi is not None and arg_lo is not None:
-            tracker.update(best_hi / best_lo, {
-                "A": [int(x) for x in arg_hi], "B": [int(x) for x in arg_lo],
-                "theta": sig_hi.tolist(), "eps": sig_lo.tolist(),
+        hi, lo, patterns = _sign_extremes(basis, cands, lambda i: substream(
+            seed, SUPER_DEMOCRACY, (m_max + m) * budget + hash(tuple(cands[i])) % (1 << 30)))
+        a = int(np.argmax(hi))
+        b = int(np.argmin(np.where(lo > 0, lo, math.inf)))
+        if lo[b] > 0:
+            tracker.update(float(hi[a] / lo[b]), {
+                "A": [int(x) for x in cands[a]], "B": [int(x) for x in cands[b]],
+                "theta": patterns[a][0].tolist(), "eps": patterns[b][1].tolist(),
             })
     return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
 

@@ -7,6 +7,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+def _close(a: float, b: float) -> bool:
+    """Agreement to 1e-9 relative to the larger modulus (exact at 0 and inf)."""
+    scale = max(abs(a), abs(b))
+    return a == b or (math.isfinite(scale) and abs(a - b) <= 1e-9 * scale)
+
+
 @dataclass
 class BoundEstimate:
     """A two-sided estimate for a sup- or inf-type constant.
@@ -26,14 +32,14 @@ class BoundEstimate:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.upper < self.lower - 1e-9:
+        if self.upper < self.lower and not _close(self.lower, self.upper):
             raise ValueError(
                 f"inconsistent bound pair: lower={self.lower} exceeds upper={self.upper}"
             )
 
     @property
     def exact(self) -> bool:
-        return self.upper_certified and abs(self.upper - self.lower) <= 1e-9
+        return self.upper_certified and _close(self.lower, self.upper)
 
     def as_dict(self) -> dict[str, Any]:
         return {

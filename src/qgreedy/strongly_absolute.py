@@ -25,6 +25,7 @@ from .spaces import as_vector, lp_gauge, lp_gauge_rows
 __all__ = [
     "strongly_absolute_function",
     "strongly_absolute_check",
+    "strongly_absolute_rows",
     "AbsoluteCheck",
     "PairFamily",
     "random_pair_family",
@@ -66,12 +67,27 @@ class AbsoluteCheck:
 
 
 def strongly_absolute_check(f, p: float, eps: float, tol: float = 1e-12) -> AbsoluteCheck:
-    """Evaluate ||f||_1 <= max{A(eps) ||f||_inf, eps ||f||_p} for the unit system."""
-    a = strongly_absolute_function(p, eps)
-    f = as_vector(f)
-    lhs = lp_gauge(f, 1.0)
-    rhs = max(a * lp_gauge(f, math.inf), eps * lp_gauge(f, p))
-    return AbsoluteCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + tol) + tol)
+    """Evaluate ||f||_1 <= max{A(eps) ||f||_inf, eps ||f||_p} for the unit system
+    (the 1-row case of :func:`strongly_absolute_rows`)."""
+    lhs, rhs, holds = strongly_absolute_rows(as_vector(f)[None, :], (p,), (eps,), tol)
+    return AbsoluteCheck(lhs=float(lhs[0]), rhs=float(rhs[0, 0, 0]), holds=bool(holds[0, 0, 0]))
+
+
+def strongly_absolute_rows(rows: np.ndarray, p_values, eps_values, tol: float = 1e-12):
+    """:func:`strongly_absolute_check` for every row f_i of a 2-d array at every
+    (p_values[k], eps_values[e]): returns lhs[i] = ||f_i||_1 and rhs[k, i, e],
+    holds[k, i, e].  The l_1 and sup gauges are computed once per row, the l_p
+    gauge once per (row, p); each eps is an array comparison with the same
+    ``tol``.  Rows are not validated (see :func:`lp_gauge_rows`)."""
+    a = np.array([[strongly_absolute_function(p, eps) for eps in eps_values] for p in p_values])
+    mat = np.asarray(rows, dtype=float)
+    if mat.shape[1] == 0:  # an empty vector has every gauge 0
+        mat = np.zeros((mat.shape[0], 1))
+    lhs = lp_gauge_rows(mat, 1.0)
+    sup = lp_gauge_rows(mat, math.inf)
+    gp = np.stack([lp_gauge_rows(mat, p) for p in p_values])
+    rhs = np.maximum(a[:, None, :] * sup[None, :, None], np.array(eps_values) * gp[:, :, None])
+    return lhs, rhs, lhs[None, :, None] <= rhs * (1 + tol) + tol
 
 
 @dataclass(frozen=True, eq=False)

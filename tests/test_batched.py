@@ -26,9 +26,20 @@ from qgreedy.bases import (
     unconditional_constant,
     zoo,
 )
+from qgreedy import rng as rng_module
 from qgreedy.cli import main
-from qgreedy.democracy import _block_spread_sets, _random_profile_rows, _swap_refine, indicator_gauge
-from qgreedy.estimates import MinTracker, RatioTracker
+from qgreedy.democracy import (
+    _SIGN_ENUM_CAP,
+    _block_spread_sets,
+    _random_profile_rows,
+    _sign_gauges,
+    _swap_refine,
+    indicator_gauge,
+    sign_change_constant,
+    succ_constant,
+    super_democracy_constant,
+)
+from qgreedy.estimates import BoundEstimate, MinTracker, RatioTracker
 from qgreedy.greedy import (
     ConditionalityRow,
     _forward_selection,
@@ -37,7 +48,17 @@ from qgreedy.greedy import (
     truncation_constant,
 )
 from qgreedy.lorentz import power_weight
-from qgreedy.rng import CONDITIONALITY_SEARCH, DEMOCRACY_SETS, QG_SEARCH, TRUNCATION_SEARCH, substream
+from qgreedy.numerics import sign_patterns
+from qgreedy.rng import (
+    CONDITIONALITY_SEARCH,
+    DEMOCRACY_SETS,
+    QG_SEARCH,
+    SIGN_CHANGE,
+    SUCC_PAIRS,
+    SUPER_DEMOCRACY,
+    TRUNCATION_SEARCH,
+    substream,
+)
 from qgreedy.sampling import (
     COEFF_KINDS,
     coefficient_sample,
@@ -429,3 +450,177 @@ def test_row_chunks_bound_rows_and_floats():
             rows = len(chunk) * per_item
             assert rows <= spaces_module._ROW_CAP
             assert rows * width <= max(spaces_module._BLOCK_FLOATS, width * per_item)
+
+
+# ---------------------------------------------------------------------------
+# the sign constants
+# ---------------------------------------------------------------------------
+#
+# The oracles are the earlier per-set loops: one sign stream made per set
+# (drawn from only for sets of more than 12 members) and one or two rows
+# calls per set.  ``sign_log`` records each per-set stream key with the size
+# of its set.
+
+
+def sign_stream(log, seed, key, size):
+    log.append((key, size))
+    return rng_module.substream(seed, *key)
+
+
+def sign_gauges_oracle(basis, idx, rng):
+    k = idx.size
+    rows = basis.vectors[idx]
+    if k <= _SIGN_ENUM_CAP:
+        signs = sign_patterns(k, 0, 1 << k)
+    else:
+        signs = rng.choice([-1.0, 1.0], size=(128, k))
+    return ambient_gauge_rows(basis.space, signs @ rows), signs
+
+
+def succ_oracle(basis, budget, seed, sign_log):
+    d = basis.d
+    tracker = RatioTracker()
+    tracker.update(1.0, {"A": [0], "B": [0], "signs": [1.0]})
+    pairs = []
+    for n in range(1, d):
+        pairs.append((np.array([n]), np.array([n - 1, n])))
+    for k in range(1, d):
+        pairs.append((np.array([k]), np.arange(k + 1)))
+    for i in range(budget):
+        rng = substream(seed, SUCC_PAIRS, i)
+        bsize = int(rng.integers(2, d + 1))
+        b = random_subset(rng, d, bsize)
+        asize = int(rng.integers(1, bsize))
+        a = np.sort(rng.choice(b, size=asize, replace=False))
+        pairs.append((a, b))
+    for a, b in pairs:
+        key = (SUCC_PAIRS, budget + hash((tuple(a), tuple(b))) % (1 << 30))
+        rng = sign_stream(sign_log, seed, key, b.size)
+        pos = np.searchsorted(b, a)
+        if b.size <= _SIGN_ENUM_CAP:
+            signs = sign_patterns(b.size, 0, 1 << b.size)
+        else:
+            signs = rng.choice([-1.0, 1.0], size=(128, b.size))
+        den = ambient_gauge_rows(basis.space, signs @ basis.vectors[b])
+        num = ambient_gauge_rows(basis.space, signs[:, pos] @ basis.vectors[a])
+        ratios = num / den
+        j = int(np.argmax(ratios))
+        tracker.update(float(ratios[j]), {
+            "A": [int(x) for x in a], "B": [int(x) for x in b], "signs": signs[j].tolist(),
+        })
+    return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
+
+
+def sign_change_oracle(basis, budget, seed, sign_log):
+    d = basis.d
+    tracker = RatioTracker()
+    tracker.update(1.0, {"A": [0], "theta": [1.0], "eps": [1.0]})
+    sets = []
+    for k in range(1, d + 1):
+        sets.extend(structured_subsets(d, k))
+    for i in range(budget):
+        rng = substream(seed, SIGN_CHANGE, i)
+        size = int(rng.integers(1, d + 1))
+        sets.append(random_subset(rng, d, size))
+    for idx, a in enumerate(sets):
+        rng = sign_stream(sign_log, seed, (SIGN_CHANGE, budget + idx), len(a))
+        gauges, signs = sign_gauges_oracle(basis, np.asarray(a, dtype=int), rng)
+        hi, lo = int(np.argmax(gauges)), int(np.argmin(gauges))
+        if gauges[lo] <= 0:
+            continue
+        tracker.update(float(gauges[hi] / gauges[lo]), {
+            "A": [int(x) for x in a], "theta": signs[hi].tolist(), "eps": signs[lo].tolist(),
+        })
+    return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
+
+
+def super_democracy_oracle(basis, m_max, budget, seed, sign_log):
+    d = basis.d
+    m_max = min(int(m_max), d)
+    tracker = RatioTracker()
+    tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})
+    for m in range(1, m_max + 1):
+        cands = structured_subsets(d, m)
+        per_size = max(1, budget // max(1, m_max))
+        for i in range(per_size):
+            rng = substream(seed, SUPER_DEMOCRACY, m * budget + i)
+            cands.append(random_subset(rng, d, m))
+        best_hi, arg_hi, sig_hi = -math.inf, None, None
+        best_lo, arg_lo, sig_lo = math.inf, None, None
+        for a in cands:
+            key = (SUPER_DEMOCRACY, (m_max + m) * budget + hash(tuple(a)) % (1 << 30))
+            rng = sign_stream(sign_log, seed, key, m)
+            gauges, signs = sign_gauges_oracle(basis, np.asarray(a, dtype=int), rng)
+            hi, lo = int(np.argmax(gauges)), int(np.argmin(gauges))
+            if gauges[hi] > best_hi:
+                best_hi, arg_hi, sig_hi = float(gauges[hi]), a, signs[hi]
+            if 0 < gauges[lo] < best_lo:
+                best_lo, arg_lo, sig_lo = float(gauges[lo]), a, signs[lo]
+        if arg_hi is not None and arg_lo is not None:
+            tracker.update(best_hi / best_lo, {
+                "A": [int(x) for x in arg_hi], "B": [int(x) for x in arg_lo],
+                "theta": sig_hi.tolist(), "eps": sig_lo.tolist(),
+            })
+    return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
+
+
+SIGN_CONSTANTS = {
+    "succ": (succ_constant, succ_oracle),
+    "sign_change": (sign_change_constant, sign_change_oracle),
+    "super_democracy": (lambda basis, budget, seed: super_democracy_constant(
+        basis, m_max=basis.d, budget=budget, seed=seed),
+        lambda basis, budget, seed, log: super_democracy_oracle(basis, basis.d, budget, seed, log)),
+}
+
+
+def sign_basis(kind: str, seed: int, d: int) -> Basis:
+    """A perturbed identity at dimension d in an lp, block or Lorentz ambient."""
+    rng = np.random.default_rng(seed)
+    vectors = np.eye(d) + (0.5 / d) * rng.standard_normal((d, d))
+    blocks = tuple(min(4, d - i) for i in range(0, d, 4))
+    space = {"lp": Lp(0.5, d), "block": BlockLpL2(0.5, blocks),
+             "lorentz": LorentzSpace(0.5, power_weight(2.0, d))}[kind]
+    return Basis(space, vectors, np.linalg.inv(vectors).T)
+
+
+def record_keys(monkeypatch, namespace):
+    """Record the key of every stream made through ``namespace["substream"]``."""
+    keys = []
+    real = namespace["substream"]
+
+    def recording(seed, *key):
+        keys.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setitem(namespace, "substream", recording)
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_CONSTANTS))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d,budget", [(6, 120), (14, 30), (16, 30)])
+def test_sign_constant_matches_per_set_loop(name, kind, d, budget, small_cap, monkeypatch):
+    """Bit-identical value and equal witness; no stream for a set of <= 12
+    members, and the oracle's key for every larger set."""
+    new, oracle = SIGN_CONSTANTS[name]
+    basis = sign_basis(kind, seed=d, d=d)
+    sign_log = []
+    draw_keys = record_keys(monkeypatch, globals())  # the oracle's draws
+    expected = oracle(basis, budget, 5, sign_log)
+    made = record_keys(monkeypatch, vars(democracy_module))
+    got = new(basis, budget=budget, seed=5)
+    assert got.lower == expected.lower
+    assert got.as_dict() == expected.as_dict()
+    large = [key for key, size in sign_log if size > _SIGN_ENUM_CAP]
+    assert (d > _SIGN_ENUM_CAP) == bool(large)
+    assert sorted(made) == sorted(draw_keys + large)
+
+
+def test_sign_gauges_requires_a_stream_for_large_sets():
+    basis = sign_basis("lp", seed=0, d=16)
+    small = [np.arange(12), np.arange(4, 16, 2)]
+    assert [len(c) for c, *_ in _sign_gauges(basis, small)] == [1, 1]
+    with pytest.raises(ValueError, match="sign stream"):
+        list(_sign_gauges(basis, [np.arange(13)]))
+    chunks = list(_sign_gauges(basis, [np.arange(13)], lambda i: substream(0, 99, i)))
+    assert chunks[0][3].shape == (1, 128)

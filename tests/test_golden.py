@@ -1,0 +1,137 @@
+"""Outputs pinned in tests/golden/: the stdout of the verify suites and the
+sign constants, for seeds 0-2.
+
+On the Python and numpy versions a golden file records, outputs must match
+byte for byte.  On other versions numbers are compared to a relative 1e-12
+and witnesses exactly.  A mismatch names the first differing line or JSON
+path.  ``python tests/golden/regen.py`` rewrites the files; no test calls it.
+"""
+
+import importlib.util
+import json
+import math
+import platform
+import re
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qgreedy.reports import json_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+VERIFY = json.loads(regen.VERIFY_FILE.read_text())
+SIGNS = json.loads(regen.SIGN_FILE.read_text())
+REL = 1e-12
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def exact_versions(pinned: dict) -> bool:
+    """Whether this interpreter and numpy are the ones the file was made with;
+    warns about the looser comparison otherwise."""
+    same = pinned["python"] == platform.python_version() and pinned["numpy"] == np.__version__
+    if not same:
+        warnings.warn(f"golden outputs were made with Python {pinned['python']} and numpy "
+                      f"{pinned['numpy']}; comparing numbers to relative {REL} and witnesses "
+                      "exactly")
+    return same
+
+
+def close(a: float, b: float) -> bool:
+    return a == b or abs(a - b) <= REL * max(abs(a), abs(b))
+
+
+def line_mismatch(got: str, want: str, exact: bool) -> str | None:
+    """The first line where ``got`` differs from ``want``, or None."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for n, (g, w) in enumerate(zip(got_lines, want_lines), 1):
+        if g == w:
+            continue
+        g_nums, w_nums = NUMBER.findall(g), NUMBER.findall(w)
+        if (exact or NUMBER.sub("#", g) != NUMBER.sub("#", w) or len(g_nums) != len(w_nums)
+                or not all(close(float(a), float(b)) for a, b in zip(g_nums, w_nums))):
+            return f"line {n}: got {g!r}, pinned {w!r}"
+    if len(got_lines) != len(want_lines):
+        return f"got {len(got_lines)} lines, pinned {len(want_lines)}"
+    return None
+
+
+def json_mismatch(got, want, exact: bool, path: str = "$") -> str | None:
+    """The first JSON path where ``got`` differs from ``want``, or None.
+    Numbers inside a witness always compare exactly."""
+    exact = exact or path.endswith(".witness")
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            keys = sorted(got) if isinstance(got, dict) else got
+            return f"{path}: got keys {keys!r}, pinned {sorted(want)}"
+        for key in sorted(want):
+            found = json_mismatch(got[key], want[key], exact, f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return f"{path}: got {got!r}, pinned {want!r}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            found = json_mismatch(g, w, exact, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    if (isinstance(want, float) and isinstance(got, (int, float)) and not isinstance(got, bool)
+            and not exact and math.isfinite(want)):
+        return None if close(float(got), want) else f"{path}: got {got!r}, pinned {want!r}"
+    if type(got) is not type(want) or got != want:
+        return f"{path}: got {got!r}, pinned {want!r}"
+    return None
+
+
+@pytest.mark.parametrize("suite,seed", regen.verify_cases(),
+                         ids=[regen.verify_key(*case) for case in regen.verify_cases()])
+def test_verify_stdout_is_pinned(suite, seed):
+    want = VERIFY["stdout"][regen.verify_key(suite, seed)]
+    got = regen.verify_stdout(suite, seed)
+    exact = exact_versions(VERIFY)
+    if exact and got == want:
+        return
+    found = line_mismatch(got, want, exact)
+    assert found is None, f"verify {suite} --seed {seed}: {found}"
+
+
+@pytest.mark.parametrize("base,seed", regen.sign_cases(),
+                         ids=[regen.sign_key(*case) for case in regen.sign_cases()])
+def test_sign_constants_are_pinned(base, seed):
+    assert SIGNS["budget"] == regen.SIGN_BUDGET
+    want = SIGNS["results"][regen.sign_key(base, seed)]
+    got_text = json_text(regen.sign_constants(base, seed))
+    exact = exact_versions(SIGNS)
+    if exact and got_text == json_text(want):
+        return
+    found = json_mismatch(json.loads(got_text), want, exact)
+    assert found is None, f"{regen.sign_key(base, seed)}: {found}"
+
+
+def test_golden_files_are_canonical():
+    """The files are exactly what regen.py writes, so byte comparison holds."""
+    assert regen.VERIFY_FILE.read_text() == json_text(VERIFY)
+    assert regen.SIGN_FILE.read_text() == json_text(SIGNS)
+    assert sorted(VERIFY["stdout"]) == sorted(regen.verify_key(*c) for c in regen.verify_cases())
+    assert sorted(SIGNS["results"]) == sorted(regen.sign_key(*c) for c in regen.sign_cases())
+
+
+def test_mismatch_reports_name_the_place():
+    assert line_mismatch("a 1.0\nb 2.0\n", "a 1.0\nb 2.5\n", exact=True) == \
+        "line 2: got 'b 2.0', pinned 'b 2.5'"
+    assert line_mismatch("a 1.0000000000000002\n", "a 1.0\n", exact=False) is None
+    assert line_mismatch("a 1.0000000000000002\n", "a 1.0\n", exact=True) is not None
+    want = {"s": {"lower": 2.0, "witness": {"A": [0, 1], "signs": [1.0, -1.0]}}}
+    got = {"s": {"lower": 2.0 * (1 + 1e-15), "witness": {"A": [0, 1], "signs": [1.0, 1.0]}}}
+    assert json_mismatch(got, want, exact=False) == "$.s.witness.signs[1]: got 1.0, pinned -1.0"
+    got["s"]["witness"]["signs"][1] = -1.0
+    assert json_mismatch(got, want, exact=False) is None
+    assert json_mismatch(got, want, exact=True) == \
+        f"$.s.lower: got {2.0 * (1 + 1e-15)!r}, pinned 2.0"

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import qgreedy.strongly_absolute as strongly_absolute_module
 from qgreedy.errors import InvalidExponentError, PreconditionError
+from qgreedy.rng import VERIFY_VECTORS, substream
 from qgreedy.spaces import lp_gauge
+from qgreedy.verify import CheckResult, suite_lemma32
 from qgreedy.strongly_absolute import (
     PairFamily,
     concentration_set,
@@ -14,7 +17,19 @@ from qgreedy.strongly_absolute import (
     random_pair_family,
     strongly_absolute_check,
     strongly_absolute_function,
+    strongly_absolute_rows,
 )
+
+P_VALUES = (0.3, 0.5, 0.7)
+EPS_VALUES = (0.1, 1.0, 10.0)
+
+
+def lemma32_vectors(trials, seed=0, dim=16):
+    out = []
+    for i in range(trials):
+        rng = substream(seed, VERIFY_VECTORS, i)
+        out.append(rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4))
+    return np.array(out)
 
 
 class TestAbsoluteFunction:
@@ -56,6 +71,93 @@ class TestAbsoluteCheck:
             for p in (0.3, 0.5, 0.7):
                 for eps in (0.1, 1.0, 10.0):
                     assert strongly_absolute_check(f, p, eps).holds
+
+
+class TestAbsoluteRows:
+    def assert_rows_match_scalar(self, rows):
+        lhs, rhs, holds = strongly_absolute_rows(rows, P_VALUES, EPS_VALUES)
+        for k, p in enumerate(P_VALUES):
+            for i, f in enumerate(rows):
+                for e, eps in enumerate(EPS_VALUES):
+                    one = strongly_absolute_check(f, p, eps)
+                    assert lhs[i] == one.lhs
+                    assert rhs[k, i, e] == one.rhs
+                    assert holds[k, i, e] == one.holds
+        return lhs, rhs, holds
+
+    def test_block_matches_scalar_on_lemma32_draws(self):
+        rows = lemma32_vectors(2000)
+        lhs, rhs, holds = self.assert_rows_match_scalar(rows)
+        assert holds.all()
+        # the plain scalar gauges agree to the last ulp or two: numpy's array
+        # pow and its scalar pow may round (sum)^(1/p) differently
+        for k, p in enumerate(P_VALUES):
+            for i in range(0, 2000, 7):
+                f = rows[i]
+                assert lhs[i] == lp_gauge(f, 1.0)
+                for e, eps in enumerate(EPS_VALUES):
+                    a = strongly_absolute_function(p, eps)
+                    plain = max(a * lp_gauge(f, math.inf), eps * lp_gauge(f, p))
+                    assert rhs[k, i, e] == pytest.approx(plain, rel=4.5e-16)
+
+    def test_zero_one_hot_and_extreme_rows(self):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((3, 16))
+        rows = np.vstack([np.zeros(16), np.eye(16)[5], -2.5 * np.eye(16)[0],
+                          base * 1e200, base * 1e-200, np.full(16, 1e200), np.full(16, 1e-200)])
+        lhs, rhs, holds = self.assert_rows_match_scalar(rows)
+        assert lhs[0] == 0.0 and (rhs[:, 0] == 0.0).all()
+        assert lhs[1] == 1.0 and lhs[2] == 2.5
+        assert np.isfinite(rhs).all() and (rhs[:, 3:] > 0).all()
+        assert holds.all()
+        # a vector of 16 equal entries: ||f||_p = 16^(1/p) |f_0|
+        assert lhs[-2] == pytest.approx(1.6e201, rel=1e-12)
+        assert lhs[-1] == pytest.approx(1.6e-199, rel=1e-12)
+
+    def test_empty_rows(self):
+        lhs, _, holds = strongly_absolute_rows(np.zeros((2, 0)), (0.5,), (1.0,))
+        assert lhs.tolist() == [0.0, 0.0] and holds.all()
+        assert strongly_absolute_check([], 0.5, 1.0) == strongly_absolute_check([0.0], 0.5, 1.0)
+
+
+def lemma32_oracle(p=None, trials=10_000, seed=0, dim=16):
+    """The per-vector, per-p suite loop, one scalar check per (p, vector, eps)."""
+    p_values = (p,) if p is not None else (0.3, 0.5, 0.7)
+    eps_values = (0.1, 1.0, 10.0)
+    results = []
+    for pv in p_values:
+        violations = 0
+        witness = None
+        for i in range(trials):
+            rng = substream(seed, VERIFY_VECTORS, i)
+            f = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+            for eps in eps_values:
+                check = strongly_absolute_check(f, pv, eps)
+                if not check.holds:
+                    violations += 1
+                    witness = {"f": f.tolist(), "p": pv, "eps": eps,
+                               "lhs": check.lhs, "rhs": check.rhs}
+        results.append(CheckResult(
+            name=f"coefficient-sum domination, p={pv} ({trials} vectors x {len(eps_values)} eps)",
+            passed=violations == 0,
+            detail=f"{violations} violations",
+            witness=witness,
+        ))
+    return results
+
+
+@pytest.mark.parametrize("p", [None, 0.7])
+def test_lemma32_suite_counts_and_witness_match_scalar_loop(p, monkeypatch):
+    """With A(eps) forced down to 6, far below the true constant, the suite's
+    violation counts and last-violation witnesses are those of the
+    per-vector loop."""
+    monkeypatch.setattr(strongly_absolute_module, "strongly_absolute_function",
+                        lambda p, eps: 6.0)
+    monkeypatch.setattr("qgreedy.spaces._ROW_CAP", 97)  # many blocks of vectors
+    got = suite_lemma32(p=p, trials=700, seed=4)
+    assert got == lemma32_oracle(p=p, trials=700, seed=4)
+    violations = int(got[-1].detail.split()[0])
+    assert 0 < violations < 700 and got[-1].witness["p"] == 0.7
 
 
 class TestPairFamily:
