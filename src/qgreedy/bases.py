@@ -29,7 +29,7 @@ from .errors import (
     NotABasisError,
 )
 from .estimates import BoundEstimate, RatioTracker
-from .rng import KU_SEARCH, PERTURBED_BASIS, substream
+from .rng import KU_SEARCH, PERTURBED_BASIS, substream, substreams
 from .spaces import (
     AmbientSpace,
     BlockLpL2,
@@ -288,8 +288,7 @@ def _certified_ku_upper(basis: Basis) -> tuple[float, bool, str]:
 
 def _sampled_vectors(basis: Basis, budget: int, seed: int):
     """The random-mode test vectors, drawn one substream each, in order."""
-    for i in range(budget):
-        rng = substream(seed, KU_SEARCH, i)
+    for i, rng in enumerate(substreams(seed, KU_SEARCH, range(budget))):
         coeffs = rng.standard_normal(basis.d)
         if i % 3 == 1:
             coeffs = rng.choice([-1.0, 1.0], size=basis.d)

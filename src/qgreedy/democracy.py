@@ -24,7 +24,7 @@ from .errors import CombinatorialOverflowError
 from .estimates import BoundEstimate, MinTracker, RatioTracker
 from .greedy import quasi_greedy_constant
 from .numerics import loglog_slope, sign_patterns
-from .rng import DEMOCRACY_SETS, SIGN_CHANGE, SUCC_PAIRS, SUPER_DEMOCRACY, substream
+from .rng import DEMOCRACY_SETS, SIGN_CHANGE, SUCC_PAIRS, SUPER_DEMOCRACY, substream, substreams
 from .sampling import random_subset, structured_subsets
 from .spaces import BlockLpL2, _row_chunks, ambient_gauge, ambient_gauge_rows, p_convexity
 
@@ -290,8 +290,7 @@ def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
         for k in range(1, m + 1):
             yield from structured_subsets(d, k)
         yield from (s for s in _block_spread_sets(basis) if s.size <= m)
-        for i in range(budget):
-            rng = substream(seed, DEMOCRACY_SETS, i)
+        for i, rng in enumerate(substreams(seed, DEMOCRACY_SETS, range(budget))):
             yield random_subset(rng, d, m if i % 3 else int(rng.integers(1, m + 1)))
 
     tracker = RatioTracker()
@@ -329,8 +328,7 @@ def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
         for k in range(m, d + 1):
             yield from structured_subsets(d, k)
         yield from (s for s in _block_spread_sets(basis) if s.size >= m)
-        for i in range(budget):
-            rng = substream(seed, DEMOCRACY_SETS, budget + i)
+        for i, rng in enumerate(substreams(seed, DEMOCRACY_SETS, range(budget, 2 * budget))):
             yield random_subset(rng, d, m if i % 3 else int(rng.integers(m, d + 1)))
 
     tracker = MinTracker()
@@ -402,8 +400,7 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         pairs.append((np.array([n]), np.array([n - 1, n])))
     for k in range(1, d):
         pairs.append((np.array([k]), np.arange(k + 1)))
-    for i in range(budget):
-        rng = substream(seed, SUCC_PAIRS, i)
+    for rng in substreams(seed, SUCC_PAIRS, range(budget)):
         bsize = int(rng.integers(2, d + 1))
         b = random_subset(rng, d, bsize)
         asize = int(rng.integers(1, bsize))
@@ -445,8 +442,7 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
     sets: list[np.ndarray] = []
     for k in range(1, d + 1):
         sets.extend(structured_subsets(d, k))
-    for i in range(budget):
-        rng = substream(seed, SIGN_CHANGE, i)
+    for rng in substreams(seed, SIGN_CHANGE, range(budget)):
         size = int(rng.integers(1, d + 1))
         sets.append(random_subset(rng, d, size))
 
@@ -475,8 +471,7 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     for m in range(1, m_max + 1):
         cands = structured_subsets(d, m)
         per_size = max(1, budget // max(1, m_max))
-        for i in range(per_size):
-            rng = substream(seed, SUPER_DEMOCRACY, m * budget + i)
+        for rng in substreams(seed, SUPER_DEMOCRACY, range(m * budget, m * budget + per_size)):
             cands.append(random_subset(rng, d, m))
         hi, lo, patterns = _sign_extremes(basis, cands, lambda i: substream(
             seed, SUPER_DEMOCRACY, (m_max + m) * budget + hash(tuple(cands[i])) % (1 << 30)))
@@ -551,8 +546,7 @@ def _random_profile_rows(basis: Basis, m_max: int, budget: int, seed: int) -> li
         for k in range(1, d + 1):
             yield from structured_subsets(d, k)
         yield from _block_spread_sets(basis)
-        for i in range(budget):
-            rng = substream(seed, DEMOCRACY_SETS, i)
+        for rng in substreams(seed, DEMOCRACY_SETS, range(budget)):
             yield random_subset(rng, d, int(rng.integers(1, d + 1)))
 
     for chunk in _row_chunks(sets(), basis.dim):

@@ -21,7 +21,7 @@ from .democracy import lower_democracy, upper_democracy
 from .errors import InvalidExponentError, InvalidWeightError
 from .estimates import BoundEstimate, RatioTracker
 from .lorentz import check_weight, lorentz_gauge, primitive_weight
-from .rng import EMBED_LORENTZ, EMBED_SPACE, substream
+from .rng import EMBED_LORENTZ, EMBED_SPACE, substreams
 from .sampling import COEFF_KINDS, coefficient_sample, structured_subsets
 from .spaces import Lp, ambient_gauge
 
@@ -89,8 +89,7 @@ def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int 
             coeffs = np.zeros(d)
             coeffs[s] = 1.0
             candidates.append(synthesize(basis, coeffs))
-    for i in range(budget):
-        rng = substream(seed, EMBED_SPACE, i)
+    for i, rng in enumerate(substreams(seed, EMBED_SPACE, range(budget))):
         kind = COEFF_KINDS[i % len(COEFF_KINDS)]
         candidates.append(synthesize(basis, coefficient_sample(rng, d, kind)))
 
@@ -155,8 +154,7 @@ def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 
             g = np.zeros(d)
             g[s] = 1.0
             candidates.append(g)
-    for i in range(budget):
-        rng = substream(seed, EMBED_LORENTZ, i)
+    for i, rng in enumerate(substreams(seed, EMBED_LORENTZ, range(budget))):
         kind = COEFF_KINDS[i % len(COEFF_KINDS)]
         candidates.append(coefficient_sample(rng, d, kind))
 

@@ -27,7 +27,7 @@ import numpy as np
 from .bases import Basis, _as_index_set, coefficient_transform, coordinate_projection
 from .errors import InvalidExponentError
 from .estimates import BoundEstimate, RatioTracker
-from .rng import CONDITIONALITY_SEARCH, QG_SEARCH, TRUNCATION_SEARCH, substream
+from .rng import CONDITIONALITY_SEARCH, QG_SEARCH, TRUNCATION_SEARCH, substreams
 from .sampling import COEFF_KINDS, coefficient_sample, plateau_coefficients
 from .spaces import Lp, _row_chunks, ambient_gauge_rows
 
@@ -125,8 +125,7 @@ def _operator_candidates(d: int, budget: int, seed: int, stream: int):
 
 def _coefficient_samples(d: int, budget: int, seed: int, stream: int):
     """The budgeted coefficient samples of one search stream, in order."""
-    for i in range(budget):
-        rng = substream(seed, stream, i)
+    for i, rng in enumerate(substreams(seed, stream, range(budget))):
         yield coefficient_sample(rng, d, COEFF_KINDS[i % len(COEFF_KINDS)])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .bases import zoo
 from .bootstrap import bootstrap_chain, harmonic
 from .democracy import democracy_profile, sign_change_constant, succ_constant
-from .rng import VERIFY_VECTORS, substream
+from .rng import VERIFY_VECTORS, substream, substreams
 from .spaces import _row_chunks
 from .strongly_absolute import (
     counting_inequality_check,
@@ -35,8 +35,7 @@ class CheckResult:
     witness: dict[str, Any] | None = field(default=None)
 
 
-def _lemma32_vector(seed: int, i: int, dim: int) -> np.ndarray:
-    rng = substream(seed, VERIFY_VECTORS, i)
+def _lemma32_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
 
 
@@ -49,7 +48,7 @@ def suite_lemma32(p: float | None = None, trials: int = 10_000, seed: int = 0,
     violations = [0] * len(p_values)
     witness: list[dict[str, Any] | None] = [None] * len(p_values)
     for chunk in _row_chunks(range(trials), dim):
-        f = np.array([_lemma32_vector(seed, i, dim) for i in chunk])
+        f = np.array([_lemma32_vector(rng, dim) for rng in substreams(seed, VERIFY_VECTORS, chunk)])
         lhs, rhs, holds = strongly_absolute_rows(f, p_values, eps_values)
         for k, pv in enumerate(p_values):
             bad = np.flatnonzero(~holds[k])
@@ -71,8 +70,7 @@ def suite_lemma33(trials: int = 1000, seed: int = 0, dim: int = 8, p: float = 0.
     """Family-size counting inequality on random normalized families."""
     violations = 0
     witness = None
-    for i in range(trials):
-        rng = substream(seed, VERIFY_VECTORS, trials + i)
+    for i, rng in enumerate(substreams(seed, VERIFY_VECTORS, range(trials, 2 * trials))):
         size = int(rng.integers(1, dim + 1))
         family = random_pair_family(dim, size, p, seed=seed * 1_000_003 + i)
         check = counting_inequality_check(family, C)

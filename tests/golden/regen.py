@@ -13,6 +13,11 @@ The files pin, for seeds 0-2:
   ``difference`` and ``perturbed_unit`` at d = 16 (sets of more than 12
   members take the sampled-sign path) and on ``block_l2`` with blocks
   4 x 4.
+- ``analyze_json.json``: the standard output of ``qgreedy analyze --format
+  json`` on ``difference`` at d = 8 (default budget) and d = 16 in random
+  mode, on ``difference`` at d = 12 in exact mode, on ``block_l2`` with
+  blocks 4 x 4, and on difference vectors in the Lorentz space d_q(w) with
+  q = 1/2, w_n = 2n - 1 at d = 16.  All but the first run at budget 1000.
 
 Each file records the Python and numpy versions it was made with.  Run this
 script only for a change that is meant to move an output, and list every
@@ -23,8 +28,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +39,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from qgreedy.bases import zoo  # noqa: E402
+from qgreedy.bases import Basis, _difference_matrices, save_basis, zoo  # noqa: E402
 from qgreedy.cli import main  # noqa: E402
 from qgreedy.democracy import (  # noqa: E402
     sign_change_constant,
@@ -40,6 +47,7 @@ from qgreedy.democracy import (  # noqa: E402
     super_democracy_constant,
 )
 from qgreedy.reports import json_text  # noqa: E402
+from qgreedy.spaces import LorentzSpace  # noqa: E402
 
 SEEDS = (0, 1, 2)
 SUITES = ("lemma32", "lemma33", "lemma34", "bootstrap", "democracy-lp", "succ")
@@ -55,8 +63,20 @@ SIGN_CONSTANTS = {
     "sign_change": sign_change_constant,
     "super_democracy": super_democracy_constant,
 }
+ANALYZE_BUDGET = ["--budget", "1000"]
+ANALYZE_ARGS = {
+    "difference-8": ["--zoo", "difference", "--p", "0.5", "--dim", "8"],
+    "difference-16": ["--zoo", "difference", "--p", "0.5", "--dim", "16", *ANALYZE_BUDGET],
+    "difference-12-exact": ["--zoo", "difference", "--p", "0.5", "--dim", "12",
+                            "--mode", "exact", *ANALYZE_BUDGET],
+    "block_l2-4x4": ["--zoo", "block_l2", "--p", "0.5", "--blocks", "4", "4", "4", "4",
+                     *ANALYZE_BUDGET],
+    "lorentz-16": [*ANALYZE_BUDGET],  # the basis file is added by analyze_stdout
+}
+LORENTZ_DIM = 16
 VERIFY_FILE = HERE / "verify_stdout.json"
 SIGN_FILE = HERE / "sign_constants.json"
+ANALYZE_FILE = HERE / "analyze_json.json"
 
 
 def versions() -> dict[str, str]:
@@ -95,6 +115,44 @@ def sign_cases() -> list[tuple[str, int]]:
     return [(base, seed) for base in SIGN_BASES for seed in SEEDS]
 
 
+def lorentz_basis(d: int = LORENTZ_DIM) -> Basis:
+    """x_n = e_n - e_{n-1} in d_q(w), q = 1/2, w_n = 2n - 1 (primitive n^2)."""
+    vectors, duals = _difference_matrices(d)
+    return Basis(LorentzSpace(0.5, 2.0 * np.arange(1, d + 1) - 1.0), vectors, duals)
+
+
+def analyze_stdout(case: str, seed: int) -> str:
+    """Standard output of ``qgreedy analyze ... --format json --seed SEED``."""
+    argv = ["analyze", *ANALYZE_ARGS[case], "--format", "json", "--seed", str(seed)]
+    buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if case.startswith("lorentz"):
+            path = Path(tmp) / "lorentz.json"
+            save_basis(lorentz_basis(), path)
+            argv += ["--basis", str(path)]
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    return buf.getvalue()
+
+
+def analyze_key(case: str, seed: int) -> str:
+    return f"{case}/seed{seed}"
+
+
+def analyze_cases() -> list[tuple[str, int]]:
+    return [(case, seed) for case in ANALYZE_ARGS for seed in SEEDS]
+
+
+def regenerate_analyze() -> None:
+    results = {}
+    for case, seed in analyze_cases():
+        text = analyze_stdout(case, seed)
+        results[analyze_key(case, seed)] = json.loads(text)
+        if json_text(results[analyze_key(case, seed)]) != text:
+            raise SystemExit(f"analyze {case} output does not round-trip through json_text")
+    ANALYZE_FILE.write_text(json_text({**versions(), "stdout": results}))
+
+
 def regenerate() -> None:
     stdout = {}
     for suite, seed in verify_cases():
@@ -106,7 +164,8 @@ def regenerate() -> None:
     VERIFY_FILE.write_text(json_text({**versions(), "stdout": stdout}))
     results = {sign_key(b, s): sign_constants(b, s) for b, s in sign_cases()}
     SIGN_FILE.write_text(json_text({**versions(), "budget": SIGN_BUDGET, "results": results}))
-    print(f"wrote {VERIFY_FILE.name} and {SIGN_FILE.name}")
+    regenerate_analyze()
+    print(f"wrote {VERIFY_FILE.name}, {SIGN_FILE.name} and {ANALYZE_FILE.name}")
 
 
 if __name__ == "__main__":

@@ -584,7 +584,8 @@ def sign_basis(kind: str, seed: int, d: int) -> Basis:
 
 
 def record_keys(monkeypatch, namespace):
-    """Record the key of every stream made through ``namespace["substream"]``."""
+    """Record the key of every stream made through ``namespace["substream"]``
+    and, where the namespace has it, ``namespace["substreams"]``."""
     keys = []
     real = namespace["substream"]
 
@@ -593,6 +594,16 @@ def record_keys(monkeypatch, namespace):
         return real(seed, *key)
 
     monkeypatch.setitem(namespace, "substream", recording)
+    if "substreams" in namespace:
+        real_many = namespace["substreams"]
+
+        def recording_many(seed, op, ks):
+            ks = list(ks)
+            for k, rng in zip(ks, real_many(seed, op, ks)):
+                keys.append((op, k))
+                yield rng
+
+        monkeypatch.setitem(namespace, "substreams", recording_many)
     return keys
 
 

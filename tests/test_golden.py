@@ -1,5 +1,5 @@
-"""Outputs pinned in tests/golden/: the stdout of the verify suites and the
-sign constants, for seeds 0-2.
+"""Outputs pinned in tests/golden/: the stdout of the verify suites, the sign
+constants and ``analyze --format json`` on five bases, for seeds 0-2.
 
 On the Python and numpy versions a golden file records, outputs must match
 byte for byte.  On other versions numbers are compared to a relative 1e-12
@@ -27,6 +27,7 @@ _spec.loader.exec_module(regen)
 
 VERIFY = json.loads(regen.VERIFY_FILE.read_text())
 SIGNS = json.loads(regen.SIGN_FILE.read_text())
+ANALYZE = json.loads(regen.ANALYZE_FILE.read_text())
 REL = 1e-12
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -115,12 +116,27 @@ def test_sign_constants_are_pinned(base, seed):
     assert found is None, f"{regen.sign_key(base, seed)}: {found}"
 
 
+@pytest.mark.parametrize("case,seed", regen.analyze_cases(),
+                         ids=[regen.analyze_key(*case) for case in regen.analyze_cases()])
+def test_analyze_json_is_pinned(case, seed):
+    want = ANALYZE["stdout"][regen.analyze_key(case, seed)]
+    got_text = regen.analyze_stdout(case, seed)
+    exact = exact_versions(ANALYZE)
+    if exact and got_text == json_text(want):
+        return
+    found = json_mismatch(json.loads(got_text), want, exact)
+    assert found is None, f"analyze {regen.analyze_key(case, seed)}: {found}"
+
+
 def test_golden_files_are_canonical():
     """The files are exactly what regen.py writes, so byte comparison holds."""
     assert regen.VERIFY_FILE.read_text() == json_text(VERIFY)
     assert regen.SIGN_FILE.read_text() == json_text(SIGNS)
+    assert regen.ANALYZE_FILE.read_text() == json_text(ANALYZE)
     assert sorted(VERIFY["stdout"]) == sorted(regen.verify_key(*c) for c in regen.verify_cases())
     assert sorted(SIGNS["results"]) == sorted(regen.sign_key(*c) for c in regen.sign_cases())
+    assert sorted(ANALYZE["stdout"]) == \
+        sorted(regen.analyze_key(*c) for c in regen.analyze_cases())
 
 
 def test_mismatch_reports_name_the_place():
