@@ -29,7 +29,8 @@ from .errors import (
     NotABasisError,
 )
 from .estimates import BoundEstimate, RatioTracker
-from .rng import KU_SEARCH, PERTURBED_BASIS, substream, substreams
+from .rng import KU_SAMPLES, PERTURBED_BASIS, SAMPLE_BLOCK, block_samples, substream
+from .sampling import random_masks, random_signs
 from .spaces import (
     AmbientSpace,
     BlockLpL2,
@@ -287,17 +288,21 @@ def _certified_ku_upper(basis: Basis) -> tuple[float, bool, str]:
 
 
 def _sampled_vectors(basis: Basis, budget: int, seed: int):
-    """The random-mode test vectors, drawn one substream each, in order."""
-    for i, rng in enumerate(substreams(seed, KU_SEARCH, range(budget))):
-        coeffs = rng.standard_normal(basis.d)
-        if i % 3 == 1:
-            coeffs = rng.choice([-1.0, 1.0], size=basis.d)
-        elif i % 3 == 2:
-            keep = rng.integers(1, basis.d + 1)
-            mask = np.zeros(basis.d)
-            mask[rng.choice(basis.d, size=keep, replace=False)] = 1.0
-            coeffs = coeffs * mask
-        yield synthesize(basis, coeffs)
+    """The random-mode test vectors, in order: sample i has gaussian
+    coefficients, +/-1 ones if i % 3 == 1, and gaussian ones on a uniform
+    random support of uniform size if i % 3 == 2."""
+    d = basis.d
+
+    def draw(rng, start):
+        kinds = (start + np.arange(SAMPLE_BLOCK)) % 3
+        coeffs = rng.standard_normal((SAMPLE_BLOCK, d))
+        flat, cut = kinds == 1, kinds == 2
+        coeffs[flat] = random_signs(rng, (np.count_nonzero(flat), d))
+        support = random_masks(rng, d, rng.integers(1, d + 1, size=np.count_nonzero(cut)))
+        coeffs[cut] = np.where(support, coeffs[cut], 0.0)
+        return coeffs @ basis.vectors
+
+    return block_samples(draw, budget, seed, KU_SAMPLES)
 
 
 def _sign_flip_pass(basis: Basis, vectors, tracker: RatioTracker, keep: int = 8) -> list[np.ndarray]:

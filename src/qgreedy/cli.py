@@ -33,9 +33,9 @@ EXIT_CONFIG = 2
 EXIT_BASIS = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, budget: int | None = 10000) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit search seed")
-    parser.add_argument("--budget", type=int, default=10000, help="sample budget per estimator")
+    parser.add_argument("--budget", type=int, default=budget, help="sample budget per estimator")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="accepted for compatibility; has no effect (every kernel "
                         "runs in one thread)")
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--max-m", type=int, default=None)
     p_ve.add_argument("--iters", type=int, default=None)
     p_ve.add_argument("--C", dest="big_c", type=float, default=None)
-    _add_common(p_ve)
+    _add_common(p_ve, budget=None)  # each suite has its own default budget
 
     p_bo = sub.add_parser("bootstrap", help="iterated improvement chain as CSV")
     p_bo.add_argument("--max-m", type=int, default=1000)
@@ -188,7 +188,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs = {"seed": args.seed, "budget": args.budget}
+    kwargs = {"seed": args.seed}
+    if args.budget is not None:
+        kwargs["budget"] = args.budget
     if args.p is not None:
         kwargs["p"] = args.p
     if args.dim is not None:

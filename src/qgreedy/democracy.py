@@ -24,8 +24,21 @@ from .errors import CombinatorialOverflowError
 from .estimates import BoundEstimate, MinTracker, RatioTracker
 from .greedy import quasi_greedy_constant
 from .numerics import loglog_slope, sign_patterns
-from .rng import DEMOCRACY_SETS, SIGN_CHANGE, SUCC_PAIRS, SUPER_DEMOCRACY, substream, substreams
-from .sampling import random_subset, structured_subsets
+from .rng import (
+    LOWER_DEMOCRACY_SETS,
+    PROFILE_SETS,
+    SAMPLE_BLOCK,
+    SIGN_CHANGE,
+    SIGN_CHANGE_SETS,
+    SUCC_PAIR_SAMPLES,
+    SUCC_PAIRS,
+    SUPER_DEMOCRACY,
+    SUPER_DEMOCRACY_SETS,
+    UPPER_DEMOCRACY_SETS,
+    block_samples,
+    substream,
+)
+from .sampling import random_masks, random_subsets, structured_subsets
 from .spaces import BlockLpL2, _row_chunks, ambient_gauge, ambient_gauge_rows, p_convexity
 
 __all__ = [
@@ -269,6 +282,19 @@ def _swap_refine(basis: Basis, s, maximize: bool, passes: int = 2) -> tuple[list
     return current, best
 
 
+def _random_sets(d: int, low: int, high: int, count: int, seed: int, *key: int,
+                 fixed: int | None = None):
+    """Uniform random subsets of {0..d-1}, members sorted, of uniform size in
+    [low, high]; given ``fixed``, sample i has that size unless i % 3 == 0."""
+    def draw(rng, start):
+        sizes = rng.integers(low, high + 1, size=SAMPLE_BLOCK)
+        if fixed is not None:
+            sizes[(start + np.arange(SAMPLE_BLOCK)) % 3 != 0] = fixed
+        return random_subsets(rng, d, sizes)
+
+    return block_samples(draw, count, seed, *key)
+
+
 def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
                     seed: int = 0, threads: int = 1) -> BoundEstimate:
     """phi_u(m): sup of the indicator gauge over sets of at most m indices."""
@@ -290,8 +316,7 @@ def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
         for k in range(1, m + 1):
             yield from structured_subsets(d, k)
         yield from (s for s in _block_spread_sets(basis) if s.size <= m)
-        for i, rng in enumerate(substreams(seed, DEMOCRACY_SETS, range(budget))):
-            yield random_subset(rng, d, m if i % 3 else int(rng.integers(1, m + 1)))
+        yield from _random_sets(d, 1, m, budget, seed, UPPER_DEMOCRACY_SETS, fixed=m)
 
     tracker = RatioTracker()
     _scan_sets(basis, sets(), tracker, maximize=True)
@@ -328,8 +353,7 @@ def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
         for k in range(m, d + 1):
             yield from structured_subsets(d, k)
         yield from (s for s in _block_spread_sets(basis) if s.size >= m)
-        for i, rng in enumerate(substreams(seed, DEMOCRACY_SETS, range(budget, 2 * budget))):
-            yield random_subset(rng, d, m if i % 3 else int(rng.integers(m, d + 1)))
+        yield from _random_sets(d, m, d, budget, seed, LOWER_DEMOCRACY_SETS, fixed=m)
 
     tracker = MinTracker()
     _scan_sets(basis, sets(), tracker, maximize=False)
@@ -388,6 +412,18 @@ def _sign_extremes(basis: Basis, sets: list, stream):
     return hi, lo, patterns
 
 
+def _succ_pairs(d: int, budget: int, seed: int):
+    """Random nested pairs (A, B), members sorted: B uniform of uniform size
+    in [2, d], A a uniform subset of B of uniform size in [1, |B| - 1]."""
+    def draw(rng, start):
+        b_sizes = rng.integers(2, d + 1, size=SAMPLE_BLOCK)
+        b_masks = random_masks(rng, d, b_sizes)
+        a_masks = random_masks(rng, d, rng.integers(1, b_sizes), within=b_masks)
+        return [(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(a_masks, b_masks)]
+
+    return block_samples(draw, budget, seed, SUCC_PAIR_SAMPLES)
+
+
 def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstimate:
     """Nested-set sign constant: sup over A subset of B and signs eps of
     ||sum_A eps_n x_n|| / ||sum_B eps_n x_n||."""
@@ -400,20 +436,16 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         pairs.append((np.array([n]), np.array([n - 1, n])))
     for k in range(1, d):
         pairs.append((np.array([k]), np.arange(k + 1)))
-    for rng in substreams(seed, SUCC_PAIRS, range(budget)):
-        bsize = int(rng.integers(2, d + 1))
-        b = random_subset(rng, d, bsize)
-        asize = int(rng.integers(1, bsize))
-        a = np.sort(rng.choice(b, size=asize, replace=False))
-        pairs.append((a, b))
-
-    def stream(i):
-        a, b = pairs[i]
-        return substream(seed, SUCC_PAIRS, budget + hash((tuple(a), tuple(b))) % (1 << 30))
+    # the stride-2 combs inside all of {0..d-1}; on the difference system the
+    # odd comb against the full set gives the ratio d^(1/p)
+    for start in range(min(2, d - 1)):
+        pairs.append((np.arange(start, d, 2), np.arange(d)))
+    pairs.extend(_succ_pairs(d, budget, seed))
 
     # per pair, its first largest ratio and that pattern
     best, patterns = np.empty(len(pairs)), [None] * len(pairs)
-    for chunk, idx, signs, den in _sign_gauges(basis, [b for _, b in pairs], stream):
+    for chunk, idx, signs, den in _sign_gauges(basis, [b for _, b in pairs],
+                                               lambda i: substream(seed, SUCC_PAIRS, i)):
         # B's signs outside A zeroed: a zero term adds exactly 0, so these are the sums over A
         mask = np.zeros(idx.shape)
         for r, i in enumerate(chunk):
@@ -442,12 +474,10 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
     sets: list[np.ndarray] = []
     for k in range(1, d + 1):
         sets.extend(structured_subsets(d, k))
-    for rng in substreams(seed, SIGN_CHANGE, range(budget)):
-        size = int(rng.integers(1, d + 1))
-        sets.append(random_subset(rng, d, size))
+    sets.extend(_random_sets(d, 1, d, budget, seed, SIGN_CHANGE_SETS))
 
     hi, lo, patterns = _sign_extremes(
-        basis, sets, lambda i: substream(seed, SIGN_CHANGE, budget + i))
+        basis, sets, lambda i: substream(seed, SIGN_CHANGE, i))
     ratios = np.divide(hi, lo, out=np.full(len(sets), -math.inf), where=lo > 0)
     i = int(np.argmax(ratios))
     tracker.update(float(ratios[i]), {"A": [int(x) for x in sets[i]],
@@ -471,10 +501,9 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     for m in range(1, m_max + 1):
         cands = structured_subsets(d, m)
         per_size = max(1, budget // max(1, m_max))
-        for rng in substreams(seed, SUPER_DEMOCRACY, range(m * budget, m * budget + per_size)):
-            cands.append(random_subset(rng, d, m))
-        hi, lo, patterns = _sign_extremes(basis, cands, lambda i: substream(
-            seed, SUPER_DEMOCRACY, (m_max + m) * budget + hash(tuple(cands[i])) % (1 << 30)))
+        cands.extend(_random_sets(d, m, m, per_size, seed, SUPER_DEMOCRACY_SETS, m))
+        hi, lo, patterns = _sign_extremes(
+            basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i))
         a = int(np.argmax(hi))
         b = int(np.argmin(np.where(lo > 0, lo, math.inf)))
         if lo[b] > 0:
@@ -546,8 +575,7 @@ def _random_profile_rows(basis: Basis, m_max: int, budget: int, seed: int) -> li
         for k in range(1, d + 1):
             yield from structured_subsets(d, k)
         yield from _block_spread_sets(basis)
-        for rng in substreams(seed, DEMOCRACY_SETS, range(budget)):
-            yield random_subset(rng, d, int(rng.integers(1, d + 1)))
+        yield from _random_sets(d, 1, d, budget, seed, PROFILE_SETS)
 
     for chunk in _row_chunks(sets(), basis.dim):
         gauges = _indicator_gauges(basis, chunk)

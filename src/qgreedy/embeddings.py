@@ -21,8 +21,8 @@ from .democracy import lower_democracy, upper_democracy
 from .errors import InvalidExponentError, InvalidWeightError
 from .estimates import BoundEstimate, RatioTracker
 from .lorentz import check_weight, lorentz_gauge, primitive_weight
-from .rng import EMBED_LORENTZ, EMBED_SPACE, substreams
-from .sampling import COEFF_KINDS, coefficient_sample, structured_subsets
+from .rng import EMBED_LORENTZ_SAMPLES, EMBED_SPACE_SAMPLES
+from .sampling import coefficient_samples, structured_subsets
 from .spaces import Lp, ambient_gauge
 
 __all__ = [
@@ -89,9 +89,8 @@ def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int 
             coeffs = np.zeros(d)
             coeffs[s] = 1.0
             candidates.append(synthesize(basis, coeffs))
-    for i, rng in enumerate(substreams(seed, EMBED_SPACE, range(budget))):
-        kind = COEFF_KINDS[i % len(COEFF_KINDS)]
-        candidates.append(synthesize(basis, coefficient_sample(rng, d, kind)))
+    candidates.extend(synthesize(basis, coeffs)
+                      for coeffs in coefficient_samples(d, budget, seed, EMBED_SPACE_SAMPLES))
 
     for f in candidates:
         nf = ambient_gauge(basis.space, f)
@@ -154,9 +153,7 @@ def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 
             g = np.zeros(d)
             g[s] = 1.0
             candidates.append(g)
-    for i, rng in enumerate(substreams(seed, EMBED_LORENTZ, range(budget))):
-        kind = COEFF_KINDS[i % len(COEFF_KINDS)]
-        candidates.append(coefficient_sample(rng, d, kind))
+    candidates.extend(coefficient_samples(d, budget, seed, EMBED_LORENTZ_SAMPLES))
 
     for g in candidates:
         den = lorentz_gauge(g, q, w)

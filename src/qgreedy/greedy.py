@@ -27,8 +27,8 @@ import numpy as np
 from .bases import Basis, _as_index_set, coefficient_transform, coordinate_projection
 from .errors import InvalidExponentError
 from .estimates import BoundEstimate, RatioTracker
-from .rng import CONDITIONALITY_SEARCH, QG_SEARCH, TRUNCATION_SEARCH, substreams
-from .sampling import COEFF_KINDS, coefficient_sample, plateau_coefficients
+from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
+from .sampling import coefficient_samples, plateau_coefficients
 from .spaces import Lp, _row_chunks, ambient_gauge_rows
 
 __all__ = [
@@ -120,13 +120,7 @@ def _operator_candidates(d: int, budget: int, seed: int, stream: int):
             boosted = np.arange(start, d, 2)
             if boosted.size:
                 yield plateau_coefficients(d, boosted, delta)
-    yield from _coefficient_samples(d, budget, seed, stream)
-
-
-def _coefficient_samples(d: int, budget: int, seed: int, stream: int):
-    """The budgeted coefficient samples of one search stream, in order."""
-    for i, rng in enumerate(substreams(seed, stream, range(budget))):
-        yield coefficient_sample(rng, d, COEFF_KINDS[i % len(COEFF_KINDS)])
+    yield from coefficient_samples(d, budget, seed, stream)
 
 
 def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
@@ -170,12 +164,12 @@ def quasi_greedy_constant(basis: Basis, budget: int = 2000, seed: int = 0) -> Bo
 
     With budget 0 only the trivial witness is evaluated and the bound is 1.
     """
-    return _operator_constant(basis, budget, seed, QG_SEARCH, truncate=False)
+    return _operator_constant(basis, budget, seed, QG_SAMPLES, truncate=False)
 
 
 def truncation_constant(basis: Basis, budget: int = 2000, seed: int = 0) -> BoundEstimate:
     """Lower bound for sup over (f, m) of ||U_m f|| / ||f||."""
-    return _operator_constant(basis, budget, seed, TRUNCATION_SEARCH, truncate=True)
+    return _operator_constant(basis, budget, seed, TRUNCATION_SAMPLES, truncate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +188,14 @@ class ConditionalityRow:
 
 
 def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
-                       max_m: int, rows: list[ConditionalityRow]) -> None:
+                       max_m: int, rows: list[ConditionalityRow],
+                       inputs: np.ndarray | None = None) -> None:
     """Greedily grow A one index at a time for every row of ``coeffs``,
     maximizing ||S_A f|| at each size; one rows call per size scores every
     candidate with every index still available.  Ties go to the smaller
     index, and each row of ``rows`` keeps the first best ratio in candidate
-    order."""
+    order.  Given the ambient ``inputs`` f (one row per row of ``coeffs``),
+    a witness keeps its f too: synthesizing f from its coefficients rounds."""
     n, d = coeffs.shape
     if n == 0:
         return
@@ -225,6 +221,8 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
         if ratios[i] > row.lower:
             row.lower = float(ratios[i])
             row.witness = {"coeffs": coeffs[i].tolist(), "set": sorted(chosen[i].tolist())}
+            if inputs is not None:
+                row.witness["f"] = inputs[i].tolist()
 
 
 def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
@@ -261,7 +259,7 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
 
     # every candidate costs at most d rows per size
     candidates = itertools.chain(np.eye(d), [np.ones(d)],
-                                 _coefficient_samples(d, budget, seed, CONDITIONALITY_SEARCH))
+                                 coefficient_samples(d, budget, seed, CONDITIONALITY_SAMPLES))
     for chunk in _row_chunks(candidates, basis.dim, d):
         coeffs = np.array(chunk)
         nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
@@ -272,7 +270,7 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
     for chunk in _row_chunks(range(basis.dim), basis.dim, d):
         units = np.eye(basis.dim)[chunk]
         nf = ambient_gauge_rows(basis.space, units)
-        _forward_selection(basis, units @ basis.duals.T, nf, max_m, rows)
+        _forward_selection(basis, units @ basis.duals.T, nf, max_m, rows, units)
 
     for row in rows:
         row.lower = max(row.lower, 1.0)

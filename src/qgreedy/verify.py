@@ -15,7 +15,14 @@ import numpy as np
 from .bases import zoo
 from .bootstrap import bootstrap_chain, harmonic
 from .democracy import democracy_profile, sign_change_constant, succ_constant
-from .rng import VERIFY_VECTORS, substream, substreams
+from .rng import (
+    LEMMA32_VECTORS,
+    LEMMA33_SIZES,
+    SAMPLE_BLOCK,
+    VERIFY_VECTORS,
+    block_samples,
+    substream,
+)
 from .spaces import _row_chunks
 from .strongly_absolute import (
     counting_inequality_check,
@@ -35,8 +42,13 @@ class CheckResult:
     witness: dict[str, Any] | None = field(default=None)
 
 
-def _lemma32_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+def _lemma32_vectors(dim: int, trials: int, seed: int):
+    """Gaussian vectors, each scaled by 10^k with k uniform in -3..3."""
+    def draw(rng, start):
+        scales = 10.0 ** rng.integers(-3, 4, size=(SAMPLE_BLOCK, 1))
+        return rng.standard_normal((SAMPLE_BLOCK, dim)) * scales
+
+    return block_samples(draw, trials, seed, LEMMA32_VECTORS)
 
 
 def suite_lemma32(p: float | None = None, trials: int = 10_000, seed: int = 0,
@@ -47,8 +59,8 @@ def suite_lemma32(p: float | None = None, trials: int = 10_000, seed: int = 0,
     eps_values = (0.1, 1.0, 10.0)
     violations = [0] * len(p_values)
     witness: list[dict[str, Any] | None] = [None] * len(p_values)
-    for chunk in _row_chunks(range(trials), dim):
-        f = np.array([_lemma32_vector(rng, dim) for rng in substreams(seed, VERIFY_VECTORS, chunk)])
+    for chunk in _row_chunks(_lemma32_vectors(dim, trials, seed), dim):
+        f = np.array(chunk)
         lhs, rhs, holds = strongly_absolute_rows(f, p_values, eps_values)
         for k, pv in enumerate(p_values):
             bad = np.flatnonzero(~holds[k])
@@ -70,9 +82,10 @@ def suite_lemma33(trials: int = 1000, seed: int = 0, dim: int = 8, p: float = 0.
     """Family-size counting inequality on random normalized families."""
     violations = 0
     witness = None
-    for i, rng in enumerate(substreams(seed, VERIFY_VECTORS, range(trials, 2 * trials))):
-        size = int(rng.integers(1, dim + 1))
-        family = random_pair_family(dim, size, p, seed=seed * 1_000_003 + i)
+    sizes = block_samples(lambda rng, start: rng.integers(1, dim + 1, size=SAMPLE_BLOCK),
+                          trials, seed, LEMMA33_SIZES)
+    for i, size in enumerate(sizes):
+        family = random_pair_family(dim, int(size), p, seed=seed * 1_000_003 + i)
         check = counting_inequality_check(family, C)
         if not check.holds:
             violations += 1

@@ -1,6 +1,7 @@
 """Regenerate the golden outputs that ``tests/test_golden.py`` compares against.
 
-    python tests/golden/regen.py
+    python tests/golden/regen.py           # rewrite the three files
+    python tests/golden/regen.py --diff    # print what moved; write nothing
 
 The files pin, for seeds 0-2:
 
@@ -21,17 +22,21 @@ The files pin, for seeds 0-2:
 
 Each file records the Python and numpy versions it was made with.  Run this
 script only for a change that is meant to move an output, and list every
-moved field in CHANGES.md; the test never regenerates on a failure.
+moved field in CHANGES.md (``--diff`` prints them: each moved JSON path or
+stdout line with its pinned value, its new value and, for numbers, the
+relative change); the test never regenerates on a failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import platform
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -143,17 +148,7 @@ def analyze_cases() -> list[tuple[str, int]]:
     return [(case, seed) for case in ANALYZE_ARGS for seed in SEEDS]
 
 
-def regenerate_analyze() -> None:
-    results = {}
-    for case, seed in analyze_cases():
-        text = analyze_stdout(case, seed)
-        results[analyze_key(case, seed)] = json.loads(text)
-        if json_text(results[analyze_key(case, seed)]) != text:
-            raise SystemExit(f"analyze {case} output does not round-trip through json_text")
-    ANALYZE_FILE.write_text(json_text({**versions(), "stdout": results}))
-
-
-def regenerate() -> None:
+def verify_payload() -> dict:
     stdout = {}
     for suite, seed in verify_cases():
         stdout[verify_key(suite, seed)] = verify_stdout(suite, seed)
@@ -161,12 +156,84 @@ def regenerate() -> None:
             for other in SEEDS[1:]:
                 if verify_stdout(suite, other) != stdout[suite]:
                     raise SystemExit(f"verify {suite} output depends on the seed")
-    VERIFY_FILE.write_text(json_text({**versions(), "stdout": stdout}))
+    return {**versions(), "stdout": stdout}
+
+
+def sign_payload() -> dict:
     results = {sign_key(b, s): sign_constants(b, s) for b, s in sign_cases()}
-    SIGN_FILE.write_text(json_text({**versions(), "budget": SIGN_BUDGET, "results": results}))
-    regenerate_analyze()
-    print(f"wrote {VERIFY_FILE.name}, {SIGN_FILE.name} and {ANALYZE_FILE.name}")
+    # through json_text, as the file stores them
+    return json.loads(json_text({**versions(), "budget": SIGN_BUDGET, "results": results}))
+
+
+def analyze_payload() -> dict:
+    results = {}
+    for case, seed in analyze_cases():
+        text = analyze_stdout(case, seed)
+        results[analyze_key(case, seed)] = json.loads(text)
+        if json_text(results[analyze_key(case, seed)]) != text:
+            raise SystemExit(f"analyze {case} output does not round-trip through json_text")
+    return {**versions(), "stdout": results}
+
+
+PAYLOADS = {VERIFY_FILE: verify_payload, SIGN_FILE: sign_payload, ANALYZE_FILE: analyze_payload}
+
+
+def regenerate() -> None:
+    for path, payload in PAYLOADS.items():
+        path.write_text(json_text(payload()))
+    print(f"wrote {', '.join(path.name for path in PAYLOADS)}")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def moved(old, new, path: str = "$") -> Iterator[tuple[str, object, object]]:
+    """(path, pinned value, new value) for every place where ``new`` differs
+    from ``old``.  A list of numbers (a witness) is one value; a stdout text
+    is compared line by line."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            yield from moved(old.get(key, "(absent)"), new.get(key, "(absent)"), f"{path}.{key}")
+    elif isinstance(old, str) and isinstance(new, str) and "\n" in old + new:
+        old_lines, new_lines = old.split("\n"), new.split("\n")
+        for n in range(max(len(old_lines), len(new_lines))):
+            a = old_lines[n] if n < len(old_lines) else "(absent)"
+            b = new_lines[n] if n < len(new_lines) else "(absent)"
+            if a != b:
+                yield f"{path} line {n + 1}", a, b
+    elif (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+          and not all(_is_number(x) for x in old + new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from moved(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def describe(path: str, old, new) -> str:
+    line = f"{path}: {json.dumps(old)} -> {json.dumps(new)}"
+    if _is_number(old) and _is_number(new) and old != 0:
+        line += f" ({(new - old) / abs(old):+.3e})"
+    return line
+
+
+def diff() -> int:
+    """Print every moved path of the three files; return how many moved."""
+    count = 0
+    for path, payload in PAYLOADS.items():
+        pinned = json.loads(path.read_text())
+        for where, old, new in moved(pinned, payload()):
+            print(f"{path.name} {describe(where, old, new)}")
+            count += 1
+    print(f"{count} moved")
+    return count
 
 
 if __name__ == "__main__":
-    regenerate()
+    parser = argparse.ArgumentParser(description="Regenerate the golden outputs.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print what moved against the files and write nothing")
+    if parser.parse_args().diff:
+        diff()
+    else:
+        regenerate()

@@ -32,6 +32,8 @@ from qgreedy.democracy import (
     _SIGN_ENUM_CAP,
     _block_spread_sets,
     _random_profile_rows,
+    _random_sets,
+    _succ_pairs,
     _sign_gauges,
     _swap_refine,
     indicator_gauge,
@@ -50,20 +52,21 @@ from qgreedy.greedy import (
 from qgreedy.lorentz import power_weight
 from qgreedy.numerics import sign_patterns
 from qgreedy.rng import (
-    CONDITIONALITY_SEARCH,
-    DEMOCRACY_SETS,
-    QG_SEARCH,
+    CONDITIONALITY_SAMPLES,
+    PROFILE_SETS,
+    QG_SAMPLES,
     SIGN_CHANGE,
+    SIGN_CHANGE_SETS,
     SUCC_PAIRS,
     SUPER_DEMOCRACY,
-    TRUNCATION_SEARCH,
+    SUPER_DEMOCRACY_SETS,
+    TRUNCATION_SAMPLES,
     substream,
 )
 from qgreedy.sampling import (
-    COEFF_KINDS,
-    coefficient_sample,
+    coefficient_block,
+    coefficient_samples,
     plateau_coefficients,
-    random_subset,
     structured_subsets,
 )
 from qgreedy.spaces import BlockLpL2, Lp, LorentzSpace, ambient_gauge, ambient_gauge_rows
@@ -87,8 +90,7 @@ def random_basis(kind: str, seed: int, d: int = 6) -> Basis:
 
 
 def sample_coefficients(d: int, count: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return [coefficient_sample(rng, d, COEFF_KINDS[i % len(COEFF_KINDS)]) for i in range(count)]
+    return list(coefficient_block(np.random.default_rng(seed), d, 0)[:count])
 
 
 def gauge(basis, f) -> float:
@@ -161,9 +163,7 @@ def conditionality_oracle(basis, max_m, budget, seed):
     rows = fresh_rows(max_m)
     candidates = list(np.eye(d))
     candidates.append(np.ones(d))
-    for i in range(budget):
-        rng = substream(seed, CONDITIONALITY_SEARCH, i)
-        candidates.append(coefficient_sample(rng, d, COEFF_KINDS[i % len(COEFF_KINDS)]))
+    candidates.extend(coefficient_samples(d, budget, seed, CONDITIONALITY_SAMPLES))
     for coeffs in candidates:
         nf = ambient_gauge(basis.space, coeffs @ basis.vectors)
         if nf > 0:
@@ -195,6 +195,23 @@ def test_conditionality_profile_matches_scalar_loop(seed, small_cap):
             inputs += [e for e in np.eye(basis.dim) if np.allclose(coefficient_transform(basis, e), coeffs)]
             assert any(numerator / gauge(basis, f) == pytest.approx(row.lower, rel=REL)
                        for f in inputs)
+
+
+def test_conditionality_unit_input_witness_replays_from_f():
+    """A witness won by an ambient unit input e_j keeps e_j as ``f``, and
+    S_A f / f replays the ratio; synthesizing f from the stored coefficients
+    rounds, which the p = 1/2 gauge magnifies to a relative 3e-8."""
+    basis = random_basis("lp", seed=3, d=7)
+    rows = conditionality_growth_profile(basis, max_m=5, budget=30, seed=3)
+    with_f = [row for row in rows if "f" in row.witness]
+    assert with_f
+    for row in with_f:
+        f = np.array(row.witness["f"])
+        assert sorted(np.abs(f).tolist()) == [0.0] * (basis.dim - 1) + [1.0]
+        assert np.array_equal(np.array(row.witness["coeffs"]), basis.duals @ f)
+        idx = row.witness["set"]
+        replay = gauge(basis, (basis.duals[idx] @ f) @ basis.vectors[idx]) / gauge(basis, f)
+        assert abs(replay / row.lower - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +246,7 @@ def operator_oracle(basis, budget, seed, stream, truncate):
     for delta in (1e-3, 1e-6, 1e-9):
         for start in (0, 1):
             candidates.append(plateau_coefficients(d, np.arange(start, d, 2), delta))
-    for i in range(budget):
-        rng = substream(seed, stream, i)
-        candidates.append(coefficient_sample(rng, d, COEFF_KINDS[i % len(COEFF_KINDS)]))
+    candidates.extend(coefficient_samples(d, budget, seed, stream))
     for coeffs in candidates:
         nf = ambient_gauge(basis.space, coeffs @ basis.vectors)
         if nf <= 0:
@@ -257,7 +272,7 @@ def replay_operator(basis, witness, truncate) -> float:
 @pytest.mark.parametrize("truncate", [False, True])
 def test_operator_constant_matches_scalar_loop(kind, truncate, small_cap):
     basis = random_basis(kind, seed=5)
-    stream = TRUNCATION_SEARCH if truncate else QG_SEARCH
+    stream = TRUNCATION_SAMPLES if truncate else QG_SAMPLES
     expected = operator_oracle(basis, budget=40, seed=2, stream=stream, truncate=truncate)
     estimator = truncation_constant if truncate else quasi_greedy_constant
     est = estimator(basis, budget=40, seed=2)
@@ -340,10 +355,8 @@ def profile_feed_oracle(basis, m_max, budget, seed):
             feed(s)
     for s in _block_spread_sets(basis):
         feed(s)
-    for i in range(budget):
-        rng = substream(seed, DEMOCRACY_SETS, i)
-        size = int(rng.integers(1, d + 1))
-        feed(random_subset(rng, d, size))
+    for s in _random_sets(d, 1, d, budget, seed, PROFILE_SETS):
+        feed(s)
     return up, down
 
 
@@ -456,15 +469,15 @@ def test_row_chunks_bound_rows_and_floats():
 # the sign constants
 # ---------------------------------------------------------------------------
 #
-# The oracles are the earlier per-set loops: one sign stream made per set
-# (drawn from only for sets of more than 12 members) and one or two rows
-# calls per set.  ``sign_log`` records each per-set stream key with the size
-# of its set.
+# The oracles are the earlier per-set loops over the same sampled sets: one
+# sign stream made per set (drawn from only for sets of more than 12 members)
+# and one or two rows calls per set.  ``sign_log`` records each per-set stream
+# key with the size of its set.
 
 
 def sign_stream(log, seed, key, size):
     log.append((key, size))
-    return rng_module.substream(seed, *key)
+    return substream(seed, *key)
 
 
 def sign_gauges_oracle(basis, idx, rng):
@@ -486,16 +499,12 @@ def succ_oracle(basis, budget, seed, sign_log):
         pairs.append((np.array([n]), np.array([n - 1, n])))
     for k in range(1, d):
         pairs.append((np.array([k]), np.arange(k + 1)))
-    for i in range(budget):
-        rng = substream(seed, SUCC_PAIRS, i)
-        bsize = int(rng.integers(2, d + 1))
-        b = random_subset(rng, d, bsize)
-        asize = int(rng.integers(1, bsize))
-        a = np.sort(rng.choice(b, size=asize, replace=False))
-        pairs.append((a, b))
-    for a, b in pairs:
-        key = (SUCC_PAIRS, budget + hash((tuple(a), tuple(b))) % (1 << 30))
-        rng = sign_stream(sign_log, seed, key, b.size)
+    pairs.append((np.arange(0, d, 2), np.arange(d)))
+    pairs.append((np.arange(1, d, 2), np.arange(d)))
+    pairs.extend(_succ_pairs(d, budget, seed))
+    for i, (a, b) in enumerate(pairs):
+        assert 0 < a.size < b.size and set(a) <= set(b)
+        rng = sign_stream(sign_log, seed, (SUCC_PAIRS, i), b.size)
         pos = np.searchsorted(b, a)
         if b.size <= _SIGN_ENUM_CAP:
             signs = sign_patterns(b.size, 0, 1 << b.size)
@@ -518,12 +527,9 @@ def sign_change_oracle(basis, budget, seed, sign_log):
     sets = []
     for k in range(1, d + 1):
         sets.extend(structured_subsets(d, k))
-    for i in range(budget):
-        rng = substream(seed, SIGN_CHANGE, i)
-        size = int(rng.integers(1, d + 1))
-        sets.append(random_subset(rng, d, size))
+    sets.extend(_random_sets(d, 1, d, budget, seed, SIGN_CHANGE_SETS))
     for idx, a in enumerate(sets):
-        rng = sign_stream(sign_log, seed, (SIGN_CHANGE, budget + idx), len(a))
+        rng = sign_stream(sign_log, seed, (SIGN_CHANGE, idx), len(a))
         gauges, signs = sign_gauges_oracle(basis, np.asarray(a, dtype=int), rng)
         hi, lo = int(np.argmax(gauges)), int(np.argmin(gauges))
         if gauges[lo] <= 0:
@@ -542,14 +548,11 @@ def super_democracy_oracle(basis, m_max, budget, seed, sign_log):
     for m in range(1, m_max + 1):
         cands = structured_subsets(d, m)
         per_size = max(1, budget // max(1, m_max))
-        for i in range(per_size):
-            rng = substream(seed, SUPER_DEMOCRACY, m * budget + i)
-            cands.append(random_subset(rng, d, m))
+        cands.extend(_random_sets(d, m, m, per_size, seed, SUPER_DEMOCRACY_SETS, m))
         best_hi, arg_hi, sig_hi = -math.inf, None, None
         best_lo, arg_lo, sig_lo = math.inf, None, None
-        for a in cands:
-            key = (SUPER_DEMOCRACY, (m_max + m) * budget + hash(tuple(a)) % (1 << 30))
-            rng = sign_stream(sign_log, seed, key, m)
+        for i, a in enumerate(cands):
+            rng = sign_stream(sign_log, seed, (SUPER_DEMOCRACY, m, i), m)
             gauges, signs = sign_gauges_oracle(basis, np.asarray(a, dtype=int), rng)
             hi, lo = int(np.argmax(gauges)), int(np.argmin(gauges))
             if gauges[hi] > best_hi:
@@ -583,27 +586,19 @@ def sign_basis(kind: str, seed: int, d: int) -> Basis:
     return Basis(space, vectors, np.linalg.inv(vectors).T)
 
 
-def record_keys(monkeypatch, namespace):
+def record_keys(monkeypatch, *namespaces):
     """Record the key of every stream made through ``namespace["substream"]``
-    and, where the namespace has it, ``namespace["substreams"]``."""
+    of each namespace: the sampled sets' block streams in :mod:`qgreedy.rng`,
+    the per-set sign streams in :mod:`qgreedy.democracy`."""
     keys = []
-    real = namespace["substream"]
+    for namespace in namespaces:
+        real = namespace["substream"]
 
-    def recording(seed, *key):
-        keys.append(key)
-        return real(seed, *key)
+        def recording(seed, *key, real=real):
+            keys.append(key)
+            return real(seed, *key)
 
-    monkeypatch.setitem(namespace, "substream", recording)
-    if "substreams" in namespace:
-        real_many = namespace["substreams"]
-
-        def recording_many(seed, op, ks):
-            ks = list(ks)
-            for k, rng in zip(ks, real_many(seed, op, ks)):
-                keys.append((op, k))
-                yield rng
-
-        monkeypatch.setitem(namespace, "substreams", recording_many)
+        monkeypatch.setitem(namespace, "substream", recording)
     return keys
 
 
@@ -616,9 +611,10 @@ def test_sign_constant_matches_per_set_loop(name, kind, d, budget, small_cap, mo
     new, oracle = SIGN_CONSTANTS[name]
     basis = sign_basis(kind, seed=d, d=d)
     sign_log = []
-    draw_keys = record_keys(monkeypatch, globals())  # the oracle's draws
+    made = record_keys(monkeypatch, vars(rng_module), vars(democracy_module))
     expected = oracle(basis, budget, 5, sign_log)
-    made = record_keys(monkeypatch, vars(democracy_module))
+    draw_keys = made[:]  # the oracle's block draws; its sign streams go to sign_log
+    made.clear()
     got = new(basis, budget=budget, seed=5)
     assert got.lower == expected.lower
     assert got.as_dict() == expected.as_dict()

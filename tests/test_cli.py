@@ -169,6 +169,24 @@ class TestVerifyCommand:
         assert code == 0 and capped_text in capped_out
         assert default_text not in capped_out
 
+    @pytest.mark.parametrize("flag,budget", [([], 300), (["--budget", "57"], 57)])
+    def test_budget_reaches_suite_only_when_given(self, capsys, monkeypatch, flag, budget):
+        """Without --budget a suite keeps its own default (succ: 300), not
+        analyze's 10000."""
+        import qgreedy.verify as verify_module
+
+        budgets = []
+        real = verify_module.succ_constant
+
+        def recording(basis, budget, seed):
+            budgets.append(budget)
+            return real(basis, budget=budget, seed=seed)
+
+        monkeypatch.setattr(verify_module, "succ_constant", recording)
+        code, _, _ = run_cli(["verify", "succ", *flag], capsys)
+        assert code == 0
+        assert budgets == [budget, budget]
+
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "nonsense"]) == 2
 

@@ -7,7 +7,7 @@ import qgreedy.strongly_absolute as strongly_absolute_module
 from qgreedy.errors import InvalidExponentError, PreconditionError
 from qgreedy.rng import VERIFY_VECTORS, substream
 from qgreedy.spaces import lp_gauge
-from qgreedy.verify import CheckResult, suite_lemma32
+from qgreedy.verify import CheckResult, _lemma32_vectors, suite_lemma32
 from qgreedy.strongly_absolute import (
     PairFamily,
     concentration_set,
@@ -121,16 +121,16 @@ class TestAbsoluteRows:
 
 
 def lemma32_oracle(p=None, trials=10_000, seed=0, dim=16):
-    """The per-vector, per-p suite loop, one scalar check per (p, vector, eps)."""
+    """The per-vector, per-p suite loop, one scalar check per (p, vector, eps),
+    over the suite's sampled vectors."""
     p_values = (p,) if p is not None else (0.3, 0.5, 0.7)
     eps_values = (0.1, 1.0, 10.0)
+    vectors = list(_lemma32_vectors(dim, trials, seed))
     results = []
     for pv in p_values:
         violations = 0
         witness = None
-        for i in range(trials):
-            rng = substream(seed, VERIFY_VECTORS, i)
-            f = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+        for f in vectors:
             for eps in eps_values:
                 check = strongly_absolute_check(f, pv, eps)
                 if not check.holds:
