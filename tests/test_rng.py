@@ -6,7 +6,9 @@ search at budget 500 sees exactly the first 500 samples of one at budget
 10000, whatever the row cap.
 """
 
+import contextlib
 import importlib
+import io
 import math
 import pkgutil
 import sys
@@ -20,6 +22,7 @@ import qgreedy
 import qgreedy.spaces as spaces_module
 from qgreedy import rng
 from qgreedy.bases import unconditional_constant, zoo
+from qgreedy.cli import main
 from qgreedy.democracy import (
     _random_profile_rows,
     _random_sets,
@@ -37,6 +40,7 @@ from qgreedy.greedy import (
     truncation_constant,
 )
 from qgreedy.lorentz import power_weight
+from qgreedy.reports import json_text
 from qgreedy.sampling import COEFF_KINDS, coefficient_block, random_masks, random_subsets
 from qgreedy.verify import suite_lemma32, suite_lemma33
 
@@ -60,6 +64,11 @@ SEARCHES = {
     "lemma32": lambda b: suite_lemma32(trials=b, seed=3),
     "lemma33": lambda b: suite_lemma33(trials=b, seed=3),
 }
+
+
+def reference_stream(seed, *key):
+    """numpy's own stream for ``key`` under ``seed``, built without ``rng``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def plain(sample):
@@ -145,19 +154,31 @@ def test_block_samples_rows_come_from_the_block_stream():
     assert list(rng.block_samples(draw, 0, 11, rng.QG_SAMPLES)) == []
 
 
-def test_block_samples_draw_one_block_at_a_time():
-    drawn = []
+def test_keys_are_hashed_one_block_at_a_time(monkeypatch):
+    """The stream of a block is made, and its key hashed, only when the
+    block's first sample is asked for; each block is drawn once."""
+    made, drawn = [], []
+    real = rng.substream
+
+    def recording(seed, *key):
+        made.append((seed, *key))
+        return real(seed, *key)
 
     def draw(stream, start):
         drawn.append(start)
-        return np.arange(start, start + rng.SAMPLE_BLOCK)
+        return stream.random(rng.SAMPLE_BLOCK)
 
+    monkeypatch.setattr(rng, "substream", recording)
     samples = rng.block_samples(draw, 10**5, 3, rng.QG_SAMPLES)
-    assert drawn == []
-    assert next(samples) == 0
-    assert drawn == [0]
-    assert [next(samples) for _ in range(rng.SAMPLE_BLOCK)][-1] == rng.SAMPLE_BLOCK
+    assert made == [] and drawn == []
+    first = next(samples)
+    assert made == [(3, rng.QG_SAMPLES, 0)] and drawn == [0]
+    assert first == reference_stream(3, rng.QG_SAMPLES, 0).random()
+    rest = [next(samples) for _ in range(rng.SAMPLE_BLOCK)]
+    assert made == [(3, rng.QG_SAMPLES, 0), (3, rng.QG_SAMPLES, 1)]
     assert drawn == [0, rng.SAMPLE_BLOCK]
+    assert rest[-1] == reference_stream(3, rng.QG_SAMPLES, 1).random()
+    assert list(rng.block_samples(draw, 0, 3, rng.QG_SAMPLES)) == []
 
 
 def test_block_stream_keys_are_new_operation_codes():
@@ -262,3 +283,78 @@ def test_no_module_keeps_per_sample_streams():
     sampling = sys.modules["qgreedy.sampling"]
     assert not hasattr(sampling, "coefficient_sample")
     assert not hasattr(sampling, "random_subset")
+
+
+# ---------------------------------------------------------------------------
+# call sites: each draws the expected block streams, built as numpy's own
+# ---------------------------------------------------------------------------
+
+
+def cli_stdout(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        main(list(argv))
+    return buf.getvalue()
+
+
+def library_json(fn, *args, **kwargs):
+    return lambda: json_text(fn(*args, **kwargs))
+
+
+# name -> (run, the (key, count) of its block_samples calls in order)
+CALL_SITE_RUNS = {
+    "analyze": (
+        lambda: cli_stdout("analyze", "--zoo", "difference", "--p", "0.5", "--dim", "12",
+                           "--budget", "1000", "--format", "json", "--seed", "4"),
+        [((rng.PROFILE_SETS,), 1000), ((rng.QG_SAMPLES,), 500),
+         ((rng.SUCC_PAIR_SAMPLES,), 500), ((rng.SIGN_CHANGE_SETS,), 500),
+         *[((rng.SUPER_DEMOCRACY_SETS, m), 500 // 12) for m in range(1, 13)],
+         ((rng.KU_SAMPLES,), 1000), ((rng.QG_SAMPLES,), 1000),
+         ((rng.TRUNCATION_SAMPLES,), 1000), ((rng.CONDITIONALITY_SAMPLES,), 400)]),
+    "verify-succ": (lambda: cli_stdout("verify", "succ", "--seed", "4"),
+                    [((rng.SUCC_PAIR_SAMPLES,), 300), ((rng.SIGN_CHANGE_SETS,), 300),
+                     ((rng.SUCC_PAIR_SAMPLES,), 300)]),
+    "verify-lemma32": (lambda: cli_stdout("verify", "lemma32", "--trials", "2000", "--seed", "4"),
+                       [((rng.LEMMA32_VECTORS,), 2000)]),
+    "verify-lemma33": (lambda: cli_stdout("verify", "lemma33", "--seed", "4"),
+                       [((rng.LEMMA33_SIZES,), 1000)]),
+    "upper-democracy": (library_json(upper_democracy, zoo("difference", p=0.5, dim=10), 4,
+                                     mode="random", budget=300, seed=4),
+                        [((rng.UPPER_DEMOCRACY_SETS,), 300)]),
+    "lower-democracy": (library_json(lower_democracy, zoo("difference", p=0.5, dim=10), 4,
+                                     mode="random", budget=300, seed=4),
+                        [((rng.LOWER_DEMOCRACY_SETS,), 300)]),
+    "embed-space": (library_json(embed_space_into_weak_lorentz, zoo("difference", p=0.5, dim=8),
+                                 power_weight(2.0, 8), budget=300, seed=4),
+                    [((rng.EMBED_SPACE_SAMPLES,), 300)]),
+    "embed-lorentz": (library_json(embed_lorentz_into_space, zoo("difference", p=0.5, dim=8),
+                                   0.5, power_weight(2.0, 8), budget=300, seed=4),
+                      [((rng.EMBED_LORENTZ_SAMPLES,), 300)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_SITE_RUNS))
+def test_call_sites_match_per_key_streams(name, monkeypatch):
+    """Byte-identical output when every module's ``block_samples`` is replaced
+    by one numpy ``SeedSequence`` stream per block key (seed, *key, block),
+    drawn whole and cut to the count, and the keys and counts those calls ask
+    for are the expected ones: each call site draws the same blocks in the
+    same order."""
+    run, expected_calls = CALL_SITE_RUNS[name]
+    got = run()
+    calls = []
+
+    def per_key_blocks(draw, count, seed, *key):
+        calls.append((key, count))
+        for start in range(0, count, rng.SAMPLE_BLOCK):
+            block = draw(reference_stream(seed, *key, start // rng.SAMPLE_BLOCK), start)
+            yield from block[:count - start]
+
+    patched = [module for module in qgreedy_modules()
+               if getattr(module, "block_samples", None) is rng.block_samples]
+    assert {m.__name__ for m in patched} >= {"qgreedy.bases", "qgreedy.democracy",
+                                             "qgreedy.sampling", "qgreedy.verify"}
+    for module in patched:
+        monkeypatch.setattr(module, "block_samples", per_key_blocks)
+    assert run() == got
+    assert calls == expected_calls
