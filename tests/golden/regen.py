@@ -1,6 +1,6 @@
 """Regenerate the golden outputs that ``tests/test_golden.py`` compares against.
 
-    python tests/golden/regen.py           # rewrite the three files
+    python tests/golden/regen.py           # rewrite the four files
     python tests/golden/regen.py --diff    # print what moved; write nothing
 
 The files pin, for seeds 0-2:
@@ -19,6 +19,10 @@ The files pin, for seeds 0-2:
   mode, on ``difference`` at d = 12 in exact mode, on ``block_l2`` with
   blocks 4 x 4, and on difference vectors in the Lorentz space d_q(w) with
   q = 1/2, w_n = 2n - 1 at d = 16.  All but the first run at budget 1000.
+- ``embeddings.json``: both embedding reports (the constant's ``as_dict()``
+  and the companion table) at the default budget with w_n = 2n - 1 and, from
+  d_q(w), q = 1/2, on ``difference`` at d = 8 (exact companion tables) and
+  ``perturbed_unit`` at d = 14 (random ones).
 
 Each file records the Python and numpy versions it was made with.  Run this
 script only for a change that is meant to move an output, and list every
@@ -51,6 +55,7 @@ from qgreedy.democracy import (  # noqa: E402
     succ_constant,
     super_democracy_constant,
 )
+from qgreedy.embeddings import embed_lorentz_into_space, embed_space_into_weak_lorentz  # noqa: E402
 from qgreedy.reports import json_text  # noqa: E402
 from qgreedy.spaces import LorentzSpace  # noqa: E402
 
@@ -79,9 +84,14 @@ ANALYZE_ARGS = {
     "lorentz-16": [*ANALYZE_BUDGET],  # the basis file is added by analyze_stdout
 }
 LORENTZ_DIM = 16
+EMBED_BASES = {
+    "difference-8": dict(name="difference", p=0.5, dim=8),
+    "perturbed_unit-14": dict(name="perturbed_unit", p=0.5, dim=14),
+}
 VERIFY_FILE = HERE / "verify_stdout.json"
 SIGN_FILE = HERE / "sign_constants.json"
 ANALYZE_FILE = HERE / "analyze_json.json"
+EMBED_FILE = HERE / "embeddings.json"
 
 
 def versions() -> dict[str, str]:
@@ -148,6 +158,23 @@ def analyze_cases() -> list[tuple[str, int]]:
     return [(case, seed) for case in ANALYZE_ARGS for seed in SEEDS]
 
 
+def embeddings(base: str, seed: int) -> dict:
+    """Both embedding reports with w_n = 2n - 1 (and q = 1/2 from d_q(w))."""
+    spec = dict(EMBED_BASES[base])
+    basis = zoo(spec.pop("name"), seed=seed, **spec)
+    w = 2.0 * np.arange(1, basis.d + 1) - 1.0
+    return {"space_into_weak_lorentz": embed_space_into_weak_lorentz(basis, w, seed=seed),
+            "lorentz_into_space": embed_lorentz_into_space(basis, 0.5, w, seed=seed)}
+
+
+def embed_key(base: str, seed: int) -> str:
+    return f"{base}/seed{seed}"
+
+
+def embed_cases() -> list[tuple[str, int]]:
+    return [(base, seed) for base in EMBED_BASES for seed in SEEDS]
+
+
 def verify_payload() -> dict:
     stdout = {}
     for suite, seed in verify_cases():
@@ -175,7 +202,13 @@ def analyze_payload() -> dict:
     return {**versions(), "stdout": results}
 
 
-PAYLOADS = {VERIFY_FILE: verify_payload, SIGN_FILE: sign_payload, ANALYZE_FILE: analyze_payload}
+def embed_payload() -> dict:
+    results = {embed_key(b, s): embeddings(b, s) for b, s in embed_cases()}
+    return json.loads(json_text({**versions(), "results": results}))
+
+
+PAYLOADS = {VERIFY_FILE: verify_payload, SIGN_FILE: sign_payload, ANALYZE_FILE: analyze_payload,
+            EMBED_FILE: embed_payload}
 
 
 def regenerate() -> None:
@@ -218,7 +251,7 @@ def describe(path: str, old, new) -> str:
 
 
 def diff() -> int:
-    """Print every moved path of the three files; return how many moved."""
+    """Print every moved path of the golden files; return how many moved."""
     count = 0
     for path, payload in PAYLOADS.items():
         pinned = json.loads(path.read_text())

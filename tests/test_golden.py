@@ -1,5 +1,6 @@
 """Outputs pinned in tests/golden/: the stdout of the verify suites, the sign
-constants and ``analyze --format json`` on five bases, for seeds 0-2.
+constants, ``analyze --format json`` on five bases and the two embedding
+reports on two bases, for seeds 0-2.
 
 On the Python and numpy versions a golden file records, outputs must match
 byte for byte.  On other versions numbers are compared to a relative 1e-12
@@ -28,6 +29,7 @@ _spec.loader.exec_module(regen)
 VERIFY = json.loads(regen.VERIFY_FILE.read_text())
 SIGNS = json.loads(regen.SIGN_FILE.read_text())
 ANALYZE = json.loads(regen.ANALYZE_FILE.read_text())
+EMBED = json.loads(regen.EMBED_FILE.read_text())
 REL = 1e-12
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -128,15 +130,29 @@ def test_analyze_json_is_pinned(case, seed):
     assert found is None, f"analyze {regen.analyze_key(case, seed)}: {found}"
 
 
+@pytest.mark.parametrize("base,seed", regen.embed_cases(),
+                         ids=[regen.embed_key(*case) for case in regen.embed_cases()])
+def test_embeddings_are_pinned(base, seed):
+    want = EMBED["results"][regen.embed_key(base, seed)]
+    got_text = json_text(regen.embeddings(base, seed))
+    exact = exact_versions(EMBED)
+    if exact and got_text == json_text(want):
+        return
+    found = json_mismatch(json.loads(got_text), want, exact)
+    assert found is None, f"{regen.embed_key(base, seed)}: {found}"
+
+
 def test_golden_files_are_canonical():
     """The files are exactly what regen.py writes, so byte comparison holds."""
     assert regen.VERIFY_FILE.read_text() == json_text(VERIFY)
     assert regen.SIGN_FILE.read_text() == json_text(SIGNS)
     assert regen.ANALYZE_FILE.read_text() == json_text(ANALYZE)
+    assert regen.EMBED_FILE.read_text() == json_text(EMBED)
     assert sorted(VERIFY["stdout"]) == sorted(regen.verify_key(*c) for c in regen.verify_cases())
     assert sorted(SIGNS["results"]) == sorted(regen.sign_key(*c) for c in regen.sign_cases())
     assert sorted(ANALYZE["stdout"]) == \
         sorted(regen.analyze_key(*c) for c in regen.analyze_cases())
+    assert sorted(EMBED["results"]) == sorted(regen.embed_key(*c) for c in regen.embed_cases())
 
 
 def test_mismatch_reports_name_the_place():
