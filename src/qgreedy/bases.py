@@ -28,7 +28,7 @@ from .errors import (
     InvalidVectorError,
     NotABasisError,
 )
-from .estimates import BoundEstimate, RatioTracker
+from .estimates import BoundEstimate, Tracker
 from .rng import KU_SAMPLES, PERTURBED_BASIS, SAMPLE_BLOCK, block_samples, substream
 from .sampling import random_masks, random_signs
 from .spaces import (
@@ -244,17 +244,14 @@ def _gray_best_over_family(basis: Basis, coeffs: np.ndarray, signs: bool) -> tup
     d = basis.d
     scaled = coeffs[:, None] * basis.vectors
     shifts = np.arange(d)
-    best, best_gamma = -math.inf, None
+    tracker = Tracker()
     stop = 1 << (d - 1 if signs else d)
     for start in range(0, stop, _GRAY_CHUNK):
         i = np.arange(start, min(start + _GRAY_CHUNK, stop))
         bits = ((i ^ (i >> 1))[:, None] >> shifts) & 1
         gammas = 1.0 - 2.0 * bits if signs else bits.astype(float)
-        vals = ambient_gauge_rows(basis.space, gammas @ scaled)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best, best_gamma = float(vals[j]), gammas[j]
-    return best, best_gamma
+        tracker.offer(ambient_gauge_rows(basis.space, gammas @ scaled), gammas.__getitem__)
+    return tracker.best, tracker.witness
 
 
 def _canonical_test_vectors(basis: Basis, cap: int = 48) -> list[np.ndarray]:
@@ -305,7 +302,7 @@ def _sampled_vectors(basis: Basis, budget: int, seed: int):
     return block_samples(draw, budget, seed, KU_SAMPLES)
 
 
-def _sign_flip_pass(basis: Basis, vectors, tracker: RatioTracker, keep: int = 8) -> list[np.ndarray]:
+def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker, keep: int = 8) -> list[np.ndarray]:
     """Score ||S_gamma f|| / ||f|| for one multiplier per vector f (the signs
     of its coefficients, every second one flipped) in capped blocks.
 
@@ -324,11 +321,9 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: RatioTracker, keep: int = 8)
         vals = ambient_gauge_rows(basis.space, (gammas * coeffs) @ basis.vectors)
         live = np.flatnonzero(nf > 0)
         ratios = vals[live] / nf[live]
+        tracker.offer(ratios, lambda b: {"f": chunk[live[b]].tolist(),
+                                         "gamma": gammas[live[b]].tolist()})
         best = np.argsort(-ratios, kind="stable")[:keep]
-        if best.size:
-            j = live[best[0]]
-            tracker.update(float(ratios[best[0]]), {"f": chunk[j].tolist(),
-                                                    "gamma": gammas[j].tolist()})
         top += [(-float(ratios[b]), seen + int(live[b]), chunk[live[b]]) for b in best]
         top = sorted(top, key=lambda item: item[:2])[:keep]
         seen += len(chunk)
@@ -352,7 +347,7 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
         raise CombinatorialOverflowError(
             "exact multiplier enumeration is capped at d = 20; use mode='random'"
         )
-    tracker = RatioTracker()
+    tracker = Tracker()
     # gamma = 1 reproduces f, so the constant is always >= 1
     f0 = basis.vectors[0]
     tracker.update(1.0, {"f": f0.tolist(), "gamma": [1.0] * basis.d})

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bases import Basis
 from .errors import CombinatorialOverflowError
-from .estimates import BoundEstimate, MinTracker, RatioTracker
+from .estimates import BoundEstimate, Tracker
 from .greedy import quasi_greedy_constant
 from .numerics import loglog_slope, sign_patterns
 from .rng import (
@@ -55,7 +56,6 @@ __all__ = [
 ]
 
 EXACT_SUBSET_LIMIT = 10**7
-_CHUNK = 4096
 # A set of at most _SIGN_ENUM_CAP members has its sign patterns enumerated; a
 # larger one is scored on 128 patterns from its own stream, made only for it.
 _SIGN_ENUM_CAP = 12
@@ -91,24 +91,8 @@ def _indicator_gauges(basis: Basis, sets: list) -> np.ndarray:
     return ambient_gauge_rows(basis.space, sums)
 
 
-def _offer_extreme(tracker, gauges: np.ndarray, eligible: np.ndarray, sets: list,
-                   maximize: bool) -> None:
-    """Offer the first largest (or smallest) eligible gauge of a block of sets
-    to the tracker: the same winner as offering every set in order."""
-    if not eligible.any():
-        return
-    if maximize:
-        j = int(np.argmax(np.where(eligible, gauges, -math.inf)))
-    else:
-        j = int(np.argmin(np.where(eligible, gauges, math.inf)))
-    tracker.update(float(gauges[j]), {"set": [int(i) for i in sets[j]]})
-
-
-def _scan_sets(basis: Basis, sets, tracker, maximize: bool) -> None:
-    """Feed index sets (any iterable) to one tracker in capped blocks."""
-    for chunk in _row_chunks(sets, basis.dim):
-        gauges = _indicator_gauges(basis, chunk)
-        _offer_extreme(tracker, gauges, np.ones(len(chunk), dtype=bool), chunk, maximize)
+def _set_witness(sets) -> Callable[[int], dict[str, list[int]]]:
+    return lambda j: {"set": [int(i) for i in sets[j]]}
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +102,13 @@ def _scan_sets(basis: Basis, sets, tracker, maximize: bool) -> None:
 
 def _size_extremes(basis: Basis, k: int):
     """(max, argmax, min, argmin) of the indicator gauge over all |A| = k."""
-    best_hi, arg_hi = -math.inf, None
-    best_lo, arg_lo = math.inf, None
-    it = itertools.combinations(range(basis.d), k)
-    while chunk := list(itertools.islice(it, _CHUNK)):
+    hi, lo = Tracker(), Tracker(maximize=False)
+    for chunk in _row_chunks(itertools.combinations(range(basis.d), k), basis.dim):
         sums = basis.vectors[np.asarray(chunk, dtype=int)].sum(axis=1)
         g = ambient_gauge_rows(basis.space, sums)
-        hi = int(np.argmax(g))
-        lo = int(np.argmin(g))
-        if g[hi] > best_hi:
-            best_hi, arg_hi = float(g[hi]), chunk[hi]
-        if g[lo] < best_lo:
-            best_lo, arg_lo = float(g[lo]), chunk[lo]
-    return best_hi, arg_hi, best_lo, arg_lo
+        hi.offer(g, chunk.__getitem__)
+        lo.offer(g, chunk.__getitem__)
+    return hi.best, hi.witness, lo.best, lo.witness
 
 
 def _exact_extremes(basis: Basis, lo: int, hi: int, bound: str) -> tuple[list, list]:
@@ -165,61 +143,32 @@ def _exact_estimate(value: float, arg) -> BoundEstimate:
                          heuristic=False)
 
 
-def _occupancy_extremes(space: BlockLpL2, m: int) -> tuple[float, list[int], float, list[int]]:
-    """Extremes of the indicator gauge over occupancy vectors summing to m.
+def _occupancy_extreme(space: BlockLpL2, m: int, maximize: bool) -> tuple[float, list[int]]:
+    """Max (or min) of the indicator gauge over occupancy vectors summing to m,
+    and an occupancy vector attaining it.
 
     For identity coordinates the gauge of an indicator sum depends only on
     how many chosen indices fall in each block: gauge = (sum_b c_b^(p/2))^(1/p).
-    Dynamic programming over blocks with per-block caps is exact.
+    Dynamic programming over blocks with per-block caps is exact.  A min is
+    taken as the max of the negated sums (negation is exact).
     """
-    blocks = space.blocks
-    half_p = space.p / 2.0
-    neg = [-math.inf] * (m + 1)
-    pos = [math.inf] * (m + 1)
-    dmax = list(neg)
-    dmin = list(pos)
-    dmax[0] = 0.0
-    dmin[0] = 0.0
-    choice_max: list[list[int]] = []
-    choice_min: list[list[int]] = []
-    for b in blocks:
-        cmax_row = [0] * (m + 1)
-        cmin_row = [0] * (m + 1)
-        new_max = list(neg)
-        new_min = list(pos)
-        cap = min(b, m)
-        gains = [c**half_p for c in range(cap + 1)]
+    sense = 1.0 if maximize else -1.0
+    best = [0.0] + [-math.inf] * m
+    choices: list[list[int]] = []
+    for b in space.blocks:
+        gains = [sense * c ** (space.p / 2.0) for c in range(min(b, m) + 1)]
+        new, row = [-math.inf] * (m + 1), [0] * (m + 1)
         for t in range(m + 1):
-            for c in range(0, min(cap, t) + 1):
-                if dmax[t - c] != -math.inf:
-                    val = dmax[t - c] + gains[c]
-                    if val > new_max[t]:
-                        new_max[t] = val
-                        cmax_row[t] = c
-                if dmin[t - c] != math.inf:
-                    val = dmin[t - c] + gains[c]
-                    if val < new_min[t]:
-                        new_min[t] = val
-                        cmin_row[t] = c
-        dmax, dmin = new_max, new_min
-        choice_max.append(cmax_row)
-        choice_min.append(cmin_row)
-
-    def reconstruct(choices: list[list[int]]) -> list[int]:
-        occ = [0] * len(blocks)
-        t = m
-        for bi in range(len(blocks) - 1, -1, -1):
-            occ[bi] = choices[bi][t]
-            t -= occ[bi]
-        return occ
-
-    inv_p = 1.0 / space.p
-    return (
-        dmax[m] ** inv_p,
-        reconstruct(choice_max),
-        dmin[m] ** inv_p,
-        reconstruct(choice_min),
-    )
+            for c in range(min(len(gains) - 1, t) + 1):
+                if best[t - c] + gains[c] > new[t]:
+                    new[t], row[t] = best[t - c] + gains[c], c
+        best = new
+        choices.append(row)
+    occupancy, t = [0] * len(choices), m
+    for bi in range(len(choices) - 1, -1, -1):
+        occupancy[bi] = choices[bi][t]
+        t -= occupancy[bi]
+    return (sense * best[m]) ** (1.0 / space.p), occupancy
 
 
 def _occupancy_to_set(space: BlockLpL2, occupancy: list[int]) -> list[int]:
@@ -295,37 +244,61 @@ def _random_sets(d: int, low: int, high: int, count: int, seed: int, *key: int,
     return block_samples(draw, count, seed, *key)
 
 
-def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
-                    seed: int = 0, threads: int = 1) -> BoundEstimate:
-    """phi_u(m): sup of the indicator gauge over sets of at most m indices."""
-    d = basis.d
-    if not 1 <= m <= d:
-        raise ValueError(f"m must lie in [1, {d}], got {m}")
-    if mode == "exact":
-        if _use_occupancy(basis):
-            # occupancy gain c^(p/2) strictly increases with c, so the sup
-            # over sizes <= m is attained at size m
-            best, occ, _, _ = _occupancy_extremes(basis.space, m)
-            witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
-            return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
-        return _exact_extremes(basis, 1, m, f"<= {m}")[0][-1]
-    if mode != "random":
-        raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
+def _set_feed(basis: Basis, lo: int, hi: int, budget: int, seed: int, op: int,
+              fixed: int | None = None):
+    """Index sets of sizes lo..hi in feed order: the structured ones by size,
+    the block-spread ones, then ``budget`` samples of ``op``."""
+    for k in range(lo, hi + 1):
+        yield from structured_subsets(basis.d, k)
+    yield from (s for s in _block_spread_sets(basis) if lo <= s.size <= hi)
+    yield from _random_sets(basis.d, lo, hi, budget, seed, op, fixed=fixed)
 
-    def sets():
-        for k in range(1, m + 1):
-            yield from structured_subsets(d, k)
-        yield from (s for s in _block_spread_sets(basis) if s.size <= m)
-        yield from _random_sets(d, 1, m, budget, seed, UPPER_DEMOCRACY_SETS, fixed=m)
 
-    tracker = RatioTracker()
-    _scan_sets(basis, sets(), tracker, maximize=True)
+def _random_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
+    """The random-mode estimate of phi_u(m) (a maximizing tracker) or phi_l(m)
+    from the tracker's best set, after a swap refinement of that set."""
     if tracker.witness is not None:
-        refined, val = _swap_refine(basis, tracker.witness["set"], maximize=True)
+        refined, val = _swap_refine(basis, tracker.witness["set"], tracker.maximize)
         tracker.update(val, {"set": refined})
+    if not tracker.maximize:
+        return BoundEstimate(0.0, tracker.best, tracker.witness, upper_certified=True,
+                             heuristic=True, note="inf-type: upper bound is the sampled minimum")
     upper, certified = _phi_u_certified_upper(basis, m)
     return BoundEstimate(min(tracker.best, upper), upper, tracker.witness,
                          upper_certified=certified, heuristic=True)
+
+
+def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
+               maximize: bool) -> BoundEstimate:
+    """phi_u(m) (``maximize``) over the sizes 1..m, or phi_l(m) over m..d."""
+    d = basis.d
+    if not 1 <= m <= d:
+        raise ValueError(f"m must lie in [1, {d}], got {m}")
+    lo, hi = (1, m) if maximize else (m, d)
+    if mode == "exact":
+        if _use_occupancy(basis):
+            # occupancy gain c^(p/2) strictly increases with c, so the sup
+            # over sizes <= m and the inf over sizes >= m are attained at size m
+            best, occ = _occupancy_extreme(basis.space, m, maximize)
+            witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
+            return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
+        ups, downs = _exact_extremes(basis, lo, hi, f"<= {m}" if maximize else f">= {m}")
+        return ups[-1] if maximize else downs[0]
+    if mode != "random":
+        raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
+
+    sets = _set_feed(basis, lo, hi, budget, seed,
+                     UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS, fixed=m)
+    tracker = Tracker(maximize)
+    for chunk in _row_chunks(sets, basis.dim):
+        tracker.offer(_indicator_gauges(basis, chunk), _set_witness(chunk))
+    return _random_phi(basis, m, tracker)
+
+
+def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
+                    seed: int = 0, threads: int = 1) -> BoundEstimate:
+    """phi_u(m): sup of the indicator gauge over sets of at most m indices."""
+    return _democracy(basis, m, mode, budget, seed, maximize=True)
 
 
 def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
@@ -335,34 +308,7 @@ def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
     Inf-type: in random mode every sampled set certifies an upper bound and
     the certified lower bound is 0.
     """
-    d = basis.d
-    if not 1 <= m <= d:
-        raise ValueError(f"m must lie in [1, {d}], got {m}")
-    if mode == "exact":
-        if _use_occupancy(basis):
-            # adding an element strictly increases the occupancy gain, so the
-            # inf over sizes >= m is attained at size m
-            _, _, best, occ = _occupancy_extremes(basis.space, m)
-            witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
-            return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
-        return _exact_extremes(basis, m, d, f">= {m}")[1][0]
-    if mode != "random":
-        raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
-
-    def sets():
-        for k in range(m, d + 1):
-            yield from structured_subsets(d, k)
-        yield from (s for s in _block_spread_sets(basis) if s.size >= m)
-        yield from _random_sets(d, m, d, budget, seed, LOWER_DEMOCRACY_SETS, fixed=m)
-
-    tracker = MinTracker()
-    _scan_sets(basis, sets(), tracker, maximize=False)
-    if tracker.witness is not None:
-        refined, val = _swap_refine(basis, tracker.witness["set"], maximize=False)
-        tracker.update(val, {"set": refined})
-    return BoundEstimate(0.0, tracker.best, tracker.witness, upper_certified=True,
-                         heuristic=True,
-                         note="inf-type: upper bound is the sampled minimum")
+    return _democracy(basis, m, mode, budget, seed, maximize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +374,7 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
     """Nested-set sign constant: sup over A subset of B and signs eps of
     ||sum_A eps_n x_n|| / ||sum_B eps_n x_n||."""
     d = basis.d
-    tracker = RatioTracker()
+    tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "signs": [1.0]})
 
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -456,11 +402,9 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         best[chunk], chosen = ratios[rows, j], signs[rows, j]
         for r, i in enumerate(chunk):
             patterns[i] = chosen[r]
-    if pairs:
-        i = int(np.argmax(best))
-        tracker.update(float(best[i]), {"A": [int(x) for x in pairs[i][0]],
-                                        "B": [int(x) for x in pairs[i][1]],
-                                        "signs": patterns[i].tolist()})
+    tracker.offer(best, lambda i: {"A": [int(x) for x in pairs[i][0]],
+                                   "B": [int(x) for x in pairs[i][1]],
+                                   "signs": patterns[i].tolist()})
     return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
 
 
@@ -468,7 +412,7 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
     """Same-set sign constant: sup over A and sign pairs (theta, eps) of
     ||sum_A theta_n x_n|| / ||sum_A eps_n x_n||."""
     d = basis.d
-    tracker = RatioTracker()
+    tracker = Tracker()
     tracker.update(1.0, {"A": [0], "theta": [1.0], "eps": [1.0]})
 
     sets: list[np.ndarray] = []
@@ -479,10 +423,9 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
     hi, lo, patterns = _sign_extremes(
         basis, sets, lambda i: substream(seed, SIGN_CHANGE, i))
     ratios = np.divide(hi, lo, out=np.full(len(sets), -math.inf), where=lo > 0)
-    i = int(np.argmax(ratios))
-    tracker.update(float(ratios[i]), {"A": [int(x) for x in sets[i]],
-                                      "theta": patterns[i][0].tolist(),
-                                      "eps": patterns[i][1].tolist()})
+    tracker.offer(ratios, lambda i: {"A": [int(x) for x in sets[i]],
+                                     "theta": patterns[i][0].tolist(),
+                                     "eps": patterns[i][1].tolist()})
     return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
 
 
@@ -495,7 +438,7 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     if m_max is None:
         m_max = d
     m_max = min(int(m_max), d)
-    tracker = RatioTracker()
+    tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})
 
     for m in range(1, m_max + 1):
@@ -567,40 +510,17 @@ def _random_profile_rows(basis: Basis, m_max: int, budget: int, seed: int) -> li
     A sampled set of size s is feasible for phi_u at every m >= s and for
     phi_l at every m <= s, so each draw updates a range of rows.
     """
-    d = basis.d
-    up = [RatioTracker() for _ in range(m_max)]
-    down = [MinTracker() for _ in range(m_max)]
-
-    def sets():
-        for k in range(1, d + 1):
-            yield from structured_subsets(d, k)
-        yield from _block_spread_sets(basis)
-        yield from _random_sets(d, 1, d, budget, seed, PROFILE_SETS)
-
-    for chunk in _row_chunks(sets(), basis.dim):
+    up = [Tracker() for _ in range(m_max)]
+    down = [Tracker(maximize=False) for _ in range(m_max)]
+    for chunk in _row_chunks(_set_feed(basis, 1, basis.d, budget, seed, PROFILE_SETS), basis.dim):
         gauges = _indicator_gauges(basis, chunk)
         sizes = np.array([len(s) for s in chunk])
         for m in range(1, m_max + 1):
-            _offer_extreme(up[m - 1], gauges, sizes <= m, chunk, maximize=True)
-            _offer_extreme(down[m - 1], gauges, sizes >= m, chunk, maximize=False)
-    for m in range(1, m_max + 1):
-        if up[m - 1].witness is not None:
-            refined, val = _swap_refine(basis, up[m - 1].witness["set"], maximize=True)
-            up[m - 1].update(val, {"set": refined})
-        if down[m - 1].witness is not None:
-            refined, val = _swap_refine(basis, down[m - 1].witness["set"], maximize=False)
-            down[m - 1].update(val, {"set": refined})
-
-    rows = []
-    for m in range(1, m_max + 1):
-        upper_cert, certified = _phi_u_certified_upper(basis, m)
-        phi_u = BoundEstimate(min(up[m - 1].best, upper_cert), upper_cert,
-                              up[m - 1].witness, upper_certified=certified, heuristic=True)
-        phi_l = BoundEstimate(0.0, down[m - 1].best, down[m - 1].witness,
-                              upper_certified=True, heuristic=True,
-                              note="inf-type: upper bound is the sampled minimum")
-        rows.append(ProfileRow(m=m, phi_u=phi_u, phi_l=phi_l))
-    return rows
+            up[m - 1].offer(gauges, _set_witness(chunk), sizes <= m)
+            down[m - 1].offer(gauges, _set_witness(chunk), sizes >= m)
+    return [ProfileRow(m=m, phi_u=_random_phi(basis, m, up[m - 1]),
+                       phi_l=_random_phi(basis, m, down[m - 1]))
+            for m in range(1, m_max + 1)]
 
 
 def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact",

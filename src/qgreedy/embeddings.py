@@ -16,14 +16,14 @@ from typing import Any
 
 import numpy as np
 
-from .bases import Basis, coefficient_transform, synthesize
+from .bases import Basis
 from .democracy import lower_democracy, upper_democracy
 from .errors import InvalidExponentError, InvalidWeightError
-from .estimates import BoundEstimate, RatioTracker
-from .lorentz import check_weight, lorentz_gauge, primitive_weight
+from .estimates import BoundEstimate, Tracker
+from .lorentz import check_weight, primitive_weight
 from .rng import EMBED_LORENTZ_SAMPLES, EMBED_SPACE_SAMPLES
 from .sampling import coefficient_samples, structured_subsets
-from .spaces import Lp, ambient_gauge
+from .spaces import Lp, LorentzSpace, _row_chunks, ambient_gauge_rows
 
 __all__ = [
     "CompanionRow",
@@ -54,138 +54,110 @@ class EmbeddingReport:
     meta: dict[str, Any] | None = None
 
 
-def _require_lp(basis: Basis) -> Lp:
+def _validated(basis: Basis, w) -> np.ndarray:
+    """The checked weight, after checking that the ambient is lp and that the
+    weight covers the basis."""
     if not isinstance(basis.space, Lp):
         raise InvalidExponentError("embedding reports require an lp ambient")
-    return basis.space
+    w = check_weight(w)
+    if w.size < basis.d:
+        raise InvalidWeightError(f"weight prefix {w.size} shorter than basis size {basis.d}")
+    return w
 
 
-def _democracy_mode(basis: Basis) -> str:
-    return "exact" if 2**basis.d <= _EXACT_TABLE_LIMIT else "random"
+def _coefficient_pool(d: int, head: list[np.ndarray], budget: int, seed: int,
+                      op: int) -> np.ndarray:
+    """Coefficient rows in search order: ``head``, the indicators of the
+    structured subsets of every size, then the samples of ``op``."""
+    rows = list(head)
+    for k in range(1, d + 1):
+        for s in structured_subsets(d, k):
+            rows.append(np.zeros(d))
+            rows[-1][s] = 1.0
+    rows.extend(coefficient_samples(d, budget, seed, op))
+    return np.array(rows)
+
+
+def _report(direction: str, basis: Basis, w: np.ndarray, q: float | None, tracker: Tracker,
+            upper: float, note: str, budget: int, seed: int,
+            m_max: int | None) -> EmbeddingReport:
+    """The report of one direction, with the companion table of s_m against
+    phi_l(m) (into weak Lorentz, ``q`` None) or phi_u(m) (from d_q(w))."""
+    d = basis.d
+    m_max = min(d, 12) if m_max is None else min(int(m_max), d)
+    mode = "exact" if 2**d <= _EXACT_TABLE_LIMIT else "random"
+    s = primitive_weight(w[:d])
+    table = []
+    for m in range(1, m_max + 1):
+        s_m = float(s[m - 1])
+        if q is None:
+            phi = lower_democracy(basis, m, mode=mode, budget=max(200, budget // 4),
+                                  seed=seed).upper  # measured inf (exact when mode='exact')
+            ratio = s_m / phi if phi > 0 else math.inf
+        else:
+            phi = upper_democracy(basis, m, mode=mode, budget=max(200, budget // 4),
+                                  seed=seed).lower
+            ratio = phi / s_m if s_m > 0 else math.inf
+        table.append(CompanionRow(m=m, s_m=s_m, phi=phi, ratio=ratio))
+    return EmbeddingReport(
+        direction=direction,
+        constant=BoundEstimate(min(tracker.best, upper), upper, tracker.witness,
+                               upper_certified=math.isfinite(upper), heuristic=True, note=note),
+        q=q,
+        weight=w,
+        phi_label="phi_l" if q is None else "phi_u",
+        table=table,
+        meta={"democracy_mode": mode},
+    )
 
 
 def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int = 0,
                                   m_max: int | None = None) -> EmbeddingReport:
     """Lower bound for sup_f ||F(f)||_{inf,w} / ||f|| with F the coefficient
     transform, plus the companion table of s_m against phi_l(m)."""
-    space = _require_lp(basis)
-    w = check_weight(w)
-    d = basis.d
-    if w.size < d:
-        raise InvalidWeightError(f"weight prefix {w.size} shorter than basis size {d}")
-    if m_max is None:
-        m_max = min(d, 12)
-    m_max = min(int(m_max), d)
+    w = _validated(basis, w)
+    d, p = basis.d, basis.space.p
+    weak = LorentzSpace(math.inf, w[:d])
+    coeffs = _coefficient_pool(d, [np.ones(d)], budget, seed, EMBED_SPACE_SAMPLES)
+    pool = np.vstack((np.eye(basis.dim), coeffs @ basis.vectors))
+    tracker = Tracker()
+    for chunk in _row_chunks(pool, basis.dim):
+        f = np.array(chunk)
+        nf = ambient_gauge_rows(basis.space, f)
+        val = ambient_gauge_rows(weak, f @ basis.duals.T)
+        tracker.offer(np.divide(val, nf, out=np.full(len(f), -math.inf), where=nf > 0),
+                      lambda j: {"f": chunk[j].tolist()})
 
-    tracker = RatioTracker()
-    candidates: list[np.ndarray] = []
-    for j in range(basis.dim):
-        e = np.zeros(basis.dim)
-        e[j] = 1.0
-        candidates.append(e)
-    candidates.append(synthesize(basis, np.ones(d)))
-    for k in range(1, d + 1):
-        for s in structured_subsets(d, k):
-            coeffs = np.zeros(d)
-            coeffs[s] = 1.0
-            candidates.append(synthesize(basis, coeffs))
-    candidates.extend(synthesize(basis, coeffs)
-                      for coeffs in coefficient_samples(d, budget, seed, EMBED_SPACE_SAMPLES))
-
-    for f in candidates:
-        nf = ambient_gauge(basis.space, f)
-        if nf <= 0:
-            continue
-        val = lorentz_gauge(coefficient_transform(basis, f), math.inf, w)
-        tracker.update(val / nf, {"f": f.tolist()})
-
-    upper, certified, note = math.inf, False, ""
+    upper, note = math.inf, ""
     if basis.is_diagonal():
-        s = primitive_weight(w[:d])
         n = np.arange(1, d + 1, dtype=float)
-        if math.isinf(space.p):
-            upper = float(np.max(s))
-        else:
-            # a_n* <= (||f||_p^p / n)^(1/p), with equality on flat vectors
-            upper = float(np.max(s / n ** (1.0 / space.p)))
-        certified = True
+        # a_n* <= (||f||_p^p / n)^(1/p), with equality on flat vectors
+        upper = float(np.max(weak.primitive if math.isinf(p) else weak.primitive / n ** (1.0 / p)))
         note = "rearrangement bound for the identity system"
-
-    mode = _democracy_mode(basis)
-    s_full = primitive_weight(w[:d])
-    table = []
-    for m in range(1, m_max + 1):
-        phi = lower_democracy(basis, m, mode=mode, budget=max(200, budget // 4), seed=seed)
-        phi_val = phi.upper  # measured inf (exact when mode='exact')
-        s_m = float(s_full[m - 1])
-        table.append(CompanionRow(m=m, s_m=s_m, phi=phi_val,
-                                  ratio=s_m / phi_val if phi_val > 0 else math.inf))
-    return EmbeddingReport(
-        direction="space_into_weak_lorentz",
-        constant=BoundEstimate(min(tracker.best, upper), upper, tracker.witness,
-                               upper_certified=certified, heuristic=True, note=note),
-        q=None,
-        weight=w,
-        phi_label="phi_l",
-        table=table,
-        meta={"democracy_mode": mode},
-    )
+    return _report("space_into_weak_lorentz", basis, w, None, tracker, upper, note,
+                   budget, seed, m_max)
 
 
 def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 0,
                              m_max: int | None = None) -> EmbeddingReport:
     """Lower bound for sup_g ||sum_n g_n x_n|| / ||g||_{q,w}, plus the
     companion table of phi_u(m) against s_m."""
-    space = _require_lp(basis)
-    w = check_weight(w)
-    d = basis.d
-    if w.size < d:
-        raise InvalidWeightError(f"weight prefix {w.size} shorter than basis size {d}")
-    if m_max is None:
-        m_max = min(d, 12)
-    m_max = min(int(m_max), d)
+    w = _validated(basis, w)
+    d, p = basis.d, basis.space.p
+    lorentz = LorentzSpace(q, w[:d])
+    pool = _coefficient_pool(d, [np.ones(d), *np.eye(d)], budget, seed, EMBED_LORENTZ_SAMPLES)
+    tracker = Tracker()
+    for chunk in _row_chunks(pool, basis.dim):
+        g = np.array(chunk)
+        den = ambient_gauge_rows(lorentz, g)
+        num = ambient_gauge_rows(basis.space, g @ basis.vectors)
+        tracker.offer(np.divide(num, den, out=np.full(len(g), -math.inf), where=den > 0),
+                      lambda j: {"g": chunk[j].tolist()})
 
-    tracker = RatioTracker()
-    candidates: list[np.ndarray] = [np.ones(d)]
-    candidates.extend(np.eye(d))
-    for k in range(1, d + 1):
-        for s in structured_subsets(d, k):
-            g = np.zeros(d)
-            g[s] = 1.0
-            candidates.append(g)
-    candidates.extend(coefficient_samples(d, budget, seed, EMBED_LORENTZ_SAMPLES))
-
-    for g in candidates:
-        den = lorentz_gauge(g, q, w)
-        if den <= 0:
-            continue
-        num = ambient_gauge(basis.space, synthesize(basis, g))
-        tracker.update(num / den, {"g": g.tolist()})
-
-    upper, certified, note = math.inf, False, ""
-    if basis.is_diagonal() and not math.isinf(space.p) and float(q) == space.p:
-        s = primitive_weight(w[:d])
-        terms = s ** (space.p - 1.0) * w[:d]
-        upper = float(np.max(terms ** (-1.0 / space.p)))
-        certified = True
+    upper, note = math.inf, ""
+    if basis.is_diagonal() and not math.isinf(p) and lorentz.q == p:
+        terms = lorentz.primitive ** (p - 1.0) * lorentz.weight
+        upper = float(np.max(terms ** (-1.0 / p)))
         note = "termwise comparison at q = p for the identity system"
-
-    mode = _democracy_mode(basis)
-    s_full = primitive_weight(w[:d])
-    table = []
-    for m in range(1, m_max + 1):
-        phi = upper_democracy(basis, m, mode=mode, budget=max(200, budget // 4), seed=seed)
-        phi_val = phi.lower
-        s_m = float(s_full[m - 1])
-        table.append(CompanionRow(m=m, s_m=s_m, phi=phi_val,
-                                  ratio=phi_val / s_m if s_m > 0 else math.inf))
-    return EmbeddingReport(
-        direction="lorentz_into_space",
-        constant=BoundEstimate(min(tracker.best, upper), upper, tracker.witness,
-                               upper_certified=certified, heuristic=True, note=note),
-        q=float(q),
-        weight=w,
-        phi_label="phi_u",
-        table=table,
-        meta={"democracy_mode": mode},
-    )
+    return _report("lorentz_into_space", basis, w, lorentz.q, tracker, upper, note,
+                   budget, seed, m_max)

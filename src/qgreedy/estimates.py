@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 
 def _close(a: float, b: float) -> bool:
@@ -52,31 +55,30 @@ class BoundEstimate:
         }
 
 
-@dataclass
-class RatioTracker:
-    """Running max of sampled ratios together with the best witness."""
+class Tracker:
+    """The first best value offered, by the sense ``maximize``, with its witness.
 
-    best: float = -math.inf
-    witness: dict[str, Any] | None = field(default=None)
+    Offering a block keeps the same winner as offering its entries one at a
+    time: a later value replaces the best only when strictly better.
+    """
 
-    def update(self, value: float, witness: dict[str, Any]) -> bool:
-        if value > self.best:
-            self.best = value
-            self.witness = witness
-            return True
-        return False
+    def __init__(self, maximize: bool = True) -> None:
+        self.maximize = maximize
+        self.best = -math.inf if maximize else math.inf
+        self.witness: Any = None
 
+    def update(self, value: float, witness: Any) -> None:
+        if value > self.best if self.maximize else value < self.best:
+            self.best, self.witness = value, witness
 
-@dataclass
-class MinTracker:
-    """Running min of sampled values together with the best witness."""
-
-    best: float = math.inf
-    witness: dict[str, Any] | None = field(default=None)
-
-    def update(self, value: float, witness: dict[str, Any]) -> bool:
-        if value < self.best:
-            self.best = value
-            self.witness = witness
-            return True
-        return False
+    def offer(self, values, witness_of: Callable[[int], Any], eligible=None) -> None:
+        """Offer the first best eligible entry of the 1-d block ``values``;
+        ``witness_of(j)`` builds the witness of entry j, and only if it wins."""
+        keyed = np.asarray(values, dtype=float) * (1.0 if self.maximize else -1.0)
+        if eligible is not None:
+            keyed = np.where(eligible, keyed, -math.inf)
+        if keyed.size == 0:
+            return
+        j = int(np.argmax(keyed))
+        if keyed[j] > (self.best if self.maximize else -self.best):
+            self.best, self.witness = float(values[j]), witness_of(j)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bases import Basis, _as_index_set, coefficient_transform, coordinate_projection
 from .errors import InvalidExponentError
-from .estimates import BoundEstimate, RatioTracker
+from .estimates import BoundEstimate, Tracker
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
 from .sampling import coefficient_samples, plateau_coefficients
 from .spaces import Lp, _row_chunks, ambient_gauge_rows
@@ -126,19 +126,16 @@ def _operator_candidates(d: int, budget: int, seed: int, stream: int):
 def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
                        truncate: bool) -> BoundEstimate:
     d = basis.d
-    tracker = RatioTracker()
+    tracker = Tracker()
     # every candidate costs d prefix rows
     for chunk in _row_chunks(_operator_candidates(d, budget, seed, stream), basis.dim, d):
         coeffs = np.array(chunk)
         nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
         gauges = _ratios_over_m(basis, coeffs, truncate)
         m = np.argmax(gauges, axis=1)
-        live = nf > 0
-        ratios = np.full(len(chunk), -math.inf)
-        ratios[live] = gauges[live, m[live]] / nf[live]
-        j = int(np.argmax(ratios))
-        if live[j]:
-            tracker.update(float(ratios[j]), {"coeffs": chunk[j].tolist(), "m": int(m[j]) + 1})
+        ratios = np.divide(gauges.max(axis=1), nf, out=np.full(len(chunk), -math.inf),
+                           where=nf > 0)
+        tracker.offer(ratios, lambda j: {"coeffs": chunk[j].tolist(), "m": int(m[j]) + 1})
 
     if basis.is_diagonal():
         # projections and truncations shrink coordinate moduli pointwise
@@ -188,14 +185,13 @@ class ConditionalityRow:
 
 
 def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
-                       max_m: int, rows: list[ConditionalityRow],
-                       inputs: np.ndarray | None = None) -> None:
+                       trackers: list[Tracker], inputs: np.ndarray | None = None) -> None:
     """Greedily grow A one index at a time for every row of ``coeffs``,
     maximizing ||S_A f|| at each size; one rows call per size scores every
     candidate with every index still available.  Ties go to the smaller
-    index, and each row of ``rows`` keeps the first best ratio in candidate
-    order.  Given the ambient ``inputs`` f (one row per row of ``coeffs``),
-    a witness keeps its f too: synthesizing f from its coefficients rounds."""
+    index, and ``trackers[m - 1]`` is offered the ratios of the sets of size
+    m.  Given the ambient ``inputs`` f (one row per row of ``coeffs``), a
+    witness keeps its f too: synthesizing f from its coefficients rounds."""
     n, d = coeffs.shape
     if n == 0:
         return
@@ -204,7 +200,14 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
     running = np.zeros((n, basis.dim))
     available = np.tile(np.arange(d), (n, 1))
     chosen = np.empty((n, 0), dtype=int)
-    for m in range(1, max_m + 1):
+
+    def witness(i: int) -> dict[str, Any]:
+        out = {"coeffs": coeffs[i].tolist(), "set": sorted(chosen[i].tolist())}
+        if inputs is not None:
+            out["f"] = inputs[i].tolist()
+        return out
+
+    for tracker in trackers:
         trials = running[:, None, :] + scaled[at[:, None], available]
         vals = ambient_gauge_rows(basis.space, trials.reshape(-1, basis.dim))
         vals = vals.reshape(available.shape)
@@ -215,14 +218,7 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
         keep = np.ones(available.shape, dtype=bool)
         keep[at, j] = False
         available = available[keep].reshape(n, -1)
-        ratios = vals[at, j] / f_gauges
-        i = int(np.argmax(ratios))
-        row = rows[m - 1]
-        if ratios[i] > row.lower:
-            row.lower = float(ratios[i])
-            row.witness = {"coeffs": coeffs[i].tolist(), "set": sorted(chosen[i].tolist())}
-            if inputs is not None:
-                row.witness["f"] = inputs[i].tolist()
+        tracker.offer(vals[at, j] / f_gauges, witness)
 
 
 def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
@@ -245,18 +241,11 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
     r = min(p, 1.0)
     if basis.is_diagonal():
         uppers = np.ones(max_m)
-        certified = True
     else:
         products = np.sort(basis.vector_norms * basis.dual_norms)[::-1] ** r
         uppers = np.cumsum(products[:max_m]) ** (1.0 / r)
-        certified = True
 
-    rows = [
-        ConditionalityRow(m=m, lower=0.0, upper=float(uppers[m - 1]),
-                          upper_certified=certified, log_normalized=0.0, witness=None)
-        for m in range(1, max_m + 1)
-    ]
-
+    trackers = [Tracker() for _ in range(max_m)]
     # every candidate costs at most d rows per size
     candidates = itertools.chain(np.eye(d), [np.ones(d)],
                                  coefficient_samples(d, budget, seed, CONDITIONALITY_SAMPLES))
@@ -264,17 +253,18 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
         coeffs = np.array(chunk)
         nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
         live = nf > 0
-        _forward_selection(basis, coeffs[live], nf[live], max_m, rows)
+        _forward_selection(basis, coeffs[live], nf[live], trackers)
 
     # ambient unit vectors as inputs
     for chunk in _row_chunks(range(basis.dim), basis.dim, d):
         units = np.eye(basis.dim)[chunk]
         nf = ambient_gauge_rows(basis.space, units)
-        _forward_selection(basis, units @ basis.duals.T, nf, max_m, rows, units)
+        _forward_selection(basis, units @ basis.duals.T, nf, trackers, units)
 
-    for row in rows:
-        row.lower = max(row.lower, 1.0)
-        if row.upper_certified:
-            row.lower = min(row.lower, row.upper)
-        row.log_normalized = row.lower / (1.0 + math.log(row.m)) ** (1.0 / p)
+    rows = []
+    for m, (tracker, upper) in enumerate(zip(trackers, uppers.tolist()), 1):
+        lower = min(max(tracker.best, 1.0), upper)
+        rows.append(ConditionalityRow(m=m, lower=lower, upper=upper, upper_certified=True,
+                                      log_normalized=lower / (1.0 + math.log(m)) ** (1.0 / p),
+                                      witness=tracker.witness))
     return rows

@@ -41,7 +41,7 @@ from qgreedy.democracy import (
     succ_constant,
     super_democracy_constant,
 )
-from qgreedy.estimates import BoundEstimate, MinTracker, RatioTracker
+from qgreedy.estimates import BoundEstimate, Tracker
 from qgreedy.greedy import (
     ConditionalityRow,
     _forward_selection,
@@ -141,7 +141,7 @@ def test_forward_selection_matches_scalar_loop(kind, small_cap):
     basis = random_basis(kind, seed=11)
     d = basis.d
     candidates = sample_coefficients(d, 25, seed=4) + [np.zeros(d)]
-    expected, got = fresh_rows(d), fresh_rows(d)
+    expected, got = fresh_rows(d), [Tracker() for _ in range(d)]
     for coeffs in candidates:
         f = coeffs @ basis.vectors
         nf = gauge(basis, f)
@@ -151,11 +151,11 @@ def test_forward_selection_matches_scalar_loop(kind, small_cap):
         assert len(chunk) <= max(1, SMALL_CAP // d)
         coeffs = np.array(chunk)
         nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
-        _forward_selection(basis, coeffs[nf > 0], nf[nf > 0], d, got)
-    for want, row in zip(expected, got):
-        assert row.lower == pytest.approx(want.lower, rel=REL)
-        assert len(row.witness["set"]) == row.m
-        assert replay_projection(basis, row.witness) == pytest.approx(row.lower, rel=REL)
+        _forward_selection(basis, coeffs[nf > 0], nf[nf > 0], got)
+    for want, tracker in zip(expected, got):
+        assert tracker.best == pytest.approx(want.lower, rel=REL)
+        assert len(tracker.witness["set"]) == want.m
+        assert replay_projection(basis, tracker.witness) == pytest.approx(tracker.best, rel=REL)
 
 
 def conditionality_oracle(basis, max_m, budget, seed):
@@ -233,7 +233,7 @@ def operator_oracle(basis, budget, seed, stream, truncate):
             prefixes = np.cumsum(sorted_coeffs[:, None] * basis.vectors[order], axis=0)
         return np.array([ambient_gauge(basis.space, row) for row in prefixes])
 
-    tracker = RatioTracker()
+    tracker = Tracker()
     flat = np.ones(d)
     nf = ambient_gauge(basis.space, flat @ basis.vectors)
     gauges = gauges_over_m(flat)
@@ -286,7 +286,7 @@ def test_operator_constant_matches_scalar_loop(kind, truncate, small_cap):
 
 
 def sign_flip_oracle(basis, sampled):
-    tracker = RatioTracker()
+    tracker = Tracker()
     scored = []
     for f in sampled:
         nf = ambient_gauge(basis.space, f)
@@ -314,7 +314,7 @@ def test_sign_flip_pass_matches_scalar_loop(kind, small_cap):
     sampled.insert(20, sampled[3].copy())  # an exact tie: the earlier one ranks first
     expected, scored = sign_flip_oracle(basis, sampled)
     scored.sort(key=lambda item: -item[0])
-    tracker = RatioTracker()
+    tracker = Tracker()
     top = _sign_flip_pass(basis, iter(sampled), tracker)
     assert len(top) == 8
     for f, (_, want) in zip(top, scored):
@@ -338,8 +338,8 @@ def test_unconditional_witness_replays(kind, small_cap):
 
 def profile_feed_oracle(basis, m_max, budget, seed):
     d = basis.d
-    up = [RatioTracker() for _ in range(m_max)]
-    down = [MinTracker() for _ in range(m_max)]
+    up = [Tracker() for _ in range(m_max)]
+    down = [Tracker(maximize=False) for _ in range(m_max)]
 
     def feed(s):
         size = len(s)
@@ -492,7 +492,7 @@ def sign_gauges_oracle(basis, idx, rng):
 
 def succ_oracle(basis, budget, seed, sign_log):
     d = basis.d
-    tracker = RatioTracker()
+    tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "signs": [1.0]})
     pairs = []
     for n in range(1, d):
@@ -522,7 +522,7 @@ def succ_oracle(basis, budget, seed, sign_log):
 
 def sign_change_oracle(basis, budget, seed, sign_log):
     d = basis.d
-    tracker = RatioTracker()
+    tracker = Tracker()
     tracker.update(1.0, {"A": [0], "theta": [1.0], "eps": [1.0]})
     sets = []
     for k in range(1, d + 1):
@@ -543,7 +543,7 @@ def sign_change_oracle(basis, budget, seed, sign_log):
 def super_democracy_oracle(basis, m_max, budget, seed, sign_log):
     d = basis.d
     m_max = min(int(m_max), d)
-    tracker = RatioTracker()
+    tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})
     for m in range(1, m_max + 1):
         cands = structured_subsets(d, m)
