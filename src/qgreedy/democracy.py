@@ -57,7 +57,8 @@ __all__ = [
 
 EXACT_SUBSET_LIMIT = 10**7
 # A set of at most _SIGN_ENUM_CAP members has its sign patterns enumerated; a
-# larger one is scored on 128 patterns from its own stream, made only for it.
+# larger one is scored on the all-ones and the alternating pattern and on 128
+# patterns from its own stream, made only for it.
 _SIGN_ENUM_CAP = 12
 
 
@@ -322,8 +323,9 @@ def _sign_gauges(basis: Basis, sets: list, stream=None):
     capped blocks of one size k, in order within a size.  For k <= _SIGN_ENUM_CAP
     the patterns are the 2^(k-1) ids whose last sign is -1, built once per size
     (negation keeps a gauge, so they hold the first extremes of all 2^k);
-    otherwise 128 drawn from ``stream(i)`` (i = position in ``sets``), which
-    is made only then and is required."""
+    otherwise the all-ones and the alternating pattern, then 128 drawn from
+    ``stream(i)`` (i = position in ``sets``), which is made only then and is
+    required."""
     by_size: dict[int, list[int]] = {}
     for i, a in enumerate(sets):
         by_size.setdefault(len(a), []).append(i)
@@ -331,9 +333,12 @@ def _sign_gauges(basis: Basis, sets: list, stream=None):
         if k > _SIGN_ENUM_CAP and stream is None:
             raise ValueError(f"sets of {k} > {_SIGN_ENUM_CAP} members need a sign stream")
         table = sign_patterns(k, 0, 1 << (k - 1)) if k <= _SIGN_ENUM_CAP else None
-        for chunk in _row_chunks(members, basis.dim, 128 if table is None else len(table)):
+        fixed = np.ones((2, k))
+        fixed[1, 1::2] = -1.0
+        for chunk in _row_chunks(members, basis.dim, 130 if table is None else len(table)):
             signs = (np.broadcast_to(table, (len(chunk), *table.shape)) if table is not None else
-                     np.stack([stream(i).choice([-1.0, 1.0], size=(128, k)) for i in chunk]))
+                     np.stack([np.vstack((fixed, stream(i).choice([-1.0, 1.0], size=(128, k))))
+                               for i in chunk]))
             idx = np.array([sets[i] for i in chunk], dtype=int)
             yield chunk, idx, signs, _stacked_gauges(basis, signs @ basis.vectors[idx])
 

@@ -261,6 +261,9 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
         nf = ambient_gauge_rows(basis.space, units)
         _forward_selection(basis, units @ basis.duals.T, nf, trackers, units)
 
+    # a witness set of fewer than m members is one of at most m members
+    for prev, tracker in zip(trackers, trackers[1:]):
+        tracker.update(prev.best, prev.witness)
     rows = []
     for m, (tracker, upper) in enumerate(zip(trackers, uppers.tolist()), 1):
         lower = min(max(tracker.best, 1.0), upper)

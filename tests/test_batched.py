@@ -174,6 +174,10 @@ def conditionality_oracle(basis, max_m, budget, seed):
         coeffs = coefficient_transform(basis, e)
         forward_selection_oracle(basis, coeffs, ambient_gauge(basis.space, e), max_m, rows,
                                  [float(c) for c in coeffs])
+    # row m bounds the sup over |A| <= m: carry smaller sets forward
+    for prev, row in zip(rows, rows[1:]):
+        if prev.lower > row.lower:
+            row.lower, row.witness = prev.lower, prev.witness
     return rows
 
 
@@ -195,6 +199,21 @@ def test_conditionality_profile_matches_scalar_loop(seed, small_cap):
             inputs += [e for e in np.eye(basis.dim) if np.allclose(coefficient_transform(basis, e), coeffs)]
             assert any(numerator / gauge(basis, f) == pytest.approx(row.lower, rel=REL)
                        for f in inputs)
+
+
+@pytest.mark.parametrize("basis,max_m,budget,seed,floor", [
+    (zoo("difference", p=0.5, dim=16), None, 400, 0, {16: 256.0}),
+    (random_basis("lp", seed=3, d=7), 5, 30, 3, {}),
+], ids=["difference-16", "perturbed-lp-7"])
+def test_conditionality_rows_do_not_fall(basis, max_m, budget, seed, floor):
+    """Row m bounds the sup over |A| <= m, so a smaller set's witness holds
+    for every larger m; on the difference system row 16 reaches (2 * 8)^2."""
+    rows = conditionality_growth_profile(basis, max_m=max_m, budget=budget, seed=seed)
+    lowers = [row.lower for row in rows]
+    assert lowers == sorted(lowers)
+    for row in rows:
+        assert len(row.witness["set"]) <= row.m
+        assert row.lower >= floor.get(row.m, 1.0)
 
 
 def test_conditionality_unit_input_witness_replays_from_f():
@@ -486,8 +505,14 @@ def sign_gauges_oracle(basis, idx, rng):
     if k <= _SIGN_ENUM_CAP:
         signs = sign_patterns(k, 0, 1 << k)
     else:
-        signs = rng.choice([-1.0, 1.0], size=(128, k))
+        signs = large_set_signs(rng, k)
     return ambient_gauge_rows(basis.space, signs @ rows), signs
+
+
+def large_set_signs(rng, k):
+    """All ones, alternating signs, then 128 drawn patterns."""
+    alternating = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    return np.vstack((np.ones(k), alternating, rng.choice([-1.0, 1.0], size=(128, k))))
 
 
 def succ_oracle(basis, budget, seed, sign_log):
@@ -509,7 +534,7 @@ def succ_oracle(basis, budget, seed, sign_log):
         if b.size <= _SIGN_ENUM_CAP:
             signs = sign_patterns(b.size, 0, 1 << b.size)
         else:
-            signs = rng.choice([-1.0, 1.0], size=(128, b.size))
+            signs = large_set_signs(rng, b.size)
         den = ambient_gauge_rows(basis.space, signs @ basis.vectors[b])
         num = ambient_gauge_rows(basis.space, signs[:, pos] @ basis.vectors[a])
         ratios = num / den
@@ -630,4 +655,5 @@ def test_sign_gauges_requires_a_stream_for_large_sets():
     with pytest.raises(ValueError, match="sign stream"):
         list(_sign_gauges(basis, [np.arange(13)]))
     chunks = list(_sign_gauges(basis, [np.arange(13)], lambda i: substream(0, 99, i)))
-    assert chunks[0][3].shape == (1, 128)
+    assert chunks[0][3].shape == (1, 130)
+    assert np.array_equal(chunks[0][2][0, :2], [[1.0] * 13, [1.0, -1.0] * 6 + [1.0]])

@@ -192,6 +192,15 @@ class TestSignConstants:
         est = succ_constant(basis, budget=80, seed=0)
         assert est.lower >= 4.0 - 1e-9
 
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_difference_comb_keeps_d_squared_on_large_sets(self, d):
+        # the odd comb against {0..d-1} under all-positive signs gives d^(1/p);
+        # sets of more than 12 members are scored on sampled patterns, which
+        # must still include the all-ones one
+        est = succ_constant(zoo("difference", p=0.5, dim=d), budget=500, seed=0)
+        assert est.lower >= d**2 - 1e-9
+        assert est.witness["signs"] == [1.0] * d
+
     def test_succ_witness_reproducible(self):
         basis = zoo("difference", p=0.5, dim=6)
         est = succ_constant(basis, budget=80, seed=1)
