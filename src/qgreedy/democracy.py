@@ -6,8 +6,10 @@ for identity coordinates in a block space, optimizes block occupancies,
 which is exact far beyond subset range).  Random mode reports
 witness-certified one-sided bounds; it scores its structured and sampled
 sets in blocks, one row-kernel call per block within the row cap of
-:mod:`qgreedy.spaces`, and the first best set in feed order wins.
-``threads`` arguments have no effect.
+:mod:`qgreedy.spaces`, and offers each block to a
+:class:`~qgreedy.estimates.Tracker`, so the first best set in feed order
+wins.  The sign constants score same-size sets in blocks on their sign
+patterns.  ``threads`` arguments have no effect.
 """
 
 from __future__ import annotations
@@ -157,10 +159,11 @@ def _occupancy_extreme(space: BlockLpL2, m: int, maximize: bool) -> tuple[float,
     best = [0.0] + [-math.inf] * m
     choices: list[list[int]] = []
     for b in space.blocks:
-        gains = [sense * c ** (space.p / 2.0) for c in range(min(b, m) + 1)]
+        cap = min(b, m)
+        gains = [sense * c ** (space.p / 2.0) for c in range(cap + 1)]
         new, row = [-math.inf] * (m + 1), [0] * (m + 1)
         for t in range(m + 1):
-            for c in range(min(len(gains) - 1, t) + 1):
+            for c in range(min(cap, t) + 1):
                 if best[t - c] + gains[c] > new[t]:
                     new[t], row[t] = best[t - c] + gains[c], c
         best = new

@@ -6,6 +6,11 @@ reported as witness-certified lower bounds; a structural upper bound is
 attached for the identity system, where a rearrangement argument makes one
 available.  Each report carries a companion table comparing the primitive
 weight s_m against the matching democracy function.
+
+Both searches build their candidates as one array and score it in capped
+blocks through the row kernels: the ambient gauge, and the Lorentz gauge of
+a :class:`~qgreedy.spaces.LorentzSpace` that computes its primitive weight
+once.
 """
 
 from __future__ import annotations
@@ -130,9 +135,9 @@ def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int 
 
     upper, note = math.inf, ""
     if basis.is_diagonal():
-        n = np.arange(1, d + 1, dtype=float)
-        # a_n* <= (||f||_p^p / n)^(1/p), with equality on flat vectors
-        upper = float(np.max(weak.primitive if math.isinf(p) else weak.primitive / n ** (1.0 / p)))
+        # a_n* <= (||f||_p^p / n)^(1/p), with equality on flat vectors; at
+        # p = inf the divisor n^0 is 1 and a_n* <= ||f||_inf
+        upper = float(np.max(weak.primitive / np.arange(1, d + 1) ** (1.0 / p)))
         note = "rearrangement bound for the identity system"
     return _report("space_into_weak_lorentz", basis, w, None, tracker, upper, note,
                    budget, seed, m_max)

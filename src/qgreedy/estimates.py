@@ -1,4 +1,5 @@
-"""Certified/heuristic bound pairs returned by all constant estimators."""
+"""Certified/heuristic bound pairs returned by all constant estimators, and
+the first-best tracker behind every witness search."""
 
 from __future__ import annotations
 

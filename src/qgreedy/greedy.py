@@ -11,8 +11,9 @@ under r-convexity).
 The searches score their candidates in blocks: one row-kernel call covers a
 block's norms, another its greedy prefixes (or, in forward selection, every
 candidate with every index still available), and no call exceeds the row cap
-of :mod:`qgreedy.spaces`.  Within and across blocks the first best candidate
-wins, as in a one-at-a-time scan.
+of :mod:`qgreedy.spaces`.  Each block is offered to a
+:class:`~qgreedy.estimates.Tracker`, so the first best candidate wins, as in
+a one-at-a-time scan.
 """
 
 from __future__ import annotations

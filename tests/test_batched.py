@@ -41,6 +41,7 @@ from qgreedy.democracy import (
     succ_constant,
     super_democracy_constant,
 )
+from qgreedy.embeddings import embed_lorentz_into_space, embed_space_into_weak_lorentz
 from qgreedy.estimates import BoundEstimate, Tracker
 from qgreedy.greedy import (
     ConditionalityRow,
@@ -49,10 +50,12 @@ from qgreedy.greedy import (
     quasi_greedy_constant,
     truncation_constant,
 )
-from qgreedy.lorentz import power_weight
+from qgreedy.lorentz import lorentz_gauge, power_weight
 from qgreedy.numerics import sign_patterns
 from qgreedy.rng import (
     CONDITIONALITY_SAMPLES,
+    EMBED_LORENTZ_SAMPLES,
+    EMBED_SPACE_SAMPLES,
     PROFILE_SETS,
     QG_SAMPLES,
     SIGN_CHANGE,
@@ -446,6 +449,67 @@ def test_random_profile_witness_sizes():
     profile_rows = _random_profile_rows(basis, 12, budget=200, seed=1)
     for row in profile_rows:
         assert len(row.phi_u.witness["set"]) <= row.m <= len(row.phi_l.witness["set"])
+
+
+# ---------------------------------------------------------------------------
+# embedding searches
+# ---------------------------------------------------------------------------
+
+
+def embedding_coefficients(d, head, budget, seed, stream):
+    rows = list(head)
+    for k in range(1, d + 1):
+        for s in structured_subsets(d, k):
+            g = np.zeros(d)
+            g[s] = 1.0
+            rows.append(g)
+    return rows + list(coefficient_samples(d, budget, seed, stream))
+
+
+def embed_space_oracle(basis, w, budget, seed):
+    d = basis.d
+    coeffs = embedding_coefficients(d, [np.ones(d)], budget, seed, EMBED_SPACE_SAMPLES)
+    # the inputs are synthesized in one product, as the search does
+    candidates = list(np.eye(basis.dim)) + list(np.array(coeffs) @ basis.vectors)
+    tracker = Tracker()
+    for f in candidates:
+        nf = ambient_gauge(basis.space, f)
+        if nf > 0:
+            val = lorentz_gauge(coefficient_transform(basis, f), math.inf, w)
+            tracker.update(val / nf, {"f": f.tolist()})
+    return tracker
+
+
+def embed_lorentz_oracle(basis, q, w, budget, seed):
+    d = basis.d
+    tracker = Tracker()
+    for g in embedding_coefficients(d, [np.ones(d), *np.eye(d)], budget, seed,
+                                    EMBED_LORENTZ_SAMPLES):
+        den = lorentz_gauge(g, q, w)
+        if den > 0:
+            tracker.update(gauge(basis, synthesize(basis, g)) / den, {"g": g.tolist()})
+    return tracker
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("direction", ["space", "lorentz"])
+def test_embedding_search_matches_scalar_loop(direction, seed, small_cap):
+    basis = random_basis("lp", seed=seed)
+    w = 2.0 * np.arange(1, basis.d + 1) - 1.0
+    if direction == "space":
+        expected = embed_space_oracle(basis, w, budget=60, seed=seed)
+        got = embed_space_into_weak_lorentz(basis, w, budget=60, seed=seed, m_max=1).constant
+        f = np.array(got.witness["f"])
+        replay = (lorentz_gauge(coefficient_transform(basis, f), math.inf, w)
+                  / gauge(basis, f))
+    else:
+        expected = embed_lorentz_oracle(basis, 0.5, w, budget=60, seed=seed)
+        got = embed_lorentz_into_space(basis, 0.5, w, budget=60, seed=seed, m_max=1).constant
+        g = np.array(got.witness["g"])
+        replay = gauge(basis, synthesize(basis, g)) / lorentz_gauge(g, 0.5, w)
+    assert got.lower == pytest.approx(expected.best, rel=REL)
+    assert got.witness == expected.witness
+    assert replay == pytest.approx(got.lower, rel=REL)
 
 
 # ---------------------------------------------------------------------------
