@@ -59,8 +59,9 @@ class BoundEstimate:
 class Tracker:
     """The first best value offered, by the sense ``maximize``, with its witness.
 
-    Offering a block keeps the same winner as offering its entries one at a
-    time: a later value replaces the best only when strictly better.
+    Offering a block of values (none of them NaN) keeps the same winner as
+    offering its entries one at a time: a later value replaces the best only
+    when strictly better.
     """
 
     def __init__(self, maximize: bool = True) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -40,13 +41,14 @@ values = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-math.inf, ma
 
 
 @given(st.lists(st.tuples(values, st.booleans()), max_size=40),
-       st.lists(st.integers(1, 8), min_size=1, max_size=10),
+       st.lists(st.integers(0, 8), min_size=1, max_size=10).filter(any),
        st.booleans(), st.none() | values)
 @settings(max_examples=300)
 def test_block_offers_equal_one_at_a_time_updates(entries, splits, maximize, start):
-    """Ties, ineligible entries and any block split: offering the blocks ends
-    in the (best, witness) of updating with the eligible entries in order,
-    and a witness is built only for an entry that takes the lead."""
+    """Ties, ineligible entries and any block split, empty blocks included:
+    offering the blocks ends in the (best, witness) of updating with the
+    eligible entries in order, and a witness is built only for an entry that
+    takes the lead."""
     one, blocks = Tracker(maximize), Tracker(maximize)
     if start is not None:
         one.update(start, "start")
@@ -54,13 +56,11 @@ def test_block_offers_equal_one_at_a_time_updates(entries, splits, maximize, sta
     for i, (value, eligible) in enumerate(entries):
         if eligible:
             one.update(value, i)
-    at = 0
-    for size in splits * len(entries):
-        block = entries[at:at + size]
-        if not block:
-            break
+    at, sizes = 0, itertools.cycle(splits)
+    while at < len(entries):
+        block = entries[at:at + next(sizes)]
         vals = np.array([value for value, _ in block])
-        mask = np.array([eligible for _, eligible in block])
+        mask = np.array([eligible for _, eligible in block], dtype=bool)
         built = []
 
         def witness_of(j, at=at, built=built):
@@ -70,15 +70,5 @@ def test_block_offers_equal_one_at_a_time_updates(entries, splits, maximize, sta
         before = blocks.best
         blocks.offer(vals, witness_of, None if mask.all() else mask)
         assert built == ([] if blocks.best == before else [blocks.witness])
-        at += size
+        at += len(block)
     assert (blocks.best, blocks.witness) == (one.best, one.witness)
-
-
-def test_tracker_senses():
-    hi, lo = Tracker(), Tracker(maximize=False)
-    for tracker in (hi, lo):
-        tracker.offer([2.0, 5.0, 1.0, 5.0, 1.0], lambda j: j)
-        tracker.offer([], lambda j: j)
-        tracker.offer([9.0, 0.0], lambda j: j + 5, eligible=[False, False])
-    assert (hi.best, hi.witness) == (5.0, 1)
-    assert (lo.best, lo.witness) == (1.0, 2)
