@@ -62,6 +62,9 @@ __all__ = [
 
 BIORTHOGONALITY_TOL = 1e-9
 _GRAY_CHUNK = _ROW_CAP  # multipliers scored per batched gauge call
+_DESCENT_PASSES = 4  # coordinate-descent sweeps per multiplier search
+_CANONICAL_CAP = 48  # unit vectors and basis vectors in the canonical pool
+_SIGN_FLIP_KEEP = 8  # sign-flip survivors handed to coordinate descent
 
 ZOO_NAMES = ("unit", "difference", "block_l2", "perturbed_unit", "custom_file")
 
@@ -104,7 +107,7 @@ class Basis:
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "duals", u)
         object.__setattr__(self, "labels", tuple(self.labels))
-        norms = np.array([ambient_gauge(self.space, row) for row in v])
+        norms = ambient_gauge_rows(self.space, v)
         if np.any(norms <= 0):
             raise NotABasisError("basis contains a zero vector")
         object.__setattr__(self, "_vector_norms", norms)
@@ -207,14 +210,13 @@ def _gauge_row(basis: Basis, f: np.ndarray) -> float:
     return float(ambient_gauge_rows(basis.space, f[None, :])[0])
 
 
-def _descend_multiplier(basis: Basis, coeffs: np.ndarray, start: np.ndarray,
-                        max_passes: int = 4) -> tuple[np.ndarray, float]:
-    """Coordinate descent of gamma over {-1, 0, 1}^d maximizing the gauge."""
-    gamma = start.astype(float).copy()
+def _descend_multiplier(basis: Basis, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coordinate descent of gamma over {-1, 0, 1}^d from 1, maximizing the gauge."""
+    gamma = np.ones(basis.d)
     scaled = coeffs[:, None] * basis.vectors
     current = gamma @ scaled
     best = _gauge_row(basis, current)
-    for _ in range(max_passes):
+    for _ in range(_DESCENT_PASSES):
         improved = False
         for n in range(basis.d):
             for cand in (-1.0, 0.0, 1.0):
@@ -254,14 +256,14 @@ def _gray_best_over_family(basis: Basis, coeffs: np.ndarray, signs: bool) -> tup
     return tracker.best, tracker.witness
 
 
-def _canonical_test_vectors(basis: Basis, cap: int = 48) -> list[np.ndarray]:
+def _canonical_test_vectors(basis: Basis) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     d, n = basis.d, basis.dim
-    for j in range(min(n, cap)):
+    for j in range(min(n, _CANONICAL_CAP)):
         e = np.zeros(n)
         e[j] = 1.0
         out.append(e)
-    for i in range(min(d, cap)):
+    for i in range(min(d, _CANONICAL_CAP)):
         out.append(basis.vectors[i].copy())
     out.append(synthesize(basis, np.ones(d)))
     alt = np.ones(d)
@@ -302,12 +304,12 @@ def _sampled_vectors(basis: Basis, budget: int, seed: int):
     return block_samples(draw, budget, seed, KU_SAMPLES)
 
 
-def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker, keep: int = 8) -> list[np.ndarray]:
+def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker) -> list[np.ndarray]:
     """Score ||S_gamma f|| / ||f|| for one multiplier per vector f (the signs
     of its coefficients, every second one flipped) in capped blocks.
 
     Offers each block's first best ratio, with its witness, to ``tracker`` and
-    returns the ``keep`` best-scoring vectors, the earlier first among equal
+    returns the ``_SIGN_FLIP_KEEP`` best-scoring vectors, the earlier first among equal
     scores; vectors with f = 0 are skipped.
     """
     top: list[tuple[float, int, np.ndarray]] = []
@@ -323,9 +325,9 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker, keep: int = 8) -> l
         ratios = vals[live] / nf[live]
         tracker.offer(ratios, lambda b: {"f": chunk[live[b]].tolist(),
                                          "gamma": gammas[live[b]].tolist()})
-        best = np.argsort(-ratios, kind="stable")[:keep]
+        best = np.argsort(-ratios, kind="stable")[:_SIGN_FLIP_KEEP]
         top += [(-float(ratios[b]), seen + int(live[b]), chunk[live[b]]) for b in best]
-        top = sorted(top, key=lambda item: item[:2])[:keep]
+        top = sorted(top, key=lambda item: item[:2])[:_SIGN_FLIP_KEEP]
         seen += len(chunk)
     return [f for _, _, f in top]
 
@@ -365,7 +367,7 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
             for signs in (False, True):
                 val, gamma = _gray_best_over_family(basis, coeffs, signs)
                 tracker.update(val / nf, {"f": f.tolist(), "gamma": gamma.tolist()})
-        gamma, val = _descend_multiplier(basis, coeffs, np.ones(basis.d))
+        gamma, val = _descend_multiplier(basis, coeffs)
         tracker.update(val / nf, {"f": f.tolist(), "gamma": gamma.tolist()})
 
     upper, certified, note = _certified_ku_upper(basis)

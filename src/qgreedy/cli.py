@@ -129,7 +129,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     basis = _resolve_basis(args)
     budget = args.budget
     profile = democracy_profile(basis, m_max=args.max_m, mode=args.mode,
-                                budget=budget, seed=args.seed, threads=args.threads)
+                                budget=budget, seed=args.seed)
     constants = _constants_table(basis, budget, args.seed)
     constants["succ"] = profile.succ
     constants["sign_change"] = profile.sign_change
@@ -252,6 +252,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, matching the config-error contract
         return int(exc.code) if exc.code is not None else EXIT_CONFIG
     try:
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         return _COMMANDS[args.command](args)
     except NotABasisError as exc:
         print(f"basis invariant failure: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ sets in blocks, one row-kernel call per block within the row cap of
 :mod:`qgreedy.spaces`, and offers each block to a
 :class:`~qgreedy.estimates.Tracker`, so the first best set in feed order
 wins.  The sign constants score same-size sets in blocks on their sign
-patterns.  ``threads`` arguments have no effect.
+patterns.  The ``threads`` argument of :func:`democracy_profile` has no effect.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ EXACT_SUBSET_LIMIT = 10**7
 # larger one is scored on the all-ones and the alternating pattern and on 128
 # patterns from its own stream, made only for it.
 _SIGN_ENUM_CAP = 12
+_SWAP_PASSES = 2  # sweeps of the single-swap refinement
 
 
 def indicator_gauge(basis: Basis, A, signs=None) -> float:
@@ -208,7 +209,7 @@ def _block_spread_sets(basis: Basis) -> list[np.ndarray]:
     return [np.sort(offsets[:k]) for k in range(1, len(offsets) + 1)]
 
 
-def _swap_refine(basis: Basis, s, maximize: bool, passes: int = 2) -> tuple[list[int], float]:
+def _swap_refine(basis: Basis, s, maximize: bool) -> tuple[list[int], float]:
     """Size-preserving single-swap hill climb on the indicator gauge.
 
     Each member in turn is swapped against every non-member in one rows call;
@@ -217,7 +218,7 @@ def _swap_refine(basis: Basis, s, maximize: bool, passes: int = 2) -> tuple[list
     """
     current = sorted(int(i) for i in s)
     best = float(_indicator_gauges(basis, [current])[0])
-    for _ in range(passes):
+    for _ in range(_SWAP_PASSES):
         improved = False
         for out in list(current):
             rest = [i for i in current if i != out]
@@ -300,13 +301,13 @@ def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
 
 
 def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
-                    seed: int = 0, threads: int = 1) -> BoundEstimate:
+                    seed: int = 0) -> BoundEstimate:
     """phi_u(m): sup of the indicator gauge over sets of at most m indices."""
     return _democracy(basis, m, mode, budget, seed, maximize=True)
 
 
 def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
-                    seed: int = 0, threads: int = 1) -> BoundEstimate:
+                    seed: int = 0) -> BoundEstimate:
     """phi_l(m): inf of the indicator gauge over sets of at least m indices.
 
     Inf-type: in random mode every sampled set certifies an upper bound and
@@ -544,6 +545,8 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     d = basis.d
     if m_max is None:
         m_max = min(d, 12)
+    if int(m_max) < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     m_max = min(int(m_max), d)
     if mode == "random":
         rows = _random_profile_rows(basis, m_max, budget, seed)
@@ -557,8 +560,8 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
         rows = [
             ProfileRow(
                 m=m,
-                phi_u=upper_democracy(basis, m, mode, budget, seed, threads),
-                phi_l=lower_democracy(basis, m, mode, budget, seed, threads),
+                phi_u=upper_democracy(basis, m, mode, budget, seed),
+                phi_l=lower_democracy(basis, m, mode, budget, seed),
             )
             for m in range(1, m_max + 1)
         ]

@@ -25,7 +25,7 @@ from .bases import Basis
 from .democracy import lower_democracy, upper_democracy
 from .errors import InvalidExponentError, InvalidWeightError
 from .estimates import BoundEstimate, Tracker
-from .lorentz import check_weight, primitive_weight
+from .lorentz import check_weight
 from .rng import EMBED_LORENTZ_SAMPLES, EMBED_SPACE_SAMPLES
 from .sampling import coefficient_samples, structured_subsets
 from .spaces import Lp, LorentzSpace, _row_chunks, ambient_gauge_rows
@@ -83,15 +83,14 @@ def _coefficient_pool(d: int, head: list[np.ndarray], budget: int, seed: int,
     return np.array(rows)
 
 
-def _report(direction: str, basis: Basis, w: np.ndarray, q: float | None, tracker: Tracker,
-            upper: float, note: str, budget: int, seed: int,
+def _report(direction: str, basis: Basis, w: np.ndarray, s: np.ndarray, q: float | None,
+            tracker: Tracker, upper: float, note: str, budget: int, seed: int,
             m_max: int | None) -> EmbeddingReport:
-    """The report of one direction, with the companion table of s_m against
-    phi_l(m) (into weak Lorentz, ``q`` None) or phi_u(m) (from d_q(w))."""
+    """The report of one direction, with the companion table of ``s``, the primitive
+    weight of w[:d], against phi_l(m) (into weak Lorentz, ``q`` None) or phi_u(m)."""
     d = basis.d
     m_max = min(d, 12) if m_max is None else min(int(m_max), d)
     mode = "exact" if 2**d <= _EXACT_TABLE_LIMIT else "random"
-    s = primitive_weight(w[:d])
     table = []
     for m in range(1, m_max + 1):
         s_m = float(s[m - 1])
@@ -139,8 +138,8 @@ def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int 
         # p = inf the divisor n^0 is 1 and a_n* <= ||f||_inf
         upper = float(np.max(weak.primitive / np.arange(1, d + 1) ** (1.0 / p)))
         note = "rearrangement bound for the identity system"
-    return _report("space_into_weak_lorentz", basis, w, None, tracker, upper, note,
-                   budget, seed, m_max)
+    return _report("space_into_weak_lorentz", basis, w, weak.primitive, None, tracker, upper,
+                   note, budget, seed, m_max)
 
 
 def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 0,
@@ -164,5 +163,5 @@ def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 
         terms = lorentz.primitive ** (p - 1.0) * lorentz.weight
         upper = float(np.max(terms ** (-1.0 / p)))
         note = "termwise comparison at q = p for the identity system"
-    return _report("lorentz_into_space", basis, w, lorentz.q, tracker, upper, note,
-                   budget, seed, m_max)
+    return _report("lorentz_into_space", basis, w, lorentz.primitive, lorentz.q, tracker,
+                   upper, note, budget, seed, m_max)

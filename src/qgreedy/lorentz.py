@@ -8,7 +8,10 @@ rearrangement a* of the input against s:
     ||f||_{inf,w} = sup_n s_n a_n*
 
 Weights here are plain 1-d numpy arrays; every evaluation uses the prefix of
-length equal to the vector dimension.
+length equal to the vector dimension.  :func:`lorentz_gauge` holds no formula
+of its own: it is the gauge of a :class:`~qgreedy.spaces.LorentzSpace` on that
+prefix, the 1-row case of the row kernel in :mod:`qgreedy.spaces`, so one
+vector gets the same bits here as from ``ambient_gauge_rows``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidWeightError
 from .numerics import compensated_cumsum
-from .spaces import _guarded, _lorentz_sum, as_vector, check_exponent, nonincreasing_rearrangement
+from .spaces import LorentzSpace, ambient_gauge, as_vector, check_exponent, check_weight
 
 __all__ = [
     "check_weight",
@@ -28,15 +31,6 @@ __all__ = [
     "log_damped_primitive",
     "lorentz_gauge",
 ]
-
-
-def check_weight(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise InvalidWeightError("weight must be a nonempty 1-d array")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise InvalidWeightError("weight entries must be positive and finite")
-    return w
 
 
 def primitive_weight(w, m: int | None = None) -> np.ndarray:
@@ -95,8 +89,4 @@ def lorentz_gauge(f, q, w) -> float:
         raise InvalidWeightError(
             f"weight prefix of length {w.size} is shorter than the vector dimension {f.size}"
         )
-    w = w[: f.size]
-    if f.size == 0:
-        return 0.0
-    a = nonincreasing_rearrangement(f)
-    return float(_guarded(_lorentz_sum, a, q, w, primitive_weight(w)))
+    return ambient_gauge(LorentzSpace(q, w[: f.size]), f) if f.size else 0.0

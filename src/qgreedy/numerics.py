@@ -10,11 +10,11 @@ import numpy as np
 _CHUNK = 512
 
 
-def compensated_cumsum(x: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
+def compensated_cumsum(x: np.ndarray) -> np.ndarray:
     """Prefix sums that do not drift on long inputs.
 
     Within a chunk the plain running sum keeps the local error near
-    ``chunk * eps`` of the chunk total; chunk totals are exactly rounded
+    ``_CHUNK * eps`` of the chunk total; chunk totals are exactly rounded
     (``math.fsum``) and carried with Neumaier compensation, so the error of
     every prefix stays at a few ulps even for 10^6 terms.
     """
@@ -22,11 +22,11 @@ def compensated_cumsum(x: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
     out = np.empty_like(x)
     carry = 0.0
     comp = 0.0
-    for i in range(0, x.size, chunk):
-        seg = x[i : i + chunk]
-        np.cumsum(seg, out=out[i : i + chunk])
-        out[i : i + chunk] += carry
-        out[i : i + chunk] += comp
+    for i in range(0, x.size, _CHUNK):
+        seg = x[i : i + _CHUNK]
+        np.cumsum(seg, out=out[i : i + _CHUNK])
+        out[i : i + _CHUNK] += carry
+        out[i : i + _CHUNK] += comp
         total = math.fsum(seg)
         s = carry + total
         if abs(carry) >= abs(total):

@@ -5,10 +5,11 @@ supported: plain ``lp`` with 0 < p <= inf, block spaces taking the Euclidean
 norm inside consecutive coordinate blocks before an outer lp sum, and
 weighted Lorentz spaces (weights and primitive weights in :mod:`qgreedy.lorentz`).
 
-Each space has one plain formula, evaluated along the last axis of the
-moduli, for the scalar and the row gauges alike.  A result that over- or
-underflowed is recomputed with the largest modulus factored out, so no gauge
-returns inf or 0 when the true value is finite and nonzero.
+Each space has one gauge path, a plain formula over the rows of a 2-d block
+of moduli.  A scalar gauge is its 1-row case, so one vector gets the same bits
+from every entry point.  A row that over- or underflowed is recomputed with
+its largest modulus factored out, so no gauge returns inf or 0 when the true
+value is finite and nonzero.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "AmbientSpace",
     "as_vector",
     "check_exponent",
+    "check_weight",
     "lp_gauge",
     "lp_gauge_rows",
     "ambient_gauge",
@@ -67,6 +69,16 @@ def check_exponent(p) -> float:
     return p
 
 
+def check_weight(w) -> np.ndarray:
+    """Validate a weight: a nonempty 1-d array of positive finite entries."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise InvalidWeightError("weight must be a nonempty 1-d array")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise InvalidWeightError("weight entries must be positive and finite")
+    return w
+
+
 # A batched gauge call scores at most _ROW_CAP rows, and the search loops size
 # their blocks so that no (rows x dimension) temporary exceeds _BLOCK_FLOATS
 # floats (256 KB): 1024 rows at dimension 32.
@@ -85,16 +97,11 @@ def _row_chunks(items, width: int, rows_per_item: int = 1):
 
 
 def _guarded(plain, a: np.ndarray, *args):
-    """``plain(a, *args)`` over the last axis of the moduli ``a`` (one vector or
-    a 2-d block of rows).  The gauges are homogeneous, so a result that came
-    out inf, nan, or 0 is recomputed as M * plain(a / M, *args) with M the
-    row's largest modulus; in-range results are the plain formula's."""
+    """``plain(a, *args)`` over the rows of the 2-d moduli ``a``.  The gauges
+    are homogeneous, so a row whose result came out inf, nan, or 0 is
+    recomputed as M * plain(row / M, *args) with M the row's largest modulus;
+    in-range results are the plain formula's."""
     out = plain(a, *args)
-    if a.ndim == 1:
-        if (out == 0.0 or not math.isfinite(out)) and a.any():
-            scale = a.max()
-            out = scale * plain(a / scale, *args)
-        return out
     if out.size == 0 or (out.min() > 0.0 and math.isfinite(out.sum())) or a.shape[1] == 0:
         return out
     bad = ~np.isfinite(out) | (out == 0.0)
@@ -115,16 +122,16 @@ def _lp_moduli(a: np.ndarray, p: float):
 
 
 def lp_gauge(f, p) -> float:
-    """(sum |f_j|^p)^(1/p) for finite p, max |f_j| for p = inf; an over- or
-    underflowed plain result is recomputed with the largest modulus factored out."""
+    """(sum |f_j|^p)^(1/p) for finite p, max |f_j| for p = inf: the 1-row
+    case of :func:`lp_gauge_rows`, after validation; 0 for an empty vector."""
     f = as_vector(f)
     p = check_exponent(p)
-    return float(_lp_moduli(np.abs(f), p)) if f.size else 0.0
+    return float(lp_gauge_rows(f[None, :], p)[0]) if f.size else 0.0
 
 
 def lp_gauge_rows(mat: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise lp gauge of a 2-d array (fast path, no per-row validation);
-    rows whose plain result is 0 or inf are recomputed as in :func:`lp_gauge`."""
+    """Row-wise lp gauge of a 2-d array (no validation); a row whose plain
+    result over- or underflowed is recomputed as in :func:`_guarded`."""
     return _lp_moduli(np.abs(mat), p)
 
 
@@ -184,11 +191,7 @@ class LorentzSpace:
 
     def __post_init__(self) -> None:
         check_exponent(self.q)
-        w = np.asarray(self.weight, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise InvalidWeightError("weight must be a nonempty 1-d array")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise InvalidWeightError("weight entries must be positive and finite")
+        w = check_weight(self.weight)
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "primitive", compensated_cumsum(w))
         object.__setattr__(self, "q", float(self.q))
@@ -202,7 +205,7 @@ AmbientSpace = Union[Lp, BlockLpL2, LorentzSpace]
 
 
 def _block_norms(space: BlockLpL2, a: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the blocks along the last axis (plain formula)."""
+    """Euclidean norms of the blocks of each row (plain formula)."""
     return np.sqrt(np.add.reduceat(a * a, space.offsets, axis=-1))
 
 
@@ -219,7 +222,7 @@ def _lorentz_sum(a: np.ndarray, q: float, w: np.ndarray, s: np.ndarray):
 
 
 def _moduli_gauge(space: AmbientSpace, a: np.ndarray):
-    """Ambient gauge of the moduli ``a`` along the last axis (one vector or rows)."""
+    """Ambient gauge of each row of the moduli ``a``."""
     if isinstance(space, Lp):
         return _lp_moduli(a, space.p)
     if isinstance(space, BlockLpL2):
@@ -231,9 +234,9 @@ def _moduli_gauge(space: AmbientSpace, a: np.ndarray):
 
 
 def ambient_gauge(space: AmbientSpace, f) -> float:
-    """Gauge of ``f`` in the given ambient space."""
+    """Gauge of ``f`` in the ambient space: a validated 1-row call of the row kernel."""
     f = as_vector(f, dim=space.dim)
-    return float(_moduli_gauge(space, np.abs(f)))
+    return float(_moduli_gauge(space, np.abs(f)[None, :])[0])
 
 
 def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray) -> np.ndarray:
@@ -265,7 +268,7 @@ def dual_gauge(space: AmbientSpace, u) -> float:
     u = as_vector(u, dim=space.dim)
     if isinstance(space, LorentzSpace):
         raise NotImplementedError("dual gauge for weighted Lorentz ambients is not provided")
-    return float(_guarded(_dual_sum, np.abs(u), space))
+    return float(_guarded(_dual_sum, np.abs(u)[None, :], space)[0])
 
 
 def p_convexity(space: AmbientSpace) -> float | None:

@@ -3,6 +3,9 @@
     python tests/golden/regen.py           # rewrite the four files
     python tests/golden/regen.py --diff    # print what moved; write nothing
 
+``--diff`` exits 1 when any field moved and 0 when none did, so it can gate
+a change that must not move an output.
+
 The files pin, for seeds 0-2:
 
 - ``verify_stdout.json``: the standard output of the six ``qgreedy verify``
@@ -267,6 +270,5 @@ if __name__ == "__main__":
     parser.add_argument("--diff", action="store_true",
                         help="print what moved against the files and write nothing")
     if parser.parse_args().diff:
-        diff()
-    else:
-        regenerate()
+        sys.exit(1 if diff() else 0)
+    regenerate()

@@ -394,11 +394,12 @@ class TestBatchedGraySearch:
 
         if chunk is not None:
             monkeypatch.setattr(bases_module, "_GRAY_CHUNK", chunk)
+        # built before the counter: Basis scores its vector norms in one rows call
+        basis = zoo("difference", p=0.5, dim=d)
         scored = []
         real = bases_module.ambient_gauge_rows
         monkeypatch.setattr(bases_module, "ambient_gauge_rows",
                             lambda space, mat: scored.append(len(mat)) or real(space, mat))
-        basis = zoo("difference", p=0.5, dim=d)
         rng = np.random.default_rng(seed)
         f = synthesize(basis, rng.integers(-3, 4, size=d).astype(float))
         value, gamma = _gray_best_over_family(basis, coefficient_transform(basis, f), True)

@@ -101,6 +101,25 @@ class TestAnalyzeCommand:
     def test_unknown_flag_exit_two(self, capsys):
         assert main(["analyze", "--nope"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--zoo", "difference", "--max-m", "0"],
+        ["analyze", "--zoo", "difference", "--max-m", "-3"],
+        ["verify", "democracy-lp", "--max-m", "0"],
+    ])
+    def test_nonpositive_max_m_exit_two(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "m_max must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--zoo", "difference", "--budget", "-5"],
+        ["verify", "succ", "--budget", "-1"],
+    ])
+    def test_negative_budget_exit_two(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "configuration error: --budget must be >= 0" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli([
             "analyze", "--zoo", "unit", "--p", "0.5", "--dim", "4", "--max-m", "3",

@@ -148,6 +148,13 @@ class TestExactProfile:
         with pytest.raises(CombinatorialOverflowError, match=message):
             lower_democracy(basis, 1, mode="exact")
 
+    @pytest.mark.parametrize("mode", ["exact", "random"])
+    @pytest.mark.parametrize("m_max", [0, -2])
+    def test_nonpositive_m_max_rejected(self, mode, m_max):
+        basis = zoo("difference", p=0.5, dim=6)
+        with pytest.raises(ValueError, match=rf"m_max must be >= 1, got {m_max}"):
+            democracy_profile(basis, m_max=m_max, mode=mode, budget=20)
+
 
 class TestRandomDemocracy:
     def test_lower_bound_below_exact(self):

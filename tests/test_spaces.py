@@ -67,8 +67,9 @@ class TestLpGauge:
         for p in (0.3, 0.5, 1.0, 2.0):
             plain = np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
             assert np.array_equal(lp_gauge_rows(mat, p), plain)
-            for row in mat:
-                assert lp_gauge(row, p) == float(np.sum(np.abs(row) ** p) ** (1.0 / p))
+            # a scalar gauge is the 1-row case of the row formula
+            for row, value in zip(mat, plain):
+                assert lp_gauge(row, p) == value
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidVectorError):
@@ -99,14 +100,40 @@ class TestAmbientGauge:
         with pytest.raises(DimensionMismatchError):
             ambient_gauge(Lp(0.5, 3), [1, 0])
 
-    def test_rows_kernel_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        for space in (Lp(0.5, 6), BlockLpL2(1.5, (2, 1, 3)),
-                      LorentzSpace(0.5, np.ones(6))):
-            mat = rng.standard_normal((11, 6))
-            rows = ambient_gauge_rows(space, mat)
-            for i in range(mat.shape[0]):
-                assert rows[i] == pytest.approx(ambient_gauge(space, mat[i]), rel=1e-12)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_gauge_is_the_row_kernel(self, data):
+        """A scalar gauge returns exactly the row kernel's value for that row,
+        for every space kind, at moduli from 1e-200 to 1e200."""
+        n = data.draw(st.integers(1, 8), label="n")
+        rows = data.draw(st.integers(1, 5), label="rows")
+        mantissa = st.floats(-10.0, 10.0, allow_nan=False)
+        entries = st.lists(mantissa, min_size=n, max_size=n)
+        scales = 10.0 ** np.array(data.draw(
+            st.lists(st.integers(-200, 200), min_size=rows, max_size=rows), label="scales"))
+        mat = np.array(data.draw(st.lists(entries, min_size=rows, max_size=rows),
+                                 label="mantissas")) * scales[:, None]
+        cut = data.draw(st.integers(0, n - 1), label="cut")
+        blocks = (cut, n - cut) if cut else (n,)
+        w = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=n + 2,
+                                         max_size=n + 2), label="weight"))
+        exponents = (0.3, 0.5, 2.0, math.inf)
+        spaces = [Lp(p, n) for p in exponents]
+        spaces += [BlockLpL2(p, blocks) for p in (0.5, 1.5, 2.0)]
+        spaces += [LorentzSpace(q, w[:n]) for q in (0.5, 1.5, math.inf)]
+        for space in spaces:
+            batch = ambient_gauge_rows(space, mat)
+            for row, value in zip(mat, batch.tolist()):
+                assert ambient_gauge(space, row) == value
+        for p in exponents:
+            batch = lp_gauge_rows(mat, p)
+            for row, value in zip(mat, batch.tolist()):
+                assert lp_gauge(row, p) == value
+        for q in (0.5, 1.5, math.inf):
+            space = LorentzSpace(q, w[:n])
+            for row in mat:
+                assert lorentz_gauge(row, q, w) == ambient_gauge(space, row)
 
 
 class TestOverflowSafeGauges:
@@ -145,21 +172,20 @@ class TestOverflowSafeGauges:
         for p in (0.3, 0.5, 2.0):
             space = BlockLpL2(p, (2, 3, 1))
             norms = np.sqrt(np.add.reduceat(mat * mat, space.offsets, axis=1))
-            assert np.array_equal(ambient_gauge_rows(space, mat),
-                                  np.sum(norms**p, axis=1) ** (1.0 / p))
-            for row, n in zip(mat, norms):
-                assert ambient_gauge(space, row) == float(np.sum(n**p) ** (1.0 / p))
+            plain = np.sum(norms**p, axis=1) ** (1.0 / p)
+            assert np.array_equal(ambient_gauge_rows(space, mat), plain)
+            for row, value in zip(mat, plain):
+                assert ambient_gauge(space, row) == value
         for q in (0.5, 1.5):
             w = np.arange(1.0, 7.0)
             space = LorentzSpace(q, w)
             s = primitive_weight(w)
             srt = np.sort(a, axis=1)[:, ::-1].copy()
-            assert np.array_equal(ambient_gauge_rows(space, mat),
-                                  np.sum(srt**q * s ** (q - 1.0) * w, axis=1) ** (1.0 / q))
-            for row, r in zip(mat, srt):
-                plain = float(np.sum(r**q * s ** (q - 1.0) * w) ** (1.0 / q))
-                assert ambient_gauge(space, row) == plain
-                assert lorentz_gauge(row, q, w) == plain
+            plain = np.sum(srt**q * s ** (q - 1.0) * w, axis=1) ** (1.0 / q)
+            assert np.array_equal(ambient_gauge_rows(space, mat), plain)
+            for row, value in zip(mat, plain):
+                assert ambient_gauge(space, row) == value
+                assert lorentz_gauge(row, q, w) == value
 
 
 class TestDualGauge:
