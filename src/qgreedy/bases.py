@@ -277,10 +277,7 @@ def _certified_ku_upper(basis: Basis) -> tuple[float, bool, str]:
         return 1.0, True, "diagonal system; gauge monotone in coordinate moduli"
     r = p_convexity(basis.space)
     if r is not None:
-        try:
-            products = basis.vector_norms * basis.dual_norms
-        except NotImplementedError:
-            return math.inf, False, ""
+        products = basis.vector_norms * basis.dual_norms
         upper = float(np.sum(products**r) ** (1.0 / r))
         return upper, True, "r-convexity product bound"
     return math.inf, False, ""

@@ -2,18 +2,23 @@
 
 Commands: ``analyze`` (democracy profile + operator-constant table +
 conditionality growth), ``verify`` (named check suites), ``bootstrap``
-(iterated improvement chain as CSV), ``zoo`` (list or emit stock bases).
+(iterated improvement chain as CSV or JSON), ``zoo`` (list or emit stock bases).
+
+A command rejects, with exit 2, every flag it does not read.  ``verify
+SUITE`` has one flag per parameter of the suite's function in
+:data:`qgreedy.verify.SUITES`; a flag left out keeps the suite's default.
+``--threads`` is accepted and has no effect: every kernel runs in one thread.
 
 Reports go to standard output or ``--out``; diagnostics go to standard
 error.  Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 basis-invariant failure.  Identical configurations (including the seed)
-produce byte-identical primary output files; ``--threads`` is accepted and
-has no effect.
+produce byte-identical primary output files.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -33,22 +38,37 @@ EXIT_CONFIG = 2
 EXIT_BASIS = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, budget: int | None = 10000) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="64-bit search seed")
-    parser.add_argument("--budget", type=int, default=budget, help="sample budget per estimator")
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# verify flag types by suite parameter; the flag is "--" + the name, "_" -> "-"
+VERIFY_FLAG_TYPES = {"p": float, "dim": positive_int, "trials": positive_int,
+                     "max_m": positive_int, "iters": int, "C": float, "budget": int,
+                     "seed": int}
+
+
+def _add_output(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="accepted for compatibility; has no effect (every kernel "
                         "runs in one thread)")
-    parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    if formats:
+        parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", type=Path, default=None, help="output directory or file")
 
 
 def _add_basis_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--zoo", dest="zoo_name", choices=ZOO_NAMES, default=None)
-    parser.add_argument("--basis", type=Path, default=None, help="basis JSON file")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--zoo", dest="zoo_name", choices=ZOO_NAMES, default=None)
+    source.add_argument("--basis", type=Path, default=None, help="basis JSON file")
     parser.add_argument("--p", type=float, default=0.5)
     parser.add_argument("--dim", type=int, default=8)
-    parser.add_argument("--blocks", type=int, nargs="+", default=None)
+    parser.add_argument("--blocks", type=int, nargs="+", default=None,
+                        help="block sizes of --zoo block_l2")
+    parser.add_argument("--seed", type=int, default=0, help="64-bit seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,46 +83,45 @@ def build_parser() -> argparse.ArgumentParser:
     _add_basis_args(p_an)
     p_an.add_argument("--max-m", type=int, default=None)
     p_an.add_argument("--mode", choices=("exact", "random"), default="random")
-    _add_common(p_an)
+    p_an.add_argument("--budget", type=int, default=10000, help="sample budget per estimator")
+    _add_output(p_an, formats=("table", "csv", "json"))
 
+    # one parser per suite, with one flag per suite parameter and no other
     p_ve = sub.add_parser("verify", help="run a named check suite")
-    p_ve.add_argument("suite", choices=sorted(SUITES))
-    p_ve.add_argument("--p", type=float, default=None)
-    p_ve.add_argument("--dim", type=int, default=None)
-    p_ve.add_argument("--trials", type=int, default=None)
-    p_ve.add_argument("--max-m", type=int, default=None)
-    p_ve.add_argument("--iters", type=int, default=None)
-    p_ve.add_argument("--C", dest="big_c", type=float, default=None)
-    _add_common(p_ve, budget=None)  # each suite has its own default budget
+    suites = p_ve.add_subparsers(dest="suite", required=True, metavar="suite")
+    for name, suite in sorted(SUITES.items()):
+        p_su = suites.add_parser(name, help=suite.__doc__.split("\n")[0])
+        for param in inspect.signature(suite).parameters:
+            p_su.add_argument("--" + param.replace("_", "-"), dest=param,
+                              type=VERIFY_FLAG_TYPES[param], default=None)
+        _add_output(p_su)
 
-    p_bo = sub.add_parser("bootstrap", help="iterated improvement chain as CSV")
+    p_bo = sub.add_parser("bootstrap", help="iterated improvement chain as CSV or JSON")
     p_bo.add_argument("--max-m", type=int, default=1000)
     p_bo.add_argument("--iters", type=int, default=3)
-    _add_common(p_bo)
+    _add_output(p_bo, formats=("csv", "json"))
 
     p_zo = sub.add_parser("zoo", help="list stock bases or emit one to JSON")
     zoo_sub = p_zo.add_subparsers(dest="zoo_command", required=True)
     zoo_sub.add_parser("list", help="list stock basis names")
     p_em = zoo_sub.add_parser("emit", help="write a stock basis as JSON")
     _add_basis_args(p_em)
-    p_em.add_argument("--seed", type=int, default=0)
     p_em.add_argument("--out", type=Path, required=True)
     return parser
 
 
 def _resolve_basis(args: argparse.Namespace):
+    if args.blocks is not None and args.zoo_name != "block_l2":
+        raise BasisFileError("--blocks applies only to --zoo block_l2")
     if args.basis is not None:
         return load_basis(args.basis)
     if args.zoo_name is None:
         raise BasisFileError("either --zoo or --basis is required")
-    kwargs = {"p": args.p, "dim": args.dim, "seed": getattr(args, "seed", 0)}
-    if args.blocks is not None:
-        kwargs["blocks"] = args.blocks
     if args.zoo_name == "block_l2":
         if args.blocks is None:
             raise BasisFileError("--blocks is required for the block_l2 basis")
-        kwargs.pop("dim")
-    return zoo(args.zoo_name, **kwargs)
+        return zoo("block_l2", p=args.p, blocks=args.blocks)
+    return zoo(args.zoo_name, p=args.p, dim=args.dim, seed=args.seed)
 
 
 def _constants_table(basis, budget: int, seed: int) -> dict:
@@ -188,21 +207,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs = {"seed": args.seed}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    if args.p is not None:
-        kwargs["p"] = args.p
-    if args.dim is not None:
-        kwargs["dim"] = args.dim
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.max_m is not None:
-        kwargs["max_m" if args.suite == "bootstrap" else "m_max"] = args.max_m
-    if args.iters is not None:
-        kwargs["iters"] = args.iters
-    if args.big_c is not None:
-        kwargs["C"] = args.big_c
+    params = inspect.signature(SUITES[args.suite]).parameters
+    kwargs = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
     results = run_suite(args.suite, **kwargs)
     all_ok = True
     lines = []

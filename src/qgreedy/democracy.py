@@ -65,15 +65,12 @@ _SIGN_ENUM_CAP = 12
 _SWAP_PASSES = 2  # sweeps of the single-swap refinement
 
 
-def indicator_gauge(basis: Basis, A, signs=None) -> float:
-    """Gauge of sum_{n in A} (+/-) x_n."""
+def indicator_gauge(basis: Basis, A) -> float:
+    """Gauge of sum_{n in A} x_n."""
     idx = np.asarray(list(A), dtype=int)
     if idx.size == 0:
         return 0.0
-    rows = basis.vectors[idx]
-    if signs is not None:
-        rows = np.asarray(signs, dtype=float)[:, None] * rows
-    return ambient_gauge(basis.space, rows.sum(axis=0))
+    return ambient_gauge(basis.space, basis.vectors[idx].sum(axis=0))
 
 
 def _indicator_gauges(basis: Basis, sets: list) -> np.ndarray:
@@ -446,6 +443,8 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     d = basis.d
     if m_max is None:
         m_max = d
+    if int(m_max) < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     m_max = min(int(m_max), d)
     tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})

@@ -237,6 +237,8 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
     d = basis.d
     if max_m is None:
         max_m = d
+    if int(max_m) < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
     max_m = min(int(max_m), d)
 
     r = min(p, 1.0)

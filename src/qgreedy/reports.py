@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -24,14 +23,12 @@ from .greedy import ConditionalityRow
 __all__ = [
     "fmt",
     "csv_text",
-    "write_csv",
     "profile_csv",
     "conditionality_csv",
     "chain_csv",
     "companion_csv",
     "to_jsonable",
     "json_text",
-    "save_report",
 ]
 
 
@@ -52,10 +49,6 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append(",".join(fmt(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    Path(path).write_bytes(csv_text(header, rows).encode("utf-8"))
 
 
 def _witness_set(est: BoundEstimate) -> str:
@@ -129,8 +122,3 @@ def to_jsonable(obj) -> Any:
 
 def json_text(obj) -> str:
     return json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n"
-
-
-def save_report(path, report) -> None:
-    """Serialize any report object (profile, chain, estimates, ...) to JSON."""
-    Path(path).write_bytes(json_text(report).encode("utf-8"))

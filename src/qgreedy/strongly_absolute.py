@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -140,8 +141,8 @@ class PairFamily:
         return float(np.abs(self.duals).max())
 
     # constants of the unit-vector reference system
-    c: float = 1.0
-    k_u: float = 1.0
+    c: ClassVar[float] = 1.0
+    k_u: ClassVar[float] = 1.0
 
     @cached_property
     def products(self) -> np.ndarray:

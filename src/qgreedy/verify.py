@@ -2,7 +2,8 @@
 
 Each suite returns a list of named checks.  Every check either holds by a
 proved inequality or pins a frozen closed form, so a failure indicates an
-implementation bug rather than statistical noise.
+implementation bug rather than statistical noise.  A suite's parameters are
+exactly the flags ``qgreedy verify SUITE`` takes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _lemma32_vectors(dim: int, trials: int, seed: int):
 
 
 def suite_lemma32(p: float | None = None, trials: int = 10_000, seed: int = 0,
-                  dim: int = 16, **_: Any) -> list[CheckResult]:
+                  dim: int = 16) -> list[CheckResult]:
     """l1-vs-max domination with A(eps) = eps^(-p/(1-p)): zero violations.
     Vectors are drawn once and checked in blocks; a witness is the last violation."""
     p_values = (p,) if p is not None else (0.3, 0.5, 0.7)
@@ -78,7 +79,7 @@ def suite_lemma32(p: float | None = None, trials: int = 10_000, seed: int = 0,
 
 
 def suite_lemma33(trials: int = 1000, seed: int = 0, dim: int = 8, p: float = 0.5,
-                  C: float = 2.0, **_: Any) -> list[CheckResult]:
+                  C: float = 2.0) -> list[CheckResult]:
     """Family-size counting inequality on random normalized families."""
     violations = 0
     witness = None
@@ -99,22 +100,22 @@ def suite_lemma33(trials: int = 1000, seed: int = 0, dim: int = 8, p: float = 0.
     )]
 
 
-def suite_lemma34(seed: int = 0, trials: int = 100_000, m_max: int = 12,
-                  p: float = 0.5, **_: Any) -> list[CheckResult]:
+def suite_lemma34(seed: int = 0, trials: int = 100_000, max_m: int = 12,
+                  p: float = 0.5) -> list[CheckResult]:
     """Sign-average square function: disjoint exactness and exact-vs-MC."""
     results = []
     worst = 0.0
-    for m in range(1, m_max + 1):
+    for m in range(1, max_m + 1):
         cmp_exact = khintchine_square_function(np.eye(m), p, mode="exact")
         worst = max(worst, abs(cmp_exact.lhs - m), abs(cmp_exact.rhs - m))
     results.append(CheckResult(
-        name=f"disjoint unit vectors give equality lhs = rhs = m (m <= {m_max})",
+        name=f"disjoint unit vectors give equality lhs = rhs = m (m <= {max_m})",
         passed=worst <= 1e-9,
         detail=f"worst deviation {worst:.3e}",
     ))
 
     rng = substream(seed, VERIFY_VECTORS, 10**6)
-    size = min(m_max, 12)
+    size = min(max_m, 12)
     vectors = rng.standard_normal((size, 16))
     exact = khintchine_square_function(vectors, p, mode="exact")
     mc = khintchine_square_function(vectors, p, mode="mc", samples=trials, seed=seed)
@@ -127,8 +128,9 @@ def suite_lemma34(seed: int = 0, trials: int = 100_000, m_max: int = 12,
     return results
 
 
-def suite_bootstrap(max_m: int = 1_000_000, iters: int = 3, **_: Any) -> list[CheckResult]:
-    """Closed forms of the first two stages and convergence of the third."""
+def suite_bootstrap(max_m: int = 1_000_000, iters: int = 3, seed: int = 0) -> list[CheckResult]:
+    """Closed forms of the first two stages and convergence of the third.
+    The chain is deterministic; ``seed`` is taken so every suite takes one."""
     chain = bootstrap_chain(max_m, max(2, iters))
     m = np.arange(1, max_m + 1, dtype=float)
     results = []
@@ -142,7 +144,7 @@ def suite_bootstrap(max_m: int = 1_000_000, iters: int = 3, **_: Any) -> list[Ch
         name="second stage equals m / sqrt(H_m) (rel. 1e-12)",
         passed=err2 <= 1e-12, detail=f"max rel err {err2:.3e}"))
     if chain.iterations >= 3:
-        ratio = chain.final_over_m
+        ratio = chain.stages[3].values / m
         nonmono = float(np.max(np.diff(ratio)))
         results.append(CheckResult(
             name="third-stage ratio is non-increasing",
@@ -150,11 +152,11 @@ def suite_bootstrap(max_m: int = 1_000_000, iters: int = 3, **_: Any) -> list[Ch
     return results
 
 
-def suite_democracy_lp(p: float = 0.5, dim: int = 12, m_max: int | None = None,
-                       seed: int = 0, budget: int = 500, **_: Any) -> list[CheckResult]:
+def suite_democracy_lp(p: float = 0.5, dim: int = 12, max_m: int | None = None,
+                       seed: int = 0, budget: int = 500) -> list[CheckResult]:
     """Identity system democracy: phi values m^(1/p) exactly, slopes 1/p."""
     basis = zoo("unit", p=p, dim=dim)
-    profile = democracy_profile(basis, m_max=m_max, mode="exact", budget=budget, seed=seed)
+    profile = democracy_profile(basis, m_max=max_m, mode="exact", budget=budget, seed=seed)
     expected = np.array([m ** (1.0 / p) for m in profile.m_values], dtype=float)
     got_u = np.array([r.phi_u_value for r in profile.rows])
     got_l = np.array([r.phi_l_value for r in profile.rows])
@@ -173,10 +175,11 @@ def suite_democracy_lp(p: float = 0.5, dim: int = 12, m_max: int | None = None,
     return results
 
 
-def suite_succ(p: float = 0.5, dim: int = 8, seed: int = 0, budget: int = 300,
-               **_: Any) -> list[CheckResult]:
-    """Nested and same-set sign constants: exactly 1 for the identity system,
-    and the adjacent-pair witness for the difference system."""
+def suite_succ(p: float = 0.5, dim: int = 8, seed: int = 0,
+               budget: int = 300) -> list[CheckResult]:
+    """Sign constants of the identity and the difference system.
+    The nested-set and same-set constants are exactly 1 for the identity
+    system; the difference system has the adjacent-pair witness."""
     unit = zoo("unit", p=p, dim=dim)
     succ_u = succ_constant(unit, budget=budget, seed=seed)
     change_u = sign_change_constant(unit, budget=budget, seed=seed)

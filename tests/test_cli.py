@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from qgreedy.cli import main
-from qgreedy.verify import CheckResult, run_suite
+from qgreedy.cli import VERIFY_FLAG_TYPES, main
+from qgreedy.verify import SUITES, CheckResult
 
 
 def run_cli(args, capsys):
@@ -52,6 +53,13 @@ class TestBootstrapCommand:
         assert code == 0
         last = out.strip().split("\n")[-1].split(",")
         assert float(last[3]) == pytest.approx(2 / 1.5**0.5)
+
+    def test_json_format(self, capsys):
+        code, out, _ = run_cli(["bootstrap", "--max-m", "3", "--iters", "1", "--format", "json"],
+                               capsys)
+        assert code == 0
+        stages = json.loads(out)["stages"]
+        assert stages[1]["values"] == pytest.approx([1.0, 2**0.5, 3**0.5])
 
 
 class TestAnalyzeCommand:
@@ -109,7 +117,9 @@ class TestAnalyzeCommand:
     def test_nonpositive_max_m_exit_two(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        assert "m_max must be >= 1" in err
+        # analyze reaches the library's check; verify rejects the flag itself
+        assert ("argument --max-m: must be >= 1" if argv[0] == "verify"
+                else "m_max must be >= 1") in err
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--zoo", "difference", "--budget", "-5"],
@@ -166,7 +176,7 @@ class TestVerifyCommand:
         ["verify", "lemma32", "--p", "0.5", "--trials", "150", "--seed", "7"],
         ["verify", "lemma33", "--trials", "40", "--seed", "3"],
         ["verify", "lemma34", "--trials", "4000", "--max-m", "6", "--seed", "1"],
-        ["verify", "bootstrap", "--max-m", "5000", "--iters", "3"],
+        ["verify", "bootstrap", "--max-m", "5000", "--iters", "3", "--seed", "1"],
         ["verify", "democracy-lp", "--p", "0.5", "--dim", "8"],
         ["verify", "succ", "--p", "0.5", "--dim", "6", "--budget", "60"],
     ])
@@ -181,7 +191,9 @@ class TestVerifyCommand:
         ("democracy-lp", "for m <= 12", "for m <= 3"),
     ])
     def test_max_m_reaches_suite(self, capsys, suite, default_text, capped_text):
-        args = ["verify", suite, "--trials", "500", "--seed", "1"]
+        args = ["verify", suite, "--seed", "1"]
+        if suite == "lemma34":
+            args += ["--trials", "500"]
         code, default_out, _ = run_cli(args, capsys)
         assert code == 0 and default_text in default_out
         code, capped_out, _ = run_cli(args + ["--max-m", "3"], capsys)
@@ -205,6 +217,47 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "succ", *flag], capsys)
         assert code == 0
         assert budgets == [budget, budget]
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_suite_parameter_is_a_flag(self, capsys, monkeypatch, suite):
+        """Each parameter of a suite is filled by its own flag and by nothing
+        else, so the flags and the suite signatures cannot drift apart."""
+        import qgreedy.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_suite",
+                            lambda name, **kwargs: calls.append((name, kwargs)) or [])
+        params = list(inspect.signature(SUITES[suite]).parameters)
+        for param in params:
+            assert main(["verify", suite, "--" + param.replace("_", "-"), "3"]) == 0
+        assert calls == [(suite, {param: 3}) for param in params]
+
+    def test_every_verify_flag_is_a_suite_parameter(self):
+        declared = {param for suite in SUITES.values()
+                    for param in inspect.signature(suite).parameters}
+        assert declared == set(VERIFY_FLAG_TYPES)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify", "lemma32", "--trials", "-5"], "--trials"),
+        (["verify", "lemma33", "--trials", "0"], "--trials"),
+        (["verify", "succ", "--max-m", "0"], "--max-m"),
+        (["verify", "lemma34", "--max-m", "0"], "--max-m"),
+        (["verify", "lemma34", "--max-m", "-1"], "--max-m"),
+        (["verify", "lemma32", "--dim", "0"], "--dim"),
+        (["verify", "bootstrap", "--p", "0.3"], "--p"),
+        (["verify", "democracy-lp", "--trials", "3"], "--trials"),
+        (["verify", "lemma32", "--format", "json"], "--format"),
+        (["bootstrap", "--seed", "3"], "--seed"),
+        (["bootstrap", "--budget", "5"], "--budget"),
+        (["bootstrap", "--format", "table"], "--format"),
+        (["analyze", "--zoo", "difference", "--blocks", "4", "4"], "--blocks"),
+        (["analyze", "--zoo", "difference", "--basis", "f.json"], "--basis"),
+    ])
+    def test_unread_or_invalid_flag_exit_two(self, capsys, argv, flag):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert flag in err
+        assert out == ""
 
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "nonsense"]) == 2

@@ -215,7 +215,8 @@ class TestSignConstants:
         b = est.witness["B"]
         signs = np.array(est.witness["signs"])
         pos = [b.index(i) for i in a]
-        ratio = (indicator_gauge(basis, a, signs[pos]) / indicator_gauge(basis, b, signs))
+        ratio = (ambient_gauge(basis.space, signs[pos] @ basis.vectors[a])
+                 / ambient_gauge(basis.space, signs @ basis.vectors[b]))
         assert ratio == pytest.approx(est.lower, rel=1e-9)
 
     def test_unit_super_democracy(self):
@@ -234,6 +235,12 @@ class TestSignConstants:
         small = super_democracy_constant(basis, m_max=1, budget=40, seed=0).lower
         large = super_democracy_constant(basis, m_max=5, budget=40, seed=0).lower
         assert large > small
+
+    @pytest.mark.parametrize("m_max", [0, -2])
+    def test_super_democracy_nonpositive_m_max_rejected(self, m_max):
+        basis = zoo("difference", p=0.5, dim=6)
+        with pytest.raises(ValueError, match=rf"m_max must be >= 1, got {m_max}"):
+            super_democracy_constant(basis, m_max=m_max, budget=20)
 
 
 class TestProfile:

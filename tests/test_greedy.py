@@ -218,3 +218,8 @@ class TestConditionalityProfile:
             got = (ambient_gauge(basis.space, coordinate_projection(basis, row.witness["set"], f))
                    / ambient_gauge(basis.space, f))
             assert got == pytest.approx(row.lower, rel=1e-9)
+
+    @pytest.mark.parametrize("max_m", [0, -2])
+    def test_nonpositive_max_m_rejected(self, unit4, max_m):
+        with pytest.raises(ValueError, match=rf"max_m must be >= 1, got {max_m}"):
+            conditionality_growth_profile(unit4, max_m=max_m, budget=20)

@@ -7,7 +7,7 @@ from qgreedy.bases import zoo
 from qgreedy.bootstrap import bootstrap_chain
 from qgreedy.democracy import democracy_profile
 from qgreedy.estimates import BoundEstimate
-from qgreedy.reports import chain_csv, csv_text, fmt, json_text, save_report
+from qgreedy.reports import chain_csv, csv_text, fmt, json_text
 
 
 class TestFormatting:
@@ -25,29 +25,23 @@ class TestFormatting:
 
 
 class TestSaveReport:
-    def test_bound_estimate_roundtrip(self, tmp_path):
+    def test_bound_estimate_roundtrip(self):
         est = BoundEstimate(lower=2.0, upper=math.inf, witness={"set": [0, 2]})
-        path = tmp_path / "est.json"
-        save_report(path, est)
-        data = json.loads(path.read_text())
+        data = json.loads(json_text(est))
         assert data["lower"] == 2.0
         assert data["upper"] == "inf"
         assert data["witness"]["set"] == [0, 2]
 
-    def test_profile_serializes(self, tmp_path):
+    def test_profile_serializes(self):
         basis = zoo("unit", p=0.5, dim=4)
         profile = democracy_profile(basis, m_max=3, mode="exact", budget=20, seed=0)
-        path = tmp_path / "profile.json"
-        save_report(path, profile)
-        data = json.loads(path.read_text())
+        data = json.loads(json_text(profile))
         assert len(data["rows"]) == 3
         assert data["rows"][0]["phi_u"]["lower"] == pytest.approx(1.0)
         assert data["democratic"] is True
 
-    def test_chain_serializes(self, tmp_path):
-        path = tmp_path / "chain.json"
-        save_report(path, bootstrap_chain(5, 2))
-        data = json.loads(path.read_text())
+    def test_chain_serializes(self):
+        data = json.loads(json_text(bootstrap_chain(5, 2)))
         assert len(data["stages"]) == 3
 
     def test_deterministic_bytes(self, tmp_path):
