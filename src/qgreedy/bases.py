@@ -36,7 +36,6 @@ from .spaces import (
     BlockLpL2,
     Lp,
     LorentzSpace,
-    _ROW_CAP,
     _row_chunks,
     ambient_gauge,
     ambient_gauge_rows,
@@ -61,12 +60,11 @@ __all__ = [
 ]
 
 BIORTHOGONALITY_TOL = 1e-9
-_GRAY_CHUNK = _ROW_CAP  # multipliers scored per batched gauge call
 _DESCENT_PASSES = 4  # coordinate-descent sweeps per multiplier search
 _CANONICAL_CAP = 48  # unit vectors and basis vectors in the canonical pool
 _SIGN_FLIP_KEEP = 8  # sign-flip survivors handed to coordinate descent
 
-ZOO_NAMES = ("unit", "difference", "block_l2", "perturbed_unit", "custom_file")
+ZOO_NAMES = ("unit", "difference", "block_l2", "perturbed_unit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +234,8 @@ def _descend_multiplier(basis: Basis, coeffs: np.ndarray) -> tuple[np.ndarray, f
 
 def _gray_best_over_family(basis: Basis, coeffs: np.ndarray, signs: bool) -> tuple[float, np.ndarray]:
     """Exact max of ||S_gamma f|| over gamma in {0,1}^d (signs=False) or
-    {-1,1}^d (signs=True), scored in chunks of Gray-code order; the first
-    maximizer in that order wins.
+    {-1,1}^d (signs=True), scored in capped blocks of Gray-code order; the
+    first maximizer in that order wins.
 
     ||S_{-gamma} f|| = ||S_gamma f||, and the top bit of the Gray code
     i ^ (i >> 1) is the top bit of i, so the sign family enumerates only
@@ -248,8 +246,8 @@ def _gray_best_over_family(basis: Basis, coeffs: np.ndarray, signs: bool) -> tup
     shifts = np.arange(d)
     tracker = Tracker()
     stop = 1 << (d - 1 if signs else d)
-    for start in range(0, stop, _GRAY_CHUNK):
-        i = np.arange(start, min(start + _GRAY_CHUNK, stop))
+    for chunk in _row_chunks(range(stop), basis.dim):
+        i = np.arange(chunk[0], chunk[-1] + 1)
         bits = ((i ^ (i >> 1))[:, None] >> shifts) & 1
         gammas = 1.0 - 2.0 * bits if signs else bits.astype(float)
         tracker.offer(ambient_gauge_rows(basis.space, gammas @ scaled), gammas.__getitem__)
@@ -394,14 +392,15 @@ def _difference_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zoo(name: str, *, p: float | None = None, dim: int | None = None,
-        blocks=None, seed: int = 0, path=None) -> Basis:
+        blocks=None, seed: int = 0) -> Basis:
     """Construct one of the stock bases.
 
     unit            identity system in l_p         (p, dim)
     difference      x_n = e_n - e_{n-1}, x_1 = e_1 (p, dim)
     block_l2        identity coordinates in the block space (p, blocks)
     perturbed_unit  identity plus seeded Gaussian noise, duals by inversion
-    custom_file     load from a basis JSON file    (path)
+
+    :func:`load_basis` reads any other basis from a JSON file.
     """
     name = str(name).lower().replace("-", "_")
     if name == "unit":
@@ -431,10 +430,6 @@ def zoo(name: str, *, p: float | None = None, dim: int | None = None,
         except np.linalg.LinAlgError as exc:  # pragma: no cover - measure-zero event
             raise NotABasisError("perturbation produced a singular matrix") from exc
         return Basis(Lp(p, d), v, u)
-    if name == "custom_file":
-        if path is None:
-            raise ValueError("zoo('custom_file') needs path")
-        return load_basis(path)
     raise ValueError(f"unknown zoo basis {name!r}; choose from {ZOO_NAMES}")
 
 

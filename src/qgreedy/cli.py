@@ -47,8 +47,7 @@ def positive_int(text: str) -> int:
 
 # verify flag types by suite parameter; the flag is "--" + the name, "_" -> "-"
 VERIFY_FLAG_TYPES = {"p": float, "dim": positive_int, "trials": positive_int,
-                     "max_m": positive_int, "iters": int, "C": float, "budget": int,
-                     "seed": int}
+                     "max_m": positive_int, "C": float, "budget": int, "seed": int}
 
 
 def _add_output(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
@@ -64,8 +63,10 @@ def _add_basis_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--zoo", dest="zoo_name", choices=ZOO_NAMES, default=None)
     source.add_argument("--basis", type=Path, default=None, help="basis JSON file")
-    parser.add_argument("--p", type=float, default=0.5)
-    parser.add_argument("--dim", type=int, default=8)
+    parser.add_argument("--p", type=float, default=None, help="exponent of a --zoo basis "
+                        "(default 0.5)")
+    parser.add_argument("--dim", type=int, default=None, help="dimension of a --zoo basis "
+                        "other than block_l2 (default 8)")
     parser.add_argument("--blocks", type=int, nargs="+", default=None,
                         help="block sizes of --zoo block_l2")
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed")
@@ -114,14 +115,20 @@ def _resolve_basis(args: argparse.Namespace):
     if args.blocks is not None and args.zoo_name != "block_l2":
         raise BasisFileError("--blocks applies only to --zoo block_l2")
     if args.basis is not None:
+        for flag, value in (("--p", args.p), ("--dim", args.dim)):
+            if value is not None:
+                raise BasisFileError(f"{flag} does not apply to --basis")
         return load_basis(args.basis)
     if args.zoo_name is None:
         raise BasisFileError("either --zoo or --basis is required")
+    p = 0.5 if args.p is None else args.p
     if args.zoo_name == "block_l2":
+        if args.dim is not None:
+            raise BasisFileError("--dim does not apply to --zoo block_l2; --blocks sets its size")
         if args.blocks is None:
             raise BasisFileError("--blocks is required for the block_l2 basis")
-        return zoo("block_l2", p=args.p, blocks=args.blocks)
-    return zoo(args.zoo_name, p=args.p, dim=args.dim, seed=args.seed)
+        return zoo("block_l2", p=p, blocks=args.blocks)
+    return zoo(args.zoo_name, p=p, dim=8 if args.dim is None else args.dim, seed=args.seed)
 
 
 def _constants_table(basis, budget: int, seed: int) -> dict:

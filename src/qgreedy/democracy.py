@@ -1,15 +1,16 @@
 """Democracy functions and the related sign-constant estimators.
 
 phi_u(m) is the sup of ||sum_{n in A} x_n|| over |A| <= m, phi_l(m) the inf
-over |A| >= m.  Exact mode enumerates each subset size once per call (or,
-for identity coordinates in a block space, optimizes block occupancies,
-which is exact far beyond subset range).  Random mode reports
-witness-certified one-sided bounds; it scores its structured and sampled
-sets in blocks, one row-kernel call per block within the row cap of
-:mod:`qgreedy.spaces`, and offers each block to a
-:class:`~qgreedy.estimates.Tracker`, so the first best set in feed order
-wins.  The sign constants score same-size sets in blocks on their sign
-patterns.  The ``threads`` argument of :func:`democracy_profile` has no effect.
+over |A| >= m.  Both modes score a feed of index sets in blocks, one
+row-kernel call per block within the row cap of :mod:`qgreedy.spaces`, and
+offer each block to a :class:`~qgreedy.estimates.Tracker`, so the first best
+set in feed order wins.  Exact mode feeds every set, by size and then
+lexicographically, and reports the value as certified on both sides (for
+identity coordinates in a block space it optimizes block occupancies
+instead, which is exact far beyond subset range).  Random mode feeds
+structured and sampled sets and reports witness-certified one-sided bounds.
+The sign constants score same-size sets in blocks on their sign patterns.
+The ``threads`` argument of :func:`democracy_profile` has no effect.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .bases import Basis
+from .bases import Basis, _as_index_set
 from .errors import CombinatorialOverflowError
 from .estimates import BoundEstimate, Tracker
 from .greedy import quasi_greedy_constant
@@ -42,7 +43,7 @@ from .rng import (
     substream,
 )
 from .sampling import random_masks, random_subsets, structured_subsets
-from .spaces import BlockLpL2, _row_chunks, ambient_gauge, ambient_gauge_rows, p_convexity
+from .spaces import BlockLpL2, _row_chunks, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "indicator_gauge",
@@ -66,29 +67,27 @@ _SWAP_PASSES = 2  # sweeps of the single-swap refinement
 
 
 def indicator_gauge(basis: Basis, A) -> float:
-    """Gauge of sum_{n in A} x_n."""
-    idx = np.asarray(list(A), dtype=int)
-    if idx.size == 0:
-        return 0.0
-    return ambient_gauge(basis.space, basis.vectors[idx].sum(axis=0))
+    """Gauge of sum_{n in A} x_n over the distinct indices of A, each in [0, d)."""
+    return float(_indicator_gauges(basis, [_as_index_set(A, basis.d)])[0])
 
 
 def _indicator_gauges(basis: Basis, sets: list) -> np.ndarray:
     """Gauges of sum_{n in A} x_n for index sets A, in one rows call.
 
-    Sets of one size are summed together, one member position at a time, so
-    each sum adds its vectors in the order :func:`indicator_gauge` adds them
-    and no temporary is larger than the block of sums.
+    Sets of one size are gathered and summed together, each adding its
+    vectors in member order, so a sum does not depend on its block.
     """
-    sizes = np.array([len(s) for s in sets])
-    sums = np.zeros((len(sets), basis.dim))
-    for k in set(sizes.tolist()):
-        at = np.flatnonzero(sizes == k)
-        idx = np.array([sets[i] for i in at], dtype=int).reshape(at.size, k)
-        block = np.zeros((at.size, basis.dim))
-        for col in idx.T:
-            block += basis.vectors[col]
-        sums[at] = block
+    sizes = list(map(len, sets))
+    if min(sizes, default=0) == max(sizes, default=0):
+        groups = [(slice(None), sets)]
+    else:
+        sizes = np.array(sizes)
+        groups = [(at, [sets[i] for i in at])
+                  for at in (np.flatnonzero(sizes == k) for k in set(sizes.tolist()))]
+    sums = np.empty((len(sets), basis.dim))
+    for at, group in groups:
+        idx = np.array(group, dtype=int)
+        sums[at] = basis.vectors[idx.T].sum(axis=0)
     return ambient_gauge_rows(basis.space, sums)
 
 
@@ -101,46 +100,21 @@ def _set_witness(sets) -> Callable[[int], dict[str, list[int]]]:
 # ---------------------------------------------------------------------------
 
 
-def _size_extremes(basis: Basis, k: int):
-    """(max, argmax, min, argmin) of the indicator gauge over all |A| = k."""
-    hi, lo = Tracker(), Tracker(maximize=False)
-    for chunk in _row_chunks(itertools.combinations(range(basis.d), k), basis.dim):
-        sums = basis.vectors[np.asarray(chunk, dtype=int)].sum(axis=1)
-        g = ambient_gauge_rows(basis.space, sums)
-        hi.offer(g, chunk.__getitem__)
-        lo.offer(g, chunk.__getitem__)
-    return hi.best, hi.witness, lo.best, lo.witness
-
-
-def _exact_extremes(basis: Basis, lo: int, hi: int, bound: str) -> tuple[list, list]:
-    """Exact phi estimates from the set sizes lo..hi, each size enumerated once.
-
-    ups[k - lo] is the max over lo <= |A| <= k (a prefix max), downs[k - lo]
-    the min over k <= |A| <= hi (a suffix min).  Ties go to the smallest size,
-    as in a strict-inequality scan by increasing size.  ``bound`` names the
-    size range in the overflow error.
-    """
-    d = basis.d
+def _exact_sets(d: int, lo: int, hi: int, bound: str):
+    """Every index set of sizes lo..hi, by size and then lexicographically.
+    ``bound`` names the size range in the overflow error."""
     if sum(math.comb(d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
         raise CombinatorialOverflowError(
             f"exact enumeration over sets of size {bound} in d = {d} exceeds "
             f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
         )
-    per_size = [_size_extremes(basis, k) for k in range(lo, hi + 1)]
-    ups, downs = [], []
-    up, down = (-math.inf, None), (math.inf, None)
-    for (hi_val, hi_arg, _, _), (_, _, lo_val, lo_arg) in zip(per_size, per_size[::-1]):
-        if hi_val > up[0]:
-            up = (hi_val, hi_arg)
-        if lo_val <= down[0]:
-            down = (lo_val, lo_arg)
-        ups.append(_exact_estimate(*up))
-        downs.insert(0, _exact_estimate(*down))
-    return ups, downs
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(d), k) for k in range(lo, hi + 1))
 
 
-def _exact_estimate(value: float, arg) -> BoundEstimate:
-    return BoundEstimate(value, value, {"set": list(arg)}, upper_certified=True,
+def _exact_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
+    """The exact estimate from a tracker fed every feasible set."""
+    return BoundEstimate(tracker.best, tracker.best, tracker.witness, upper_certified=True,
                          heuristic=False)
 
 
@@ -284,17 +258,18 @@ def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
             best, occ = _occupancy_extreme(basis.space, m, maximize)
             witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
             return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
-        ups, downs = _exact_extremes(basis, lo, hi, f"<= {m}" if maximize else f">= {m}")
-        return ups[-1] if maximize else downs[0]
-    if mode != "random":
+        sets, finish = _exact_sets(d, lo, hi, f"<= {m}" if maximize else f">= {m}"), _exact_phi
+    elif mode == "random":
+        sets = _set_feed(basis, lo, hi, budget, seed,
+                         UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS, fixed=m)
+        finish = _random_phi
+    else:
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
 
-    sets = _set_feed(basis, lo, hi, budget, seed,
-                     UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS, fixed=m)
     tracker = Tracker(maximize)
     for chunk in _row_chunks(sets, basis.dim):
         tracker.offer(_indicator_gauges(basis, chunk), _set_witness(chunk))
-    return _random_phi(basis, m, tracker)
+    return finish(basis, m, tracker)
 
 
 def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
@@ -512,22 +487,24 @@ class DemocracyProfile:
 _SLOPE_GAP_DEMOCRATIC = 0.1
 
 
-def _random_profile_rows(basis: Basis, m_max: int, budget: int, seed: int) -> list[ProfileRow]:
-    """One shared sampling pass filling all per-m trackers.
+def _profile_rows(basis: Basis, m_max: int, sets, finish) -> list[ProfileRow]:
+    """The rows m = 1..m_max from one pass over the feed ``sets``, each row's
+    two trackers turned into estimates by ``finish`` (:func:`_exact_phi` or
+    :func:`_random_phi`).
 
-    A sampled set of size s is feasible for phi_u at every m >= s and for
-    phi_l at every m <= s, so each draw updates a range of rows.
+    A set of size s is feasible for phi_u at every m >= s and for phi_l at
+    every m <= s, so each set is offered to a range of rows.
     """
     up = [Tracker() for _ in range(m_max)]
     down = [Tracker(maximize=False) for _ in range(m_max)]
-    for chunk in _row_chunks(_set_feed(basis, 1, basis.d, budget, seed, PROFILE_SETS), basis.dim):
+    for chunk in _row_chunks(sets, basis.dim):
         gauges = _indicator_gauges(basis, chunk)
-        sizes = np.array([len(s) for s in chunk])
+        sizes = np.array(list(map(len, chunk)))
         for m in range(1, m_max + 1):
             up[m - 1].offer(gauges, _set_witness(chunk), sizes <= m)
             down[m - 1].offer(gauges, _set_witness(chunk), sizes >= m)
-    return [ProfileRow(m=m, phi_u=_random_phi(basis, m, up[m - 1]),
-                       phi_l=_random_phi(basis, m, down[m - 1]))
+    return [ProfileRow(m=m, phi_u=finish(basis, m, up[m - 1]),
+                       phi_l=finish(basis, m, down[m - 1]))
             for m in range(1, m_max + 1)]
 
 
@@ -548,13 +525,12 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     m_max = min(int(m_max), d)
     if mode == "random":
-        rows = _random_profile_rows(basis, m_max, budget, seed)
+        rows = _profile_rows(basis, m_max, _set_feed(basis, 1, d, budget, seed, PROFILE_SETS),
+                             _random_phi)
     elif mode == "exact" and not _use_occupancy(basis):
         # lower_democracy(1) spans every size, so its overflow guard is the
         # first one the per-m calls would trip
-        ups, downs = _exact_extremes(basis, 1, d, ">= 1")
-        rows = [ProfileRow(m=m, phi_u=ups[m - 1], phi_l=downs[m - 1])
-                for m in range(1, m_max + 1)]
+        rows = _profile_rows(basis, m_max, _exact_sets(d, 1, d, ">= 1"), _exact_phi)
     else:
         rows = [
             ProfileRow(

@@ -59,11 +59,13 @@ class EmbeddingReport:
     meta: dict[str, Any] | None = None
 
 
-def _validated(basis: Basis, w) -> np.ndarray:
-    """The checked weight, after checking that the ambient is lp and that the
-    weight covers the basis."""
+def _validated(basis: Basis, w, m_max: int | None) -> np.ndarray:
+    """The checked weight, after checking that the ambient is lp, that the
+    weight covers the basis and that the companion table has a row."""
     if not isinstance(basis.space, Lp):
         raise InvalidExponentError("embedding reports require an lp ambient")
+    if m_max is not None and int(m_max) < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     w = check_weight(w)
     if w.size < basis.d:
         raise InvalidWeightError(f"weight prefix {w.size} shorter than basis size {basis.d}")
@@ -119,7 +121,7 @@ def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int 
                                   m_max: int | None = None) -> EmbeddingReport:
     """Lower bound for sup_f ||F(f)||_{inf,w} / ||f|| with F the coefficient
     transform, plus the companion table of s_m against phi_l(m)."""
-    w = _validated(basis, w)
+    w = _validated(basis, w, m_max)
     d, p = basis.d, basis.space.p
     weak = LorentzSpace(math.inf, w[:d])
     coeffs = _coefficient_pool(d, [np.ones(d)], budget, seed, EMBED_SPACE_SAMPLES)
@@ -146,7 +148,7 @@ def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 
                              m_max: int | None = None) -> EmbeddingReport:
     """Lower bound for sup_g ||sum_n g_n x_n|| / ||g||_{q,w}, plus the
     companion table of phi_u(m) against s_m."""
-    w = _validated(basis, w)
+    w = _validated(basis, w, m_max)
     d, p = basis.d, basis.space.p
     lorentz = LorentzSpace(q, w[:d])
     pool = _coefficient_pool(d, [np.ones(d), *np.eye(d)], budget, seed, EMBED_LORENTZ_SAMPLES)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidExponentError, PreconditionError
 from .numerics import sign_patterns
 from .rng import KHINTCHINE_MC, PAIR_FAMILY, substream
-from .spaces import as_vector, lp_gauge, lp_gauge_rows
+from .spaces import _row_chunks, as_vector, lp_gauge, lp_gauge_rows
 
 __all__ = [
     "strongly_absolute_function",
@@ -41,7 +41,6 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-9
 _EXACT_SIGN_LIMIT = 20
-_SIGN_CHUNK = 1 << 14
 
 
 def _check_p_strict(p) -> float:
@@ -245,9 +244,9 @@ def _gauge_p_mean_exact(vectors: np.ndarray, p: float) -> float:
     k = vectors.shape[0]
     total_patterns = 1 << k
     chunk_sums: list[float] = []
-    for start in range(0, total_patterns, _SIGN_CHUNK):
-        stop = min(start + _SIGN_CHUNK, total_patterns)
-        signs = sign_patterns(k, start, stop)
+    # the sign block and the sum block each have at most max(k, dim) columns
+    for chunk in _row_chunks(range(total_patterns), max(vectors.shape)):
+        signs = sign_patterns(k, chunk[0], chunk[-1] + 1)
         gauges_p = np.sum(np.abs(signs @ vectors) ** p, axis=1)
         chunk_sums.append(float(np.sum(gauges_p)))
     return math.fsum(chunk_sums) / total_patterns

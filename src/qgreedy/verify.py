@@ -128,10 +128,10 @@ def suite_lemma34(seed: int = 0, trials: int = 100_000, max_m: int = 12,
     return results
 
 
-def suite_bootstrap(max_m: int = 1_000_000, iters: int = 3, seed: int = 0) -> list[CheckResult]:
+def suite_bootstrap(max_m: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
     """Closed forms of the first two stages and convergence of the third.
     The chain is deterministic; ``seed`` is taken so every suite takes one."""
-    chain = bootstrap_chain(max_m, max(2, iters))
+    chain = bootstrap_chain(max_m, 3)
     m = np.arange(1, max_m + 1, dtype=float)
     results = []
     err1 = float(np.max(np.abs(chain.stages[1].values / np.sqrt(m) - 1.0)))
@@ -143,12 +143,10 @@ def suite_bootstrap(max_m: int = 1_000_000, iters: int = 3, seed: int = 0) -> li
     results.append(CheckResult(
         name="second stage equals m / sqrt(H_m) (rel. 1e-12)",
         passed=err2 <= 1e-12, detail=f"max rel err {err2:.3e}"))
-    if chain.iterations >= 3:
-        ratio = chain.stages[3].values / m
-        nonmono = float(np.max(np.diff(ratio)))
-        results.append(CheckResult(
-            name="third-stage ratio is non-increasing",
-            passed=nonmono <= 1e-15, detail=f"max increment {nonmono:.3e}"))
+    nonmono = float(np.max(np.diff(chain.stages[3].values / m)))
+    results.append(CheckResult(
+        name="third-stage ratio is non-increasing",
+        passed=nonmono <= 1e-15, detail=f"max increment {nonmono:.3e}"))
     return results
 
 

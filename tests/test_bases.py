@@ -361,7 +361,7 @@ class TestBatchedGraySearch:
         import itertools
 
         if chunk is not None:  # many chunks, the last one partial
-            monkeypatch.setattr(bases_module, "_GRAY_CHUNK", chunk)
+            monkeypatch.setattr("qgreedy.spaces._ROW_CAP", chunk)
         basis = zoo(name, p=0.5, dim=d, seed=seed)
         rng = np.random.default_rng(seed)
         if integer:
@@ -393,7 +393,7 @@ class TestBatchedGraySearch:
         import itertools
 
         if chunk is not None:
-            monkeypatch.setattr(bases_module, "_GRAY_CHUNK", chunk)
+            monkeypatch.setattr("qgreedy.spaces._ROW_CAP", chunk)
         # built before the counter: Basis scores its vector norms in one rows call
         basis = zoo("difference", p=0.5, dim=d)
         scored = []
@@ -423,14 +423,3 @@ class TestBatchedGraySearch:
         assert replay == pytest.approx(est.lower, rel=1e-13)
 
 
-class TestCustomFileZoo:
-    def test_roundtrip_through_zoo(self, tmp_path):
-        original = zoo("difference", p=0.5, dim=5)
-        path = tmp_path / "custom.json"
-        save_basis(original, path)
-        loaded = zoo("custom_file", path=path)
-        assert np.allclose(loaded.vectors, original.vectors)
-
-    def test_path_required(self):
-        with pytest.raises(ValueError, match="path"):
-            zoo("custom_file")

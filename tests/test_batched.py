@@ -31,8 +31,10 @@ from qgreedy.cli import main
 from qgreedy.democracy import (
     _SIGN_ENUM_CAP,
     _block_spread_sets,
-    _random_profile_rows,
+    _profile_rows,
+    _random_phi,
     _random_sets,
+    _set_feed,
     _succ_pairs,
     _sign_gauges,
     _swap_refine,
@@ -389,7 +391,8 @@ def test_profile_feed_matches_scalar_loop(kind, small_cap, monkeypatch):
     # leave the feed's witnesses as they are
     monkeypatch.setattr(democracy_module, "_swap_refine",
                         lambda basis, s, maximize: (list(s), -math.inf if maximize else math.inf))
-    rows = _random_profile_rows(basis, 5, budget=40, seed=3)
+    rows = _profile_rows(basis, 5, _set_feed(basis, 1, basis.d, 40, 3, PROFILE_SETS),
+                         _random_phi)
     for row, up, down in zip(rows, expected_up, expected_down):
         assert row.phi_u.lower == pytest.approx(min(up.best, row.phi_u.upper), rel=REL)
         assert row.phi_l.upper == pytest.approx(down.best, rel=REL)
@@ -446,7 +449,8 @@ def test_swap_refine_keeps_the_set_size():
 
 def test_random_profile_witness_sizes():
     basis = zoo("perturbed_unit", p=0.5, dim=12, seed=1)
-    profile_rows = _random_profile_rows(basis, 12, budget=200, seed=1)
+    profile_rows = _profile_rows(basis, 12, _set_feed(basis, 1, basis.d, 200, 1, PROFILE_SETS),
+                                 _random_phi)
     for row in profile_rows:
         assert len(row.phi_u.witness["set"]) <= row.m <= len(row.phi_l.witness["set"])
 

@@ -20,8 +20,7 @@ class TestZooCommand:
     def test_list(self, capsys):
         code, out, _ = run_cli(["zoo", "list"], capsys)
         assert code == 0
-        assert out.splitlines() == ["unit", "difference", "block_l2",
-                                    "perturbed_unit", "custom_file"]
+        assert out.splitlines() == ["unit", "difference", "block_l2", "perturbed_unit"]
 
     def test_emit_and_reload(self, tmp_path, capsys):
         target = tmp_path / "basis.json"
@@ -176,7 +175,7 @@ class TestVerifyCommand:
         ["verify", "lemma32", "--p", "0.5", "--trials", "150", "--seed", "7"],
         ["verify", "lemma33", "--trials", "40", "--seed", "3"],
         ["verify", "lemma34", "--trials", "4000", "--max-m", "6", "--seed", "1"],
-        ["verify", "bootstrap", "--max-m", "5000", "--iters", "3", "--seed", "1"],
+        ["verify", "bootstrap", "--max-m", "5000", "--seed", "1"],
         ["verify", "democracy-lp", "--p", "0.5", "--dim", "8"],
         ["verify", "succ", "--p", "0.5", "--dim", "6", "--budget", "60"],
     ])
@@ -252,6 +251,16 @@ class TestVerifyCommand:
         (["bootstrap", "--format", "table"], "--format"),
         (["analyze", "--zoo", "difference", "--blocks", "4", "4"], "--blocks"),
         (["analyze", "--zoo", "difference", "--basis", "f.json"], "--basis"),
+        (["verify", "bootstrap", "--iters", "3"], "--iters"),
+        (["analyze", "--basis", "f.json", "--p", "0.9"], "--p"),
+        (["analyze", "--basis", "f.json", "--dim", "4"], "--dim"),
+        (["zoo", "emit", "--basis", "f.json", "--p", "0.9", "--out", "g.json"], "--p"),
+        (["zoo", "emit", "--basis", "f.json", "--dim", "4", "--out", "g.json"], "--dim"),
+        (["analyze", "--zoo", "block_l2", "--blocks", "4", "4", "--dim", "8"], "--dim"),
+        (["zoo", "emit", "--zoo", "block_l2", "--blocks", "4", "--dim", "8", "--out", "g.json"],
+         "--dim"),
+        (["analyze", "--zoo", "custom_file"], "custom_file"),
+        (["zoo", "emit", "--zoo", "custom_file", "--out", "g.json"], "custom_file"),
     ])
     def test_unread_or_invalid_flag_exit_two(self, capsys, argv, flag):
         code, out, err = run_cli(argv, capsys)

@@ -33,6 +33,18 @@ def brute_force_phi(basis, m):
     return best_u, best_l
 
 
+class TestIndicatorGauge:
+    def test_out_of_range_index_rejected(self):
+        basis = zoo("difference", p=0.5, dim=6)
+        with pytest.raises(IndexError, match=r"\[0, 6\)"):
+            indicator_gauge(basis, [-1])
+
+    def test_repeated_index_counts_once(self):
+        basis = zoo("difference", p=0.5, dim=6)
+        assert indicator_gauge(basis, [0, 0]) == indicator_gauge(basis, [0])
+        assert indicator_gauge(basis, [0, 0]) != ambient_gauge(basis.space, 2 * basis.vectors[0])
+
+
 class TestExactDemocracy:
     def test_unit_phi_values(self):
         basis = zoo("unit", p=0.5, dim=6)

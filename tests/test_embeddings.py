@@ -55,6 +55,15 @@ class TestSpaceIntoWeakLorentz:
         with pytest.raises(InvalidExponentError):
             embed_space_into_weak_lorentz(basis, np.ones(3))
 
+    @pytest.mark.parametrize("m_max", [0, -3])
+    def test_nonpositive_m_max_rejected(self, m_max):
+        basis = zoo("unit", p=0.5, dim=4)
+        w = power_weight(2.0, 4)
+        with pytest.raises(ValueError, match=rf"m_max must be >= 1, got {m_max}"):
+            embed_space_into_weak_lorentz(basis, w, budget=10, m_max=m_max)
+        with pytest.raises(ValueError, match=rf"m_max must be >= 1, got {m_max}"):
+            embed_lorentz_into_space(basis, 0.5, w, budget=10, m_max=m_max)
+
 
 class TestLorentzIntoSpace:
     def test_l1_identity(self):
