@@ -1,23 +1,26 @@
 """Democracy functions and the related sign-constant estimators.
 
 phi_u(m) is the sup of ||sum_{n in A} x_n|| over |A| <= m, phi_l(m) the inf
-over |A| >= m.  Both modes score a feed of index sets in blocks, one
-row-kernel call per block within the row cap of :mod:`qgreedy.spaces`, and
-offer each block to a :class:`~qgreedy.estimates.Tracker`, so the first best
-set in feed order wins.  Exact mode feeds every set, by size and then
-lexicographically, and reports the value as certified on both sides (for
-identity coordinates in a block space it optimizes block occupancies
-instead, which is exact far beyond subset range).  Random mode feeds
-structured and sampled sets and reports witness-certified one-sided bounds.
+over |A| >= m.  Both modes score a feed of blocks of (sums, sizes,
+witness_of), one row-kernel call per block within the row cap of
+:mod:`qgreedy.spaces`, and offer each block to a
+:class:`~qgreedy.estimates.Tracker`, so the first best set in feed order
+wins.  Exact mode feeds every set, by size and then lexicographically, and
+reports the value as certified on both sides (for identity coordinates in a
+block space it optimizes block occupancies instead, which is exact far
+beyond subset range).  Its sums come from a table of head-subset sums plus
+the tail members added one at a time, sets with a common tail prefix sharing
+its partial sums; each sum adds its members in member order, so it has the
+bits of ``vectors[A].sum(axis=0)``.  Random mode feeds structured and
+sampled sets, summed by gathering, and reports witness-certified one-sided
+bounds.
 The sign constants score same-size sets in blocks on their sign patterns.
 The ``threads`` argument of :func:`democracy_profile` has no effect.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,7 +46,7 @@ from .rng import (
     substream,
 )
 from .sampling import random_masks, random_subsets, structured_subsets
-from .spaces import BlockLpL2, _row_chunks, ambient_gauge_rows, p_convexity
+from .spaces import BlockLpL2, _block_rows, _row_chunks, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "indicator_gauge",
@@ -72,7 +75,12 @@ def indicator_gauge(basis: Basis, A) -> float:
 
 
 def _indicator_gauges(basis: Basis, sets: list) -> np.ndarray:
-    """Gauges of sum_{n in A} x_n for index sets A, in one rows call.
+    """Gauges of sum_{n in A} x_n for index sets A, in one rows call."""
+    return ambient_gauge_rows(basis.space, _indicator_sums(basis, sets))
+
+
+def _indicator_sums(basis: Basis, sets: list) -> np.ndarray:
+    """The sums sum_{n in A} x_n of index sets A.
 
     Sets of one size are gathered and summed together, each adding its
     vectors in member order, so a sum does not depend on its block.
@@ -88,11 +96,7 @@ def _indicator_gauges(basis: Basis, sets: list) -> np.ndarray:
     for at, group in groups:
         idx = np.array(group, dtype=int)
         sums[at] = basis.vectors[idx.T].sum(axis=0)
-    return ambient_gauge_rows(basis.space, sums)
-
-
-def _set_witness(sets) -> Callable[[int], dict[str, list[int]]]:
-    return lambda j: {"set": [int(i) for i in sets[j]]}
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +104,139 @@ def _set_witness(sets) -> Callable[[int], dict[str, list[int]]]:
 # ---------------------------------------------------------------------------
 
 
-def _exact_sets(d: int, lo: int, hi: int, bound: str):
-    """Every index set of sizes lo..hi, by size and then lexicographically.
-    ``bound`` names the size range in the overflow error."""
+def _exact_blocks(basis: Basis, lo: int, hi: int, bound: str):
+    """Every index set of sizes lo..hi, by size and then lexicographically, in
+    capped blocks of (sums, sizes, witness_of); ``bound`` names the size range
+    in the overflow error.
+
+    Lexicographic order within a size is indicator order, descending, with
+    index 0 most significant.  The indices split into a head [0, h) and a tail
+    [h, d); a set is a head subset H (in the order of the head table) followed
+    by a tail subset of the remaining size (in lexicographic order).  Its sum
+    is H's table sum plus the tail members added one at a time in member
+    order, and sets sharing a tail prefix share its partial sums.  So every sum
+    has the bits of ``basis.vectors[list(A)].sum(axis=0)``.
+    """
+    d = basis.d
     if sum(math.comb(d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
         raise CombinatorialOverflowError(
             f"exact enumeration over sets of size {bound} in d = {d} exceeds "
             f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
         )
-    return itertools.chain.from_iterable(
-        itertools.combinations(range(d), k) for k in range(lo, hi + 1))
+    cap = _block_rows(basis.dim)
+    h = _head_size(d, lo, hi, cap)
+    head, head_sizes, head_sums = _head_table(basis.vectors, h, max(0, lo - (d - h)), min(h, hi))
+    comb = _capped_binomials(d, hi, cap)
+    tries: dict[tuple[int, int], list] = {}
+    for k in range(lo, hi + 1):
+        at = np.flatnonzero((head_sizes >= k - (d - h)) & (head_sizes <= k))
+        # a stack of frontier segments, the next in feed order on top; a row is
+        # a partial set: its sum, size, last decided index and members
+        pending = [(head_sums[at], head_sizes[at], np.full(at.size, h - 1), [head[i] for i in at])]
+        while pending:
+            sums, size, last, members = pending.pop()
+            counts = comb[d - 1 - last, k - size]  # completions of each row
+            if counts[0] > cap:  # the first row alone overfills a block: queue its children
+                j = np.arange(last[0] + 1, d - k + size[0] + 1)
+                if size.size > 1:
+                    pending.append((sums[1:], size[1:], last[1:], members[1:]))
+                pending.append((sums[0] + basis.vectors[j], np.full(j.size, size[0] + 1), j,
+                                [members[0] + (i,) for i in j.tolist()]))
+                continue
+            n = int(np.searchsorted(np.cumsum(counts), cap, side="right"))
+            if n < size.size:
+                pending.append((sums[n:], size[n:], last[n:], members[n:]))
+            more = k - size[:n]
+            avail = np.where(more > 0, d - 1 - last[:n], 0)
+            block, starts = _completions(basis.vectors, sums[:n], avail, more, counts[:n], tries)
+            yield block, np.full(len(block), k), _completion_witness(
+                d, starts, avail, more, members[:n], tries)
+
+
+def _head_size(d: int, lo: int, hi: int, cap: int) -> int:
+    """The largest h <= d / 2 whose head table of subsets of [0, h), of the
+    sizes that sets of lo..hi members can have there, fits one block of ``cap`` rows."""
+    for h in range(d // 2, 0, -1):
+        if sum(math.comb(h, j) for j in range(max(0, lo - (d - h)), min(h, hi) + 1)) <= cap:
+            return h
+    return 0
+
+
+def _head_table(vectors: np.ndarray, h: int, lo: int, hi: int):
+    """Every subset of [0, h) with lo..hi members, in indicator order
+    (descending, index 0 most significant): member tuples, sizes, and sums
+    adding the members in member order from -0.0 (which adds nothing)."""
+    bits = np.zeros((1, h), dtype=bool)
+    sizes = np.zeros(1, dtype=int)
+    sums = np.full((1, vectors.shape[1]), -0.0)
+    for i in range(h):
+        rep = np.repeat(np.arange(sizes.size), 2)
+        take = np.resize([True, False], rep.size)  # each row with i, then without
+        grown = sizes[rep] + take
+        keep = (grown <= hi) & (grown + h - 1 - i >= lo)
+        rep, take, sizes = rep[keep], take[keep], grown[keep]
+        bits, sums = bits[rep], sums[rep]
+        bits[:, i] = take
+        sums[take] += vectors[i]
+    return [tuple(np.flatnonzero(row).tolist()) for row in bits], sizes, sums
+
+
+def _capped_binomials(n_max: int, r_max: int, cap: int) -> np.ndarray:
+    """C(n, r) for n <= n_max and r <= r_max, each value above ``cap`` read as cap + 1."""
+    table = np.zeros((n_max + 1, r_max + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for n in range(1, n_max + 1):
+        table[n, 1:] = np.minimum(table[n - 1, :-1] + table[n - 1, 1:], cap + 1)
+    return table
+
+
+def _lex_trie(tries: dict, n: int, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The prefixes of the r-subsets of range(n) in lexicographic order, by
+    length: level l is (parent in level l - 1, last member) for every l-member
+    prefix that some r-subset extends; level r lists the r-subsets."""
+    if (n, r) not in tries:
+        levels, last = [], np.array([-1])
+        for length in range(1, r + 1):
+            counts = n - r + length - 1 - last  # members up to n - 1 - (r - length)
+            rep = np.repeat(np.arange(last.size), counts)
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            last = last[rep] + 1 + np.arange(rep.size) - first
+            levels.append((rep, last))
+        tries[(n, r)] = levels
+    return tries[(n, r)]
+
+
+def _completions(vectors: np.ndarray, sums, n, r, counts, tries):
+    """The sums of the completions of each frontier row, row by row and
+    lexicographically, and each row's first position: a row takes r more
+    members from the last n indices.  Rows with the same (n, r) extend
+    together; a complete row (r = 0) has n = 0."""
+    d, dim = vectors.shape
+    starts = np.cumsum(counts) - counts
+    out = np.empty((int(counts.sum()), dim))
+    keys = n * (int(r.max()) + 1) + r
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        tail = vectors[d - int(n[rows[0]]):]
+        x = sums[rows][:, None, :]
+        for rep, j in _lex_trie(tries, int(n[rows[0]]), int(r[rows[0]])):
+            x = x[:, rep]
+            x += tail[j]
+        out[(starts[rows, None] + np.arange(x.shape[1])).ravel()] = x.reshape(-1, dim)
+    return out, starts
+
+
+def _completion_witness(d, starts, n, r, members, tries):
+    """witness_of for a block of :func:`_completions`: row q's set, members sorted."""
+    def witness(q: int) -> dict[str, list[int]]:
+        f = int(np.searchsorted(starts, q, side="right")) - 1
+        q -= int(starts[f])
+        tail = []
+        for rep, j in reversed(_lex_trie(tries, int(n[f]), int(r[f]))):
+            tail.append(d - int(n[f]) + int(j[q]))
+            q = int(rep[q])
+        return {"set": list(members[f]) + tail[::-1]}
+    return witness
 
 
 def _exact_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
@@ -222,12 +349,18 @@ def _random_sets(d: int, low: int, high: int, count: int, seed: int, *key: int,
 
 def _set_feed(basis: Basis, lo: int, hi: int, budget: int, seed: int, op: int,
               fixed: int | None = None):
-    """Index sets of sizes lo..hi in feed order: the structured ones by size,
-    the block-spread ones, then ``budget`` samples of ``op``."""
-    for k in range(lo, hi + 1):
-        yield from structured_subsets(basis.d, k)
-    yield from (s for s in _block_spread_sets(basis) if lo <= s.size <= hi)
-    yield from _random_sets(basis.d, lo, hi, budget, seed, op, fixed=fixed)
+    """The random feed: capped blocks (sums, sizes, witness_of) of index sets
+    of sizes lo..hi in feed order: the structured ones by size, the
+    block-spread ones, then ``budget`` samples of ``op``."""
+    def sets():
+        for k in range(lo, hi + 1):
+            yield from structured_subsets(basis.d, k)
+        yield from (s for s in _block_spread_sets(basis) if lo <= s.size <= hi)
+        yield from _random_sets(basis.d, lo, hi, budget, seed, op, fixed=fixed)
+
+    for chunk in _row_chunks(sets(), basis.dim):
+        yield (_indicator_sums(basis, chunk), np.array(list(map(len, chunk))),
+               lambda j, chunk=chunk: {"set": [int(i) for i in chunk[j]]})
 
 
 def _random_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
@@ -258,17 +391,18 @@ def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
             best, occ = _occupancy_extreme(basis.space, m, maximize)
             witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
             return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
-        sets, finish = _exact_sets(d, lo, hi, f"<= {m}" if maximize else f">= {m}"), _exact_phi
+        blocks = _exact_blocks(basis, lo, hi, f"<= {m}" if maximize else f">= {m}")
+        finish = _exact_phi
     elif mode == "random":
-        sets = _set_feed(basis, lo, hi, budget, seed,
-                         UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS, fixed=m)
+        blocks = _set_feed(basis, lo, hi, budget, seed,
+                           UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS, fixed=m)
         finish = _random_phi
     else:
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
 
     tracker = Tracker(maximize)
-    for chunk in _row_chunks(sets, basis.dim):
-        tracker.offer(_indicator_gauges(basis, chunk), _set_witness(chunk))
+    for sums, _, witness_of in blocks:
+        tracker.offer(ambient_gauge_rows(basis.space, sums), witness_of)
     return finish(basis, m, tracker)
 
 
@@ -487,22 +621,25 @@ class DemocracyProfile:
 _SLOPE_GAP_DEMOCRATIC = 0.1
 
 
-def _profile_rows(basis: Basis, m_max: int, sets, finish) -> list[ProfileRow]:
-    """The rows m = 1..m_max from one pass over the feed ``sets``, each row's
-    two trackers turned into estimates by ``finish`` (:func:`_exact_phi` or
-    :func:`_random_phi`).
+def _profile_rows(basis: Basis, m_max: int, blocks, finish) -> list[ProfileRow]:
+    """The rows m = 1..m_max from one pass over the feed ``blocks`` of (sums,
+    sizes, witness_of), each row's two trackers turned into estimates by
+    ``finish`` (:func:`_exact_phi` or :func:`_random_phi`).
 
     A set of size s is feasible for phi_u at every m >= s and for phi_l at
     every m <= s, so each set is offered to a range of rows.
     """
     up = [Tracker() for _ in range(m_max)]
     down = [Tracker(maximize=False) for _ in range(m_max)]
-    for chunk in _row_chunks(sets, basis.dim):
-        gauges = _indicator_gauges(basis, chunk)
-        sizes = np.array(list(map(len, chunk)))
+    for sums, sizes, witness_of in blocks:
+        gauges = ambient_gauge_rows(basis.space, sums)
+        # an exact block has one size, so most rows take it whole or not at all
+        small, large = sizes.min(), sizes.max()
         for m in range(1, m_max + 1):
-            up[m - 1].offer(gauges, _set_witness(chunk), sizes <= m)
-            down[m - 1].offer(gauges, _set_witness(chunk), sizes >= m)
+            if small <= m:
+                up[m - 1].offer(gauges, witness_of, None if large <= m else sizes <= m)
+            if large >= m:
+                down[m - 1].offer(gauges, witness_of, None if small >= m else sizes >= m)
     return [ProfileRow(m=m, phi_u=finish(basis, m, up[m - 1]),
                        phi_l=finish(basis, m, down[m - 1]))
             for m in range(1, m_max + 1)]
@@ -530,7 +667,7 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     elif mode == "exact" and not _use_occupancy(basis):
         # lower_democracy(1) spans every size, so its overflow guard is the
         # first one the per-m calls would trip
-        rows = _profile_rows(basis, m_max, _exact_sets(d, 1, d, ">= 1"), _exact_phi)
+        rows = _profile_rows(basis, m_max, _exact_blocks(basis, 1, d, ">= 1"), _exact_phi)
     else:
         rows = [
             ProfileRow(

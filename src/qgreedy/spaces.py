@@ -86,12 +86,16 @@ _ROW_CAP = 4096
 _BLOCK_FLOATS = 1 << 15
 
 
+def _block_rows(width: int) -> int:
+    """The most rows of length ``width`` that one capped rows call scores."""
+    return max(1, min(_ROW_CAP, _BLOCK_FLOATS // max(1, width)))
+
+
 def _row_chunks(items, width: int, rows_per_item: int = 1):
     """Consecutive lists of ``items`` (any iterable, consumed lazily) that fit
     one capped rows call at ``rows_per_item`` rows of length ``width`` each."""
     it = iter(items)
-    rows = min(_ROW_CAP, _BLOCK_FLOATS // max(1, width))
-    size = max(1, rows // max(1, rows_per_item))
+    size = max(1, _block_rows(width) // max(1, rows_per_item))
     while chunk := list(itertools.islice(it, size)):
         yield chunk
 

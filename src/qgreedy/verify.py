@@ -143,7 +143,8 @@ def suite_bootstrap(max_m: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
     results.append(CheckResult(
         name="second stage equals m / sqrt(H_m) (rel. 1e-12)",
         passed=err2 <= 1e-12, detail=f"max rel err {err2:.3e}"))
-    nonmono = float(np.max(np.diff(chain.stages[3].values / m)))
+    steps = np.diff(chain.stages[3].values / m)
+    nonmono = float(steps.max()) if steps.size else 0.0  # one term does not increase
     results.append(CheckResult(
         name="third-stage ratio is non-increasing",
         passed=nonmono <= 1e-15, detail=f"max increment {nonmono:.3e}"))

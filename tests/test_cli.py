@@ -185,6 +185,13 @@ class TestVerifyCommand:
         assert "[PASS]" in out
         assert "[FAIL]" not in out
 
+    def test_bootstrap_one_term_passes(self, capsys):
+        # a one-term ratio has no increment, so it is non-increasing
+        code, out, _ = run_cli(["verify", "bootstrap", "--max-m", "1"], capsys)
+        assert code == 0
+        assert out.count("[PASS]") == 3
+        assert "[FAIL]" not in out
+
     @pytest.mark.parametrize("suite,default_text,capped_text", [
         ("lemma34", "(m <= 12)", "(m <= 3)"),
         ("democracy-lp", "for m <= 12", "for m <= 3"),

@@ -1,9 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qgreedy.democracy as democracy_module
+import qgreedy.spaces as spaces_module
 from qgreedy.bases import zoo
 from qgreedy.democracy import (
     democracy_profile,
@@ -166,6 +169,48 @@ class TestExactProfile:
         basis = zoo("difference", p=0.5, dim=6)
         with pytest.raises(ValueError, match=rf"m_max must be >= 1, got {m_max}"):
             democracy_profile(basis, m_max=m_max, mode=mode, budget=20)
+
+
+def _size_ranges(d):
+    ranges = {(1, d), (1, 1), (d, d), ((d + 1) // 2, (d + 1) // 2), (2, d - 1)}
+    return sorted((lo, hi) for lo, hi in ranges if 1 <= lo <= hi <= d)
+
+
+class TestExactFeed:
+    # row caps from one row per block, through blocks cut inside one head
+    # subset's sets, to the default cap (the whole head table in one block)
+    @pytest.mark.parametrize("cap", [1, 2, 5, 40, None])
+    @pytest.mark.parametrize("d,lo,hi", [(d, lo, hi) for d in (1, 2, 3, 8, 9)
+                                         for lo, hi in _size_ranges(d)])
+    def test_feed_is_every_set_in_order_with_member_order_sums(self, monkeypatch, cap, d, lo, hi):
+        if cap is not None:
+            monkeypatch.setattr(spaces_module, "_ROW_CAP", cap)
+        basis = zoo("perturbed_unit", p=0.5, dim=d, seed=d)
+        expected = list(itertools.chain.from_iterable(
+            itertools.combinations(range(d), k) for k in range(lo, hi + 1)))
+        witnesses, rows = [], []
+        for sums, sizes, witness_of in democracy_module._exact_blocks(basis, lo, hi, "range"):
+            assert 1 <= len(sums) <= spaces_module._ROW_CAP
+            assert len(sizes) == len(sums)
+            witnesses.extend(witness_of(j)["set"] for j in range(len(sums)))
+            rows.extend(sums)
+            assert list(sizes) == [len(w) for w in witnesses[-len(sums):]]
+        assert witnesses == [list(a) for a in expected]
+        for a, row in zip(expected, rows):
+            assert np.array_equal(row, basis.vectors[list(a)].sum(axis=0))
+
+    def test_tables_stay_small_at_large_d(self):
+        # a 2^(d/2) head table of sums would need 2^20 * 40 * 8 bytes = 335 MB at d = 40
+        tracemalloc.start()
+        try:
+            est = upper_democracy(zoo("difference", p=0.5, dim=40), 2, mode="exact")
+            assert (est.lower, est.upper, est.witness) == (16.0, 16.0, {"set": [1, 3]})  # (2m)^2
+            est = lower_democracy(zoo("difference", p=0.5, dim=30), 28, mode="exact")
+            assert (est.lower, est.witness) == (1.0, {"set": list(range(28))})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRandomDemocracy:
