@@ -37,6 +37,7 @@ from .spaces import (
     Lp,
     LorentzSpace,
     _row_chunks,
+    _subset_sums,
     ambient_gauge,
     ambient_gauge_rows,
     as_vector,
@@ -232,26 +233,20 @@ def _descend_multiplier(basis: Basis, coeffs: np.ndarray) -> tuple[np.ndarray, f
     return gamma, best
 
 
-def _gray_best_over_family(basis: Basis, coeffs: np.ndarray, signs: bool) -> tuple[float, np.ndarray]:
-    """Exact max of ||S_gamma f|| over gamma in {0,1}^d (signs=False) or
-    {-1,1}^d (signs=True), scored in capped blocks of Gray-code order; the
-    first maximizer in that order wins.
-
-    ||S_{-gamma} f|| = ||S_gamma f||, and the top bit of the Gray code
-    i ^ (i >> 1) is the top bit of i, so the sign family enumerates only
-    i < 2^(d-1): that half holds the earlier member of every pair {gamma, -gamma}.
-    """
-    d = basis.d
-    scaled = coeffs[:, None] * basis.vectors
-    shifts = np.arange(d)
+def _exact_family_best(basis: Basis, coeffs: np.ndarray, signs: bool) -> tuple[float, np.ndarray]:
+    """Exact max of ||S_gamma f|| over gamma in {0,1}^d (signs=False: ones on a subset of the
+    support of ``coeffs``) or {-1,1}^d (signs=True: total - 2 (mask sum), masks of at most half
+    the support, as -gamma scores alike); the first by set size, then lexicographically, wins."""
+    support = np.flatnonzero(coeffs)
+    scaled = coeffs[support, None] * basis.vectors[support]
+    total = scaled.sum(axis=0)
     tracker = Tracker()
-    stop = 1 << (d - 1 if signs else d)
-    for chunk in _row_chunks(range(stop), basis.dim):
-        i = np.arange(chunk[0], chunk[-1] + 1)
-        bits = ((i ^ (i >> 1))[:, None] >> shifts) & 1
-        gammas = 1.0 - 2.0 * bits if signs else bits.astype(float)
-        tracker.offer(ambient_gauge_rows(basis.space, gammas @ scaled), gammas.__getitem__)
-    return tracker.best, tracker.witness
+    for sums, _, witness_of in _subset_sums(scaled, 0, support.size // (2 if signs else 1)):
+        tracker.offer(ambient_gauge_rows(basis.space, total - 2.0 * sums if signs else sums),
+                      witness_of)
+    gamma = np.ones(basis.d) if signs else np.zeros(basis.d)
+    gamma[support[tracker.witness["set"]]] = -1.0 if signs else 1.0
+    return tracker.best, gamma
 
 
 def _canonical_test_vectors(basis: Basis) -> list[np.ndarray]:
@@ -332,11 +327,11 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
     """Two-sided estimate of sup over ||gamma||_inf <= 1 of ||S_gamma||.
 
     The lower bound searches multipliers in {-1, 0, 1}^d: coordinate descent
-    from sampled and canonical vectors in random mode, full Gray-code
-    enumeration of the suppression family {0,1}^d and the sign family
-    {-1,1}^d (exact over those families, for the tested vector pool) in exact
-    mode, scored in batches of multipliers per gauge call.  Exact mode
-    requires d <= 20 and runs in one thread.
+    from sampled and canonical vectors in random mode; in exact mode also the
+    whole suppression family {0,1}^d and sign family {-1,1}^d (exact over
+    those families, for the tested vector pool), over the support of each
+    vector's coefficients only, in capped blocks of the subset-sum feed of
+    :mod:`qgreedy.spaces`.  Exact mode requires d <= 20 and runs in one thread.
     """
     if mode not in ("exact", "random"):
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
@@ -360,7 +355,7 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
         coeffs = basis.duals @ f
         if mode == "exact":
             for signs in (False, True):
-                val, gamma = _gray_best_over_family(basis, coeffs, signs)
+                val, gamma = _exact_family_best(basis, coeffs, signs)
                 tracker.update(val / nf, {"f": f.tolist(), "gamma": gamma.tolist()})
         gamma, val = _descend_multiplier(basis, coeffs)
         tracker.update(val / nf, {"f": f.tolist(), "gamma": gamma.tolist()})

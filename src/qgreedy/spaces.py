@@ -100,6 +100,135 @@ def _row_chunks(items, width: int, rows_per_item: int = 1):
         yield chunk
 
 
+def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
+    """Every index set A of sizes lo..hi over the rows of ``vectors``, by size
+    and then lexicographically (indicator order, descending, index 0 most
+    significant), in capped blocks of (sums, sizes, witness_of): the one
+    enumerator of subset sums behind every exact kernel.
+
+    The indices split into a head [0, h) and a tail [h, d); a set is a head subset H
+    (in the order of the head table) followed by a tail subset of the remaining size.
+    Its sum is H's table sum plus the tail members added one at a time, and sets
+    sharing a tail prefix share its partial sums, so it has the bits of
+    ``vectors[list(A)].sum(axis=0)`` (-0.0 for the empty set).
+    """
+    d = vectors.shape[0]
+    cap = _block_rows(vectors.shape[1])
+    h = _head_size(d, lo, hi, cap)
+    head, head_sizes, head_sums = _head_table(vectors, h, max(0, lo - (d - h)), min(h, hi))
+    comb = _capped_binomials(d, hi, cap)
+    tries: dict[tuple[int, int], list] = {}
+    for k in range(lo, hi + 1):
+        at = np.flatnonzero((head_sizes >= k - (d - h)) & (head_sizes <= k))
+        # a stack of frontier segments, the next in feed order on top; a row is
+        # a partial set: its sum, size, last decided index and members
+        pending = [(head_sums[at], head_sizes[at], np.full(at.size, h - 1), [head[i] for i in at])]
+        while pending:
+            sums, size, last, members = pending.pop()
+            counts = comb[d - 1 - last, k - size]  # completions of each row
+            if counts[0] > cap:  # the first row alone overfills a block: queue its children
+                j = np.arange(last[0] + 1, d - k + size[0] + 1)
+                if size.size > 1:
+                    pending.append((sums[1:], size[1:], last[1:], members[1:]))
+                pending.append((sums[0] + vectors[j], np.full(j.size, size[0] + 1), j,
+                                [members[0] + (i,) for i in j.tolist()]))
+                continue
+            n = int(np.searchsorted(np.cumsum(counts), cap, side="right"))
+            if n < size.size:
+                pending.append((sums[n:], size[n:], last[n:], members[n:]))
+            more = k - size[:n]
+            avail = np.where(more > 0, d - 1 - last[:n], 0)
+            block, starts = _completions(vectors, sums[:n], avail, more, counts[:n], tries)
+            yield block, np.full(len(block), k), _completion_witness(
+                d, starts, avail, more, members[:n], tries)
+
+
+def _head_size(d: int, lo: int, hi: int, cap: int) -> int:
+    """The largest h <= d / 2 whose head table of subsets of [0, h), of the
+    sizes that sets of lo..hi members can have there, fits one block of ``cap`` rows."""
+    for h in range(d // 2, 0, -1):
+        if sum(math.comb(h, j) for j in range(max(0, lo - (d - h)), min(h, hi) + 1)) <= cap:
+            return h
+    return 0
+
+
+def _head_table(vectors: np.ndarray, h: int, lo: int, hi: int):
+    """Every subset of [0, h) with lo..hi members, in indicator order
+    (descending, index 0 most significant): member tuples, sizes, and sums
+    adding the members in member order from -0.0 (which adds nothing)."""
+    bits = np.zeros((1, h), dtype=bool)
+    sizes = np.zeros(1, dtype=int)
+    sums = np.full((1, vectors.shape[1]), -0.0)
+    for i in range(h):
+        rep = np.repeat(np.arange(sizes.size), 2)
+        take = np.resize([True, False], rep.size)  # each row with i, then without
+        grown = sizes[rep] + take
+        keep = (grown <= hi) & (grown + h - 1 - i >= lo)
+        rep, take, sizes = rep[keep], take[keep], grown[keep]
+        bits, sums = bits[rep], sums[rep]
+        bits[:, i] = take
+        sums[take] += vectors[i]
+    return [tuple(np.flatnonzero(row).tolist()) for row in bits], sizes, sums
+
+
+def _capped_binomials(n_max: int, r_max: int, cap: int) -> np.ndarray:
+    """C(n, r) for n <= n_max and r <= r_max, each value above ``cap`` read as cap + 1."""
+    table = np.zeros((n_max + 1, r_max + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for n in range(1, n_max + 1):
+        table[n, 1:] = np.minimum(table[n - 1, :-1] + table[n - 1, 1:], cap + 1)
+    return table
+
+
+def _lex_trie(tries: dict, n: int, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The prefixes of the r-subsets of range(n) in lexicographic order, by
+    length: level l is (parent in level l - 1, last member) for every l-member
+    prefix that some r-subset extends; level r lists the r-subsets."""
+    if (n, r) not in tries:
+        levels, last = [], np.array([-1])
+        for length in range(1, r + 1):
+            counts = n - r + length - 1 - last  # members up to n - 1 - (r - length)
+            rep = np.repeat(np.arange(last.size), counts)
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            last = last[rep] + 1 + np.arange(rep.size) - first
+            levels.append((rep, last))
+        tries[(n, r)] = levels
+    return tries[(n, r)]
+
+
+def _completions(vectors: np.ndarray, sums, n, r, counts, tries):
+    """The sums of the completions of each frontier row, row by row and
+    lexicographically, and each row's first position: a row takes r more
+    members from the last n indices.  Rows with the same (n, r) extend
+    together; a complete row (r = 0) has n = 0."""
+    d, dim = vectors.shape
+    starts = np.cumsum(counts) - counts
+    out = np.empty((int(counts.sum()), dim))
+    keys = n * (int(r.max()) + 1) + r
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        tail = vectors[d - int(n[rows[0]]):]
+        x = sums[rows][:, None, :]
+        for rep, j in _lex_trie(tries, int(n[rows[0]]), int(r[rows[0]])):
+            x = x[:, rep]
+            x += tail[j]
+        out[(starts[rows, None] + np.arange(x.shape[1])).ravel()] = x.reshape(-1, dim)
+    return out, starts
+
+
+def _completion_witness(d, starts, n, r, members, tries):
+    """witness_of for a block of :func:`_completions`: row q's set, members sorted."""
+    def witness(q: int) -> dict[str, list[int]]:
+        f = int(np.searchsorted(starts, q, side="right")) - 1
+        q -= int(starts[f])
+        tail = []
+        for rep, j in reversed(_lex_trie(tries, int(n[f]), int(r[f]))):
+            tail.append(d - int(n[f]) + int(j[q]))
+            q = int(rep[q])
+        return {"set": list(members[f]) + tail[::-1]}
+    return witness
+
+
 def _guarded(plain, a: np.ndarray, *args):
     """``plain(a, *args)`` over the rows of the 2-d moduli ``a``.  The gauges
     are homogeneous, so a row whose result came out inf, nan, or 0 is

@@ -19,9 +19,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidExponentError, PreconditionError
-from .numerics import sign_patterns
 from .rng import KHINTCHINE_MC, PAIR_FAMILY, substream
-from .spaces import _row_chunks, as_vector, lp_gauge, lp_gauge_rows
+from .spaces import _subset_sums, as_vector, lp_gauge, lp_gauge_rows
 
 __all__ = [
     "strongly_absolute_function",
@@ -41,6 +40,7 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-9
 _EXACT_SIGN_LIMIT = 20
+_MIN_PAIRING = 0.2  # of |x*(x)| / (|x*|_2 |x|_2) <= 1 (Cauchy-Schwarz), so below 1
 
 
 def _check_p_strict(p) -> float:
@@ -149,12 +149,11 @@ class PairFamily:
         return self.duals * self.vectors
 
 
-def random_pair_family(dim: int, size: int, p: float, seed: int = 0,
-                       min_pairing: float = 0.2) -> PairFamily:
+def random_pair_family(dim: int, size: int, p: float, seed: int = 0) -> PairFamily:
     """A seeded, well-conditioned random family with x_n*(x_n) = 1.
 
     Functionals are rescaled Gaussian draws; draws whose raw pairing with
-    their vector falls below ``min_pairing`` (relative to the natural scale)
+    their vector falls below ``_MIN_PAIRING`` (relative to the natural scale)
     are rejected to keep dual norms moderate.
     """
     if size < 1 or size > dim:
@@ -169,7 +168,7 @@ def random_pair_family(dim: int, size: int, p: float, seed: int = 0,
             u = rng.standard_normal(dim)
             raw = float(u @ x)
             scale = float(np.linalg.norm(u) * np.linalg.norm(x))
-            if abs(raw) >= min_pairing * scale:
+            if abs(raw) >= _MIN_PAIRING * scale:
                 break
         vectors[n] = x
         duals[n] = u / raw
@@ -190,8 +189,8 @@ def counting_parameters(C: float, a: float, b: float, c: float, k_u: float,
 
     eps = (C-1)/C / (a b c K_u),  delta = (C-1)/C / A(eps).
     """
-    if C <= 1:
-        raise PreconditionError(f"C must exceed 1, got {C}")
+    if not (math.isfinite(C) and C > 1):
+        raise PreconditionError(f"C must be finite and exceed 1, got {C}")
     for name, val in (("a", a), ("b", b), ("c", c), ("k_u", k_u)):
         if not (math.isfinite(val) and val >= 1):
             raise PreconditionError(f"constant {name} must be finite and >= 1, got {val}")
@@ -241,15 +240,15 @@ class SquareFunctionComparison:
 
 
 def _gauge_p_mean_exact(vectors: np.ndarray, p: float) -> float:
+    """Mean of ||sum eps_n x_n||_p^p over the 2^k sign patterns: total - 2 (mask sum) over
+    masks of at most k // 2 members, counted twice (with the complement) below k / 2."""
     k = vectors.shape[0]
-    total_patterns = 1 << k
+    total = vectors.sum(axis=0)
     chunk_sums: list[float] = []
-    # the sign block and the sum block each have at most max(k, dim) columns
-    for chunk in _row_chunks(range(total_patterns), max(vectors.shape)):
-        signs = sign_patterns(k, chunk[0], chunk[-1] + 1)
-        gauges_p = np.sum(np.abs(signs @ vectors) ** p, axis=1)
-        chunk_sums.append(float(np.sum(gauges_p)))
-    return math.fsum(chunk_sums) / total_patterns
+    for sums, sizes, _ in _subset_sums(vectors, 0, k // 2):
+        gauges_p = np.sum(np.abs(total - 2.0 * sums) ** p, axis=1)
+        chunk_sums.append(float(np.sum(np.where(2 * sizes < k, 2.0, 1.0) * gauges_p)))
+    return math.fsum(chunk_sums) / (1 << k)
 
 
 def khintchine_square_function(vectors, p: float, mode: str = "exact",

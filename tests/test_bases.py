@@ -7,7 +7,7 @@ import pytest
 import qgreedy.bases as bases_module
 from qgreedy.bases import (
     Basis,
-    _gray_best_over_family,
+    _exact_family_best,
     coefficient_transform,
     coordinate_projection,
     load_basis,
@@ -336,18 +336,62 @@ class TestExactMultiplierEnumeration:
         assert est.lower >= best - 1e-9
 
 
-def gray_rank(gamma, signs: bool) -> int:
-    """Position of a {0,1} (signs=False) or {-1,1} (signs=True) multiplier in
-    Gray-code order: bit n of the code is gamma_n == 1, resp. gamma_n == -1."""
-    g = sum(1 << n for n, x in enumerate(gamma) if x == (-1.0 if signs else 1.0))
-    i, shift = g, 1
-    while g >> shift:
-        i ^= g >> shift
-        shift += 1
-    return i
+def feed_rank(gamma, support, signs: bool):
+    """Order key of a multiplier in the exact search: the size of its set over
+    the support (the ones of a {0,1} multiplier, the minus ones of a {-1,1}
+    one), then that set lexicographically (indicator order, descending)."""
+    bits = [gamma[n] == (-1.0 if signs else 1.0) for n in support]
+    return sum(bits), [not b for b in bits]
+
+
+def family_scores(basis, coeffs, signs: bool):
+    """||S_gamma f|| for every multiplier of the family that is 0 (suppression)
+    or 1 (signs) off the support of ``coeffs``, by brute force over the support."""
+    import itertools
+
+    support = np.flatnonzero(coeffs)
+    scores = {}
+    for values in itertools.product((-1.0, 1.0) if signs else (0.0, 1.0), repeat=support.size):
+        gamma = np.ones(basis.d) if signs else np.zeros(basis.d)
+        gamma[support] = values
+        scores[tuple(gamma.tolist())] = ambient_gauge(basis.space, (gamma * coeffs) @ basis.vectors)
+    return scores
+
+
+def rows_scored(monkeypatch, fn, *args):
+    """(fn(*args), the number of rows its gauge calls in qgreedy.bases score)."""
+    scored = []
+    real = bases_module.ambient_gauge_rows
+    monkeypatch.setattr(bases_module, "ambient_gauge_rows",
+                        lambda space, mat: scored.append(len(mat)) or real(space, mat))
+    return fn(*args), sum(scored)
 
 
 class TestBatchedGraySearch:
+    """The exact multiplier search, scored in batches from the subset-sum feed
+    (the class keeps its name, from the Gray-code search it replaced, so that
+    its test ids stay stable)."""
+
+    def check_against_bruteforce(self, basis, coeffs, signs, monkeypatch, exact_bits=False):
+        """Value, first maximizer, rows scored and replay; returns the rows scored."""
+        (value, gamma), rows = rows_scored(monkeypatch, _exact_family_best, basis, coeffs, signs)
+        support = np.flatnonzero(coeffs)
+        k = support.size
+        # gamma and -gamma score alike, so the sign family reads masks of at most k // 2
+        assert rows == (sum(math.comb(k, j) for j in range(k // 2 + 1)) if signs else 1 << k)
+        scores = family_scores(basis, coeffs, signs)
+        best = max(scores.values())
+        assert value == pytest.approx(best, rel=1e-12)
+        # the first maximizer in size-then-lexicographic order (ties within rounding count)
+        maximizers = [g for g, s in scores.items() if s >= best * (1 - 1e-12)]
+        assert tuple(gamma.tolist()) == min(maximizers, key=lambda g: feed_rank(g, support, signs))
+        replay = ambient_gauge(basis.space, (gamma * coeffs) @ basis.vectors)
+        if exact_bits:
+            assert replay == value
+        else:
+            assert replay == pytest.approx(value, rel=1e-12)
+        return rows
+
     @pytest.mark.parametrize("name,d,seed,integer", [
         ("difference", 10, 0, True),
         ("difference", 8, 1, False),
@@ -358,59 +402,51 @@ class TestBatchedGraySearch:
     @pytest.mark.parametrize("chunk", [None, 100])
     def test_matches_product_bruteforce(self, name, d, seed, integer, signs, chunk,
                                         monkeypatch):
-        import itertools
-
-        if chunk is not None:  # many chunks, the last one partial
+        if chunk is not None:  # many blocks, the last one partial
             monkeypatch.setattr("qgreedy.spaces._ROW_CAP", chunk)
         basis = zoo(name, p=0.5, dim=d, seed=seed)
         rng = np.random.default_rng(seed)
-        if integer:
+        if integer:  # zeros among them: the search runs over the support
             coeffs = rng.integers(-3, 4, size=d).astype(float)
         else:
             coeffs = rng.standard_normal(d)
-        f = synthesize(basis, coeffs)
-        coeffs = coefficient_transform(basis, f)
-        value, gamma = _gray_best_over_family(basis, coeffs, signs)
-
-        family = (-1.0, 1.0) if signs else (0.0, 1.0)
-        scores = {g: ambient_gauge(basis.space, sign_operator(basis, np.array(g), f))
-                  for g in itertools.product(family, repeat=d)}
-        best = max(scores.values())
-        assert value == pytest.approx(best, rel=1e-12)
-        # first maximizer in Gray order (ties within rounding count as ties)
-        maximizers = [g for g, s in scores.items() if s >= best * (1 - 1e-12)]
-        first = min(maximizers, key=lambda g: gray_rank(g, signs))
-        assert tuple(gamma.tolist()) == first
-        replay = ambient_gauge(basis.space, sign_operator(basis, gamma, f))
-        if integer:
-            assert replay == value
-        else:
-            assert replay == pytest.approx(value, rel=1e-12)
+        coeffs = coefficient_transform(basis, synthesize(basis, coeffs))
+        self.check_against_bruteforce(basis, coeffs, signs, monkeypatch, exact_bits=integer)
 
     @pytest.mark.parametrize("d,seed", [(1, 0), (5, 1), (9, 2)])
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_sign_family_scores_half_at_odd_d(self, d, seed, chunk, monkeypatch):
-        import itertools
-
         if chunk is not None:
             monkeypatch.setattr("qgreedy.spaces._ROW_CAP", chunk)
-        # built before the counter: Basis scores its vector norms in one rows call
         basis = zoo("difference", p=0.5, dim=d)
-        scored = []
-        real = bases_module.ambient_gauge_rows
-        monkeypatch.setattr(bases_module, "ambient_gauge_rows",
-                            lambda space, mat: scored.append(len(mat)) or real(space, mat))
-        rng = np.random.default_rng(seed)
-        f = synthesize(basis, rng.integers(-3, 4, size=d).astype(float))
-        value, gamma = _gray_best_over_family(basis, coefficient_transform(basis, f), True)
-        # gamma and -gamma score alike, so only i < 2^(d-1) is enumerated
-        assert sum(scored) == 1 << (d - 1)
-        scores = {g: ambient_gauge(basis.space, sign_operator(basis, np.array(g), f))
-                  for g in itertools.product((-1.0, 1.0), repeat=d)}
-        best = max(scores.values())
-        assert value == pytest.approx(best, rel=1e-12)
-        maximizers = [g for g, s in scores.items() if s >= best * (1 - 1e-12)]
-        assert tuple(gamma.tolist()) == min(maximizers, key=lambda g: gray_rank(g, True))
+        # full support of odd size k: sum_{j <= k // 2} C(k, j) = 2^(k-1) masks
+        coeffs = np.random.default_rng(seed).choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=d)
+        assert self.check_against_bruteforce(basis, coeffs, True, monkeypatch,
+                                             exact_bits=True) == 1 << (d - 1)
+
+    @pytest.mark.parametrize("zeros", [(), (0,), (1, 4), (0, 2, 3, 6), tuple(range(7))])
+    @pytest.mark.parametrize("signs", [False, True])
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_zero_coefficients_leave_the_support(self, zeros, signs, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr("qgreedy.spaces._ROW_CAP", chunk)
+        basis = zoo("perturbed_unit", p=0.5, dim=7, seed=2)
+        coeffs = np.random.default_rng(len(zeros)).standard_normal(7)
+        coeffs[list(zeros)] = 0.0
+        self.check_against_bruteforce(basis, coeffs, signs, monkeypatch)
+
+    @pytest.mark.parametrize("name,d,integer", [("difference", 8, True), ("unit", 6, True),
+                                                ("perturbed_unit", 9, False)])
+    def test_exact_witnesses_replay_through_sign_operator(self, name, d, integer):
+        basis = zoo(name, p=0.5, dim=d, seed=1)
+        est = unconditional_constant(basis, mode="exact", budget=0)
+        f, gamma = np.array(est.witness["f"]), np.array(est.witness["gamma"])
+        replay = (ambient_gauge(basis.space, sign_operator(basis, gamma, f))
+                  / ambient_gauge(basis.space, f))
+        if integer:
+            assert replay == est.lower
+        else:
+            assert replay == pytest.approx(est.lower, rel=1e-13)
 
     def test_exact_unconditional_replays_witness(self):
         basis = zoo("perturbed_unit", p=0.5, dim=12, seed=3)

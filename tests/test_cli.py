@@ -268,6 +268,8 @@ class TestVerifyCommand:
          "--dim"),
         (["analyze", "--zoo", "custom_file"], "custom_file"),
         (["zoo", "emit", "--zoo", "custom_file", "--out", "g.json"], "custom_file"),
+        (["verify", "lemma33", "--C", "nan"], "C must be finite and exceed 1, got nan"),
+        (["verify", "lemma33", "--C", "inf"], "C must be finite and exceed 1, got inf"),
     ])
     def test_unread_or_invalid_flag_exit_two(self, capsys, argv, flag):
         code, out, err = run_cli(argv, capsys)

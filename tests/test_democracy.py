@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import qgreedy.democracy as democracy_module
 import qgreedy.spaces as spaces_module
 from qgreedy.bases import zoo
 from qgreedy.democracy import (
@@ -172,8 +171,10 @@ class TestExactProfile:
 
 
 def _size_ranges(d):
-    ranges = {(1, d), (1, 1), (d, d), ((d + 1) // 2, (d + 1) // 2), (2, d - 1)}
-    return sorted((lo, hi) for lo, hi in ranges if 1 <= lo <= hi <= d)
+    # (0, d) and (0, d // 2): the feeds of the exact multiplier search and sign average
+    ranges = {(1, d), (1, 1), (d, d), ((d + 1) // 2, (d + 1) // 2), (2, d - 1),
+              (0, d), (0, d // 2)}
+    return sorted((lo, hi) for lo, hi in ranges if 0 <= lo <= hi <= d)
 
 
 class TestExactFeed:
@@ -189,7 +190,7 @@ class TestExactFeed:
         expected = list(itertools.chain.from_iterable(
             itertools.combinations(range(d), k) for k in range(lo, hi + 1)))
         witnesses, rows = [], []
-        for sums, sizes, witness_of in democracy_module._exact_blocks(basis, lo, hi, "range"):
+        for sums, sizes, witness_of in spaces_module._subset_sums(basis.vectors, lo, hi):
             assert 1 <= len(sums) <= spaces_module._ROW_CAP
             assert len(sizes) == len(sums)
             witnesses.extend(witness_of(j)["set"] for j in range(len(sums)))

@@ -6,6 +6,9 @@ On the Python and numpy versions a golden file records, outputs must match
 byte for byte.  On other versions numbers are compared to a relative 1e-12
 and witnesses exactly.  A mismatch names the first differing line or JSON
 path.  ``python tests/golden/regen.py`` rewrites the files; no test calls it.
+
+The pinned ``analyze`` reports and fresh exact unconditionality constants are
+also replayed by ``perfbench/check.py``, which imports no ``qgreedy``.
 """
 
 import importlib.util
@@ -19,12 +22,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qgreedy.bases import unconditional_constant, zoo
 from qgreedy.reports import json_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
-regen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regen)
+
+
+def load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+regen = load_module("golden_regen", GOLDEN / "regen.py")
+check = load_module("perfbench_check", GOLDEN.parents[1] / "perfbench" / "check.py")
 
 VERIFY = json.loads(regen.VERIFY_FILE.read_text())
 SIGNS = json.loads(regen.SIGN_FILE.read_text())
@@ -128,6 +140,39 @@ def test_analyze_json_is_pinned(case, seed):
         return
     found = json_mismatch(json.loads(got_text), want, exact)
     assert found is None, f"analyze {regen.analyze_key(case, seed)}: {found}"
+
+
+def analyze_errors(case: str, payload: dict) -> list[str]:
+    """The independent checker's findings on one ``analyze`` report."""
+    if case.startswith("block_l2"):
+        return check.check_block_analyze(payload, check.block_identity((4,) * 4))
+    if case.startswith("lorentz"):
+        d = regen.LORENTZ_DIM
+        return check.check_analyze(payload, check.difference_basis(
+            d, kind="lorentz", weight=check.lorentz_weight(d)))
+    basis = check.difference_basis(int(case.split("-")[1]))
+    if not case.endswith("-exact"):
+        return check.check_difference_analyze(payload, basis)
+    # check_analyze reads profile bounds as random-mode ones, so an exact
+    # profile is replayed against brute force over all subsets, and the
+    # constants one by one
+    return check.check_exact_profile(payload["profile"], basis, closed_form=False) + [
+        err for kind in check.SUP_KINDS
+        for err in check.check_bound(f"constants.{kind}", kind, payload["constants"][kind], basis)]
+
+
+@pytest.mark.parametrize("case,seed", regen.analyze_cases(),
+                         ids=[regen.analyze_key(*case) for case in regen.analyze_cases()])
+def test_pinned_analyze_replays_independently(case, seed):
+    assert analyze_errors(case, ANALYZE["stdout"][regen.analyze_key(case, seed)]) == []
+
+
+@pytest.mark.parametrize("name", ["difference", "perturbed_unit"])
+def test_exact_unconditional_replays_independently(name):
+    basis = zoo(name, p=0.5, dim=8)
+    est = unconditional_constant(basis, mode="exact")
+    assert check.check_exact_unconditional(
+        est.as_dict(), check.CheckBasis("lp", basis.vectors, basis.duals)) == []
 
 
 @pytest.mark.parametrize("base,seed", regen.embed_cases(),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -221,6 +222,11 @@ class TestCountingParameters:
         with pytest.raises(PreconditionError):
             counting_parameters(1.0, 1, 1, 1, 1, 0.5)
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf])
+    def test_rejects_non_finite_c(self, C):
+        with pytest.raises(PreconditionError, match="finite"):
+            counting_parameters(C, 1, 1, 1, 1, 0.5)
+
 
 class TestCountingInequality:
     def test_unit_family_bound_is_c_times_m(self):
@@ -236,6 +242,10 @@ class TestCountingInequality:
             size = (i % 6) + 1
             fam = random_pair_family(6, size, 0.5, seed=100 + i)
             assert counting_inequality_check(fam, 2.0).holds
+
+    def test_pairing_threshold_admits_draws(self):
+        # |x*(x)| <= |x*|_2 |x|_2 (Cauchy-Schwarz): the rejection loop ends only below 1
+        assert 0.0 < strongly_absolute_module._MIN_PAIRING < 1.0
 
     def test_various_c_values(self):
         fam = random_pair_family(8, 5, 0.5, seed=42)
@@ -289,6 +299,17 @@ class TestKhintchine:
             x = rng.standard_normal((k, 12))
             cmp = khintchine_square_function(x, 0.5, mode="exact")
             assert 0.3 <= cmp.ratio <= 3.5
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 6, 9])
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_exact_matches_pattern_bruteforce(self, monkeypatch, k, cap):
+        if cap is not None:  # many blocks, some cut inside one mask size
+            monkeypatch.setattr("qgreedy.spaces._ROW_CAP", cap)
+        x = np.random.default_rng(k).standard_normal((k, 5))
+        oracle = math.fsum(float(np.sum(np.abs(np.array(eps) @ x) ** 0.5))
+                           for eps in itertools.product((-1.0, 1.0), repeat=k)) / 2**k
+        assert khintchine_square_function(x, 0.5, mode="exact").lhs == pytest.approx(
+            oracle, rel=1e-12)
 
     def test_exact_cap(self):
         with pytest.raises(PreconditionError):
