@@ -204,49 +204,62 @@ def coordinate_projection(basis: Basis, A, f) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gauge_row(basis: Basis, f: np.ndarray) -> float:
-    """The row kernel's gauge of one vector (no validation)."""
-    return float(ambient_gauge_rows(basis.space, f[None, :])[0])
+def _descend_pool(basis: Basis, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate descent of gamma over {-1, 0, 1}^d from 1, maximizing the
+    gauge of sum_n gamma_n coeffs_n x_n, for every row of ``coeffs`` at once.
 
-
-def _descend_multiplier(basis: Basis, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coordinate descent of gamma over {-1, 0, 1}^d from 1, maximizing the gauge."""
-    gamma = np.ones(basis.d)
-    scaled = coeffs[:, None] * basis.vectors
-    current = gamma @ scaled
-    best = _gauge_row(basis, current)
+    Each (pass, n, candidate) step is one rows call over the live rows whose
+    gamma_n differs from the candidate; a row takes the move when it beats its
+    own best by the factor 1 + 1e-12, and leaves the live set after a pass
+    with no move (another pass would repeat it).  Every row has the arithmetic,
+    and so the multipliers and gauges, of a descent run on it alone.
+    """
+    gamma = np.ones(coeffs.shape)
+    current = np.array([np.ones(basis.d) @ (c[:, None] * basis.vectors) for c in coeffs])
+    best = ambient_gauge_rows(basis.space, current)
+    live = np.arange(len(coeffs))
     for _ in range(_DESCENT_PASSES):
-        improved = False
+        moved = np.zeros(len(coeffs), dtype=bool)
         for n in range(basis.d):
             for cand in (-1.0, 0.0, 1.0):
-                if cand == gamma[n]:
+                at = live[gamma[live, n] != cand]
+                if at.size == 0:
                     continue
-                trial = current + (cand - gamma[n]) * scaled[n]
-                val = _gauge_row(basis, trial)
-                if val > best * (1 + 1e-12):
-                    current = trial
-                    gamma[n] = cand
-                    best = val
-                    improved = True
-        if not improved:
+                step = (cand - gamma[at, n])[:, None] * (coeffs[at, n, None] * basis.vectors[n])
+                trial = current[at] + step
+                val = ambient_gauge_rows(basis.space, trial)
+                up = val > best[at] * (1 + 1e-12)
+                take = at[up]
+                current[take], gamma[take, n], best[take] = trial[up], cand, val[up]
+                moved[take] = True
+        live = live[moved[live]]
+        if live.size == 0:
             break
     return gamma, best
 
 
-def _exact_family_best(basis: Basis, coeffs: np.ndarray, signs: bool) -> tuple[float, np.ndarray]:
-    """Exact max of ||S_gamma f|| over gamma in {0,1}^d (signs=False: ones on a subset of the
-    support of ``coeffs``) or {-1,1}^d (signs=True: total - 2 (mask sum), masks of at most half
-    the support, as -gamma scores alike); the first by set size, then lexicographically, wins."""
+def _exact_family_best(basis: Basis, coeffs: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Exact max of ||S_gamma f|| over the suppression family {0,1}^d, then over
+    the sign family {-1,1}^d, each as (value, gamma), over the support of
+    ``coeffs`` only, from one pass of the subset-sum feed: a set's sum scores
+    suppression, and ``total - 2 (sum)`` scores signs for the sets of at most half
+    the support (-gamma scores as gamma).  The first maximizer by set size, then
+    lexicographically, wins."""
     support = np.flatnonzero(coeffs)
+    half = support.size // 2
     scaled = coeffs[support, None] * basis.vectors[support]
     total = scaled.sum(axis=0)
-    tracker = Tracker()
-    for sums, _, witness_of in _subset_sums(scaled, 0, support.size // (2 if signs else 1)):
-        tracker.offer(ambient_gauge_rows(basis.space, total - 2.0 * sums if signs else sums),
-                      witness_of)
-    gamma = np.ones(basis.d) if signs else np.zeros(basis.d)
-    gamma[support[tracker.witness["set"]]] = -1.0 if signs else 1.0
-    return tracker.best, gamma
+    keep, flip = Tracker(), Tracker()
+    for sums, sizes, witness_of in _subset_sums(scaled, 0, support.size):
+        keep.offer(ambient_gauge_rows(basis.space, sums), witness_of)
+        if sizes[0] <= half:  # a feed block holds one size
+            flip.offer(ambient_gauge_rows(basis.space, total - 2.0 * sums), witness_of)
+    out = []
+    for tracker, off, on in ((keep, 0.0, 1.0), (flip, 1.0, -1.0)):
+        gamma = np.full(basis.d, off)
+        gamma[support[tracker.witness["set"]]] = on
+        out.append((tracker.best, gamma))
+    return out
 
 
 def _canonical_test_vectors(basis: Basis) -> list[np.ndarray]:
@@ -327,11 +340,13 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
     """Two-sided estimate of sup over ||gamma||_inf <= 1 of ||S_gamma||.
 
     The lower bound searches multipliers in {-1, 0, 1}^d: coordinate descent
-    from sampled and canonical vectors in random mode; in exact mode also the
-    whole suppression family {0,1}^d and sign family {-1,1}^d (exact over
-    those families, for the tested vector pool), over the support of each
-    vector's coefficients only, in capped blocks of the subset-sum feed of
-    :mod:`qgreedy.spaces`.  Exact mode requires d <= 20 and runs in one thread.
+    from sampled and canonical vectors, over the whole pool at once, one rows
+    call per (pass, coordinate, candidate) step; in exact mode also the whole
+    suppression family {0,1}^d and sign family {-1,1}^d (exact over those
+    families, for the tested vector pool), over the support of each vector's
+    coefficients only, from one pass of the subset-sum feed of
+    :mod:`qgreedy.spaces` per vector.  A vector repeated in the pool is tested
+    once.  Exact mode requires d <= 20 and runs in one thread.
     """
     if mode not in ("exact", "random"):
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
@@ -349,16 +364,20 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
     sampled = _sampled_vectors(basis, budget if mode == "random" else 0, seed)
     pool = _canonical_test_vectors(basis) + _sign_flip_pass(basis, sampled, tracker)
     norms = ambient_gauge_rows(basis.space, np.array(pool))
+    # a zero vector has no ratio, and a repeated one repeats a score, which cannot win
+    tested, seen = [], set()
     for f, nf in zip(pool, norms.tolist()):
-        if nf <= 0:
-            continue
-        coeffs = basis.duals @ f
-        if mode == "exact":
-            for signs in (False, True):
-                val, gamma = _exact_family_best(basis, coeffs, signs)
-                tracker.update(val / nf, {"f": f.tolist(), "gamma": gamma.tolist()})
-        gamma, val = _descend_multiplier(basis, coeffs)
-        tracker.update(val / nf, {"f": f.tolist(), "gamma": gamma.tolist()})
+        if nf > 0 and f.tobytes() not in seen:
+            seen.add(f.tobytes())
+            tested.append((f, nf))
+    for chunk in _row_chunks(tested, basis.dim):
+        coeffs = np.array([basis.duals @ f for f, _ in chunk])
+        gammas, values = _descend_pool(basis, coeffs)
+        for (f, nf), c, gamma, val in zip(chunk, coeffs, gammas, values.tolist()):
+            # per f: the exact families first, then the descent
+            found = (_exact_family_best(basis, c) if mode == "exact" else []) + [(val, gamma)]
+            for value, multiplier in found:
+                tracker.update(value / nf, {"f": f.tolist(), "gamma": multiplier.tolist()})
 
     upper, certified, note = _certified_ku_upper(basis)
     lower = tracker.best

@@ -12,14 +12,15 @@ beyond subset range).  Its blocks come from the subset-sum feed of
 :mod:`qgreedy.spaces`, which the exact unconditionality constant and the
 exact sign average also read; each sum adds its members in member order, so
 it has the bits of ``vectors[A].sum(axis=0)``.  Random mode feeds structured
-and sampled sets, summed by gathering, and reports witness-certified
-one-sided bounds.
+and sampled sets as rows of boolean masks, summed by gathering each row's
+members in member order, and reports witness-certified one-sided bounds.
 The sign constants score same-size sets in blocks on their sign patterns.
 The ``threads`` argument of :func:`democracy_profile` has no effect.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -45,7 +46,7 @@ from .rng import (
     block_samples,
     substream,
 )
-from .sampling import random_masks, random_subsets, structured_subsets
+from .sampling import random_masks, structured_subsets
 from .spaces import BlockLpL2, _row_chunks, _subset_sums, ambient_gauge_rows, p_convexity
 
 __all__ = [
@@ -71,31 +72,34 @@ _SWAP_PASSES = 2  # sweeps of the single-swap refinement
 
 def indicator_gauge(basis: Basis, A) -> float:
     """Gauge of sum_{n in A} x_n over the distinct indices of A, each in [0, d)."""
-    return float(_indicator_gauges(basis, [_as_index_set(A, basis.d)])[0])
+    return float(_indicator_gauges(basis, _mask_of(_as_index_set(A, basis.d), basis.d)[None])[0])
 
 
-def _indicator_gauges(basis: Basis, sets: list) -> np.ndarray:
-    """Gauges of sum_{n in A} x_n for index sets A, in one rows call."""
-    return ambient_gauge_rows(basis.space, _indicator_sums(basis, sets))
+def _mask_of(members, d: int) -> np.ndarray:
+    """The indicator row of an index set."""
+    mask = np.zeros(d, dtype=bool)
+    mask[members] = True
+    return mask
 
 
-def _indicator_sums(basis: Basis, sets: list) -> np.ndarray:
-    """The sums sum_{n in A} x_n of index sets A.
+def _indicator_gauges(basis: Basis, masks: np.ndarray) -> np.ndarray:
+    """Gauges of sum_{n in A} x_n for the index sets marked by the rows of
+    ``masks``, in one rows call."""
+    return ambient_gauge_rows(basis.space, _indicator_sums(basis, masks))
+
+
+def _indicator_sums(basis: Basis, masks: np.ndarray) -> np.ndarray:
+    """The sums sum_{n in A} x_n of the index sets marked by the rows of ``masks``.
 
     Sets of one size are gathered and summed together, each adding its
     vectors in member order, so a sum does not depend on its block.
     """
-    sizes = list(map(len, sets))
-    if min(sizes, default=0) == max(sizes, default=0):
-        groups = [(slice(None), sets)]
-    else:
-        sizes = np.array(sizes)
-        groups = [(at, [sets[i] for i in at])
-                  for at in (np.flatnonzero(sizes == k) for k in set(sizes.tolist()))]
-    sums = np.empty((len(sets), basis.dim))
-    for at, group in groups:
-        idx = np.array(group, dtype=int)
-        sums[at] = basis.vectors[idx.T].sum(axis=0)
+    sizes = np.count_nonzero(masks, axis=1)
+    sums = np.empty((len(masks), basis.dim))
+    for k in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == k)
+        members = np.nonzero(masks[at])[1].reshape(-1, k)
+        sums[at] = basis.vectors[members.T].sum(axis=0)
     return sums
 
 
@@ -191,15 +195,17 @@ def _swap_refine(basis: Basis, s, maximize: bool) -> tuple[list[int], float]:
     the first improving swap (by increasing index) is taken before moving on
     to the next member, so every accepted set has the starting size.
     """
-    current = sorted(int(i) for i in s)
-    best = float(_indicator_gauges(basis, [current])[0])
+    current = _mask_of(np.asarray(s, dtype=int), basis.d)
+    best = float(_indicator_gauges(basis, current[None])[0])
     for _ in range(_SWAP_PASSES):
         improved = False
-        for out in list(current):
-            rest = [i for i in current if i != out]
-            trials = [sorted(rest + [into]) for into in range(basis.d) if into not in current]
-            if not trials:
+        for out in np.flatnonzero(current):
+            into = np.flatnonzero(~current)
+            if not into.size:
                 continue
+            trials = np.repeat(current[None], into.size, axis=0)
+            trials[:, out] = False
+            trials[np.arange(into.size), into] = True
             vals = _indicator_gauges(basis, trials)
             better = vals > best * (1 + 1e-12) if maximize else vals < best * (1 - 1e-12)
             if better.any():
@@ -208,36 +214,41 @@ def _swap_refine(basis: Basis, s, maximize: bool) -> tuple[list[int], float]:
                 improved = True
         if not improved:
             break
-    return current, best
+    return np.flatnonzero(current).tolist(), best
 
 
-def _random_sets(d: int, low: int, high: int, count: int, seed: int, *key: int,
-                 fixed: int | None = None):
-    """Uniform random subsets of {0..d-1}, members sorted, of uniform size in
+def _random_masks(d: int, low: int, high: int, count: int, seed: int, *key: int,
+                  fixed: int | None = None):
+    """Indicator rows of uniform random subsets of {0..d-1} of uniform size in
     [low, high]; given ``fixed``, sample i has that size unless i % 3 == 0."""
     def draw(rng, start):
         sizes = rng.integers(low, high + 1, size=SAMPLE_BLOCK)
         if fixed is not None:
             sizes[(start + np.arange(SAMPLE_BLOCK)) % 3 != 0] = fixed
-        return random_subsets(rng, d, sizes)
+        return random_masks(rng, d, sizes)
 
     return block_samples(draw, count, seed, *key)
+
+
+def _random_sets(d: int, low: int, high: int, count: int, seed: int, *key: int,
+                 fixed: int | None = None):
+    """The samples of :func:`_random_masks` as sorted member arrays."""
+    return map(np.flatnonzero, _random_masks(d, low, high, count, seed, *key, fixed=fixed))
 
 
 def _set_feed(basis: Basis, lo: int, hi: int, budget: int, seed: int, op: int,
               fixed: int | None = None):
     """The random feed: capped blocks (sums, sizes, witness_of) of index sets
     of sizes lo..hi in feed order: the structured ones by size, the
-    block-spread ones, then ``budget`` samples of ``op``."""
-    def sets():
-        for k in range(lo, hi + 1):
-            yield from structured_subsets(basis.d, k)
-        yield from (s for s in _block_spread_sets(basis) if lo <= s.size <= hi)
-        yield from _random_sets(basis.d, lo, hi, budget, seed, op, fixed=fixed)
-
-    for chunk in _row_chunks(sets(), basis.dim):
-        yield (_indicator_sums(basis, chunk), np.array(list(map(len, chunk))),
-               lambda j, chunk=chunk: {"set": [int(i) for i in chunk[j]]})
+    block-spread ones, then ``budget`` samples of ``op``, all as mask rows."""
+    structured = [s for k in range(lo, hi + 1) for s in structured_subsets(basis.d, k)]
+    structured += [s for s in _block_spread_sets(basis) if lo <= s.size <= hi]
+    rows = itertools.chain((_mask_of(s, basis.d) for s in structured),
+                           _random_masks(basis.d, lo, hi, budget, seed, op, fixed=fixed))
+    for chunk in _row_chunks(rows, basis.dim):
+        masks = np.array(chunk)
+        yield (_indicator_sums(basis, masks), np.count_nonzero(masks, axis=1),
+               lambda j, masks=masks: {"set": np.flatnonzero(masks[j]).tolist()})
 
 
 def _random_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
@@ -352,14 +363,15 @@ def _sign_extremes(basis: Basis, sets: list, stream):
 
 def _succ_pairs(d: int, budget: int, seed: int):
     """Random nested pairs (A, B), members sorted: B uniform of uniform size
-    in [2, d], A a uniform subset of B of uniform size in [1, |B| - 1]."""
+    in [2, d], A a uniform subset of B of uniform size in [1, |B| - 1]; none
+    for d < 2, where no such pair exists."""
     def draw(rng, start):
         b_sizes = rng.integers(2, d + 1, size=SAMPLE_BLOCK)
         b_masks = random_masks(rng, d, b_sizes)
         a_masks = random_masks(rng, d, rng.integers(1, b_sizes), within=b_masks)
         return [(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(a_masks, b_masks)]
 
-    return block_samples(draw, budget, seed, SUCC_PAIR_SAMPLES)
+    return block_samples(draw, budget if d >= 2 else 0, seed, SUCC_PAIR_SAMPLES)
 
 
 def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstimate:
@@ -526,9 +538,10 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
                       budget: int = 2000, seed: int = 0, threads: int = 1) -> DemocracyProfile:
     """Tabulate phi_u/phi_l for m = 1..m_max with slopes and verdict flags.
 
-    Log-log slopes are fitted over m in [max(2, m_max // 4), m_max].  The
-    democratic verdict compares the two slopes against a fixed heuristic gap
-    (0.1); the almost-greedy flag additionally requires a certified finite
+    Log-log slopes are fitted over m in [max(2, m_max // 4), m_max]; with
+    fewer than two such m they are NaN, and the verdict says that no slope
+    could be fitted and is not democratic.  The democratic verdict compares
+    the two slopes against a fixed heuristic gap (0.1); the almost-greedy flag additionally requires a certified finite
     quasi-greedy upper bound, so it stays conservative for bases where only
     heuristic lower bounds exist.
     """
@@ -578,6 +591,9 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     if democratic:
         verdict = (f"democratic within measured constant {ratio_max:.6g} "
                    f"(slope gap {slope_gap:.3f})")
+    elif len(fit_rows) < 2:
+        verdict = (f"not democratic: no slope could be fitted (the fit needs two sizes "
+                   f"m in [{lo_fit}, m_max], and m_max = {m_max})")
     else:
         verdict = (f"not democratic: phi_u grows like m^{slope_u:.2f} "
                    f"but phi_l like m^{slope_l:.2f}")

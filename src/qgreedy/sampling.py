@@ -80,11 +80,6 @@ def random_masks(rng: np.random.Generator, d: int, sizes: np.ndarray,
     return keys.argsort(axis=1).argsort(axis=1) < np.asarray(sizes)[:, None]
 
 
-def random_subsets(rng: np.random.Generator, d: int, sizes: np.ndarray) -> list[np.ndarray]:
-    """Uniform random subsets of {0..d-1} with the given sizes, members sorted."""
-    return [np.flatnonzero(row) for row in random_masks(rng, d, sizes)]
-
-
 def plateau_coefficients(d: int, boosted, delta: float = 1e-9) -> np.ndarray:
     """Ones with entries raised by ``delta`` on ``boosted`` (deterministic)."""
     coeffs = np.ones(d)

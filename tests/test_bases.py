@@ -214,6 +214,26 @@ class TestUnconditionalConstant:
         with pytest.raises(CombinatorialOverflowError):
             unconditional_constant(big, mode="exact")
 
+    def test_descent_makes_one_call_per_step(self, monkeypatch):
+        # one rows call per (pass, coordinate, candidate) over the whole pool
+        # chunk, after one for the starting multipliers; not one per move
+        d = 32
+        basis = zoo("difference", p=0.5, dim=d)
+        per_chunk = []
+        real = bases_module._descend_pool
+
+        def counted(basis, coeffs):
+            result, calls = gauge_calls(monkeypatch, real, basis, coeffs)
+            per_chunk.append((len(calls) - 1, sum(calls)))
+            return result
+
+        monkeypatch.setattr(bases_module, "_descend_pool", counted)
+        unconditional_constant(basis, mode="random", budget=2000, seed=0)
+        assert per_chunk
+        for steps, scored in per_chunk:
+            assert steps <= 4 * 3 * d
+            assert scored > 4 * 3 * d  # moves far outnumber the calls that score them
+
     def test_certified_upper_formula(self, diff4):
         # sum of ||x_n||^p ||x_n*||^p over n, to the power 1/p
         est = unconditional_constant(diff4, mode="random", budget=10, seed=0)
@@ -358,13 +378,20 @@ def family_scores(basis, coeffs, signs: bool):
     return scores
 
 
-def rows_scored(monkeypatch, fn, *args):
-    """(fn(*args), the number of rows its gauge calls in qgreedy.bases score)."""
+def gauge_calls(monkeypatch, fn, *args):
+    """(fn(*args), the rows of each gauge call it makes in qgreedy.bases, in order)."""
     scored = []
     real = bases_module.ambient_gauge_rows
-    monkeypatch.setattr(bases_module, "ambient_gauge_rows",
-                        lambda space, mat: scored.append(len(mat)) or real(space, mat))
-    return fn(*args), sum(scored)
+    with monkeypatch.context() as patch:
+        patch.setattr(bases_module, "ambient_gauge_rows",
+                      lambda space, mat: scored.append(len(mat)) or real(space, mat))
+        return fn(*args), scored
+
+
+def rows_scored(monkeypatch, fn, *args):
+    """(fn(*args), the number of rows its gauge calls in qgreedy.bases score)."""
+    result, scored = gauge_calls(monkeypatch, fn, *args)
+    return result, sum(scored)
 
 
 class TestBatchedGraySearch:
@@ -373,12 +400,16 @@ class TestBatchedGraySearch:
     its test ids stay stable)."""
 
     def check_against_bruteforce(self, basis, coeffs, signs, monkeypatch, exact_bits=False):
-        """Value, first maximizer, rows scored and replay; returns the rows scored."""
-        (value, gamma), rows = rows_scored(monkeypatch, _exact_family_best, basis, coeffs, signs)
+        """Value, first maximizer, rows scored and replay of one family; returns
+        the rows scored for the sign family."""
+        families, rows = rows_scored(monkeypatch, _exact_family_best, basis, coeffs)
+        value, gamma = families[signs]
         support = np.flatnonzero(coeffs)
         k = support.size
-        # gamma and -gamma score alike, so the sign family reads masks of at most k // 2
-        assert rows == (sum(math.comb(k, j) for j in range(k // 2 + 1)) if signs else 1 << k)
+        # one feed scores every subset for suppression; gamma and -gamma score
+        # alike, so the sign family reads only the masks of at most k // 2
+        sign_rows = rows - (1 << k)
+        assert sign_rows == sum(math.comb(k, j) for j in range(k // 2 + 1))
         scores = family_scores(basis, coeffs, signs)
         best = max(scores.values())
         assert value == pytest.approx(best, rel=1e-12)
@@ -390,7 +421,7 @@ class TestBatchedGraySearch:
             assert replay == value
         else:
             assert replay == pytest.approx(value, rel=1e-12)
-        return rows
+        return sign_rows
 
     @pytest.mark.parametrize("name,d,seed,integer", [
         ("difference", 10, 0, True),

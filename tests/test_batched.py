@@ -19,6 +19,10 @@ import qgreedy.democracy as democracy_module
 import qgreedy.spaces as spaces_module
 from qgreedy.bases import (
     Basis,
+    _canonical_test_vectors,
+    _descend_pool,
+    _difference_matrices,
+    _sampled_vectors,
     _sign_flip_pass,
     coefficient_transform,
     sign_operator,
@@ -353,6 +357,69 @@ def test_unconditional_witness_replays(kind, small_cap):
     est = unconditional_constant(basis, mode="random", budget=40, seed=1)
     assert est.lower >= 1.0
     assert replay_multiplier(basis, est.witness) == pytest.approx(est.lower, rel=REL)
+
+
+# ---------------------------------------------------------------------------
+# unconditional constant: the pool-wide coordinate descent
+# ---------------------------------------------------------------------------
+
+
+def descent_oracle(basis, coeffs):
+    """The one-vector coordinate descent, one gauge call per move: (gamma,
+    value, passes run)."""
+    gamma = np.ones(basis.d)
+    scaled = coeffs[:, None] * basis.vectors
+    current = gamma @ scaled
+    best = float(ambient_gauge_rows(basis.space, current[None, :])[0])
+    for passes in range(1, 5):
+        improved = False
+        for n in range(basis.d):
+            for cand in (-1.0, 0.0, 1.0):
+                if cand == gamma[n]:
+                    continue
+                trial = current + (cand - gamma[n]) * scaled[n]
+                val = float(ambient_gauge_rows(basis.space, trial[None, :])[0])
+                if val > best * (1 + 1e-12):
+                    current, gamma[n], best, improved = trial, cand, val, True
+        if not improved:
+            break
+    return gamma, best, passes
+
+
+DESCENT_BASES = {
+    "difference": lambda: zoo("difference", p=0.5, dim=10),
+    "perturbed_unit": lambda: zoo("perturbed_unit", p=0.5, dim=9, seed=2),
+    "block_l2": lambda: zoo("block_l2", p=0.5, blocks=(2, 3, 1)),
+    "block_l2_perturbed": lambda: random_basis("block", seed=5),
+    "lorentz": lambda: Basis(LorentzSpace(0.5, power_weight(2.0, 10)), *_difference_matrices(10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_BASES))
+def test_pool_descent_matches_one_vector_loop(name):
+    basis = DESCENT_BASES[name]()
+    pool = _canonical_test_vectors(basis) + _sign_flip_pass(
+        basis, _sampled_vectors(basis, 200, 1), Tracker())
+    pool += [c @ basis.vectors for c in sample_coefficients(basis.d, 30, seed=4)]
+    coeffs = np.array([basis.duals @ f for f in pool])
+    gammas, values = _descend_pool(basis, coeffs)
+    passes = set()
+    for c, gamma, value in zip(coeffs, gammas, values.tolist()):
+        want_gamma, want_value, ran = descent_oracle(basis, c)
+        assert gamma.tolist() == want_gamma.tolist()
+        assert value == want_value  # bit for bit
+        passes.add(ran)
+    # rows leave the live set in different passes; on a diagonal basis no move
+    # raises the gauge, so every row stops after its first pass
+    assert passes == {1} if basis.is_diagonal() else len(passes) >= 3
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_BASES))
+def test_unconditional_constant_does_not_depend_on_the_row_cap(name, monkeypatch):
+    basis = DESCENT_BASES[name]()
+    want = unconditional_constant(basis, mode="random", budget=300, seed=2).as_dict()
+    monkeypatch.setattr(spaces_module, "_ROW_CAP", SMALL_CAP)  # the pool spans several chunks
+    assert unconditional_constant(basis, mode="random", budget=300, seed=2).as_dict() == want
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ class TestAnalyzeCommand:
             m, lower = int(parts[0]), float(parts[1])
             assert lower >= (2 * m) ** 2 - 1e-9
 
+    @pytest.mark.parametrize("basis", [["--zoo", "unit", "--dim", "1"],
+                                       ["--zoo", "block_l2", "--blocks", "1"]])
+    def test_one_vector_basis(self, basis, capsys):
+        # no nested pair (A, B) with A a proper subset exists, and no slope can be fitted
+        code, out, err = run_cli(["analyze", *basis, "--budget", "50"], capsys)
+        assert code == 0
+        assert "verdict: not democratic: no slope could be fitted" in out + err
+
     def test_bad_duals_exit_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         duals = np.eye(3)

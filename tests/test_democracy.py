@@ -320,6 +320,16 @@ class TestProfile:
         assert not profile.almost_greedy
         assert "not democratic" in profile.verdict
 
+    @pytest.mark.parametrize("mode", ["exact", "random"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_slope_without_two_fitted_sizes(self, d, mode):
+        # the fit reads m in [2, m_max], so m_max <= 2 leaves fewer than two sizes
+        profile = democracy_profile(zoo("unit", p=0.5, dim=d), mode=mode, budget=50, seed=0)
+        assert math.isnan(profile.slope_u) and math.isnan(profile.slope_l)
+        assert not profile.democratic and not profile.almost_greedy
+        assert profile.verdict.startswith("not democratic: no slope could be fitted")
+        assert "nan" not in profile.verdict
+
     def test_block_slopes(self):
         basis = zoo("block_l2", p=4, blocks=list(range(1, 13)))
         profile = democracy_profile(basis, m_max=12, mode="exact", budget=50, seed=0)
