@@ -95,12 +95,16 @@ def _ratios_over_m(basis: Basis, coeffs: np.ndarray, truncate: bool) -> np.ndarr
     """
     order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
     sorted_coeffs = np.take_along_axis(coeffs, order, axis=1)[:, :, None]
-    vectors = basis.vectors[order]
+    # built in place: a block allocates one (rows, d, dim) array, not three,
+    # so the allocator does not return and fault in block-sized temporaries
+    prefixes = basis.vectors[order]
     if truncate:
-        signs = np.where(sorted_coeffs < 0, -1.0, 1.0)
-        prefixes = np.abs(sorted_coeffs) * np.cumsum(signs * vectors, axis=1)
+        prefixes *= np.where(sorted_coeffs < 0, -1.0, 1.0)
+        np.cumsum(prefixes, axis=1, out=prefixes)
+        prefixes *= np.abs(sorted_coeffs)
     else:
-        prefixes = np.cumsum(sorted_coeffs * vectors, axis=1)
+        prefixes *= sorted_coeffs
+        np.cumsum(prefixes, axis=1, out=prefixes)
     return ambient_gauge_rows(basis.space, prefixes.reshape(-1, basis.dim)).reshape(coeffs.shape)
 
 

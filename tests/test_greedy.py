@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qgreedy.bases import synthesize, zoo
 from qgreedy.greedy import (
+    _ratios_over_m,
     conditionality_growth_profile,
     greedy_approximation,
     greedy_set,
@@ -223,3 +224,22 @@ class TestConditionalityProfile:
     def test_nonpositive_max_m_rejected(self, unit4, max_m):
         with pytest.raises(ValueError, match=rf"max_m must be >= 1, got {max_m}"):
             conditionality_growth_profile(unit4, max_m=max_m, budget=20)
+
+
+@pytest.mark.parametrize("name,d", [("difference", 9), ("perturbed_unit", 12)])
+@pytest.mark.parametrize("truncate", [False, True])
+def test_prefix_gauges_match_out_of_place_formula(name, d, truncate):
+    # the in-place prefix sums do the same products and sums as the formula
+    basis = zoo(name, p=0.5, dim=d, seed=3)
+    rng = np.random.default_rng(d)
+    coeffs = rng.standard_normal((30, d)) * rng.integers(0, 2, size=(30, d))
+    order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")
+    sorted_coeffs = np.take_along_axis(coeffs, order, axis=1)[:, :, None]
+    vectors = basis.vectors[order]
+    if truncate:
+        prefixes = np.abs(sorted_coeffs) * np.cumsum(np.where(sorted_coeffs < 0, -1.0, 1.0) * vectors,
+                                                     axis=1)
+    else:
+        prefixes = np.cumsum(sorted_coeffs * vectors, axis=1)
+    want = np.array([[ambient_gauge(basis.space, row) for row in block] for block in prefixes])
+    assert np.array_equal(_ratios_over_m(basis, coeffs, truncate), want)
