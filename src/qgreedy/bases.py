@@ -64,6 +64,8 @@ BIORTHOGONALITY_TOL = 1e-9
 _DESCENT_PASSES = 4  # coordinate-descent sweeps per multiplier search
 _CANONICAL_CAP = 48  # unit vectors and basis vectors in the canonical pool
 _SIGN_FLIP_KEEP = 8  # sign-flip survivors handed to coordinate descent
+# why an operator constant of a diagonal system is at most 1
+_DIAGONAL_NOTE = "diagonal system; gauge monotone in coordinate moduli"
 
 ZOO_NAMES = ("unit", "difference", "block_l2", "perturbed_unit")
 
@@ -278,15 +280,15 @@ def _canonical_test_vectors(basis: Basis) -> list[np.ndarray]:
     return out
 
 
-def _certified_ku_upper(basis: Basis) -> tuple[float, bool, str]:
+def _certified_ku_upper(basis: Basis) -> tuple[float, str]:
+    """A proved upper bound for K_u (inf when none is known) and its reason."""
     if basis.is_diagonal():
-        return 1.0, True, "diagonal system; gauge monotone in coordinate moduli"
+        return 1.0, _DIAGONAL_NOTE
     r = p_convexity(basis.space)
     if r is not None:
         products = basis.vector_norms * basis.dual_norms
-        upper = float(np.sum(products**r) ** (1.0 / r))
-        return upper, True, "r-convexity product bound"
-    return math.inf, False, ""
+        return float(np.sum(products**r) ** (1.0 / r)), "r-convexity product bound"
+    return math.inf, ""
 
 
 def _sampled_vectors(basis: Basis, budget: int, seed: int):
@@ -379,18 +381,10 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
             for value, multiplier in found:
                 tracker.update(value / nf, {"f": f.tolist(), "gamma": multiplier.tolist()})
 
-    upper, certified, note = _certified_ku_upper(basis)
-    lower = tracker.best
-    if certified:
-        lower = min(lower, upper)
-    return BoundEstimate(
-        lower=lower,
-        upper=upper,
-        witness=tracker.witness,
-        upper_certified=certified,
-        heuristic=(mode == "random"),
-        note=note or ("exact over the {0,1}^d and {-1,1}^d multiplier families" if mode == "exact" else ""),
-    )
+    upper, note = _certified_ku_upper(basis)
+    if mode == "exact" and not note:
+        note = "exact over the {0,1}^d and {-1,1}^d multiplier families"
+    return tracker.estimate(upper, heuristic=(mode == "random"), note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,7 @@ def _exact_blocks(basis: Basis, lo: int, hi: int, bound: str):
 
 def _exact_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
     """The exact estimate from a tracker fed every feasible set."""
-    return BoundEstimate(tracker.best, tracker.best, tracker.witness, upper_certified=True,
-                         heuristic=False)
+    return tracker.estimate(tracker.best, heuristic=False)
 
 
 def _occupancy_extreme(space: BlockLpL2, m: int, maximize: bool) -> tuple[float, list[int]]:
@@ -163,8 +162,9 @@ def _occupancy_to_set(space: BlockLpL2, occupancy: list[int]) -> list[int]:
 
 
 def _use_occupancy(basis: Basis) -> bool:
+    # exactly the identity: the occupancy gains assume unit vectors
     return isinstance(basis.space, BlockLpL2) and basis.is_diagonal() and bool(
-        np.allclose(np.diag(basis.vectors), 1.0)
+        np.all(np.diag(basis.vectors) == 1.0)
     )
 
 
@@ -173,11 +173,10 @@ def _use_occupancy(basis: Basis) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _phi_u_certified_upper(basis: Basis, m: int) -> tuple[float, bool]:
+def _phi_u_certified_upper(basis: Basis, m: int) -> float:
+    """The r-convexity bound a * m^(1/r) on phi_u(m), inf without r-convexity."""
     r = p_convexity(basis.space)
-    if r is None:
-        return math.inf, False
-    return basis.a * m ** (1.0 / r), True
+    return math.inf if r is None else basis.a * m ** (1.0 / r)
 
 
 def _block_spread_sets(basis: Basis) -> list[np.ndarray]:
@@ -260,9 +259,7 @@ def _random_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
     if not tracker.maximize:
         return BoundEstimate(0.0, tracker.best, tracker.witness, upper_certified=True,
                              heuristic=True, note="inf-type: upper bound is the sampled minimum")
-    upper, certified = _phi_u_certified_upper(basis, m)
-    return BoundEstimate(min(tracker.best, upper), upper, tracker.witness,
-                         upper_certified=certified, heuristic=True)
+    return tracker.estimate(_phi_u_certified_upper(basis, m))
 
 
 def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
@@ -409,7 +406,7 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
     tracker.offer(best, lambda i: {"A": [int(x) for x in pairs[i][0]],
                                    "B": [int(x) for x in pairs[i][1]],
                                    "signs": patterns[i].tolist()})
-    return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
+    return tracker.estimate()
 
 
 def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstimate:
@@ -430,7 +427,7 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
     tracker.offer(ratios, lambda i: {"A": [int(x) for x in sets[i]],
                                      "theta": patterns[i][0].tolist(),
                                      "eps": patterns[i][1].tolist()})
-    return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
+    return tracker.estimate()
 
 
 def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int = 500,
@@ -460,7 +457,7 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
                 "A": [int(x) for x in cands[a]], "B": [int(x) for x in cands[b]],
                 "theta": patterns[a][0].tolist(), "eps": patterns[b][1].tolist(),
             })
-    return BoundEstimate(tracker.best, math.inf, tracker.witness, heuristic=True)
+    return tracker.estimate()
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +584,7 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
 
     slope_gap = slope_u - slope_l if not math.isnan(slope_u) else math.inf
     democratic = slope_gap <= _SLOPE_GAP_DEMOCRATIC
-    almost_greedy = democratic and qg.upper_certified and math.isfinite(qg.upper)
+    almost_greedy = democratic and qg.upper_certified
     if democratic:
         verdict = (f"democratic within measured constant {ratio_max:.6g} "
                    f"(slope gap {slope_gap:.3f})")

@@ -107,8 +107,7 @@ def _report(direction: str, basis: Basis, w: np.ndarray, s: np.ndarray, q: float
         table.append(CompanionRow(m=m, s_m=s_m, phi=phi, ratio=ratio))
     return EmbeddingReport(
         direction=direction,
-        constant=BoundEstimate(min(tracker.best, upper), upper, tracker.witness,
-                               upper_certified=math.isfinite(upper), heuristic=True, note=note),
+        constant=tracker.estimate(upper, note=note),
         q=q,
         weight=w,
         phi_label="phi_l" if q is None else "phi_u",

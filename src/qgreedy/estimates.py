@@ -1,5 +1,12 @@
 """Certified/heuristic bound pairs returned by all constant estimators, and
-the first-best tracker behind every witness search."""
+the first-best tracker behind every witness search.
+
+Every search reports through :meth:`Tracker.estimate`, which holds the one
+rule for a sup-type bound: the lower bound is the best witness value, clamped
+to the upper bound; the upper bound is certified exactly when it is finite,
+since an estimator passes a finite one only when a proved inequality (or an
+exhaustive search) gives it.
+"""
 
 from __future__ import annotations
 
@@ -22,10 +29,11 @@ class BoundEstimate:
     """A two-sided estimate for a sup- or inf-type constant.
 
     ``lower`` is always certified by ``witness``: re-evaluating the stored
-    witness reproduces it.  ``upper`` is certified only when
-    ``upper_certified`` is set; otherwise it is ``inf`` (sup-type) or a
-    heuristic value.  ``heuristic`` marks estimates whose search was budgeted
-    rather than exhaustive.
+    witness reproduces it (up to the clamp to a certified ``upper``).
+    ``upper`` is certified only when ``upper_certified`` is set; otherwise it
+    is ``inf`` (sup-type) or a heuristic value.  Searches build their
+    estimates with :meth:`Tracker.estimate`.  ``heuristic`` marks estimates
+    whose search was budgeted rather than exhaustive.
     """
 
     lower: float
@@ -84,3 +92,11 @@ class Tracker:
         j = int(np.argmax(keyed))
         if keyed[j] > (self.best if self.maximize else -self.best):
             self.best, self.witness = float(values[j]), witness_of(j)
+
+    def estimate(self, upper: float = math.inf, heuristic: bool = True,
+                 note: str = "") -> BoundEstimate:
+        """The search's bound pair: the best value, clamped to ``upper``, with
+        its witness; ``upper`` is certified exactly when it is finite."""
+        return BoundEstimate(min(self.best, upper), upper, self.witness,
+                             upper_certified=math.isfinite(upper), heuristic=heuristic,
+                             note=note)

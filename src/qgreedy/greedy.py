@@ -25,7 +25,8 @@ from typing import Any
 
 import numpy as np
 
-from .bases import Basis, _as_index_set, coefficient_transform, coordinate_projection
+from .bases import (_DIAGONAL_NOTE, Basis, _as_index_set, coefficient_transform,
+                    coordinate_projection)
 from .errors import InvalidExponentError
 from .estimates import BoundEstimate, Tracker
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
@@ -144,21 +145,8 @@ def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
 
     if basis.is_diagonal():
         # projections and truncations shrink coordinate moduli pointwise
-        return BoundEstimate(
-            lower=min(tracker.best, 1.0),
-            upper=1.0,
-            witness=tracker.witness,
-            upper_certified=True,
-            heuristic=False,
-            note="diagonal system; gauge monotone in coordinate moduli",
-        )
-    return BoundEstimate(
-        lower=tracker.best,
-        upper=math.inf,
-        witness=tracker.witness,
-        upper_certified=False,
-        heuristic=True,
-    )
+        return tracker.estimate(1.0, heuristic=False, note=_DIAGONAL_NOTE)
+    return tracker.estimate()
 
 
 def quasi_greedy_constant(basis: Basis, budget: int = 2000, seed: int = 0) -> BoundEstimate:

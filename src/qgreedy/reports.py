@@ -100,19 +100,22 @@ def companion_csv(report: EmbeddingReport) -> str:
 
 
 def to_jsonable(obj) -> Any:
-    """Recursively convert report objects to JSON-serializable data."""
+    """Recursively convert report objects to JSON-serializable data: NaN
+    becomes null and an infinity the string "inf" or "-inf", so the text is
+    strict JSON."""
     if isinstance(obj, BoundEstimate):
         return to_jsonable(obj.as_dict())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isnan(obj):
+            return None
+        return ("inf" if obj > 0 else "-inf") if math.isinf(obj) else obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -121,4 +124,4 @@ def to_jsonable(obj) -> Any:
 
 
 def json_text(obj) -> str:
-    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -4,7 +4,8 @@ replaced.
 Each oracle below is the earlier scalar loop body, scoring every vector with
 the public scalar gauge.  The batched code runs with the row cap lowered, so
 every search spans several capped blocks.  Values must agree to a relative
-1e-12, and every reported witness must replay through the public API.
+1e-12, and every reported witness must replay, through the public API or
+through ``perfbench/check.py``, which shares no code with the program.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import pytest
 import qgreedy
 import qgreedy.democracy as democracy_module
 import qgreedy.spaces as spaces_module
+from conftest import check
 from qgreedy.bases import (
     Basis,
     _canonical_test_vectors,
@@ -25,7 +27,6 @@ from qgreedy.bases import (
     _sampled_vectors,
     _sign_flip_pass,
     coefficient_transform,
-    sign_operator,
     synthesize,
     unconditional_constant,
     zoo,
@@ -106,6 +107,20 @@ def gauge(basis, f) -> float:
     return ambient_gauge(basis.space, f)
 
 
+def replay(kind: str, basis: Basis, witness) -> float:
+    """The ratio ``witness`` certifies, recomputed by the checker's own gauges."""
+    space = basis.space
+    if isinstance(space, BlockLpL2):
+        copy = check.CheckBasis("block", basis.vectors, basis.duals, p=space.p,
+                                blocks=space.blocks)
+    elif isinstance(space, LorentzSpace):
+        copy = check.CheckBasis("lorentz", basis.vectors, basis.duals, p=space.q,
+                                weight=space.weight)
+    else:
+        copy = check.CheckBasis("lp", basis.vectors, basis.duals, p=space.p)
+    return check.replay(kind, witness, copy)
+
+
 # ---------------------------------------------------------------------------
 # forward selection and the conditionality profile
 # ---------------------------------------------------------------------------
@@ -139,12 +154,6 @@ def fresh_rows(max_m):
                               log_normalized=0.0, witness=None) for m in range(1, max_m + 1)]
 
 
-def replay_projection(basis, witness) -> float:
-    coeffs = np.array(witness["coeffs"])
-    idx = witness["set"]
-    return gauge(basis, coeffs[idx] @ basis.vectors[idx]) / gauge(basis, coeffs @ basis.vectors)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_forward_selection_matches_scalar_loop(kind, small_cap):
     basis = random_basis(kind, seed=11)
@@ -164,7 +173,7 @@ def test_forward_selection_matches_scalar_loop(kind, small_cap):
     for want, tracker in zip(expected, got):
         assert tracker.best == pytest.approx(want.lower, rel=REL)
         assert len(tracker.witness["set"]) == want.m
-        assert replay_projection(basis, tracker.witness) == pytest.approx(tracker.best, rel=REL)
+        assert replay("conditionality", basis, tracker.witness) == pytest.approx(tracker.best, rel=REL)
 
 
 def conditionality_oracle(basis, max_m, budget, seed):
@@ -285,17 +294,6 @@ def operator_oracle(basis, budget, seed, stream, truncate):
     return tracker
 
 
-def replay_operator(basis, witness, truncate) -> float:
-    coeffs = np.array(witness["coeffs"])
-    idx = np.lexsort((np.arange(basis.d), -np.abs(coeffs)))[: witness["m"]]
-    if truncate:
-        level = np.min(np.abs(coeffs[idx]))
-        out = level * (np.where(coeffs[idx] < 0, -1.0, 1.0) @ basis.vectors[idx])
-    else:
-        out = coeffs[idx] @ basis.vectors[idx]
-    return gauge(basis, out) / gauge(basis, coeffs @ basis.vectors)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("truncate", [False, True])
 def test_operator_constant_matches_scalar_loop(kind, truncate, small_cap):
@@ -305,7 +303,8 @@ def test_operator_constant_matches_scalar_loop(kind, truncate, small_cap):
     estimator = truncation_constant if truncate else quasi_greedy_constant
     est = estimator(basis, budget=40, seed=2)
     assert est.lower == pytest.approx(expected.best, rel=REL)
-    assert replay_operator(basis, est.witness, truncate) == pytest.approx(est.lower, rel=REL)
+    kind = "truncation" if truncate else "quasi_greedy"
+    assert replay(kind, basis, est.witness) == pytest.approx(est.lower, rel=REL)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +328,6 @@ def sign_flip_oracle(basis, sampled):
     return tracker, scored
 
 
-def replay_multiplier(basis, witness) -> float:
-    f = np.array(witness["f"])
-    return gauge(basis, sign_operator(basis, np.array(witness["gamma"]), f)) / gauge(basis, f)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_sign_flip_pass_matches_scalar_loop(kind, small_cap):
     basis = random_basis(kind, seed=8)
@@ -348,7 +342,7 @@ def test_sign_flip_pass_matches_scalar_loop(kind, small_cap):
     for f, (_, want) in zip(top, scored):
         assert f is want
     assert tracker.best == pytest.approx(expected.best, rel=REL)
-    assert replay_multiplier(basis, tracker.witness) == pytest.approx(tracker.best, rel=REL)
+    assert replay("unconditional", basis, tracker.witness) == pytest.approx(tracker.best, rel=REL)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -356,7 +350,7 @@ def test_unconditional_witness_replays(kind, small_cap):
     basis = random_basis(kind, seed=9)
     est = unconditional_constant(basis, mode="random", budget=40, seed=1)
     assert est.lower >= 1.0
-    assert replay_multiplier(basis, est.witness) == pytest.approx(est.lower, rel=REL)
+    assert replay("unconditional", basis, est.witness) == pytest.approx(est.lower, rel=REL)
 
 
 # ---------------------------------------------------------------------------

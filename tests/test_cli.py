@@ -146,6 +146,19 @@ class TestAnalyzeCommand:
         assert payload["verdict"].startswith("democratic")
         assert len(payload["profile"]["rows"]) == 3
 
+    def test_json_without_a_slope_is_strict(self, capsys):
+        # a one-vector basis fits no slope; its NaN slopes and residuals are null
+        code, out, _ = run_cli(["analyze", "--zoo", "unit", "--dim", "1", "--format", "json"],
+                               capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        profile = json.loads(out, parse_constant=reject)["profile"]
+        for key in ("slope_u", "slope_l", "slope_residual_u", "slope_residual_l"):
+            assert profile[key] is None
+
 
 class TestDeterminism:
     def _run(self, tmp_path, tag, threads):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qgreedy.spaces as spaces_module
-from qgreedy.bases import zoo
+from qgreedy.bases import Basis, zoo
 from qgreedy.democracy import (
     democracy_profile,
     indicator_gauge,
@@ -18,7 +18,7 @@ from qgreedy.democracy import (
 )
 from qgreedy.errors import CombinatorialOverflowError
 from qgreedy.reports import profile_csv
-from qgreedy.spaces import ambient_gauge
+from qgreedy.spaces import BlockLpL2, ambient_gauge
 
 
 def brute_force_phi(basis, m):
@@ -96,6 +96,17 @@ class TestExactDemocracy:
         basis = zoo("block_l2", p=4, blocks=list(range(1, 13)))
         est = upper_democracy(basis, 5)
         assert indicator_gauge(basis, est.witness["set"]) == pytest.approx(est.lower)
+
+    def test_near_identity_block_basis_is_not_an_occupancy_problem(self):
+        # the occupancy DP assumes unit vectors; a diagonal entry off 1 by 5e-6
+        # moves phi_u(2) above the DP's 4, and the witness must replay the value
+        vectors = np.diag([1.000005, 1.0, 1.0, 1.0])
+        basis = Basis(BlockLpL2(0.5, (2, 2)), vectors, np.linalg.inv(vectors).T)
+        est = upper_democracy(basis, 2)
+        assert est.exact
+        assert est.lower == indicator_gauge(basis, est.witness["set"])
+        assert est.lower == pytest.approx(4.000009999993751, rel=1e-12)
+        assert "occupancy" in upper_democracy(zoo("block_l2", p=0.5, blocks=(2, 2)), 2).witness
 
     def test_overflow_guard(self):
         basis = zoo("unit", p=0.5, dim=40)

@@ -11,7 +11,6 @@ The pinned ``analyze`` reports and fresh exact unconditionality constants are
 also replayed by ``perfbench/check.py``, which imports no ``qgreedy``.
 """
 
-import importlib.util
 import json
 import math
 import platform
@@ -22,21 +21,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import check, load_module
 from qgreedy.bases import unconditional_constant, zoo
 from qgreedy.reports import json_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def load_module(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 regen = load_module("golden_regen", GOLDEN / "regen.py")
-check = load_module("perfbench_check", GOLDEN.parents[1] / "perfbench" / "check.py")
 
 VERIFY = json.loads(regen.VERIFY_FILE.read_text())
 SIGNS = json.loads(regen.SIGN_FILE.read_text())
