@@ -173,7 +173,8 @@ def test_forward_selection_matches_scalar_loop(kind, small_cap):
     for want, tracker in zip(expected, got):
         assert tracker.best == pytest.approx(want.lower, rel=REL)
         assert len(tracker.witness["set"]) == want.m
-        assert replay("conditionality", basis, tracker.witness) == pytest.approx(tracker.best, rel=REL)
+        assert (replay("conditionality", basis, tracker.witness)
+                == pytest.approx(tracker.best, rel=REL))
 
 
 def conditionality_oracle(basis, max_m, budget, seed):
