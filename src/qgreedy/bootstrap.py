@@ -49,12 +49,12 @@ class GrowthSequence:
         return float(self.values[m - 1])
 
 
-def harmonic(M: int, label: str = "harmonic") -> GrowthSequence:
+def harmonic(M: int) -> GrowthSequence:
     """Partial sums H_m = sum_{n<=m} 1/n."""
     if M < 1:
         raise InvalidWeightError("length must be >= 1")
     n = np.arange(1, M + 1, dtype=float)
-    return GrowthSequence(compensated_cumsum(1.0 / n), label)
+    return GrowthSequence(compensated_cumsum(1.0 / n), "harmonic")
 
 
 def bootstrap_step(s, label: str | None = None) -> GrowthSequence:

@@ -7,7 +7,6 @@ conditionality growth), ``verify`` (named check suites), ``bootstrap``
 A command rejects, with exit 2, every flag it does not read.  ``verify
 SUITE`` has one flag per parameter of the suite's function in
 :data:`qgreedy.verify.SUITES`; a flag left out keeps the suite's default.
-``--threads`` is accepted and has no effect: every kernel runs in one thread.
 
 Reports go to standard output or ``--out``; diagnostics go to standard
 error.  Exit codes: 0 success, 1 failed verification, 2 configuration error,
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from .errors import BasisFileError, NotABasisError, QGreedyError
 from .greedy import conditionality_growth_profile, quasi_greedy_constant, truncation_constant
 from .reports import chain_csv, conditionality_csv, csv_text, json_text, profile_csv
 from .spaces import Lp
-from .verify import SUITES, run_suite
+from .verify import SUITE_MINIMA, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,22 +36,25 @@ EXIT_CONFIG = 2
 EXIT_BASIS = 3
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type of a value that does not parse
+    return parse
 
 
 # verify flag types by suite parameter; the flag is "--" + the name, "_" -> "-"
-VERIFY_FLAG_TYPES = {"p": float, "dim": positive_int, "trials": positive_int,
-                     "max_m": positive_int, "C": float, "budget": int, "seed": int}
+# (qgreedy.verify.SUITE_MINIMA raises the minimum of a flag for one suite)
+VERIFY_FLAG_TYPES = {"p": float, "dim": int_at_least(1), "trials": int_at_least(1),
+                     "max_m": int_at_least(1), "C": float, "budget": int, "seed": int}
 
 
 def _add_output(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="accepted for compatibility; has no effect (every kernel "
-                        "runs in one thread)")
     if formats:
         parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", type=Path, default=None, help="output directory or file")
@@ -93,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, suite in sorted(SUITES.items()):
         p_su = suites.add_parser(name, help=suite.__doc__.split("\n")[0])
         for param in inspect.signature(suite).parameters:
-            p_su.add_argument("--" + param.replace("_", "-"), dest=param,
-                              type=VERIFY_FLAG_TYPES[param], default=None)
+            low = SUITE_MINIMA.get((name, param))
+            p_su.add_argument("--" + param.replace("_", "-"), dest=param, default=None,
+                              type=VERIFY_FLAG_TYPES[param] if low is None else int_at_least(low))
         _add_output(p_su)
 
     p_bo = sub.add_parser("bootstrap", help="iterated improvement chain as CSV or JSON")
@@ -139,16 +141,43 @@ def _constants_table(basis, budget: int, seed: int) -> dict:
     }
 
 
-def _emit(text: str, out: Path | None, filename: str) -> None:
+def _emit(files: dict[str, str], out: Path | None) -> None:
+    """Write the first of ``files`` (name -> text) to standard output, or
+    every one of them under the directory ``out``."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / filename).write_bytes(text.encode("utf-8"))
+        sys.stdout.write(next(iter(files.values())))
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_bytes(text.encode("utf-8"))
 
 
 def _bound_row(name: str, est) -> list:
     return [name, est.lower, est.upper, est.upper_certified, est.heuristic]
+
+
+def _analysis_table(basis, profile, constants: dict, cond_rows) -> str:
+    lines = [f"basis: d={basis.d}, ambient={basis.space!r}", f"verdict: {profile.verdict}"]
+    if profile.almost_greedy:
+        lines.append("flags: almost greedy (quasi-greedy ceiling certified + democratic)")
+    lines.append("")
+    lines.append("democracy profile (m, phi_u, phi_l):")
+    for row in profile.rows:
+        lines.append(f"  m={row.m:3d}  phi_u={row.phi_u_value:.6g}  "
+                     f"phi_l={row.phi_l_value:.6g}")
+    lines.append(f"slopes: phi_u ~ m^{profile.slope_u:.3f}, phi_l ~ m^{profile.slope_l:.3f}")
+    lines.append("")
+    lines.append("constants (lower / upper, * = certified upper):")
+    for name, est in sorted(constants.items()):
+        star = "*" if est.upper_certified else ""
+        lines.append(f"  {name:16s} {est.lower:.6g} / {est.upper:.6g}{star}")
+    if cond_rows is not None:
+        lines.append("")
+        lines.append("conditionality growth (m, lower, upper, lower/(1+log m)^(1/p)):")
+        for row in cond_rows:
+            lines.append(f"  m={row.m:3d}  {row.lower:.6g}  {row.upper:.6g}  "
+                         f"{row.log_normalized:.6g}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -166,49 +195,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cond_rows = conditionality_growth_profile(
             basis, max_m=args.max_m, budget=min(budget, 400), seed=args.seed)
 
-    const_header = ["constant", "lower", "upper", "upper_certified", "heuristic"]
-    const_rows = [_bound_row(k, v) for k, v in sorted(constants.items())]
-
-    if args.format == "table":
-        lines = [f"basis: d={basis.d}, ambient={basis.space!r}", f"verdict: {profile.verdict}"]
-        if profile.almost_greedy:
-            lines.append("flags: almost greedy (quasi-greedy ceiling certified + democratic)")
-        lines.append("")
-        lines.append("democracy profile (m, phi_u, phi_l):")
-        for row in profile.rows:
-            lines.append(f"  m={row.m:3d}  phi_u={row.phi_u_value:.6g}  "
-                         f"phi_l={row.phi_l_value:.6g}")
-        lines.append(f"slopes: phi_u ~ m^{profile.slope_u:.3f}, phi_l ~ m^{profile.slope_l:.3f}")
-        lines.append("")
-        lines.append("constants (lower / upper, * = certified upper):")
-        for name, est in sorted(constants.items()):
-            star = "*" if est.upper_certified else ""
-            lines.append(f"  {name:16s} {est.lower:.6g} / {est.upper:.6g}{star}")
-        if cond_rows is not None:
-            lines.append("")
-            lines.append("conditionality growth (m, lower, upper, lower/(1+log m)^(1/p)):")
-            for row in cond_rows:
-                lines.append(f"  m={row.m:3d}  {row.lower:.6g}  {row.upper:.6g}  "
-                             f"{row.log_normalized:.6g}")
-        _emit("\n".join(lines) + "\n", args.out, "analysis.txt")
-        if args.out is not None:
-            (args.out / "democracy_profile.csv").write_bytes(profile_csv(profile).encode())
-            (args.out / "constants.csv").write_bytes(
-                csv_text(const_header, const_rows).encode())
-            if cond_rows is not None:
-                (args.out / "conditionality.csv").write_bytes(
-                    conditionality_csv(cond_rows).encode())
-    elif args.format == "csv":
-        _emit(profile_csv(profile), args.out, "democracy_profile.csv")
-        if args.out is not None:
-            (args.out / "constants.csv").write_bytes(csv_text(const_header, const_rows).encode())
-            if cond_rows is not None:
-                (args.out / "conditionality.csv").write_bytes(
-                    conditionality_csv(cond_rows).encode())
-    else:
+    # the primary file comes first: it alone goes to standard output without --out
+    if args.format == "json":
         payload = {"profile": profile, "constants": constants,
                    "conditionality": cond_rows, "verdict": profile.verdict}
-        _emit(json_text(payload), args.out, "analysis.json")
+        files = {"analysis.json": json_text(payload)}
+    else:
+        const_header = ["constant", "lower", "upper", "upper_certified", "heuristic"]
+        const_rows = [_bound_row(k, v) for k, v in sorted(constants.items())]
+        files = {"democracy_profile.csv": profile_csv(profile),
+                 "constants.csv": csv_text(const_header, const_rows)}
+        if cond_rows is not None:
+            files["conditionality.csv"] = conditionality_csv(cond_rows)
+        if args.format == "table":
+            files = {"analysis.txt": _analysis_table(basis, profile, constants, cond_rows),
+                     **files}
+    _emit(files, args.out)
     print(f"verdict: {profile.verdict}", file=sys.stderr)
     return EXIT_OK
 
@@ -226,16 +228,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             all_ok = False
             if res.witness is not None:
                 print(f"witness: {res.witness}", file=sys.stderr)
-    _emit("\n".join(lines) + "\n", args.out, f"verify_{args.suite}.txt")
+    _emit({f"verify_{args.suite}.txt": "\n".join(lines) + "\n"}, args.out)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
     chain = bootstrap_chain(args.max_m, args.iters)
     if args.format == "json":
-        _emit(json_text(chain), args.out, "bootstrap.json")
+        _emit({"bootstrap.json": json_text(chain)}, args.out)
     else:
-        _emit(chain_csv(chain), args.out, "bootstrap.csv")
+        _emit({"bootstrap.csv": chain_csv(chain)}, args.out)
     return EXIT_OK
 
 

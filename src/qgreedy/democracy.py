@@ -174,9 +174,15 @@ def _use_occupancy(basis: Basis) -> bool:
 
 
 def _phi_u_certified_upper(basis: Basis, m: int) -> float:
-    """The r-convexity bound a * m^(1/r) on phi_u(m), inf without r-convexity."""
+    """The r-convexity bound a * m^(1/r) on phi_u(m); inf without r-convexity
+    or past the float range (an uncertified bound)."""
     r = p_convexity(basis.space)
-    return math.inf if r is None else basis.a * m ** (1.0 / r)
+    if r is None:
+        return math.inf
+    try:
+        return basis.a * m ** (1.0 / r)
+    except OverflowError:
+        return math.inf
 
 
 def _block_spread_sets(basis: Basis) -> list[np.ndarray]:

@@ -31,7 +31,7 @@ from .errors import InvalidExponentError
 from .estimates import BoundEstimate, Tracker
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
 from .sampling import coefficient_samples, plateau_coefficients
-from .spaces import Lp, _row_chunks, ambient_gauge_rows
+from .spaces import Lp, _row_chunks, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "greedy_order",
@@ -214,6 +214,14 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
         tracker.offer(vals[at, j] / f_gauges, witness)
 
 
+def _log_normalized(lower: float, m: int, p: float) -> float:
+    """lower / (1 + log m)^(1/p), through logarithms where the power overflows."""
+    try:
+        return lower / (1.0 + math.log(m)) ** (1.0 / p)
+    except OverflowError:
+        return math.exp(math.log(lower) - math.log1p(math.log(m)) / p)
+
+
 def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
                                   budget: int = 400, seed: int = 0) -> list[ConditionalityRow]:
     """Per-m bounds for sup over |A| <= m of ||S_A||, with the growth diagnostic.
@@ -233,7 +241,7 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     max_m = min(int(max_m), d)
 
-    r = min(p, 1.0)
+    r = p_convexity(basis.space)
     if basis.is_diagonal():
         uppers = np.ones(max_m)
     else:
@@ -262,7 +270,8 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
     rows = []
     for m, (tracker, upper) in enumerate(zip(trackers, uppers.tolist()), 1):
         lower = min(max(tracker.best, 1.0), upper)
-        rows.append(ConditionalityRow(m=m, lower=lower, upper=upper, upper_certified=True,
-                                      log_normalized=lower / (1.0 + math.log(m)) ** (1.0 / p),
+        rows.append(ConditionalityRow(m=m, lower=lower, upper=upper,
+                                      upper_certified=math.isfinite(upper),
+                                      log_normalized=_log_normalized(lower, m, p),
                                       witness=tracker.witness))
     return rows

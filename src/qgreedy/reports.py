@@ -103,8 +103,6 @@ def to_jsonable(obj) -> Any:
     """Recursively convert report objects to JSON-serializable data: NaN
     becomes null and an infinity the string "inf" or "-inf", so the text is
     strict JSON."""
-    if isinstance(obj, BoundEstimate):
-        return to_jsonable(obj.as_dict())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-9
+_DOMINATION_TOL = 1e-12  # relative and absolute slack of the Lemma 3.2 comparison
+_COUNTING_TOL = 1e-9  # absolute slack of the counting inequality
 _EXACT_SIGN_LIMIT = 20
 _MIN_PAIRING = 0.2  # of |x*(x)| / (|x*|_2 |x|_2) <= 1 (Cauchy-Schwarz), so below 1
 
@@ -56,7 +58,12 @@ def strongly_absolute_function(p: float, eps: float) -> float:
     eps = float(eps)
     if eps <= 0:
         raise InvalidExponentError(f"eps must be positive, got {eps}")
-    return eps ** (-p / (1.0 - p))
+    try:
+        return eps ** (-p / (1.0 - p))
+    except OverflowError:
+        raise InvalidExponentError(
+            f"A(eps) = eps^(-p/(1-p)) exceeds the float range at p = {p!r}, eps = {eps!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -66,19 +73,19 @@ class AbsoluteCheck:
     holds: bool
 
 
-def strongly_absolute_check(f, p: float, eps: float, tol: float = 1e-12) -> AbsoluteCheck:
+def strongly_absolute_check(f, p: float, eps: float) -> AbsoluteCheck:
     """Evaluate ||f||_1 <= max{A(eps) ||f||_inf, eps ||f||_p} for the unit system
     (the 1-row case of :func:`strongly_absolute_rows`)."""
-    lhs, rhs, holds = strongly_absolute_rows(as_vector(f)[None, :], (p,), (eps,), tol)
+    lhs, rhs, holds = strongly_absolute_rows(as_vector(f)[None, :], (p,), (eps,))
     return AbsoluteCheck(lhs=float(lhs[0]), rhs=float(rhs[0, 0, 0]), holds=bool(holds[0, 0, 0]))
 
 
-def strongly_absolute_rows(rows: np.ndarray, p_values, eps_values, tol: float = 1e-12):
+def strongly_absolute_rows(rows: np.ndarray, p_values, eps_values):
     """:func:`strongly_absolute_check` for every row f_i of a 2-d array at every
     (p_values[k], eps_values[e]): returns lhs[i] = ||f_i||_1 and rhs[k, i, e],
     holds[k, i, e].  The l_1 and sup gauges are computed once per row, the l_p
-    gauge once per (row, p); each eps is an array comparison with the same
-    ``tol``.  Rows are not validated (see :func:`lp_gauge_rows`)."""
+    gauge once per (row, p); each eps is an array comparison with slack
+    ``_DOMINATION_TOL``.  Rows are not validated (see :func:`lp_gauge_rows`)."""
     a = np.array([[strongly_absolute_function(p, eps) for eps in eps_values] for p in p_values])
     mat = np.asarray(rows, dtype=float)
     if mat.shape[1] == 0:  # an empty vector has every gauge 0
@@ -87,7 +94,7 @@ def strongly_absolute_rows(rows: np.ndarray, p_values, eps_values, tol: float = 
     sup = lp_gauge_rows(mat, math.inf)
     gp = np.stack([lp_gauge_rows(mat, p) for p in p_values])
     rhs = np.maximum(a[:, None, :] * sup[None, :, None], np.array(eps_values) * gp[:, :, None])
-    return lhs, rhs, lhs[None, :, None] <= rhs * (1 + tol) + tol
+    return lhs, rhs, lhs[None, :, None] <= rhs * (1 + _DOMINATION_TOL) + _DOMINATION_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +217,7 @@ class CountingCheck:
     omega: tuple[int, ...]
 
 
-def counting_inequality_check(family: PairFamily, C: float = 2.0,
-                              tol: float = 1e-9) -> CountingCheck:
+def counting_inequality_check(family: PairFamily, C: float = 2.0) -> CountingCheck:
     """Verify |A| <= C * sum over the concentration set of |lambda_j|,
     where lambda_j = sum_n x_n*(e_j) e_j*(x_n)."""
     a = max(family.a, 1.0)
@@ -223,7 +229,7 @@ def counting_inequality_check(family: PairFamily, C: float = 2.0,
     return CountingCheck(
         size=family.size,
         bound=bound,
-        holds=family.size <= bound + tol,
+        holds=family.size <= bound + _COUNTING_TOL,
         eps=eps,
         delta=delta,
         omega=tuple(int(j) for j in omega),

@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from qgreedy.bases import zoo
 from qgreedy.cli import VERIFY_FLAG_TYPES, main
+from qgreedy.democracy import democracy_profile
+from qgreedy.reports import json_text
 from qgreedy.verify import SUITES, CheckResult
 
 
@@ -125,7 +128,7 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         # analyze reaches the library's check; verify rejects the flag itself
-        assert ("argument --max-m: must be >= 1" if argv[0] == "verify"
+        assert ("argument --max-m: must be >= " if argv[0] == "verify"
                 else "m_max must be >= 1") in err
 
     @pytest.mark.parametrize("argv", [
@@ -146,6 +149,38 @@ class TestAnalyzeCommand:
         assert payload["verdict"].startswith("democratic")
         assert len(payload["profile"]["rows"]) == 3
 
+    @pytest.mark.parametrize("fmt,names", [
+        ("table", ["analysis.txt", "conditionality.csv", "constants.csv",
+                   "democracy_profile.csv"]),
+        ("csv", ["conditionality.csv", "constants.csv", "democracy_profile.csv"]),
+        ("json", ["analysis.json"]),
+    ])
+    def test_out_file_set(self, capsys, tmp_path, fmt, names):
+        code, out, _ = run_cli(["analyze", "--zoo", "difference", "--dim", "5", "--budget", "30",
+                                "--format", fmt, "--out", str(tmp_path / "report")], capsys)
+        assert code == 0
+        assert out == ""
+        assert sorted(p.name for p in (tmp_path / "report").iterdir()) == names
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("zoo_name", ["difference", "unit"])
+    def test_overflowing_exponent_reports(self, capsys, zoo_name):
+        # at p = 0.001 the r-convexity bound m^(1/p) and (1 + log m)^(1/p) leave the
+        # float range; the bound reports as uncertified and the run still succeeds
+        code, out, _ = run_cli(["analyze", "--zoo", zoo_name, "--p", "0.001", "--dim", "4",
+                                "--budget", "10", "--format", "json"], capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        for row in report["profile"]["rows"][2:]:  # 3^1000 overflows
+            assert row["phi_u"]["upper"] == "inf" and not row["phi_u"]["upper_certified"]
+        for row in report["conditionality"]:
+            assert row["upper_certified"] == (row["upper"] != "inf")
+
     def test_json_without_a_slope_is_strict(self, capsys):
         # a one-vector basis fits no slope; its NaN slopes and residuals are null
         code, out, _ = run_cli(["analyze", "--zoo", "unit", "--dim", "1", "--format", "json"],
@@ -161,34 +196,41 @@ class TestAnalyzeCommand:
 
 
 class TestDeterminism:
-    def _run(self, tmp_path, tag, threads):
+    def _run(self, tmp_path, tag):
         out_dir = tmp_path / tag
         code = main([
             "analyze", "--zoo", "difference", "--p", "0.5", "--dim", "8",
             "--max-m", "4", "--mode", "random", "--budget", "120", "--seed", "7",
-            "--threads", str(threads), "--format", "csv", "--out", str(out_dir)])
+            "--format", "csv", "--out", str(out_dir)])
         assert code == 0
         return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, capsys):
-        first = self._run(tmp_path, "a", threads=1)
-        second = self._run(tmp_path, "b", threads=1)
-        third = self._run(tmp_path, "c", threads=4)
+    def test_byte_identical_across_runs(self, tmp_path, capsys):
+        first = self._run(tmp_path, "a")
+        second = self._run(tmp_path, "b")
+        third = self._run(tmp_path, "c")
         assert first == second == third
         assert "democracy_profile.csv" in first
 
-    def test_exact_mode_byte_identical_across_threads(self, tmp_path, capsys):
+    def test_exact_mode_byte_identical_across_runs(self, tmp_path, capsys):
         outputs = []
-        for threads in (1, 4):
-            out_dir = tmp_path / f"exact-{threads}"
+        for tag in ("a", "b"):
+            out_dir = tmp_path / f"exact-{tag}"
             code = main([
                 "analyze", "--zoo", "perturbed_unit", "--p", "0.5", "--dim", "12",
                 "--mode", "exact", "--budget", "60", "--seed", "3",
-                "--threads", str(threads), "--format", "csv", "--out", str(out_dir)])
+                "--format", "csv", "--out", str(out_dir)])
             assert code == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert outputs[0] == outputs[1]
         assert outputs[0]["democracy_profile.csv"].count(b"\n") >= 12
+
+    @pytest.mark.parametrize("mode", ["exact", "random"])
+    def test_profile_threads_argument_changes_nothing(self, mode):
+        basis = zoo("perturbed_unit", p=0.5, dim=8, seed=2)
+        one, four = (json_text(democracy_profile(basis, m_max=4, mode=mode, budget=80, seed=5,
+                                                 threads=threads)) for threads in (1, 4))
+        assert one == four
 
 
 class TestVerifyCommand:
@@ -291,12 +333,45 @@ class TestVerifyCommand:
         (["zoo", "emit", "--zoo", "custom_file", "--out", "g.json"], "custom_file"),
         (["verify", "lemma33", "--C", "nan"], "C must be finite and exceed 1, got nan"),
         (["verify", "lemma33", "--C", "inf"], "C must be finite and exceed 1, got inf"),
+        (["verify", "succ", "--dim", "1"], "argument --dim: must be >= 2, got 1"),
+        (["verify", "democracy-lp", "--dim", "1"], "argument --dim: must be >= 3, got 1"),
+        (["verify", "democracy-lp", "--dim", "2"], "argument --dim: must be >= 3, got 2"),
+        (["verify", "democracy-lp", "--max-m", "1"], "argument --max-m: must be >= 3, got 1"),
+        (["verify", "democracy-lp", "--max-m", "2"], "argument --max-m: must be >= 3, got 2"),
+        (["analyze", "--zoo", "unit", "--threads", "2"], "--threads"),
+        (["verify", "lemma32", "--threads", "2"], "--threads"),
+        (["bootstrap", "--threads", "2"], "--threads"),
     ])
     def test_unread_or_invalid_flag_exit_two(self, capsys, argv, flag):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert flag in err
         assert out == ""
+
+    @pytest.mark.parametrize("suite", ["lemma32", "lemma33"])
+    def test_domination_constant_overflow_exit_two(self, capsys, suite):
+        # A(eps) = eps^(-p/(1-p)) exceeds the float range at eps < 1 as p -> 1
+        code, out, err = run_cli(["verify", suite, "--p", "0.99999", "--trials", "5"], capsys)
+        assert code == 2
+        assert "exceeds the float range at p = 0.99999" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "succ", "--dim", "2", "--budget", "40"],
+        ["verify", "democracy-lp", "--dim", "3", "--max-m", "3"],
+    ])
+    def test_smallest_checkable_configuration_passes(self, capsys, argv):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lemma34_one_vector_passes(self, capsys, seed):
+        # one vector has one gauge for every sign, so only rounding separates
+        # the Monte Carlo mean from the exact one
+        code, out, _ = run_cli(["verify", "lemma34", "--max-m", "1", "--seed", str(seed)], capsys)
+        assert code == 0
+        assert out.count("[PASS]") == 2
 
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["verify", "nonsense"]) == 2
