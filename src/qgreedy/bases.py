@@ -411,14 +411,12 @@ def zoo(name: str, *, p: float | None = None, dim: int | None = None,
     :func:`load_basis` reads any other basis from a JSON file.
     """
     name = str(name).lower().replace("-", "_")
+    if name in ("unit", "difference", "perturbed_unit") and (p is None or dim is None):
+        raise ValueError(f"zoo({name!r}) needs p and dim")
     if name == "unit":
-        if p is None or dim is None:
-            raise ValueError("zoo('unit') needs p and dim")
         eye = np.eye(int(dim))
         return Basis(Lp(p, int(dim)), eye, eye.copy())
     if name == "difference":
-        if p is None or dim is None:
-            raise ValueError("zoo('difference') needs p and dim")
         v, u = _difference_matrices(int(dim))
         return Basis(Lp(p, int(dim)), v, u)
     if name == "block_l2":
@@ -428,8 +426,6 @@ def zoo(name: str, *, p: float | None = None, dim: int | None = None,
         eye = np.eye(space.dim)
         return Basis(space, eye, eye.copy())
     if name == "perturbed_unit":
-        if p is None or dim is None:
-            raise ValueError("zoo('perturbed_unit') needs p and dim")
         d = int(dim)
         rng = substream(seed, PERTURBED_BASIS)
         v = np.eye(d) + (0.5 / d) * rng.standard_normal((d, d))

@@ -59,20 +59,11 @@ def harmonic(M: int) -> GrowthSequence:
 
 def bootstrap_step(s, label: str | None = None) -> GrowthSequence:
     """Apply t_m = m (sum_{n<=m} s_n^(-2))^(-1/2) to a positive sequence."""
-    if isinstance(s, GrowthSequence):
-        values = s.values
-        base_label = s.label
-    else:
-        values = np.asarray(s, dtype=float)
-        base_label = ""
-        if values.ndim != 1 or values.size < 1:
-            raise InvalidWeightError("input sequence must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)) or np.any(values <= 0):
-            raise InvalidWeightError("input sequence entries must be positive and finite")
-    m = np.arange(1, values.size + 1, dtype=float)
-    sums = compensated_cumsum(values**-2.0)
+    s = s if isinstance(s, GrowthSequence) else GrowthSequence(s)
+    m = np.arange(1, len(s) + 1, dtype=float)
+    sums = compensated_cumsum(s.values**-2.0)
     out = m * sums**-0.5
-    return GrowthSequence(out, label if label is not None else f"step({base_label})")
+    return GrowthSequence(out, label if label is not None else f"step({s.label})")
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,7 +46,7 @@ from .rng import (
     block_samples,
     substream,
 )
-from .sampling import random_masks, structured_subsets
+from .sampling import random_masks, size_cap, structured_subsets
 from .spaces import BlockLpL2, _row_chunks, _subset_sums, ambient_gauge_rows, p_convexity
 
 __all__ = [
@@ -106,18 +106,6 @@ def _indicator_sums(basis: Basis, masks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact kernels
 # ---------------------------------------------------------------------------
-
-
-def _exact_blocks(basis: Basis, lo: int, hi: int, bound: str):
-    """The subset-sum feed of the index sets of sizes lo..hi, guarded against
-    overflow; ``bound`` names the size range in the error."""
-    d = basis.d
-    if sum(math.comb(d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
-        raise CombinatorialOverflowError(
-            f"exact enumeration over sets of size {bound} in d = {d} exceeds "
-            f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
-        )
-    return _subset_sums(basis.vectors, lo, hi)
 
 
 def _exact_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
@@ -268,29 +256,40 @@ def _random_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
     return tracker.estimate(_phi_u_certified_upper(basis, m))
 
 
+def _feed(basis: Basis, mode: str, lo: int, hi: int, budget: int, seed: int, op: int,
+          bound: str, fixed: int | None = None):
+    """The blocks (sums, sizes, witness_of) of the index sets of sizes lo..hi
+    in ``mode``, and the ``finish`` that turns a tracker fed them into an
+    estimate.  Exact mode feeds every set, guarded against overflow (``bound``
+    names the size range in the error); random mode is the set feed of ``op``."""
+    if mode == "exact":
+        if sum(math.comb(basis.d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
+            raise CombinatorialOverflowError(
+                f"exact enumeration over sets of size {bound} in d = {basis.d} exceeds "
+                f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
+            )
+        return _subset_sums(basis.vectors, lo, hi), _exact_phi
+    if mode == "random":
+        return _set_feed(basis, lo, hi, budget, seed, op, fixed=fixed), _random_phi
+    raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
+
+
 def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
                maximize: bool) -> BoundEstimate:
     """phi_u(m) (``maximize``) over the sizes 1..m, or phi_l(m) over m..d."""
     d = basis.d
     if not 1 <= m <= d:
         raise ValueError(f"m must lie in [1, {d}], got {m}")
+    if mode == "exact" and _use_occupancy(basis):
+        # occupancy gain c^(p/2) strictly increases with c, so the sup
+        # over sizes <= m and the inf over sizes >= m are attained at size m
+        best, occ = _occupancy_extreme(basis.space, m, maximize)
+        witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
+        return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
     lo, hi = (1, m) if maximize else (m, d)
-    if mode == "exact":
-        if _use_occupancy(basis):
-            # occupancy gain c^(p/2) strictly increases with c, so the sup
-            # over sizes <= m and the inf over sizes >= m are attained at size m
-            best, occ = _occupancy_extreme(basis.space, m, maximize)
-            witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
-            return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
-        blocks = _exact_blocks(basis, lo, hi, f"<= {m}" if maximize else f">= {m}")
-        finish = _exact_phi
-    elif mode == "random":
-        blocks = _set_feed(basis, lo, hi, budget, seed,
-                           UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS, fixed=m)
-        finish = _random_phi
-    else:
-        raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
-
+    blocks, finish = _feed(basis, mode, lo, hi, budget, seed,
+                           UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS,
+                           f"<= {m}" if maximize else f">= {m}", fixed=m)
     tracker = Tracker(maximize)
     for sums, _, witness_of in blocks:
         tracker.offer(ambient_gauge_rows(basis.space, sums), witness_of)
@@ -442,11 +441,7 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     ||sum_A theta_n x_n|| / ||sum_B eps_n x_n||.  Per size, the first largest
     gauge is set against the first smallest positive one."""
     d = basis.d
-    if m_max is None:
-        m_max = d
-    if int(m_max) < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    m_max = min(int(m_max), d)
+    m_max = size_cap(m_max, d, d)
     tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})
 
@@ -542,41 +537,34 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     """Tabulate phi_u/phi_l for m = 1..m_max with slopes and verdict flags.
 
     Log-log slopes are fitted over m in [max(2, m_max // 4), m_max]; with
-    fewer than two such m they are NaN, and the verdict says that no slope
-    could be fitted and is not democratic.  The democratic verdict compares
-    the two slopes against a fixed heuristic gap (0.1); the almost-greedy flag additionally requires a certified finite
-    quasi-greedy upper bound, so it stays conservative for bases where only
-    heuristic lower bounds exist.
+    fewer than two such m, or a phi value there past the float range, they
+    are NaN, and the verdict says that no slope could be fitted and is not
+    democratic.  The democratic verdict compares the two slopes against a
+    fixed heuristic gap (0.1); the almost-greedy flag additionally requires
+    a certified finite quasi-greedy upper bound, so it stays conservative
+    for bases where only heuristic lower bounds exist.
     """
     d = basis.d
-    if m_max is None:
-        m_max = min(d, 12)
-    if int(m_max) < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    m_max = min(int(m_max), d)
-    if mode == "random":
-        rows = _profile_rows(basis, m_max, _set_feed(basis, 1, d, budget, seed, PROFILE_SETS),
-                             _random_phi)
-    elif mode == "exact" and not _use_occupancy(basis):
+    m_max = size_cap(m_max, d, 12)
+    if mode == "exact" and _use_occupancy(basis):
+        rows = [ProfileRow(m=m, phi_u=upper_democracy(basis, m, mode, budget, seed),
+                           phi_l=lower_democracy(basis, m, mode, budget, seed))
+                for m in range(1, m_max + 1)]
+    else:
         # lower_democracy(1) spans every size, so its overflow guard is the
         # first one the per-m calls would trip
-        rows = _profile_rows(basis, m_max, _exact_blocks(basis, 1, d, ">= 1"), _exact_phi)
-    else:
-        rows = [
-            ProfileRow(
-                m=m,
-                phi_u=upper_democracy(basis, m, mode, budget, seed),
-                phi_l=lower_democracy(basis, m, mode, budget, seed),
-            )
-            for m in range(1, m_max + 1)
-        ]
+        rows = _profile_rows(basis, m_max,
+                             *_feed(basis, mode, 1, d, budget, seed, PROFILE_SETS, ">= 1"))
 
     lo_fit = max(2, m_max // 4)
     fit_rows = [r for r in rows if lo_fit <= r.m <= m_max]
-    if len(fit_rows) >= 2:
+    phi_u = np.array([r.phi_u_value for r in fit_rows])
+    phi_l = np.array([r.phi_l_value for r in fit_rows])
+    overflow = not (np.all(np.isfinite(phi_u)) and np.all(np.isfinite(phi_l)))
+    if len(fit_rows) >= 2 and not overflow:
         ms = np.array([r.m for r in fit_rows], dtype=float)
-        slope_u, _, res_u = loglog_slope(ms, np.array([r.phi_u_value for r in fit_rows]))
-        slope_l, _, res_l = loglog_slope(ms, np.array([r.phi_l_value for r in fit_rows]))
+        slope_u, _, res_u = loglog_slope(ms, phi_u)
+        slope_l, _, res_l = loglog_slope(ms, phi_l)
     else:
         slope_u = slope_l = res_u = res_l = float("nan")
 
@@ -597,6 +585,9 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     elif len(fit_rows) < 2:
         verdict = (f"not democratic: no slope could be fitted (the fit needs two sizes "
                    f"m in [{lo_fit}, m_max], and m_max = {m_max})")
+    elif overflow:
+        verdict = (f"not democratic: no slope could be fitted (the phi values at m in "
+                   f"[{lo_fit}, {m_max}] leave the float range)")
     else:
         verdict = (f"not democratic: phi_u grows like m^{slope_u:.2f} "
                    f"but phi_l like m^{slope_l:.2f}")

@@ -27,7 +27,7 @@ from .errors import InvalidExponentError, InvalidWeightError
 from .estimates import BoundEstimate, Tracker
 from .lorentz import check_weight
 from .rng import EMBED_LORENTZ_SAMPLES, EMBED_SPACE_SAMPLES
-from .sampling import coefficient_samples, structured_subsets
+from .sampling import coefficient_samples, size_cap, structured_subsets
 from .spaces import Lp, LorentzSpace, _row_chunks, ambient_gauge_rows
 
 __all__ = [
@@ -59,17 +59,16 @@ class EmbeddingReport:
     meta: dict[str, Any] | None = None
 
 
-def _validated(basis: Basis, w, m_max: int | None) -> np.ndarray:
-    """The checked weight, after checking that the ambient is lp, that the
-    weight covers the basis and that the companion table has a row."""
+def _validated(basis: Basis, w, m_max: int | None) -> tuple[np.ndarray, int]:
+    """The checked weight and the companion table's last size, after checking
+    that the ambient is lp, the table has a row and the weight covers the basis."""
     if not isinstance(basis.space, Lp):
         raise InvalidExponentError("embedding reports require an lp ambient")
-    if m_max is not None and int(m_max) < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    m_max = size_cap(m_max, basis.d, 12)
     w = check_weight(w)
     if w.size < basis.d:
         raise InvalidWeightError(f"weight prefix {w.size} shorter than basis size {basis.d}")
-    return w
+    return w, m_max
 
 
 def _coefficient_pool(d: int, head: list[np.ndarray], budget: int, seed: int,
@@ -87,11 +86,10 @@ def _coefficient_pool(d: int, head: list[np.ndarray], budget: int, seed: int,
 
 def _report(direction: str, basis: Basis, w: np.ndarray, s: np.ndarray, q: float | None,
             tracker: Tracker, upper: float, note: str, budget: int, seed: int,
-            m_max: int | None) -> EmbeddingReport:
+            m_max: int) -> EmbeddingReport:
     """The report of one direction, with the companion table of ``s``, the primitive
     weight of w[:d], against phi_l(m) (into weak Lorentz, ``q`` None) or phi_u(m)."""
     d = basis.d
-    m_max = min(d, 12) if m_max is None else min(int(m_max), d)
     mode = "exact" if 2**d <= _EXACT_TABLE_LIMIT else "random"
     table = []
     for m in range(1, m_max + 1):
@@ -120,7 +118,7 @@ def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int 
                                   m_max: int | None = None) -> EmbeddingReport:
     """Lower bound for sup_f ||F(f)||_{inf,w} / ||f|| with F the coefficient
     transform, plus the companion table of s_m against phi_l(m)."""
-    w = _validated(basis, w, m_max)
+    w, m_max = _validated(basis, w, m_max)
     d, p = basis.d, basis.space.p
     weak = LorentzSpace(math.inf, w[:d])
     coeffs = _coefficient_pool(d, [np.ones(d)], budget, seed, EMBED_SPACE_SAMPLES)
@@ -147,7 +145,7 @@ def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 
                              m_max: int | None = None) -> EmbeddingReport:
     """Lower bound for sup_g ||sum_n g_n x_n|| / ||g||_{q,w}, plus the
     companion table of phi_u(m) against s_m."""
-    w = _validated(basis, w, m_max)
+    w, m_max = _validated(basis, w, m_max)
     d, p = basis.d, basis.space.p
     lorentz = LorentzSpace(q, w[:d])
     pool = _coefficient_pool(d, [np.ones(d), *np.eye(d)], budget, seed, EMBED_LORENTZ_SAMPLES)

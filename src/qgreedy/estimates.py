@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -54,22 +54,15 @@ class BoundEstimate:
         return self.upper_certified and _close(self.lower, self.upper)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "upper_certified": self.upper_certified,
-            "heuristic": self.heuristic,
-            "witness": self.witness,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 class Tracker:
     """The first best value offered, by the sense ``maximize``, with its witness.
 
-    Offering a block of values (none of them NaN) keeps the same winner as
-    offering its entries one at a time: a later value replaces the best only
-    when strictly better.
+    Offering a block of values keeps the same winner as offering its entries
+    one at a time: a later value replaces the best only when strictly better,
+    and a NaN never does.
     """
 
     def __init__(self, maximize: bool = True) -> None:
@@ -82,14 +75,18 @@ class Tracker:
             self.best, self.witness = value, witness
 
     def offer(self, values, witness_of: Callable[[int], Any], eligible=None) -> None:
-        """Offer the first best eligible entry of the 1-d block ``values``;
-        ``witness_of(j)`` builds the witness of entry j, and only if it wins."""
+        """Offer the first best eligible entry of the 1-d block ``values`` (a
+        NaN entry is not eligible); ``witness_of(j)`` builds the witness of
+        entry j, and only if it wins."""
         keyed = np.asarray(values, dtype=float) * (1.0 if self.maximize else -1.0)
         if eligible is not None:
             keyed = np.where(eligible, keyed, -math.inf)
         if keyed.size == 0:
             return
         j = int(np.argmax(keyed))
+        if math.isnan(keyed[j]):  # argmax stops at the first NaN: rank NaN entries last
+            keyed = np.where(np.isnan(keyed), -math.inf, keyed)
+            j = int(np.argmax(keyed))
         if keyed[j] > (self.best if self.maximize else -self.best):
             self.best, self.witness = float(values[j]), witness_of(j)
 

@@ -30,7 +30,7 @@ from .bases import (_DIAGONAL_NOTE, Basis, _as_index_set, coefficient_transform,
 from .errors import InvalidExponentError
 from .estimates import BoundEstimate, Tracker
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
-from .sampling import coefficient_samples, plateau_coefficients
+from .sampling import coefficient_samples, plateau_coefficients, size_cap
 from .spaces import Lp, _row_chunks, ambient_gauge_rows, p_convexity
 
 __all__ = [
@@ -142,6 +142,8 @@ def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
         ratios = np.divide(gauges.max(axis=1), nf, out=np.full(len(chunk), -math.inf),
                            where=nf > 0)
         tracker.offer(ratios, lambda j: {"coeffs": chunk[j].tolist(), "m": int(m[j]) + 1})
+    # G_d and U_d reproduce the flat vector: ratio 1 even where its gauges overflow
+    tracker.update(1.0, {"coeffs": [1.0] * d, "m": d})
 
     if basis.is_diagonal():
         # projections and truncations shrink coordinate moduli pointwise
@@ -235,11 +237,7 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
         raise InvalidExponentError("conditionality profile requires an lp ambient")
     p = basis.space.p
     d = basis.d
-    if max_m is None:
-        max_m = d
-    if int(max_m) < 1:
-        raise ValueError(f"max_m must be >= 1, got {max_m}")
-    max_m = min(int(max_m), d)
+    max_m = size_cap(max_m, d, d, "max_m")
 
     r = p_convexity(basis.space)
     if basis.is_diagonal():
@@ -269,9 +267,9 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
         tracker.update(prev.best, prev.witness)
     rows = []
     for m, (tracker, upper) in enumerate(zip(trackers, uppers.tolist()), 1):
-        lower = min(max(tracker.best, 1.0), upper)
-        rows.append(ConditionalityRow(m=m, lower=lower, upper=upper,
-                                      upper_certified=math.isfinite(upper),
-                                      log_normalized=_log_normalized(lower, m, p),
-                                      witness=tracker.witness))
+        est = tracker.estimate(upper)
+        rows.append(ConditionalityRow(m=m, lower=est.lower, upper=upper,
+                                      upper_certified=est.upper_certified,
+                                      log_normalized=_log_normalized(est.lower, m, p),
+                                      witness=est.witness))
     return rows

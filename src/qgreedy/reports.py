@@ -17,7 +17,6 @@ import numpy as np
 from .bootstrap import BootstrapChain
 from .democracy import DemocracyProfile
 from .embeddings import EmbeddingReport
-from .estimates import BoundEstimate
 from .greedy import ConditionalityRow
 
 __all__ = [
@@ -51,10 +50,10 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _witness_set(est: BoundEstimate) -> str:
-    if not est.witness or "set" not in est.witness:
+def _witness_set(witness: dict | None) -> str:
+    if not witness or "set" not in witness:
         return ""
-    return ";".join(str(int(i)) for i in est.witness["set"])
+    return ";".join(str(int(i)) for i in witness["set"])
 
 
 def profile_csv(profile: DemocracyProfile) -> str:
@@ -65,20 +64,15 @@ def profile_csv(profile: DemocracyProfile) -> str:
             row.m,
             row.phi_u.lower, row.phi_u.upper,
             row.phi_l.lower, row.phi_l.upper,
-            _witness_set(row.phi_u), _witness_set(row.phi_l),
+            _witness_set(row.phi_u.witness), _witness_set(row.phi_l.witness),
         ])
     return csv_text(header, rows)
 
 
 def conditionality_csv(rows: list[ConditionalityRow]) -> str:
     header = ["m", "km_lower", "km_upper", "km_lower_over_logpow", "witness_set"]
-    out = []
-    for row in rows:
-        wit = ""
-        if row.witness and "set" in row.witness:
-            wit = ";".join(str(int(i)) for i in row.witness["set"])
-        out.append([row.m, row.lower, row.upper, row.log_normalized, wit])
-    return csv_text(header, out)
+    return csv_text(header, [[row.m, row.lower, row.upper, row.log_normalized,
+                              _witness_set(row.witness)] for row in rows])
 
 
 def chain_csv(chain: BootstrapChain) -> str:

@@ -87,6 +87,16 @@ def plateau_coefficients(d: int, boosted, delta: float = 1e-9) -> np.ndarray:
     return coeffs
 
 
+def size_cap(m_max, d: int, default: int, name: str = "m_max") -> int:
+    """The largest set size a search covers: ``m_max`` (``default`` when None),
+    which must be >= 1, capped at d; ``name`` is the argument in the error."""
+    if m_max is None:
+        m_max = default
+    if int(m_max) < 1:
+        raise ValueError(f"{name} must be >= 1, got {m_max}")
+    return min(int(m_max), d)
+
+
 def structured_subsets(d: int, m: int) -> list[np.ndarray]:
     """Deterministic index sets of size m: intervals, stride-2 combs, spread."""
     out: list[np.ndarray] = []

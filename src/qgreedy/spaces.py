@@ -247,11 +247,8 @@ def _guarded(plain, a: np.ndarray, *args):
 
 
 def _lp_sum(a: np.ndarray, p: float):
-    return np.sum(a**p, axis=-1) ** (1.0 / p)
-
-
-def _lp_moduli(a: np.ndarray, p: float):
-    return a.max(axis=-1) if math.isinf(p) else _guarded(_lp_sum, a, p)
+    """The plain l_p sum of each row of the moduli ``a``; the row max at p = inf."""
+    return a.max(axis=-1) if math.isinf(p) else np.sum(a**p, axis=-1) ** (1.0 / p)
 
 
 def lp_gauge(f, p) -> float:
@@ -265,7 +262,7 @@ def lp_gauge(f, p) -> float:
 def lp_gauge_rows(mat: np.ndarray, p: float) -> np.ndarray:
     """Row-wise lp gauge of a 2-d array (no validation); a row whose plain
     result over- or underflowed is recomputed as in :func:`_guarded`."""
-    return _lp_moduli(np.abs(mat), p)
+    return _guarded(_lp_sum, np.abs(mat), p)
 
 
 @dataclass(frozen=True)
@@ -343,8 +340,7 @@ def _block_norms(space: BlockLpL2, a: np.ndarray) -> np.ndarray:
 
 
 def _block_sum(a: np.ndarray, space: BlockLpL2):
-    norms = _block_norms(space, a)
-    return norms.max(axis=-1) if math.isinf(space.p) else _lp_sum(norms, space.p)
+    return _lp_sum(_block_norms(space, a), space.p)
 
 
 def _lorentz_sum(a: np.ndarray, q: float, w: np.ndarray, s: np.ndarray):
@@ -357,7 +353,7 @@ def _lorentz_sum(a: np.ndarray, q: float, w: np.ndarray, s: np.ndarray):
 def _moduli_gauge(space: AmbientSpace, a: np.ndarray):
     """Ambient gauge of each row of the moduli ``a``."""
     if isinstance(space, Lp):
-        return _lp_moduli(a, space.p)
+        return _guarded(_lp_sum, a, space.p)
     if isinstance(space, BlockLpL2):
         return _guarded(_block_sum, a, space)
     # a contiguous non-increasing rearrangement: numpy may take a different
@@ -382,12 +378,8 @@ def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray) -> np.ndarray:
 
 def _dual_sum(a: np.ndarray, space: AmbientSpace):
     inner = a if isinstance(space, Lp) else _block_norms(space, a)
-    p = space.p
-    if p <= 1.0:
-        return inner.max(axis=-1)
-    if math.isinf(p):
-        return inner.sum(axis=-1)
-    return _lp_sum(inner, p / (p - 1.0))
+    p = space.p  # the conjugate exponent: inf for p <= 1, 1 for p = inf
+    return _lp_sum(inner, math.inf if p <= 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0))
 
 
 def dual_gauge(space: AmbientSpace, u) -> float:

@@ -153,10 +153,10 @@ def suite_bootstrap(max_m: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_democracy_lp(p: float = 0.5, dim: int = 12, max_m: int | None = None,
-                       seed: int = 0, budget: int = 500) -> list[CheckResult]:
+                       seed: int = 0) -> list[CheckResult]:
     """Identity system democracy: phi values m^(1/p) exactly, slopes 1/p."""
     basis = zoo("unit", p=p, dim=dim)
-    profile = democracy_profile(basis, m_max=max_m, mode="exact", budget=budget, seed=seed)
+    profile = democracy_profile(basis, m_max=max_m, mode="exact", seed=seed)
     expected = np.array([m ** (1.0 / p) for m in profile.m_values], dtype=float)
     got_u = np.array([r.phi_u_value for r in profile.rows])
     got_l = np.array([r.phi_l_value for r in profile.rows])

@@ -168,18 +168,23 @@ class TestAnalyzeCommand:
     def test_overflowing_exponent_reports(self, capsys, zoo_name):
         # at p = 0.001 the r-convexity bound m^(1/p) and (1 + log m)^(1/p) leave the
         # float range; the bound reports as uncertified and the run still succeeds
-        code, out, _ = run_cli(["analyze", "--zoo", zoo_name, "--p", "0.001", "--dim", "4",
-                                "--budget", "10", "--format", "json"], capsys)
-        assert code == 0
-
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        report = json.loads(out, parse_constant=reject)
-        for row in report["profile"]["rows"][2:]:  # 3^1000 overflows
-            assert row["phi_u"]["upper"] == "inf" and not row["phi_u"]["upper_certified"]
-        for row in report["conditionality"]:
-            assert row["upper_certified"] == (row["upper"] != "inf")
+        for budget in ("0", "10"):
+            code, out, _ = run_cli(["analyze", "--zoo", zoo_name, "--p", "0.001", "--dim", "4",
+                                    "--budget", budget, "--format", "json"], capsys)
+            assert code == 0
+            report = json.loads(out, parse_constant=reject)
+            for row in report["profile"]["rows"][2:]:  # 3^1000 overflows
+                assert row["phi_u"]["upper"] == "inf" and not row["phi_u"]["upper_certified"]
+            for row in report["conditionality"]:
+                assert row["upper_certified"] == (row["upper"] != "inf")
+            # the flat vector's gauges overflow, yet every constant keeps a witness of >= 1
+            for est in report["constants"].values():
+                assert est["lower"] == "inf" or est["lower"] >= 1.0
+                assert est["witness"] is not None
+            assert "m^nan" not in report["verdict"]
 
     def test_json_without_a_slope_is_strict(self, capsys):
         # a one-vector basis fits no slope; its NaN slopes and residuals are null
@@ -341,6 +346,7 @@ class TestVerifyCommand:
         (["analyze", "--zoo", "unit", "--threads", "2"], "--threads"),
         (["verify", "lemma32", "--threads", "2"], "--threads"),
         (["bootstrap", "--threads", "2"], "--threads"),
+        (["verify", "democracy-lp", "--budget", "500"], "--budget"),
     ])
     def test_unread_or_invalid_flag_exit_two(self, capsys, argv, flag):
         code, out, err = run_cli(argv, capsys)

@@ -341,6 +341,16 @@ class TestProfile:
         assert profile.verdict.startswith("not democratic: no slope could be fitted")
         assert "nan" not in profile.verdict
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_no_slope_past_the_float_range(self):
+        # phi(3) = 3^1000 at p = 0.001 is inf, inside the fit window [2, 4]
+        profile = democracy_profile(zoo("unit", p=0.001, dim=4), mode="exact", budget=10)
+        assert math.isnan(profile.slope_u) and math.isnan(profile.slope_l)
+        assert not profile.democratic and not profile.almost_greedy
+        assert "leave the float range" in profile.verdict
+        assert "nan" not in profile.verdict
+
     def test_block_slopes(self):
         basis = zoo("block_l2", p=4, blocks=list(range(1, 13)))
         profile = democracy_profile(basis, m_max=12, mode="exact", budget=50, seed=0)

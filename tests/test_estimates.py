@@ -42,7 +42,8 @@ def test_zero_and_infinite_bounds_compare_exactly():
         BoundEstimate(1e-300, 0.0)
 
 
-values = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-math.inf, math.inf]))
+values = st.one_of(st.integers(-3, 3).map(float),
+                   st.sampled_from([-math.inf, math.inf, math.nan]))
 
 
 @given(st.lists(st.tuples(values, st.booleans()), max_size=40),
@@ -77,6 +78,15 @@ def test_block_offers_equal_one_at_a_time_updates(entries, splits, maximize, sta
         assert built == ([] if blocks.best == before else [blocks.witness])
         at += len(block)
     assert (blocks.best, blocks.witness) == (one.best, one.witness)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_nan_entries_are_not_eligible(maximize):
+    # argmax stops at the first NaN, and a NaN compares false: it must not
+    # hide the rest of its block
+    tracker = Tracker(maximize)
+    tracker.offer(np.array([math.nan, 5.0]), lambda j: j)
+    assert (tracker.best, tracker.witness) == (5.0, 1)
 
 
 def fields(est: BoundEstimate) -> tuple:
