@@ -441,15 +441,21 @@ def _space_from_dict(data: dict) -> AmbientSpace:
     if not isinstance(data, dict) or "kind" not in data:
         raise BasisFileError("'ambient' must be an object with a 'kind' field")
     kind = data["kind"]
-    try:
-        if kind == "lp":
-            return Lp(float(data["p"]), int(data["dim"]))
-        if kind == "block_lp_l2":
-            return BlockLpL2(float(data["p"]), tuple(int(b) for b in data["blocks"]))
-        if kind == "lorentz":
-            return LorentzSpace(float(data["q"]), np.asarray(data["weight"], dtype=float))
-    except KeyError as exc:
-        raise BasisFileError(f"ambient kind {kind!r} is missing field {exc}") from exc
+
+    def field(name: str, convert):
+        try:
+            return convert(data[name])
+        except KeyError as exc:
+            raise BasisFileError(f"ambient kind {kind!r} is missing field {name!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise BasisFileError(f"ambient kind {kind!r} has a bad field {name!r}: {exc}") from exc
+
+    if kind == "lp":
+        return Lp(field("p", float), field("dim", int))
+    if kind == "block_lp_l2":
+        return BlockLpL2(field("p", float), field("blocks", lambda b: tuple(int(x) for x in b)))
+    if kind == "lorentz":
+        return LorentzSpace(field("q", float), field("weight", lambda w: np.asarray(w, float)))
     raise BasisFileError(f"unknown ambient kind {kind!r}")
 
 
@@ -499,7 +505,10 @@ def load_basis(path) -> Basis:
             duals = np.linalg.inv(vectors).T
         except np.linalg.LinAlgError as exc:
             raise NotABasisError("singular vector matrix; not a basis") from exc
-    labels = tuple(str(x) for x in data.get("labels") or ())
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise BasisFileError(f"'labels' must be a list of names, got {labels!r}")
+    labels = tuple(str(x) for x in labels or ())
     return Basis(space, vectors, duals, labels)
 
 

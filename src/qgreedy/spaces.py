@@ -108,8 +108,8 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
 
     The indices split into a head [0, h) and a tail [h, d); a set is a head subset H
     (in the order of the head table) followed by a tail subset of the remaining size.
-    Its sum is H's table sum plus the tail members added one at a time, and sets
-    sharing a tail prefix share its partial sums, so it has the bits of
+    Its sum is H's table sum plus the tail members, read from a lexicographic
+    table of tail subsets and added one at a time, so it has the bits of
     ``vectors[list(A)].sum(axis=0)`` (-0.0 for the empty set).
     """
     d = vectors.shape[0]
@@ -117,7 +117,7 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
     h = _head_size(d, lo, hi, cap)
     head, head_sizes, head_sums = _head_table(vectors, h, max(0, lo - (d - h)), min(h, hi))
     comb = _capped_binomials(d, hi, cap)
-    tries: dict[tuple[int, int], list] = {}
+    tables: dict[tuple[int, int], np.ndarray] = {}
     for k in range(lo, hi + 1):
         at = np.flatnonzero((head_sizes >= k - (d - h)) & (head_sizes <= k))
         # a stack of frontier segments, the next in feed order on top; a row is
@@ -138,9 +138,9 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
                 pending.append((sums[n:], size[n:], last[n:], members[n:]))
             more = k - size[:n]
             avail = np.where(more > 0, d - 1 - last[:n], 0)
-            block, starts = _completions(vectors, sums[:n], avail, more, counts[:n], tries)
+            block, starts = _completions(vectors, sums[:n], avail, more, counts[:n], tables)
             yield block, np.full(len(block), k), _completion_witness(
-                d, starts, avail, more, members[:n], tries)
+                d, starts, avail, more, members[:n], tables)
 
 
 def _head_size(d: int, lo: int, hi: int, cap: int) -> int:
@@ -180,27 +180,20 @@ def _capped_binomials(n_max: int, r_max: int, cap: int) -> np.ndarray:
     return table
 
 
-def _lex_trie(tries: dict, n: int, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The prefixes of the r-subsets of range(n) in lexicographic order, by
-    length: level l is (parent in level l - 1, last member) for every l-member
-    prefix that some r-subset extends; level r lists the r-subsets."""
-    if (n, r) not in tries:
-        levels, last = [], np.array([-1])
-        for length in range(1, r + 1):
-            counts = n - r + length - 1 - last  # members up to n - 1 - (r - length)
-            rep = np.repeat(np.arange(last.size), counts)
-            first = np.repeat(np.cumsum(counts) - counts, counts)
-            last = last[rep] + 1 + np.arange(rep.size) - first
-            levels.append((rep, last))
-        tries[(n, r)] = levels
-    return tries[(n, r)]
+def _lex_table(tables: dict, n: int, r: int) -> np.ndarray:
+    """The r-subsets of range(n) in lexicographic order, one per row."""
+    if (n, r) not in tables:
+        tables[(n, r)] = np.array(list(itertools.combinations(range(n), r)),
+                                  dtype=np.intp).reshape(math.comb(n, r), r)
+    return tables[(n, r)]
 
 
-def _completions(vectors: np.ndarray, sums, n, r, counts, tries):
+def _completions(vectors: np.ndarray, sums, n, r, counts, tables):
     """The sums of the completions of each frontier row, row by row and
     lexicographically, and each row's first position: a row takes r more
     members from the last n indices.  Rows with the same (n, r) extend
-    together; a complete row (r = 0) has n = 0."""
+    together, each tail r-subset of the table added one member at a time; a
+    complete row (r = 0) has n = 0."""
     d, dim = vectors.shape
     starts = np.cumsum(counts) - counts
     out = np.empty((int(counts.sum()), dim))
@@ -208,24 +201,20 @@ def _completions(vectors: np.ndarray, sums, n, r, counts, tries):
     for key in np.unique(keys):
         rows = np.flatnonzero(keys == key)
         tail = vectors[d - int(n[rows[0]]):]
-        x = sums[rows][:, None, :]
-        for rep, j in _lex_trie(tries, int(n[rows[0]]), int(r[rows[0]])):
-            x = x[:, rep]
-            x += tail[j]
-        out[(starts[rows, None] + np.arange(x.shape[1])).ravel()] = x.reshape(-1, dim)
+        table = _lex_table(tables, int(n[rows[0]]), int(r[rows[0]]))
+        x = np.repeat(sums[rows][:, None, :], len(table), axis=1)
+        for col in table.T:
+            x += tail[col]
+        out[(starts[rows, None] + np.arange(len(table))).ravel()] = x.reshape(-1, dim)
     return out, starts
 
 
-def _completion_witness(d, starts, n, r, members, tries):
+def _completion_witness(d, starts, n, r, members, tables):
     """witness_of for a block of :func:`_completions`: row q's set, members sorted."""
     def witness(q: int) -> dict[str, list[int]]:
         f = int(np.searchsorted(starts, q, side="right")) - 1
-        q -= int(starts[f])
-        tail = []
-        for rep, j in reversed(_lex_trie(tries, int(n[f]), int(r[f]))):
-            tail.append(d - int(n[f]) + int(j[q]))
-            q = int(rep[q])
-        return {"set": list(members[f]) + tail[::-1]}
+        tail = _lex_table(tables, int(n[f]), int(r[f]))[q - int(starts[f])]
+        return {"set": list(members[f]) + (d - int(n[f]) + tail).tolist()}
     return witness
 
 

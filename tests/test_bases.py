@@ -17,6 +17,7 @@ from qgreedy.bases import (
     unconditional_constant,
     zoo,
 )
+from qgreedy.cli import main as cli_main
 from qgreedy.errors import BasisFileError, CombinatorialOverflowError, NotABasisError
 from qgreedy.spaces import BlockLpL2, Lp, ambient_gauge
 
@@ -321,6 +322,29 @@ class TestBasisFiles:
         path = tmp_path / "labelled.json"
         save_basis(basis, path)
         assert load_basis(path).labels == ("first", "second")
+
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"labels": 5}, "'labels' must be a list"),
+        ({"labels": "ab"}, "'labels' must be a list"),
+        ({"labels": {"a": 1, "b": 2}}, "'labels' must be a list"),
+        ({"ambient": {"kind": "lp", "p": 0.5, "dim": [2]}}, "kind 'lp' has a bad field 'dim'"),
+        ({"ambient": {"kind": "lp", "p": None, "dim": 2}}, "kind 'lp' has a bad field 'p'"),
+        ({"ambient": {"kind": "lp", "p": [0.5], "dim": 2}}, "kind 'lp' has a bad field 'p'"),
+        ({"ambient": {"kind": "block_lp_l2", "p": 0.5, "blocks": 4}},
+         "kind 'block_lp_l2' has a bad field 'blocks'"),
+    ], ids=["labels-int", "labels-str", "labels-dict", "lp-dim-list", "lp-p-null", "lp-p-list",
+            "block-blocks-int"])
+    def test_malformed_file_is_a_configuration_error(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"ambient": {"kind": "lp", "p": 0.5, "dim": 2},
+                                    "vectors": np.eye(2).tolist(), **fields}))
+        with pytest.raises(BasisFileError, match=message):
+            load_basis(path)
+        assert cli_main(["analyze", "--basis", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+        assert "Traceback" not in err
 
 
 class TestExactMultiplierEnumeration:

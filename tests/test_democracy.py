@@ -188,6 +188,23 @@ def _size_ranges(d):
     return sorted((lo, hi) for lo, hi in ranges if 0 <= lo <= hi <= d)
 
 
+def _assert_feed_is_bruteforce(vectors, lo, hi):
+    """The feed yields every set of lo..hi members in order, in blocks of at most
+    _ROW_CAP rows, each with the bits of its member-order sum."""
+    expected = list(itertools.chain.from_iterable(
+        itertools.combinations(range(len(vectors)), k) for k in range(lo, hi + 1)))
+    witnesses, rows = [], []
+    for sums, sizes, witness_of in spaces_module._subset_sums(vectors, lo, hi):
+        assert 1 <= len(sums) <= spaces_module._ROW_CAP
+        assert len(sizes) == len(sums)
+        witnesses.extend(witness_of(j)["set"] for j in range(len(sums)))
+        rows.extend(sums)
+        assert list(sizes) == [len(w) for w in witnesses[-len(sums):]]
+    assert witnesses == [list(a) for a in expected]
+    for a, row in zip(expected, rows):
+        assert np.array_equal(row, vectors[list(a)].sum(axis=0))
+
+
 class TestExactFeed:
     # row caps from one row per block, through blocks cut inside one head
     # subset's sets, to the default cap (the whole head table in one block)
@@ -197,19 +214,28 @@ class TestExactFeed:
     def test_feed_is_every_set_in_order_with_member_order_sums(self, monkeypatch, cap, d, lo, hi):
         if cap is not None:
             monkeypatch.setattr(spaces_module, "_ROW_CAP", cap)
-        basis = zoo("perturbed_unit", p=0.5, dim=d, seed=d)
-        expected = list(itertools.chain.from_iterable(
-            itertools.combinations(range(d), k) for k in range(lo, hi + 1)))
-        witnesses, rows = [], []
-        for sums, sizes, witness_of in spaces_module._subset_sums(basis.vectors, lo, hi):
-            assert 1 <= len(sums) <= spaces_module._ROW_CAP
-            assert len(sizes) == len(sums)
-            witnesses.extend(witness_of(j)["set"] for j in range(len(sums)))
-            rows.extend(sums)
-            assert list(sizes) == [len(w) for w in witnesses[-len(sums):]]
-        assert witnesses == [list(a) for a in expected]
-        for a, row in zip(expected, rows):
-            assert np.array_equal(row, basis.vectors[list(a)].sum(axis=0))
+        _assert_feed_is_bruteforce(zoo("perturbed_unit", p=0.5, dim=d, seed=d).vectors, lo, hi)
+
+    # production caps at which one block holds several (tail length, members
+    # still to take) groups: (30, 27, 30) mixes the second, the others both
+    @pytest.mark.parametrize("d,lo,hi", [(40, 1, 2), (60, 1, 3), (30, 27, 30)])
+    def test_default_cap_blocks_mix_groups(self, monkeypatch, d, lo, hi):
+        tables, groups = [], []
+        lex_table, completions = spaces_module._lex_table, spaces_module._completions
+
+        def recording_table(cache, n, r):
+            tables.append(lex_table(cache, n, r))
+            return tables[-1]
+
+        def recording_completions(vectors, sums, n, r, counts, cache):
+            groups.append(len(set(zip(n.tolist(), r.tolist()))))
+            return completions(vectors, sums, n, r, counts, cache)
+
+        monkeypatch.setattr(spaces_module, "_lex_table", recording_table)
+        monkeypatch.setattr(spaces_module, "_completions", recording_completions)
+        _assert_feed_is_bruteforce(zoo("perturbed_unit", p=0.5, dim=d, seed=d).vectors, lo, hi)
+        assert max(groups) > 1
+        assert max(len(t) for t in tables) <= spaces_module._block_rows(d)
 
     def test_tables_stay_small_at_large_d(self):
         # a 2^(d/2) head table of sums would need 2^20 * 40 * 8 bytes = 335 MB at d = 40
