@@ -337,6 +337,16 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker) -> list[np.ndarray]
     return [f for _, _, f in top]
 
 
+def _is_identity(basis: Basis) -> bool:
+    """True when vectors and duals are both exactly the identity matrix.  Then
+    ``duals @ f`` is f, each coordinate of a multiplier search's row is +-f_j
+    or 0, and the gauge is monotone in the moduli, so no ratio rounds above
+    gamma = 1's.  On other diagonal systems the coefficients round first."""
+    eye = np.eye(basis.d)
+    return (basis.d == basis.dim and np.array_equal(basis.vectors, eye)
+            and np.array_equal(basis.duals, eye))
+
+
 def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 2000,
                            seed: int = 0) -> BoundEstimate:
     """Two-sided estimate of sup over ||gamma||_inf <= 1 of ||S_gamma||.
@@ -348,7 +358,8 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
     families, for the tested vector pool), over the support of each vector's
     coefficients only, from one pass of the subset-sum feed of
     :mod:`qgreedy.spaces` per vector.  A vector repeated in the pool is tested
-    once.  Exact mode requires d <= 20 and runs in one thread.
+    once.  On the identity the search stops at its initial witness (see
+    :func:`_is_identity`).  Exact mode requires d <= 20 and runs in one thread.
     """
     if mode not in ("exact", "random"):
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
@@ -360,27 +371,26 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
     # gamma = 1 reproduces f, so the constant is always >= 1
     f0 = basis.vectors[0]
     tracker.update(1.0, {"f": f0.tolist(), "gamma": [1.0] * basis.d})
-
-    # cheap scoring pass over the samples, then coordinate descent only on
-    # the most promising survivors
-    sampled = _sampled_vectors(basis, budget if mode == "random" else 0, seed)
-    pool = _canonical_test_vectors(basis) + _sign_flip_pass(basis, sampled, tracker)
-    norms = ambient_gauge_rows(basis.space, np.array(pool))
-    # a zero vector has no ratio, and a repeated one repeats a score, which cannot win
-    tested, seen = [], set()
-    for f, nf in zip(pool, norms.tolist()):
-        if nf > 0 and f.tobytes() not in seen:
-            seen.add(f.tobytes())
-            tested.append((f, nf))
-    for chunk in _row_chunks(tested, basis.dim):
-        coeffs = np.array([basis.duals @ f for f, _ in chunk])
-        gammas, values = _descend_pool(basis, coeffs)
-        for (f, nf), c, gamma, val in zip(chunk, coeffs, gammas, values.tolist()):
-            # per f: the exact families first, then the descent
-            found = (_exact_family_best(basis, c) if mode == "exact" else []) + [(val, gamma)]
-            for value, multiplier in found:
-                tracker.update(value / nf, {"f": f.tolist(), "gamma": multiplier.tolist()})
-
+    if not _is_identity(basis):  # on the identity gamma = 1 already meets the bound 1
+        # cheap scoring pass over the samples, then coordinate descent only on
+        # the most promising survivors
+        sampled = _sampled_vectors(basis, budget if mode == "random" else 0, seed)
+        pool = _canonical_test_vectors(basis) + _sign_flip_pass(basis, sampled, tracker)
+        norms = ambient_gauge_rows(basis.space, np.array(pool))
+        # a zero vector has no ratio, and a repeated one repeats a score, which cannot win
+        tested, seen = [], set()
+        for f, nf in zip(pool, norms.tolist()):
+            if nf > 0 and f.tobytes() not in seen:
+                seen.add(f.tobytes())
+                tested.append((f, nf))
+        for chunk in _row_chunks(tested, basis.dim):
+            coeffs = np.array([basis.duals @ f for f, _ in chunk])
+            gammas, values = _descend_pool(basis, coeffs)
+            for (f, nf), c, gamma, val in zip(chunk, coeffs, gammas, values.tolist()):
+                # per f: the exact families first, then the descent
+                found = (_exact_family_best(basis, c) if mode == "exact" else []) + [(val, gamma)]
+                for value, multiplier in found:
+                    tracker.update(value / nf, {"f": f.tolist(), "gamma": multiplier.tolist()})
     upper, note = _certified_ku_upper(basis)
     if mode == "exact" and not note:
         note = "exact over the {0,1}^d and {-1,1}^d multiplier families"

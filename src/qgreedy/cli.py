@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output(p_su)
 
     p_bo = sub.add_parser("bootstrap", help="iterated improvement chain as CSV or JSON")
-    p_bo.add_argument("--max-m", type=int, default=1000)
-    p_bo.add_argument("--iters", type=int, default=3)
+    p_bo.add_argument("--max-m", type=int_at_least(1), default=1000)
+    p_bo.add_argument("--iters", type=int_at_least(0), default=3)
     _add_output(p_bo, formats=("csv", "json"))
 
     p_zo = sub.add_parser("zoo", help="list stock bases or emit one to JSON")

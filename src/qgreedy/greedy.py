@@ -129,9 +129,28 @@ def _operator_candidates(d: int, budget: int, seed: int, stream: int):
     yield from coefficient_samples(d, budget, seed, stream)
 
 
+def _certified_ceiling(basis: Basis) -> float:
+    """The value at which an operator search stops: 1.0 on a diagonal system
+    (see :func:`_operator_constant`), inf otherwise."""
+    return 1.0 if basis.is_diagonal() else math.inf
+
+
 def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
                        truncate: bool) -> BoundEstimate:
+    """The quasi-greedy (or, with ``truncate``, truncation) search over the
+    candidates of :func:`_operator_candidates`, in capped blocks.
+
+    It stops once the running best reaches :func:`_certified_ceiling`, with
+    the same result as the full search.  On a diagonal system f is
+    ``coeffs @ vectors``, and each coordinate of f is the single product
+    c_j v_jj.  Every greedy prefix or truncation row has, in each coordinate,
+    that same product, a product of no larger modulus, or 0.  The gauge adds
+    nonnegative terms, and rounding is monotone, so no candidate's ratio
+    rounds above 1.0: once one scores 1.0 (the flat vector, at m = d), no
+    later candidate is strictly better, and the first witness is kept.
+    """
     d = basis.d
+    ceiling = _certified_ceiling(basis)
     tracker = Tracker()
     # every candidate costs d prefix rows
     for chunk in _row_chunks(_operator_candidates(d, budget, seed, stream), basis.dim, d):
@@ -142,6 +161,8 @@ def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
         ratios = np.divide(gauges.max(axis=1), nf, out=np.full(len(chunk), -math.inf),
                            where=nf > 0)
         tracker.offer(ratios, lambda j: {"coeffs": chunk[j].tolist(), "m": int(m[j]) + 1})
+        if tracker.best >= ceiling:
+            break
     # G_d and U_d reproduce the flat vector: ratio 1 even where its gauges overflow
     tracker.update(1.0, {"coeffs": [1.0] * d, "m": d})
 

@@ -6,7 +6,7 @@ norm inside consecutive coordinate blocks before an outer lp sum, and
 weighted Lorentz spaces (weights and primitive weights in :mod:`qgreedy.lorentz`).
 
 Each space has one gauge path, a plain formula over the rows of a 2-d block
-of moduli.  A scalar gauge is its 1-row case, so one vector gets the same bits
+of moduli, computed in place in the one moduli array it takes.  A scalar gauge is its 1-row case, so one vector gets the same bits
 from every entry point.  A row that over- or underflowed is recomputed with
 its largest modulus factored out, so no gauge returns inf or 0 when the true
 value is finite and nonzero.
@@ -218,17 +218,18 @@ def _completion_witness(d, starts, n, r, members, tables):
     return witness
 
 
-def _guarded(plain, a: np.ndarray, *args):
-    """``plain(a, *args)`` over the rows of the 2-d moduli ``a``.  The gauges
-    are homogeneous, so a row whose result came out inf, nan, or 0 is
-    recomputed as M * plain(row / M, *args) with M the row's largest modulus;
-    in-range results are the plain formula's."""
-    out = plain(a, *args)
-    if out.size == 0 or (out.min() > 0.0 and math.isfinite(out.sum())) or a.shape[1] == 0:
+def _guarded(plain, rows: np.ndarray, moduli, *args):
+    """``plain(moduli(rows), *args)`` over the rows of the 2-d ``rows``.
+    ``moduli`` returns a fresh array, which ``plain`` may overwrite in place.
+    The gauges are homogeneous, so a row whose result came out inf, nan, or 0
+    is recomputed from its moduli as M * plain(row / M, *args), with M the
+    row's largest modulus; in-range results are the plain formula's."""
+    out = plain(moduli(rows), *args)
+    if out.size == 0 or (out.min() > 0.0 and math.isfinite(out.sum())) or rows.shape[1] == 0:
         return out
     bad = ~np.isfinite(out) | (out == 0.0)
     if bad.any():
-        sub = a[bad]
+        sub = moduli(rows[bad])
         scale = sub.max(axis=1, keepdims=True)
         ratio = np.divide(sub, scale, out=np.zeros_like(sub), where=scale > 0)
         out[bad] = scale[:, 0] * plain(ratio, *args)
@@ -236,8 +237,13 @@ def _guarded(plain, a: np.ndarray, *args):
 
 
 def _lp_sum(a: np.ndarray, p: float):
-    """The plain l_p sum of each row of the moduli ``a``; the row max at p = inf."""
-    return a.max(axis=-1) if math.isinf(p) else np.sum(a**p, axis=-1) ** (1.0 / p)
+    """The plain l_p sum of each row of the moduli ``a``, which it overwrites;
+    the row max at p = inf.  ``a **= p`` takes the kernel of ``a ** p``, so
+    every row keeps the bits of the out-of-place formula."""
+    if math.isinf(p):
+        return a.max(axis=-1)
+    a **= p
+    return np.sum(a, axis=-1) ** (1.0 / p)
 
 
 def lp_gauge(f, p) -> float:
@@ -251,7 +257,7 @@ def lp_gauge(f, p) -> float:
 def lp_gauge_rows(mat: np.ndarray, p: float) -> np.ndarray:
     """Row-wise lp gauge of a 2-d array (no validation); a row whose plain
     result over- or underflowed is recomputed as in :func:`_guarded`."""
-    return _guarded(_lp_sum, np.abs(mat), p)
+    return _guarded(_lp_sum, mat, np.abs, p)
 
 
 @dataclass(frozen=True)
@@ -324,8 +330,11 @@ AmbientSpace = Union[Lp, BlockLpL2, LorentzSpace]
 
 
 def _block_norms(space: BlockLpL2, a: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the blocks of each row (plain formula)."""
-    return np.sqrt(np.add.reduceat(a * a, space.offsets, axis=-1))
+    """Euclidean norms of the blocks of each row of the moduli ``a``, which it
+    overwrites (plain formula)."""
+    np.multiply(a, a, out=a)
+    norms = np.add.reduceat(a, space.offsets, axis=-1)
+    return np.sqrt(norms, out=norms)
 
 
 def _block_sum(a: np.ndarray, space: BlockLpL2):
@@ -333,28 +342,40 @@ def _block_sum(a: np.ndarray, space: BlockLpL2):
 
 
 def _lorentz_sum(a: np.ndarray, q: float, w: np.ndarray, s: np.ndarray):
-    """d_q(w) gauge of non-increasing moduli ``a`` against the primitive weight ``s``."""
+    """d_q(w) gauge of non-increasing moduli ``a``, which it overwrites, against
+    the primitive weight ``s``; the products in the order a^q * s^(q-1) * w."""
     if math.isinf(q):
-        return np.max(s * a, axis=-1)
-    return np.sum(a**q * s ** (q - 1.0) * w, axis=-1) ** (1.0 / q)
+        a *= s
+        return a.max(axis=-1)
+    a **= q
+    a *= s ** (q - 1.0)
+    a *= w
+    return np.sum(a, axis=-1) ** (1.0 / q)
 
 
-def _moduli_gauge(space: AmbientSpace, a: np.ndarray):
-    """Ambient gauge of each row of the moduli ``a``."""
+def _sorted_moduli(rows: np.ndarray) -> np.ndarray:
+    """The moduli of each row, non-increasing, as a fresh contiguous array:
+    numpy may take a different power kernel for a strided view, and the last
+    ulp would follow it."""
+    a = np.abs(rows)
+    np.negative(a, out=a)
+    a.sort(axis=-1)
+    return np.negative(a, out=a)
+
+
+def _rows_gauge(space: AmbientSpace, rows: np.ndarray):
+    """Ambient gauge of each row of the 2-d ``rows``, which it leaves unchanged."""
     if isinstance(space, Lp):
-        return _guarded(_lp_sum, a, space.p)
+        return _guarded(_lp_sum, rows, np.abs, space.p)
     if isinstance(space, BlockLpL2):
-        return _guarded(_block_sum, a, space)
-    # a contiguous non-increasing rearrangement: numpy may take a different
-    # power kernel for a strided view, and the last ulp would follow it
-    a = -np.sort(-a, axis=-1)
-    return _guarded(_lorentz_sum, a, space.q, space.weight, space.primitive)
+        return _guarded(_block_sum, rows, np.abs, space)
+    return _guarded(_lorentz_sum, rows, _sorted_moduli, space.q, space.weight, space.primitive)
 
 
 def ambient_gauge(space: AmbientSpace, f) -> float:
     """Gauge of ``f`` in the ambient space: a validated 1-row call of the row kernel."""
     f = as_vector(f, dim=space.dim)
-    return float(_moduli_gauge(space, np.abs(f)[None, :])[0])
+    return float(_rows_gauge(space, f[None, :])[0])
 
 
 def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray) -> np.ndarray:
@@ -362,7 +383,7 @@ def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:
         raise DimensionMismatchError(f"expected rows of length {space.dim}")
-    return _moduli_gauge(space, np.abs(mat))
+    return _rows_gauge(space, mat)
 
 
 def _dual_sum(a: np.ndarray, space: AmbientSpace):
@@ -382,7 +403,7 @@ def dual_gauge(space: AmbientSpace, u) -> float:
     u = as_vector(u, dim=space.dim)
     if isinstance(space, LorentzSpace):
         raise NotImplementedError("dual gauge for weighted Lorentz ambients is not provided")
-    return float(_guarded(_dual_sum, np.abs(u)[None, :], space)[0])
+    return float(_guarded(_dual_sum, u[None, :], np.abs, space)[0])
 
 
 def p_convexity(space: AmbientSpace) -> float | None:

@@ -235,6 +235,44 @@ class TestUnconditionalConstant:
             assert steps <= 4 * 3 * d
             assert scored > 4 * 3 * d  # moves far outnumber the calls that score them
 
+    @pytest.mark.parametrize("mode", ["random", "exact"])
+    @pytest.mark.parametrize("basis", [
+        pytest.param(zoo("unit", p=0.5, dim=6), id="unit"),
+        pytest.param(zoo("unit", p=2.0, dim=6), id="unit-l2"),
+        pytest.param(zoo("block_l2", p=0.5, blocks=(2, 3, 1)), id="block_l2"),
+    ])
+    def test_identity_stops_at_the_initial_witness(self, monkeypatch, basis, mode):
+        """On the identity no multiplier beats gamma = 1: the pool is skipped,
+        and the result is the full search's."""
+        full_pool = []
+        real_descend = bases_module._descend_pool
+
+        def descend(basis, coeffs):
+            full_pool.append(len(coeffs))
+            return real_descend(basis, coeffs)
+
+        monkeypatch.setattr(bases_module, "_descend_pool", descend)
+        exiting = unconditional_constant(basis, mode=mode, budget=300, seed=2)
+        assert full_pool == []
+        monkeypatch.setattr(bases_module, "_is_identity", lambda basis: False)
+        full = unconditional_constant(basis, mode=mode, budget=300, seed=2)
+        assert full_pool
+        assert exiting.as_dict() == full.as_dict()
+
+    def test_scaled_diagonal_runs_the_full_search(self, monkeypatch):
+        """On a non-unit diagonal the coefficients duals @ f round before the
+        rebuild, so a ratio can round above 1 and the search must run."""
+        diag = np.array([0.3, 1.7, -2.9, 0.45, 5.0, 1.1])
+        basis = Basis(Lp(0.5, 6), np.diag(diag), np.diag(1.0 / diag))
+        pool = []
+        real_descend = bases_module._descend_pool
+        monkeypatch.setattr(bases_module, "_descend_pool",
+                            lambda basis, coeffs: pool.append(len(coeffs))
+                            or real_descend(basis, coeffs))
+        est = unconditional_constant(basis, mode="random", budget=300, seed=2)
+        assert pool
+        assert est.upper == 1.0 and est.upper_certified
+
     def test_certified_upper_formula(self, diff4):
         # sum of ||x_n||^p ||x_n*||^p over n, to the power 1/p
         est = unconditional_constant(diff4, mode="random", budget=10, seed=0)

@@ -347,6 +347,8 @@ class TestVerifyCommand:
         (["verify", "lemma32", "--threads", "2"], "--threads"),
         (["bootstrap", "--threads", "2"], "--threads"),
         (["verify", "democracy-lp", "--budget", "500"], "--budget"),
+        (["bootstrap", "--max-m", "0"], "argument --max-m: must be >= 1, got 0"),
+        (["bootstrap", "--iters", "-1"], "argument --iters: must be >= 0, got -1"),
     ])
     def test_unread_or_invalid_flag_exit_two(self, capsys, argv, flag):
         code, out, err = run_cli(argv, capsys)

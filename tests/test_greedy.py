@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgreedy.bases import synthesize, zoo
+import qgreedy.greedy as greedy_module
+from qgreedy.bases import Basis, synthesize, zoo
 from qgreedy.greedy import (
     _ratios_over_m,
     conditionality_growth_profile,
@@ -18,7 +19,7 @@ from qgreedy.greedy import (
 )
 from qgreedy.bases import coefficient_transform, coordinate_projection
 from qgreedy.sampling import plateau_coefficients
-from qgreedy.spaces import ambient_gauge
+from qgreedy.spaces import Lp, ambient_gauge
 
 
 @pytest.fixture
@@ -176,6 +177,49 @@ class TestOperatorConstants:
         ratio = (ambient_gauge(diff4.space, greedy_truncation(diff4, f, m))
                  / ambient_gauge(diff4.space, f))
         assert ratio == pytest.approx(est.lower, rel=1e-9)
+
+
+def _diagonal_basis(p, d, unit, seed=0):
+    rng = np.random.default_rng(seed)
+    diag = np.ones(d) if unit else rng.uniform(0.2, 5.0, d) * rng.choice([-1.0, 1.0], d)
+    return Basis(Lp(p, d), np.diag(diag), np.diag(1.0 / diag))
+
+
+class TestCertifiedEarlyExit:
+    """On a diagonal system the operator searches stop once the running best
+    reaches the certified 1, and report what the full search reports."""
+
+    @pytest.mark.parametrize("estimator", [quasi_greedy_constant, truncation_constant])
+    @pytest.mark.parametrize("basis", [
+        *(pytest.param(_diagonal_basis(p, 8, unit), id=f"lp{p}-{'unit' if unit else 'scaled'}")
+          for p in (0.5, 1.0, 2.0, math.inf) for unit in (True, False)),
+        pytest.param(zoo("block_l2", p=0.5, blocks=(2, 3, 3)), id="block_l2"),
+    ])
+    def test_exit_matches_full_search(self, monkeypatch, estimator, basis):
+        blocks = []
+        real = greedy_module._ratios_over_m
+
+        def counted(basis, coeffs, truncate):
+            blocks.append(len(coeffs))
+            return real(basis, coeffs, truncate)
+
+        monkeypatch.setattr(greedy_module, "_ratios_over_m", counted)
+        # the 2,016 candidates at d = 8 fill four blocks of at most 512
+        exiting = estimator(basis, budget=2000, seed=1)
+        assert len(blocks) == 1
+        monkeypatch.setattr(greedy_module, "_certified_ceiling", lambda basis: math.inf)
+        full = estimator(basis, budget=2000, seed=1)
+        assert len(blocks) == 1 + 4
+        assert exiting.as_dict() == full.as_dict()
+        assert exiting.witness["coeffs"] == [1.0] * 8
+
+    def test_no_exit_off_the_diagonal(self, monkeypatch):
+        calls = []
+        real = greedy_module._ratios_over_m
+        monkeypatch.setattr(greedy_module, "_ratios_over_m",
+                            lambda *args: calls.append(1) or real(*args))
+        quasi_greedy_constant(zoo("difference", p=0.5, dim=8), budget=2000, seed=1)
+        assert len(calls) == 4
 
 
 class TestConditionalityProfile:

@@ -188,6 +188,99 @@ class TestOverflowSafeGauges:
                 assert lorentz_gauge(row, q, w) == value
 
 
+# The out-of-place formulas the row kernels had before they wrote their
+# moduli in place, kept as the reference they must match bit for bit.
+def _reference_guarded(plain, a, *args):
+    out = plain(a, *args)
+    if out.size == 0 or (out.min() > 0.0 and math.isfinite(out.sum())) or a.shape[1] == 0:
+        return out
+    bad = ~np.isfinite(out) | (out == 0.0)
+    if bad.any():
+        sub = a[bad]
+        scale = sub.max(axis=1, keepdims=True)
+        ratio = np.divide(sub, scale, out=np.zeros_like(sub), where=scale > 0)
+        out[bad] = scale[:, 0] * plain(ratio, *args)
+    return out
+
+
+def _reference_lp_sum(a, p):
+    return a.max(axis=-1) if math.isinf(p) else np.sum(a**p, axis=-1) ** (1.0 / p)
+
+
+def _reference_block_sum(a, space, p):
+    return _reference_lp_sum(np.sqrt(np.add.reduceat(a * a, space.offsets, axis=-1)), p)
+
+
+def _reference_lorentz_sum(a, q, w, s):
+    if math.isinf(q):
+        return np.max(s * a, axis=-1)
+    return np.sum(a**q * s ** (q - 1.0) * w, axis=-1) ** (1.0 / q)
+
+
+def _conjugate(p):
+    return math.inf if p <= 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
+
+
+class TestInPlaceKernels:
+    """The row kernels overwrite their moduli array in place, and give the
+    bits of the out-of-place formulas, guard rows included, without touching
+    the caller's array."""
+
+    EXPONENTS = (0.5, 1 / 3, 0.3, 1.0, 1.5, 2.0, math.inf)
+
+    @staticmethod
+    def rows(width):
+        rng = np.random.default_rng(width)
+        mat = rng.standard_normal((300, width)) * 10.0 ** rng.integers(-5, 5, size=(300, 1))
+        guards = np.array([np.full(width, 1e200), np.full(width, -1e-200), np.zeros(width)])
+        mixed = np.zeros(width)
+        mixed[0], mixed[-1] = 1e200, 1.0
+        return np.vstack((guards, [mixed], mat))
+
+    @staticmethod
+    def assert_bits(got, want):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("p", EXPONENTS)
+    @pytest.mark.parametrize("blocks", [(2, 3, 1), (4,) * 8])
+    def test_lp_and_block_kernels(self, p, blocks):
+        mat = self.rows(sum(blocks))
+        before = mat.copy()
+        space, lp = BlockLpL2(p, blocks), Lp(p, sum(blocks))
+        a = np.abs(mat)
+        self.assert_bits(lp_gauge_rows(mat, p), _reference_guarded(_reference_lp_sum, a, p))
+        self.assert_bits(ambient_gauge_rows(lp, mat),
+                         _reference_guarded(_reference_lp_sum, a, p))
+        self.assert_bits(ambient_gauge_rows(space, mat),
+                         _reference_guarded(_reference_block_sum, a, space, p))
+        for row in mat[:8]:
+            # the dual gauge rejects a Lorentz ambient; the scalar gauge is the 1-row call
+            one = np.abs(row)[None, :]
+            assert dual_gauge(lp, row) == _reference_guarded(
+                _reference_lp_sum, one, _conjugate(p))[0]
+            assert dual_gauge(space, row) == _reference_guarded(
+                _reference_block_sum, one, space, _conjugate(p))[0]
+            assert ambient_gauge(space, row) == _reference_guarded(
+                _reference_block_sum, one, space, p)[0]
+        assert np.array_equal(mat, before)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("width", [6, 32])
+    def test_lorentz_kernel(self, q, width):
+        mat = self.rows(width)
+        before = mat.copy()
+        w = 2.0 * np.arange(1.0, width + 1.0) - 1.0
+        space = LorentzSpace(q, w)
+        srt = -np.sort(-np.abs(mat), axis=-1)
+        want = _reference_guarded(_reference_lorentz_sum, srt, q, w, space.primitive)
+        self.assert_bits(ambient_gauge_rows(space, mat), want)
+        for row, value in zip(mat[:8], want[:8]):
+            assert ambient_gauge(space, row) == value
+        assert np.array_equal(mat, before)
+
+
 class TestDualGauge:
     def test_sup_norm_for_small_p(self):
         assert dual_gauge(Lp(0.5, 3), [1, -2, 0.5]) == 2.0
