@@ -287,7 +287,8 @@ def _certified_ku_upper(basis: Basis) -> tuple[float, str]:
     r = p_convexity(basis.space)
     if r is not None:
         products = basis.vector_norms * basis.dual_norms
-        return float(np.sum(products**r) ** (1.0 / r)), "r-convexity product bound"
+        with np.errstate(over="ignore"):  # an overflowing bound is inf, reported uncertified
+            return float(np.sum(products**r) ** (1.0 / r)), "r-convexity product bound"
     return math.inf, ""
 
 
@@ -327,7 +328,8 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker) -> list[np.ndarray]
         gammas[:, 1::2] *= -1.0
         vals = ambient_gauge_rows(basis.space, (gammas * coeffs) @ basis.vectors)
         live = np.flatnonzero(nf > 0)
-        ratios = vals[live] / nf[live]
+        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
+            ratios = vals[live] / nf[live]
         tracker.offer(ratios, lambda b: {"f": chunk[live[b]].tolist(),
                                          "gamma": gammas[live[b]].tolist()})
         best = np.argsort(-ratios, kind="stable")[:_SIGN_FLIP_KEEP]

@@ -402,7 +402,9 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         mask = np.zeros(idx.shape)
         for r, i in enumerate(chunk):
             mask[r, np.searchsorted(pairs[i][1], pairs[i][0])] = 1.0
-        ratios = _stacked_gauges(basis, (signs * mask[:, None, :]) @ basis.vectors[idx]) / den
+        num = _stacked_gauges(basis, (signs * mask[:, None, :]) @ basis.vectors[idx])
+        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
+            ratios = num / den
         rows = np.arange(len(chunk))
         j = np.argmax(ratios, axis=1)
         best[chunk], chosen = ratios[rows, j], signs[rows, j]
@@ -428,7 +430,8 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
 
     hi, lo, patterns = _sign_extremes(
         basis, sets, lambda i: substream(seed, SIGN_CHANGE, i))
-    ratios = np.divide(hi, lo, out=np.full(len(sets), -math.inf), where=lo > 0)
+    with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
+        ratios = np.divide(hi, lo, out=np.full(len(sets), -math.inf), where=lo > 0)
     tracker.offer(ratios, lambda i: {"A": [int(x) for x in sets[i]],
                                      "theta": patterns[i][0].tolist(),
                                      "eps": patterns[i][1].tolist()})
@@ -454,7 +457,9 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
         a = int(np.argmax(hi))
         b = int(np.argmin(np.where(lo > 0, lo, math.inf)))
         if lo[b] > 0:
-            tracker.update(float(hi[a] / lo[b]), {
+            with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
+                ratio = float(hi[a] / lo[b])
+            tracker.update(ratio, {
                 "A": [int(x) for x in cands[a]], "B": [int(x) for x in cands[b]],
                 "theta": patterns[a][0].tolist(), "eps": patterns[b][1].tolist(),
             })

@@ -158,8 +158,9 @@ def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
         nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
         gauges = _ratios_over_m(basis, coeffs, truncate)
         m = np.argmax(gauges, axis=1)
-        ratios = np.divide(gauges.max(axis=1), nf, out=np.full(len(chunk), -math.inf),
-                           where=nf > 0)
+        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
+            ratios = np.divide(gauges.max(axis=1), nf, out=np.full(len(chunk), -math.inf),
+                               where=nf > 0)
         tracker.offer(ratios, lambda j: {"coeffs": chunk[j].tolist(), "m": int(m[j]) + 1})
         if tracker.best >= ceiling:
             break
@@ -234,7 +235,9 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
         keep = np.ones(available.shape, dtype=bool)
         keep[at, j] = False
         available = available[keep].reshape(n, -1)
-        tracker.offer(vals[at, j] / f_gauges, witness)
+        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
+            ratios = vals[at, j] / f_gauges
+        tracker.offer(ratios, witness)
 
 
 def _log_normalized(lower: float, m: int, p: float) -> float:
@@ -265,7 +268,8 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
         uppers = np.ones(max_m)
     else:
         products = np.sort(basis.vector_norms * basis.dual_norms)[::-1] ** r
-        uppers = np.cumsum(products[:max_m]) ** (1.0 / r)
+        with np.errstate(over="ignore"):  # an overflowing bound is inf, reported uncertified
+            uppers = np.cumsum(products[:max_m]) ** (1.0 / r)
 
     trackers = [Tracker() for _ in range(max_m)]
     # every candidate costs at most d rows per size

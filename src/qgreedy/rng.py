@@ -19,12 +19,12 @@ _SEED_MASK = (1 << 64) - 1
 
 # Operation codes.  Stable identifiers: never reuse a value.  Codes 1-5, 10
 # and 11 keyed one stream per sample of loops that now draw block streams
-# (15 onward); they are retired.
+# (15 onward), and 12 one stream per pair of a pair family (now one per
+# family, 29); they are retired.
 SUCC_PAIRS = 6  # per-set sign streams, keyed by position
 SIGN_CHANGE = 7  # per-set sign streams, keyed by position
 SUPER_DEMOCRACY = 8  # per-set sign streams, keyed by (size, position)
 KHINTCHINE_MC = 9
-PAIR_FAMILY = 12
 PERTURBED_BASIS = 13
 VERIFY_VECTORS = 14
 KU_SAMPLES = 15
@@ -41,6 +41,7 @@ EMBED_SPACE_SAMPLES = 25
 EMBED_LORENTZ_SAMPLES = 26
 LEMMA32_VECTORS = 27
 LEMMA33_SIZES = 28
+PAIR_FAMILIES = 29  # one stream per pair family
 
 SAMPLE_BLOCK = 256
 

@@ -19,8 +19,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidExponentError, PreconditionError
-from .rng import KHINTCHINE_MC, PAIR_FAMILY, substream
-from .spaces import _subset_sums, as_vector, lp_gauge, lp_gauge_rows
+from .rng import KHINTCHINE_MC, PAIR_FAMILIES, substream
+from .spaces import _subset_sums, as_vector, lp_gauge_rows
 
 __all__ = [
     "strongly_absolute_function",
@@ -156,38 +156,52 @@ class PairFamily:
         return self.duals * self.vectors
 
 
-def random_pair_family(dim: int, size: int, p: float, seed: int = 0) -> PairFamily:
-    """A seeded, well-conditioned random family with x_n*(x_n) = 1.
+def _pair_family_arrays(dim: int, size: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (vectors, duals) of :func:`random_pair_family`, unvalidated."""
+    rng = substream(seed, PAIR_FAMILIES)
+    vectors = rng.standard_normal((size, dim))
+    vectors /= lp_gauge_rows(vectors, p)[:, None]
+    # a draw u is kept when (u . x)^2 >= _MIN_PAIRING^2 |u|^2 |x|^2
+    floor = _MIN_PAIRING**2 * np.einsum("ij,ij->i", vectors, vectors)
+    duals = np.empty((size, dim))
+    raw = np.empty(size)
+    pending = np.arange(size)
+    while pending.size:
+        u = rng.standard_normal((pending.size, dim))
+        duals[pending] = u
+        pairing = np.einsum("ij,ij->i", u, vectors[pending])
+        raw[pending] = pairing
+        pending = pending[pairing * pairing < floor[pending] * np.einsum("ij,ij->i", u, u)]
+    duals /= raw[:, None]
+    return vectors, duals
 
-    Functionals are rescaled Gaussian draws; draws whose raw pairing with
-    their vector falls below ``_MIN_PAIRING`` (relative to the natural scale)
-    are rejected to keep dual norms moderate.
+
+def random_pair_family(dim: int, size: int, p: float, seed: int = 0) -> PairFamily:
+    """A seeded, well-conditioned random family with x_n*(x_n) = 1, drawn
+    whole from the one stream ``(seed, PAIR_FAMILIES)``.
+
+    The vectors are a (size, dim) Gaussian block, each row scaled to unit
+    l_p gauge.  Functionals are rescaled Gaussian draws: each round draws a
+    row for every pair not yet accepted, and a draw whose raw pairing with its
+    vector falls below ``_MIN_PAIRING`` (relative to the natural scale) is
+    rejected to keep dual norms moderate.
     """
     if size < 1 or size > dim:
         raise PreconditionError("need 1 <= size <= dim")
-    vectors = np.empty((size, dim))
-    duals = np.empty((size, dim))
-    for n in range(size):
-        rng = substream(seed, PAIR_FAMILY, n)
-        x = rng.standard_normal(dim)
-        x /= lp_gauge(x, p)
-        while True:
-            u = rng.standard_normal(dim)
-            raw = float(u @ x)
-            scale = float(np.linalg.norm(u) * np.linalg.norm(x))
-            if abs(raw) >= _MIN_PAIRING * scale:
-                break
-        vectors[n] = x
-        duals[n] = u / raw
-    return PairFamily(vectors, duals, p)
+    return PairFamily(*_pair_family_arrays(dim, size, p, seed), p)
+
+
+def _concentrated(products: np.ndarray, delta) -> np.ndarray:
+    """Mask of the coordinates j where |products[..., n, j]| >= delta for some
+    n, with one delta per leading index."""
+    return np.abs(products).max(axis=-2) >= np.expand_dims(delta, -1)
 
 
 def concentration_set(family: PairFamily, delta: float) -> np.ndarray:
     """Coordinates j where |x_n*(e_j) e_j*(x_n)| >= delta for some pair n."""
     if delta <= 0:
         raise PreconditionError(f"delta must be positive, got {delta}")
-    hit = np.max(np.abs(family.products), axis=0) >= delta
-    return np.flatnonzero(hit)
+    return np.flatnonzero(_concentrated(family.products, delta))
 
 
 def counting_parameters(C: float, a: float, b: float, c: float, k_u: float,
@@ -219,21 +233,36 @@ class CountingCheck:
 
 def counting_inequality_check(family: PairFamily, C: float = 2.0) -> CountingCheck:
     """Verify |A| <= C * sum over the concentration set of |lambda_j|,
-    where lambda_j = sum_n x_n*(e_j) e_j*(x_n)."""
-    a = max(family.a, 1.0)
-    b = max(family.b, 1.0)
-    eps, delta = counting_parameters(C, a, b, family.c, family.k_u, family.p)
-    omega = concentration_set(family, delta)
-    lam = family.products.sum(axis=0)
-    bound = C * float(np.sum(np.abs(lam[omega])))
+    where lambda_j = sum_n x_n*(e_j) e_j*(x_n) (the one-family case of
+    :func:`_counting_rows`)."""
+    eps, delta, hit, bound, holds = _counting_rows(family.vectors[None], family.duals[None],
+                                                   family.p, C)
     return CountingCheck(
         size=family.size,
-        bound=bound,
-        holds=family.size <= bound + _COUNTING_TOL,
-        eps=eps,
-        delta=delta,
-        omega=tuple(int(j) for j in omega),
+        bound=float(bound[0]),
+        holds=bool(holds[0]),
+        eps=float(eps[0]),
+        delta=float(delta[0]),
+        omega=tuple(np.flatnonzero(hit[0]).tolist()),
     )
+
+
+def _counting_rows(vectors: np.ndarray, duals: np.ndarray, p: float, C: float):
+    """:func:`counting_inequality_check` for every family of a stack of
+    families of one size: ``vectors[f]`` and ``duals[f]`` are family f's
+    (size, dim) arrays over the unit system.  Returns per family eps, delta,
+    the concentration mask, the bound and whether the inequality holds.
+    The stack is not validated (see :class:`PairFamily`)."""
+    count, size, dim = vectors.shape
+    a = lp_gauge_rows(vectors.reshape(-1, dim), p).reshape(count, size).max(axis=1)
+    b = np.abs(duals).reshape(count, -1).max(axis=1)
+    eps, delta = np.array([
+        counting_parameters(C, max(ai, 1.0), max(bi, 1.0), PairFamily.c, PairFamily.k_u, p)
+        for ai, bi in zip(a.tolist(), b.tolist())]).reshape(count, 2).T
+    products = duals * vectors
+    hit = _concentrated(products, delta)
+    bound = C * np.where(hit, np.abs(products.sum(axis=1)), 0.0).sum(axis=1)
+    return eps, delta, hit, bound, size <= bound + _COUNTING_TOL
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from .rng import (
 )
 from .spaces import _row_chunks
 from .strongly_absolute import (
-    counting_inequality_check,
+    _counting_rows,
+    _pair_family_arrays,
     khintchine_square_function,
-    random_pair_family,
     strongly_absolute_rows,
 )
 
@@ -80,18 +80,29 @@ def suite_lemma32(p: float | None = None, trials: int = 10_000, seed: int = 0,
 
 def suite_lemma33(trials: int = 1000, seed: int = 0, dim: int = 8, p: float = 0.5,
                   C: float = 2.0) -> list[CheckResult]:
-    """Family-size counting inequality on random normalized families."""
+    """Family-size counting inequality on random normalized families.  Family i
+    is ``random_pair_family(dim, size_i, p, seed * 1_000_003 + i)``; the
+    families of a block are checked one size at a time, and a witness is the
+    last violation."""
     violations = 0
     witness = None
+    last = -1
     sizes = block_samples(lambda rng, start: rng.integers(1, dim + 1, size=SAMPLE_BLOCK),
                           trials, seed, LEMMA33_SIZES)
-    for i, size in enumerate(sizes):
-        family = random_pair_family(dim, int(size), p, seed=seed * 1_000_003 + i)
-        check = counting_inequality_check(family, C)
-        if not check.holds:
-            violations += 1
-            witness = {"size": check.size, "bound": check.bound,
-                       "vectors": family.vectors.tolist(), "duals": family.duals.tolist()}
+    for chunk in _row_chunks(enumerate(sizes), dim, dim):
+        by_size: dict[int, list[int]] = {}
+        for i, size in chunk:
+            by_size.setdefault(int(size), []).append(i)
+        for size, members in by_size.items():
+            drawn = [_pair_family_arrays(dim, size, p, seed * 1_000_003 + i) for i in members]
+            vectors, duals = (np.stack(part) for part in zip(*drawn))
+            *_, bound, holds = _counting_rows(vectors, duals, p, C)
+            bad = np.flatnonzero(~holds)
+            violations += bad.size
+            if bad.size and members[bad[-1]] > last:
+                last, f = members[bad[-1]], bad[-1]
+                witness = {"size": size, "bound": float(bound[f]),
+                           "vectors": vectors[f].tolist(), "duals": duals[f].tolist()}
     return [CheckResult(
         name=f"family-size counting inequality ({trials} families, d<={dim}, p={p}, C={C})",
         passed=violations == 0,

@@ -162,8 +162,7 @@ class TestAnalyzeCommand:
         assert out == ""
         assert sorted(p.name for p in (tmp_path / "report").iterdir()) == names
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("zoo_name", ["difference", "unit"])
     def test_overflowing_exponent_reports(self, capsys, zoo_name):
         # at p = 0.001 the r-convexity bound m^(1/p) and (1 + log m)^(1/p) leave the

@@ -191,9 +191,9 @@ def test_block_stream_keys_are_new_operation_codes():
              if name.isupper() and isinstance(value, int) and name != "SAMPLE_BLOCK"}
     assert len(set(codes.values())) == len(codes)
     single = {rng.SUCC_PAIRS, rng.SIGN_CHANGE, rng.SUPER_DEMOCRACY, rng.KHINTCHINE_MC,
-              rng.PAIR_FAMILY, rng.PERTURBED_BASIS, rng.VERIFY_VECTORS}
+              rng.PAIR_FAMILIES, rng.PERTURBED_BASIS, rng.VERIFY_VECTORS}
     assert all(code >= 15 for name, code in codes.items() if code not in single)
-    assert not set(codes.values()) & {1, 2, 3, 4, 5, 10, 11}  # retired
+    assert not set(codes.values()) & {1, 2, 3, 4, 5, 10, 11, 12}  # retired
 
 
 # ---------------------------------------------------------------------------

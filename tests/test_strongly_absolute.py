@@ -6,9 +6,17 @@ import pytest
 
 import qgreedy.strongly_absolute as strongly_absolute_module
 from qgreedy.errors import InvalidExponentError, PreconditionError
-from qgreedy.rng import VERIFY_VECTORS, substream
-from qgreedy.spaces import lp_gauge
-from qgreedy.verify import CheckResult, _lemma32_vectors, suite_lemma32
+import qgreedy.verify as verify_module
+from qgreedy.rng import (
+    LEMMA33_SIZES,
+    PAIR_FAMILIES,
+    SAMPLE_BLOCK,
+    VERIFY_VECTORS,
+    block_samples,
+    substream,
+)
+from qgreedy.spaces import lp_gauge, lp_gauge_rows
+from qgreedy.verify import CheckResult, _lemma32_vectors, suite_lemma32, suite_lemma33
 from qgreedy.strongly_absolute import (
     PairFamily,
     concentration_set,
@@ -180,6 +188,121 @@ class TestPairFamily:
         assert np.array_equal(fam.vectors, fam2.vectors)
 
 
+FAMILY_CASES = [(dim, size, p, seed) for dim, size, p in
+                [(1, 1, 0.5), (6, 3, 0.3), (8, 8, 0.5), (16, 11, 0.9), (40, 40, 0.5)]
+                for seed in (0, 7, 2**40)]
+
+
+class TestRandomPairFamily:
+    @pytest.mark.parametrize("dim,size,p,seed", FAMILY_CASES)
+    def test_deterministic(self, dim, size, p, seed):
+        fam = random_pair_family(dim, size, p, seed)
+        again = random_pair_family(dim, size, p, seed)
+        assert fam.vectors.tobytes() == again.vectors.tobytes()
+        assert fam.duals.tobytes() == again.duals.tobytes()
+        other = random_pair_family(dim, size, p, seed + 1)
+        assert dim == 1 or not np.array_equal(fam.vectors, other.vectors)  # dim 1: +-1
+
+    @pytest.mark.parametrize("dim,size,p,seed", FAMILY_CASES)
+    def test_normalized(self, dim, size, p, seed):
+        fam = random_pair_family(dim, size, p, seed)
+        pairing = np.einsum("ij,ij->i", fam.duals, fam.vectors)
+        assert np.all(np.abs(pairing - 1.0) <= strongly_absolute_module.NORMALIZATION_TOL)
+        assert np.allclose(lp_gauge_rows(fam.vectors, p), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim,size,p,seed", FAMILY_CASES)
+    def test_raw_pairings_clear_the_floor(self, dim, size, p, seed):
+        """Each functional is u / (u . x): its raw pairing |u . x| is at least
+        _MIN_PAIRING |u|_2 |x|_2, that is 1 >= _MIN_PAIRING |x*|_2 |x|_2."""
+        fam = random_pair_family(dim, size, p, seed)
+        scale = np.linalg.norm(fam.duals, axis=1) * np.linalg.norm(fam.vectors, axis=1)
+        assert np.all(strongly_absolute_module._MIN_PAIRING * scale <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("dim,size,p,seed,min_pairing", [
+        *[(*case, None) for case in FAMILY_CASES],
+        (2, 2, 0.5, 5, 0.9), (3, 3, 0.3, 1, 0.9), (3, 1, 0.5, 0, 0.9)])
+    def test_matches_pair_by_pair_rejection(self, dim, size, p, seed, min_pairing, monkeypatch):
+        """The vectors are the first (size, dim) Gaussian block of the stream
+        (seed, PAIR_FAMILIES), scaled row by row to unit l_p gauge; then each
+        rejection round draws one row per pair still pending, in pair order
+        (a floor of 0.9 at d <= 3 forces many rounds)."""
+        if min_pairing is not None:
+            monkeypatch.setattr(strongly_absolute_module, "_MIN_PAIRING", min_pairing)
+        floor = strongly_absolute_module._MIN_PAIRING
+        stream = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(PAIR_FAMILIES,)))
+        vectors = stream.standard_normal((size, dim))
+        vectors /= lp_gauge_rows(vectors, p)[:, None]
+        duals = [None] * size
+        pending = list(range(size))
+        while pending:
+            draws = stream.standard_normal((len(pending), dim))
+            still = []
+            for n, u in zip(pending, draws):
+                raw = float(u @ vectors[n])
+                if abs(raw) >= floor * np.linalg.norm(u) * np.linalg.norm(vectors[n]):
+                    duals[n] = u / raw
+                else:
+                    still.append(n)
+            pending = still
+        fam = random_pair_family(dim, size, p, seed)
+        assert np.array_equal(fam.vectors, vectors)
+        assert np.allclose(fam.duals, np.array(duals), rtol=1e-13, atol=0)
+
+
+class TestSuiteFamilies:
+    def test_suite_checks_random_pair_family(self, monkeypatch):
+        """Family i of the suite is random_pair_family(dim, size_i, p,
+        seed * 1_000_003 + i), with size_i the i-th block sample, and every
+        family is checked exactly once."""
+        trials, seed, dim, p = 300, 2, 6, 0.4
+        drawn, stacked = {}, []
+        real_draw, real_rows = verify_module._pair_family_arrays, verify_module._counting_rows
+
+        def draw(*args):
+            drawn[args] = real_draw(*args)
+            return drawn[args]
+
+        def rows(vectors, duals, *args):
+            stacked.extend(zip(vectors.tolist(), duals.tolist()))
+            return real_rows(vectors, duals, *args)
+
+        monkeypatch.setattr(verify_module, "_pair_family_arrays", draw)
+        monkeypatch.setattr(verify_module, "_counting_rows", rows)
+        assert suite_lemma33(trials=trials, seed=seed, dim=dim, p=p)[0].passed
+        sizes = list(block_samples(lambda rng, start: rng.integers(1, dim + 1, size=SAMPLE_BLOCK),
+                                   trials, seed, LEMMA33_SIZES))
+        want = {(dim, int(size), p, seed * 1_000_003 + i) for i, size in enumerate(sizes)}
+        assert set(drawn) == want and len(stacked) == trials
+        for args, (vectors, duals) in drawn.items():
+            fam = random_pair_family(*args)
+            assert np.array_equal(vectors, fam.vectors) and np.array_equal(duals, fam.duals)
+        assert sorted(stacked) == sorted((v.tolist(), u.tolist()) for v, u in drawn.values())
+
+    def test_witness_is_the_last_violation(self, monkeypatch):
+        monkeypatch.setattr(strongly_absolute_module, "_COUNTING_TOL", -math.inf)
+        result = suite_lemma33(trials=600, seed=1, dim=5)[0]
+        assert not result.passed and result.detail == "600 violations"
+        size = result.witness["size"]
+        last = random_pair_family(5, size, 0.5, seed=1_000_003 + 599)
+        assert result.witness["vectors"] == last.vectors.tolist()
+        assert result.witness["duals"] == last.duals.tolist()
+        assert result.witness["bound"] == counting_inequality_check(last).bound
+
+    @pytest.mark.parametrize("size", [1, 3, 7])
+    def test_stacked_checks_equal_one_family_checks(self, size):
+        families = [random_pair_family(7, size, 0.5, seed=50 + i) for i in range(40)]
+        for C in (1.2, 2.0):
+            eps, delta, hit, bound, holds = strongly_absolute_module._counting_rows(
+                np.stack([f.vectors for f in families]), np.stack([f.duals for f in families]),
+                0.5, C)
+            for f, fam in enumerate(families):
+                one = counting_inequality_check(fam, C)
+                assert (one.eps, one.delta, one.bound, one.holds) == (
+                    eps[f], delta[f], bound[f], holds[f])
+                assert one.omega == tuple(np.flatnonzero(hit[f]).tolist())
+
+
 class TestConcentrationSet:
     def test_unit_family_small_delta(self):
         fam = PairFamily(np.eye(5)[:3], np.eye(5)[:3], 0.5)
@@ -229,6 +352,14 @@ class TestCountingParameters:
 
 
 class TestCountingInequality:
+    def test_bound_sums_the_concentration_set_only(self):
+        # products (0.9, 0.1); a = (1 + sqrt(0.1))^2, b = 1, so delta = 1 / (4 a) ~ 0.144
+        fam = PairFamily(np.array([[1.0, 0.1]]), np.array([[0.9, 1.0]]), 0.5)
+        check = counting_inequality_check(fam, 2.0)
+        assert check.delta == pytest.approx(0.25 / fam.a)
+        assert check.omega == (0,)
+        assert check.bound == 2.0 * 0.9 and check.holds
+
     def test_unit_family_bound_is_c_times_m(self):
         fam = PairFamily(np.eye(6)[:4], np.eye(6)[:4], 0.5)
         check = counting_inequality_check(fam, 2.0)
