@@ -14,6 +14,13 @@ candidate with every index still available), and no call exceeds the row cap
 of :mod:`qgreedy.spaces`.  Each block is offered to a
 :class:`~qgreedy.estimates.Tracker`, so the first best candidate wins, as in
 a one-at-a-time scan.
+
+The quasi-greedy and truncation searches skip the greedy prefixes of a
+candidate whose certified ceiling (:func:`_row_ceilings`, from the
+r-triangle inequality of an r-convex ambient and a derived rounding
+allowance) cannot beat the running best; such a candidate could not have won,
+so the result is the full search's.  Lorentz ambients have no certified r,
+and their searches score every candidate in full.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .errors import InvalidExponentError
 from .estimates import BoundEstimate, Tracker
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
 from .sampling import coefficient_samples, plateau_coefficients, size_cap
-from .spaces import Lp, _row_chunks, ambient_gauge_rows, p_convexity
+from .spaces import BlockLpL2, Lp, _row_chunks, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "greedy_order",
@@ -135,10 +142,127 @@ def _certified_ceiling(basis: Basis) -> float:
     return 1.0 if basis.is_diagonal() else math.inf
 
 
+# log2 headroom: a double is normal from 2^-1022 up to below 2^1024, and the
+# 22 bits to spare absorb the rounding factors and the bounds' own rounding
+_LOG2_NORMAL = 1000.0
+
+
+def _normal_range(space) -> tuple[float, float]:
+    """log2 bounds (lo, hi) such that every vector of ``space`` whose nonzero
+    moduli lie in [2^lo, 2^hi] has its gauge computed on the plain path of
+    :mod:`qgreedy.spaces` with every power, square, sum and root a normal
+    double: it neither underflows nor overflows."""
+    n = math.log2(space.dim)
+    lo, hi, shift = -_LOG2_NORMAL, _LOG2_NORMAL - n, 0.0
+    if isinstance(space, BlockLpL2):  # squares and their sums; a block norm is below 2^(hi + n/2)
+        lo, hi, shift = -_LOG2_NORMAL / 2, (_LOG2_NORMAL - n) / 2, n / 2
+    p = space.p
+    if math.isfinite(p):
+        lo = max(lo, -_LOG2_NORMAL / p)
+        hi = min(hi, (_LOG2_NORMAL - n) / p - shift, _LOG2_NORMAL - n / p - shift)
+    return lo, hi
+
+
+def _row_ceilings(basis: Basis):
+    """A function from a block of coefficient rows to each row's certified
+    ceiling: no gauge :func:`_ratios_over_m` computes for the row exceeds it.
+    None when the ambient has no certified r (Lorentz), or when the basis
+    vectors' entries leave the range where the argument below holds.
+
+    The ceiling is ``A * (sum_t |c_t|^r n_t^r)^(1/r)``, with r the ambient's
+    :func:`~qgreedy.spaces.p_convexity` and n_t = ``basis.vector_norms``; it is
+    inf for every row of a block that leaves that range.
+
+    Why no computed gauge exceeds it.  Every ambient with an r is solid (its
+    gauge depends on the moduli only and grows with each of them) and
+    r-normed: ||sum y_t||^r <= sum ||y_t||^r.  Take the greedy order and let
+    h = sum_t |c_t| |x_t| (moduli entrywise).  In a G_m row each entry is a
+    prefix sum of products c_t x_t; in a U_m row a prefix sum of the +-x_t
+    times |c_(m)|, and |c_(m)| <= |c_t| for t <= m.  With u = 2^-53 and
+    gamma_n = n u / (1 - n u), Higham's bounds for products and recursive sums
+    put every computed entry below (1 + gamma_d) h in modulus.  So the exact
+    gauge of a computed row is at most (1 + gamma_d) ||h||, and ||h|| <=
+    (sum_t |c_t|^r ||x_t||^r)^(1/r).
+
+    The allowance A covers the rounding on both sides of that inequality:
+
+    - the gauge of a computed row: moduli to the power p, a sum of dim terms,
+      the power fl(1/p) (a block ambient first squares, sums and takes square
+      roots);
+    - each n_t, computed by the same kernel, which may fall short of ||x_t||
+      in the same way;
+    - the ceiling's own powers |c_t|^r and n_t^r, their products and sum (a
+      dot product, summed in any order), the power fl(1/r) and the product
+      with A.
+
+    Let theta = gamma_N with N = max(d, dim) + 32, which bounds each
+    product's, sum's and square root's relative error and, by assumption,
+    each numpy float64 power's (taken within 16 ulps, a deliberately wide
+    margin).  An input error is raised to the power 1/p <= 1/r, and rounding
+    1/p to fl(1/p) moves X^(1/p) by a factor within 2^(+-1024 u / r) for a
+    normal X.  Counting the factors: the computed gauge of a row is at most
+    (1 + theta)^(2/r + 3) times its exact gauge, and a computed n_t is at
+    least (1 - theta)^(2/r + 3) times ||x_t||; the computed ceiling is at
+    least (1 - theta)^(4/r + 2) times A times its exact value.  With
+    gamma_d <= theta and the three exponent roundings, A must exceed
+    (1 + theta)^(2/r + 4) (1 - theta)^-(6/r + 5) 2^(3072 u / r), and
+    A = exp(9 (1/r + 1) theta + 2200 u / r) does, by more than its own rounding.
+
+    These bounds take every intermediate value to be a normal double; a
+    subnormal loses relative accuracy and an overflow trips the gauge's
+    rescaled path.  :func:`_normal_range` gives a sufficient condition,
+    checked for the basis vectors (entries in [vmin, vmax]) and for each
+    row's computed entries, which are 0 or lie in [cmin vmin 2^-54,
+    2 d cmax vmax] (a nonzero sum of floats is a multiple of the smallest
+    summand's ulp; cmin is the smallest nonzero |c_t|), with cmin >= 2^-1022
+    besides.  The ceiling's factors and terms are then normal too (a term is
+    at least (cmin vmin / 2)^r); an overflowing ceiling is inf, which never
+    prunes.  The check is made once per block, on all its rows together.
+
+    By the same inequality ||f|| is at most the exact ceiling, so the ceiling
+    over the norm of f is 1 or more up to rounding: pruning cannot stand in
+    for :func:`_certified_ceiling`, which ends a diagonal search outright.
+    """
+    r = p_convexity(basis.space)
+    if r is None:
+        return None
+    moduli = np.abs(basis.vectors[basis.vectors != 0])
+    v_lo, v_hi = math.log2(moduli.min()), math.log2(moduli.max())
+    lo, hi = _normal_range(basis.space)
+    if not lo <= v_lo <= v_hi <= hi:
+        return None
+    # the bounds on a block's cmin and cmax, as floats (0 or inf past the float range);
+    # cmin >= 2^-1022 keeps each c_t^r normal
+    x, y = max(lo - v_lo + 54, -1022), hi - v_hi - math.log2(2 * basis.d)
+    c_lo = math.inf if x > 1023 else 2.0**x
+    c_hi = 0.0 if y < -1074 else math.inf if y > 1023 else 2.0**y
+    u = 2.0**-53
+    n = max(basis.d, basis.dim) + 32
+    theta = n * u / (1 - n * u)
+    allowance = math.exp(9 * (1 / r + 1) * theta + 2200 * u / r)
+    norms_r = basis.vector_norms ** r
+
+    def ceilings(coeffs: np.ndarray) -> np.ndarray:
+        c = np.abs(coeffs)
+        if c.max() > c_hi or c[c < c_lo].any():
+            return np.full(len(c), math.inf)
+        with np.errstate(over="ignore"):  # an overflowing ceiling is inf
+            return allowance * ((c**r) @ norms_r) ** (1.0 / r)
+
+    return ceilings
+
+
 def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
                        truncate: bool) -> BoundEstimate:
     """The quasi-greedy (or, with ``truncate``, truncation) search over the
     candidates of :func:`_operator_candidates`, in capped blocks.
+
+    A candidate whose ceiling (:func:`_row_ceilings`) over its norm rounds to
+    at most the running best is dropped before its greedy prefixes are
+    scored.  Its computed ratio, the rounded quotient of a gauge below the
+    ceiling by the same norm, could not exceed that best, since rounding is
+    monotone; and the tracker replaces its best only with a strictly better
+    value, so the winner and its witness are the full search's.
 
     It stops once the running best reaches :func:`_certified_ceiling`, with
     the same result as the full search.  On a diagonal system f is
@@ -151,11 +275,19 @@ def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
     """
     d = basis.d
     ceiling = _certified_ceiling(basis)
+    ceilings = _row_ceilings(basis)
     tracker = Tracker()
     # every candidate costs d prefix rows
     for chunk in _row_chunks(_operator_candidates(d, budget, seed, stream), basis.dim, d):
         coeffs = np.array(chunk)
         nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
+        if ceilings is not None:
+            with np.errstate(all="ignore"):  # nf = 0 or tiny: inf or nan, never pruned
+                live = np.flatnonzero(~(ceilings(coeffs) / nf <= tracker.best))
+            if live.size == 0:
+                continue
+            if live.size < len(chunk):
+                chunk, coeffs, nf = [chunk[j] for j in live], coeffs[live], nf[live]
         gauges = _ratios_over_m(basis, coeffs, truncate)
         m = np.argmax(gauges, axis=1)
         with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow

@@ -43,6 +43,11 @@ _DOMINATION_TOL = 1e-12  # relative and absolute slack of the Lemma 3.2 comparis
 _COUNTING_TOL = 1e-9  # absolute slack of the counting inequality
 _EXACT_SIGN_LIMIT = 20
 _MIN_PAIRING = 0.2  # of |x*(x)| / (|x*|_2 |x|_2) <= 1 (Cauchy-Schwarz), so below 1
+# Rejection rounds per family.  A draw is kept with probability about 0.045 at
+# dim 100 (the cosine is roughly N(0, 1/dim)), so a family of 100 pairs needs
+# more than 1000 rounds with probability below 1e-18; at dim 1000 it is about
+# 2e-10 a draw, and the rounds run out.
+_PAIRING_ROUNDS = 1000
 
 
 def _check_p_strict(p) -> float:
@@ -166,12 +171,20 @@ def _pair_family_arrays(dim: int, size: int, p: float, seed: int) -> tuple[np.nd
     duals = np.empty((size, dim))
     raw = np.empty(size)
     pending = np.arange(size)
-    while pending.size:
+    for _ in range(_PAIRING_ROUNDS):
         u = rng.standard_normal((pending.size, dim))
         duals[pending] = u
         pairing = np.einsum("ij,ij->i", u, vectors[pending])
         raw[pending] = pairing
         pending = pending[pairing * pairing < floor[pending] * np.einsum("ij,ij->i", u, u)]
+        if not pending.size:
+            break
+    else:
+        raise PreconditionError(
+            f"{pending.size} of {size} pairs found no functional with |x*(x)| >= "
+            f"{_MIN_PAIRING} |x*|_2 |x|_2 in {_PAIRING_ROUNDS} rounds at dimension {dim}; "
+            f"such draws grow rarer with the dimension: use a smaller --dim"
+        )
     duals /= raw[:, None]
     return vectors, duals
 
@@ -184,7 +197,8 @@ def random_pair_family(dim: int, size: int, p: float, seed: int = 0) -> PairFami
     l_p gauge.  Functionals are rescaled Gaussian draws: each round draws a
     row for every pair not yet accepted, and a draw whose raw pairing with its
     vector falls below ``_MIN_PAIRING`` (relative to the natural scale) is
-    rejected to keep dual norms moderate.
+    rejected to keep dual norms moderate.  A pair still unaccepted after
+    ``_PAIRING_ROUNDS`` rounds raises :class:`PreconditionError`.
     """
     if size < 1 or size > dim:
         raise PreconditionError("need 1 <= size <= dim")

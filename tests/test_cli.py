@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import qgreedy.strongly_absolute as strongly_absolute_module
 from qgreedy.bases import zoo
 from qgreedy.cli import VERIFY_FLAG_TYPES, main
 from qgreedy.democracy import democracy_profile
@@ -251,6 +252,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_lemma33_without_pairings_exits_two(self, monkeypatch, capsys):
+        """Acceptable functionals grow rare with the dimension; when a family's
+        rejection rounds run out, the command names --dim and exits 2."""
+        monkeypatch.setattr(strongly_absolute_module, "_PAIRING_ROUNDS", 3)
+        code, out, err = run_cli(["verify", "lemma33", "--dim", "400", "--trials", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--dim" in err and "in 3 rounds at dimension 400" in err
 
     def test_bootstrap_one_term_passes(self, capsys):
         # a one-term ratio has no increment, so it is non-increasing

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgreedy.greedy as greedy_module
+from qgreedy import power_weight
 from qgreedy.bases import Basis, synthesize, zoo
+from qgreedy.cli import main
 from qgreedy.greedy import (
     _ratios_over_m,
     conditionality_growth_profile,
@@ -19,7 +21,7 @@ from qgreedy.greedy import (
 )
 from qgreedy.bases import coefficient_transform, coordinate_projection
 from qgreedy.sampling import plateau_coefficients
-from qgreedy.spaces import Lp, ambient_gauge
+from qgreedy.spaces import BlockLpL2, LorentzSpace, Lp, ambient_gauge
 
 
 @pytest.fixture
@@ -214,12 +216,137 @@ class TestCertifiedEarlyExit:
         assert exiting.witness["coeffs"] == [1.0] * 8
 
     def test_no_exit_off_the_diagonal(self, monkeypatch):
-        calls = []
+        """Off the diagonal every candidate is drawn: 1 + 8 + 1 + 6 + 2,000 at
+        d = 8 (pruning may skip scoring some of them, never the rest of the
+        search)."""
+        drawn = []
+        real = greedy_module._operator_candidates
+
+        def counted(*args):
+            for coeffs in real(*args):
+                drawn.append(1)
+                yield coeffs
+
+        monkeypatch.setattr(greedy_module, "_operator_candidates", counted)
+        quasi_greedy_constant(zoo("difference", p=0.5, dim=8), budget=2000, seed=1)
+        assert len(drawn) == 2016
+
+
+def _lorentz_difference(d):
+    """The difference basis in the Lorentz ambient d_{1/2}(w), w_n = 2n - 1."""
+    basis = zoo("difference", p=0.5, dim=d)
+    return Basis(LorentzSpace(0.5, power_weight(2.0, d)), basis.vectors, basis.duals)
+
+
+def _dense_basis(space, seed):
+    """A random dense basis of ``space`` (vectors near the identity), duals by inversion."""
+    rng = np.random.default_rng(seed)
+    vectors = np.eye(space.dim) + 0.6 * rng.standard_normal((space.dim, space.dim))
+    return Basis(space, vectors, np.linalg.inv(vectors).T)
+
+
+def _ceiling_basis(kind, p):
+    if kind == "difference":
+        return zoo("difference", p=p, dim=8)
+    if kind == "perturbed_unit":
+        return zoo("perturbed_unit", p=p, dim=8, seed=3)
+    if kind == "dense":
+        return _dense_basis(Lp(p, 7), seed=11)
+    return _dense_basis(BlockLpL2(p, (2, 3, 1, 2)), seed=12)
+
+
+_moduli = st.floats(min_value=1e-6, max_value=1e6)
+_signed = st.builds(lambda x, neg: -x if neg else x, _moduli, st.booleans())
+
+
+@st.composite
+def _coefficient_rows(draw, d, duals):
+    """Rows that exercise the ceiling: free coefficients with zeros, ties and
+    mixed scales; and rows built for cancellation, where the prefix sums
+    nearly cancel (a near-flat alternating row, and the coefficients
+    ``duals @ f`` of a small f, whose full sum is f)."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(st.one_of(_signed, st.just(0.0)), min_size=d, max_size=d))
+        rows.append(row if any(row) else [1.0] * d)
+    level = draw(_moduli)
+    eps = draw(st.floats(min_value=0.0, max_value=1e-9))
+    rows.append([level * (-1) ** t * (1 + eps * t) for t in range(d)])
+    f = np.array(draw(st.lists(_signed, min_size=duals.shape[1], max_size=duals.shape[1])))
+    rows.append((duals @ (1e-8 * f)).tolist())
+    return np.array(rows)
+
+
+class TestRowCeilings:
+    """The certified ceiling of a coefficient row bounds every gauge
+    :func:`_ratios_over_m` computes for it, and pruning by it changes nothing."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("kind", ["difference", "perturbed_unit", "dense", "block"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_ceiling_bounds_every_computed_gauge(self, kind, p, data):
+        basis = _ceiling_basis(kind, p)
+        coeffs = data.draw(_coefficient_rows(basis.d, basis.duals))
+        caps = greedy_module._row_ceilings(basis)(coeffs)
+        assert np.all(np.isfinite(caps))  # these rows lie in the certified range
+        for truncate in (False, True):
+            gauges = _ratios_over_m(basis, coeffs, truncate)
+            assert np.all(gauges.max(axis=1) <= caps)
+
+    @pytest.mark.parametrize("row", [[1.0, 1e-300, 0.0, 2.0], [1e300, 1.0, 1.0, 1.0],
+                                     [1.0, 5e-324, 0.0, 0.0]])
+    def test_blocks_out_of_range_are_never_pruned(self, row):
+        """A value that could leave the normal range gives its whole block
+        infinite ceilings; zeros do not."""
+        ceilings = greedy_module._row_ceilings(zoo("difference", p=2.0, dim=4))
+        assert np.all(np.isfinite(ceilings(np.array([[1.0, 2.0, 0.0, 4.0]]))))
+        assert np.all(ceilings(np.array([[1.0, 2.0, 3.0, 4.0], row])) == math.inf)
+
+    def test_bases_out_of_range_are_never_pruned(self):
+        vectors = np.eye(3)
+        vectors[0, 1] = 1e-200  # its square underflows
+        basis = Basis(Lp(2.0, 3), vectors, np.linalg.inv(vectors).T)
+        assert greedy_module._row_ceilings(basis) is None
+        assert greedy_module._row_ceilings(Basis(Lp(0.5, 3), vectors, basis.duals)) is not None
+
+    def test_lorentz_ambients_run_in_full(self):
+        assert greedy_module._row_ceilings(_lorentz_difference(8)) is None
+
+    @pytest.mark.parametrize("estimator", [quasi_greedy_constant, truncation_constant])
+    @pytest.mark.parametrize("basis", [
+        pytest.param(zoo("difference", p=0.5, dim=16), id="difference"),
+        pytest.param(zoo("difference", p=0.1, dim=12), id="difference-p0.1"),
+        pytest.param(zoo("perturbed_unit", p=0.5, dim=12, seed=4), id="perturbed_unit"),
+        pytest.param(zoo("perturbed_unit", p=2.0, dim=10, seed=1), id="perturbed_unit-p2"),
+        pytest.param(_dense_basis(BlockLpL2(0.5, (3, 3, 2, 4)), seed=5), id="block"),
+        pytest.param(_lorentz_difference(10), id="lorentz"),
+    ])
+    def test_pruning_changes_nothing(self, monkeypatch, estimator, basis):
+        scored = []
         real = greedy_module._ratios_over_m
         monkeypatch.setattr(greedy_module, "_ratios_over_m",
-                            lambda *args: calls.append(1) or real(*args))
-        quasi_greedy_constant(zoo("difference", p=0.5, dim=8), budget=2000, seed=1)
-        assert len(calls) == 4
+                            lambda basis, coeffs, truncate: scored.append(len(coeffs))
+                            or real(basis, coeffs, truncate))
+        pruned = estimator(basis, budget=1500, seed=2)
+        pruned_rows = sum(scored)
+        monkeypatch.setattr(greedy_module, "_row_ceilings", lambda basis: None)
+        full = estimator(basis, budget=1500, seed=2)
+        full_rows = sum(scored) - pruned_rows
+        assert pruned.as_dict() == full.as_dict()
+        if isinstance(basis.space, LorentzSpace):
+            assert pruned_rows == full_rows
+        else:
+            assert pruned_rows < full_rows
+
+    def test_analyze_json_unchanged(self, monkeypatch, capsys):
+        args = ["analyze", "--zoo", "difference", "--p", "0.5", "--dim", "24",
+                "--budget", "2000", "--format", "json"]
+        assert main(args) == 0
+        pruned = capsys.readouterr().out
+        monkeypatch.setattr(greedy_module, "_row_ceilings", lambda basis: None)
+        assert main(args) == 0
+        assert capsys.readouterr().out == pruned
 
 
 class TestConditionalityProfile:

@@ -250,6 +250,13 @@ class TestRandomPairFamily:
         assert np.allclose(fam.duals, np.array(duals), rtol=1e-13, atol=0)
 
 
+    def test_rejection_rounds_are_bounded(self):
+        """At dimension 1000 a draw clears the floor with probability about
+        2e-10, so the 1000 rounds run out and the draw stops with an error."""
+        with pytest.raises(PreconditionError, match=r"1 of 1 pairs .* --dim"):
+            random_pair_family(1000, 1, 0.5, seed=0)
+
+
 class TestSuiteFamilies:
     def test_suite_checks_random_pair_family(self, monkeypatch):
         """Family i of the suite is random_pair_family(dim, size_i, p,
