@@ -28,7 +28,7 @@ from .errors import (
     InvalidVectorError,
     NotABasisError,
 )
-from .estimates import BoundEstimate, Tracker
+from .estimates import BoundEstimate, Tracker, ratios
 from .rng import KU_SAMPLES, PERTURBED_BASIS, SAMPLE_BLOCK, block_samples, substream
 from .sampling import random_masks, random_signs
 from .spaces import (
@@ -48,6 +48,7 @@ from .spaces import (
 __all__ = [
     "Basis",
     "BIORTHOGONALITY_TOL",
+    "candidate_blocks",
     "coefficient_transform",
     "synthesize",
     "sign_operator",
@@ -201,6 +202,18 @@ def coordinate_projection(basis: Basis, A, f) -> np.ndarray:
     return coeffs[idx] @ basis.vectors[idx]
 
 
+def candidate_blocks(basis: Basis, candidates, per_item: int = 1, ambient: bool = False):
+    """Yield (coeffs, f, ||f||) per block of ``candidates`` (consumed lazily) that
+    fits one capped rows call at ``per_item`` rows each: the one place a search's
+    candidate becomes coefficients, an ambient vector and a norm.  Candidates are
+    coefficient arrays (f = coeffs @ vectors) or, with ``ambient``, ambient
+    vectors (coeffs = f @ duals.T)."""
+    for chunk in _row_chunks(candidates, basis.dim, per_item):
+        rows = np.array(chunk)
+        coeffs, f = (rows @ basis.duals.T, rows) if ambient else (rows, rows @ basis.vectors)
+        yield coeffs, f, ambient_gauge_rows(basis.space, f)
+
+
 # ---------------------------------------------------------------------------
 # unconditionality constant
 # ---------------------------------------------------------------------------
@@ -316,7 +329,8 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker) -> list[np.ndarray]
 
     Offers each block's first best ratio, with its witness, to ``tracker`` and
     returns the ``_SIGN_FLIP_KEEP`` best-scoring vectors, the earlier first among equal
-    scores; vectors with f = 0 are skipped.
+    scores and NaN scores last, as :meth:`Tracker.offer` ranks them; vectors with
+    f = 0 are skipped.  It returns the caller's own arrays, so it chunks them itself.
     """
     top: list[tuple[float, int, np.ndarray]] = []
     seen = 0
@@ -326,14 +340,12 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker) -> list[np.ndarray]
         coeffs = fs @ basis.duals.T
         gammas = np.where(coeffs < 0, -1.0, 1.0)
         gammas[:, 1::2] *= -1.0
-        vals = ambient_gauge_rows(basis.space, (gammas * coeffs) @ basis.vectors)
+        scores = ratios(ambient_gauge_rows(basis.space, (gammas * coeffs) @ basis.vectors), nf)
+        tracker.offer(scores, lambda b: {"f": chunk[b].tolist(), "gamma": gammas[b].tolist()})
+        keys = np.where(np.isnan(scores), math.inf, -scores)
         live = np.flatnonzero(nf > 0)
-        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
-            ratios = vals[live] / nf[live]
-        tracker.offer(ratios, lambda b: {"f": chunk[live[b]].tolist(),
-                                         "gamma": gammas[live[b]].tolist()})
-        best = np.argsort(-ratios, kind="stable")[:_SIGN_FLIP_KEEP]
-        top += [(-float(ratios[b]), seen + int(live[b]), chunk[live[b]]) for b in best]
+        best = live[np.argsort(keys[live], kind="stable")[:_SIGN_FLIP_KEEP]]
+        top += [(float(keys[b]), seen + int(b), chunk[b]) for b in best]
         top = sorted(top, key=lambda item: item[:2])[:_SIGN_FLIP_KEEP]
         seen += len(chunk)
     return [f for _, _, f in top]
@@ -378,21 +390,18 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
         # the most promising survivors
         sampled = _sampled_vectors(basis, budget if mode == "random" else 0, seed)
         pool = _canonical_test_vectors(basis) + _sign_flip_pass(basis, sampled, tracker)
-        norms = ambient_gauge_rows(basis.space, np.array(pool))
-        # a zero vector has no ratio, and a repeated one repeats a score, which cannot win
-        tested, seen = [], set()
-        for f, nf in zip(pool, norms.tolist()):
-            if nf > 0 and f.tobytes() not in seen:
-                seen.add(f.tobytes())
-                tested.append((f, nf))
-        for chunk in _row_chunks(tested, basis.dim):
-            coeffs = np.array([basis.duals @ f for f, _ in chunk])
+        # a repeated vector repeats a score, which cannot win, and a zero one has no ratio
+        unique = {f.tobytes(): f for f in pool}.values()
+        for _, fs, nf in candidate_blocks(basis, unique, ambient=True):
+            # one duals @ f per vector, as coefficient_transform rounds it: on a
+            # dense basis the block product differs in the last bits
+            coeffs = np.array([basis.duals @ f for f in fs])
             gammas, values = _descend_pool(basis, coeffs)
-            for (f, nf), c, gamma, val in zip(chunk, coeffs, gammas, values.tolist()):
+            for c, f, norm, gamma, val in zip(coeffs, fs, nf, gammas, values):
                 # per f: the exact families first, then the descent
                 found = (_exact_family_best(basis, c) if mode == "exact" else []) + [(val, gamma)]
-                for value, multiplier in found:
-                    tracker.update(value / nf, {"f": f.tolist(), "gamma": multiplier.tolist()})
+                tracker.offer(ratios([value for value, _ in found], norm),
+                              lambda k: {"f": f.tolist(), "gamma": found[k][1].tolist()})
     upper, note = _certified_ku_upper(basis)
     if mode == "exact" and not note:
         note = "exact over the {0,1}^d and {-1,1}^d multiplier families"

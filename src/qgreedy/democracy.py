@@ -29,7 +29,7 @@ import numpy as np
 
 from .bases import Basis, _as_index_set
 from .errors import CombinatorialOverflowError
-from .estimates import BoundEstimate, Tracker
+from .estimates import BoundEstimate, Tracker, ratios
 from .greedy import quasi_greedy_constant
 from .numerics import loglog_slope, sign_patterns
 from .rng import (
@@ -403,11 +403,10 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         for r, i in enumerate(chunk):
             mask[r, np.searchsorted(pairs[i][1], pairs[i][0])] = 1.0
         num = _stacked_gauges(basis, (signs * mask[:, None, :]) @ basis.vectors[idx])
-        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
-            ratios = num / den
+        scores = ratios(num, den)
         rows = np.arange(len(chunk))
-        j = np.argmax(ratios, axis=1)
-        best[chunk], chosen = ratios[rows, j], signs[rows, j]
+        j = np.argmax(scores, axis=1)
+        best[chunk], chosen = scores[rows, j], signs[rows, j]
         for r, i in enumerate(chunk):
             patterns[i] = chosen[r]
     tracker.offer(best, lambda i: {"A": [int(x) for x in pairs[i][0]],
@@ -430,11 +429,9 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
 
     hi, lo, patterns = _sign_extremes(
         basis, sets, lambda i: substream(seed, SIGN_CHANGE, i))
-    with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
-        ratios = np.divide(hi, lo, out=np.full(len(sets), -math.inf), where=lo > 0)
-    tracker.offer(ratios, lambda i: {"A": [int(x) for x in sets[i]],
-                                     "theta": patterns[i][0].tolist(),
-                                     "eps": patterns[i][1].tolist()})
+    tracker.offer(ratios(hi, lo), lambda i: {"A": [int(x) for x in sets[i]],
+                                             "theta": patterns[i][0].tolist(),
+                                             "eps": patterns[i][1].tolist()})
     return tracker.estimate()
 
 
@@ -456,13 +453,10 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
             basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i))
         a = int(np.argmax(hi))
         b = int(np.argmin(np.where(lo > 0, lo, math.inf)))
-        if lo[b] > 0:
-            with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
-                ratio = float(hi[a] / lo[b])
-            tracker.update(ratio, {
-                "A": [int(x) for x in cands[a]], "B": [int(x) for x in cands[b]],
-                "theta": patterns[a][0].tolist(), "eps": patterns[b][1].tolist(),
-            })
+        tracker.update(float(ratios(hi[a], lo[b])), {
+            "A": [int(x) for x in cands[a]], "B": [int(x) for x in cands[b]],
+            "theta": patterns[a][0].tolist(), "eps": patterns[b][1].tolist(),
+        })
     return tracker.estimate()
 
 

@@ -7,10 +7,11 @@ attached for the identity system, where a rearrangement argument makes one
 available.  Each report carries a companion table comparing the primitive
 weight s_m against the matching democracy function.
 
-Both searches build their candidates as one array and score it in capped
-blocks through the row kernels: the ambient gauge, and the Lorentz gauge of
-a :class:`~qgreedy.spaces.LorentzSpace` that computes its primitive weight
-once.
+Both searches build their candidates as one array and read it in capped
+blocks from :func:`~qgreedy.bases.candidate_blocks`, which gives the ambient
+gauges; the other side is the Lorentz gauge of a
+:class:`~qgreedy.spaces.LorentzSpace` that computes its primitive weight
+once, and :func:`~qgreedy.estimates.ratios` divides the two.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from typing import Any
 
 import numpy as np
 
-from .bases import Basis
+from .bases import Basis, candidate_blocks
 from .democracy import lower_democracy, upper_democracy
 from .errors import InvalidExponentError, InvalidWeightError
-from .estimates import BoundEstimate, Tracker
+from .estimates import BoundEstimate, Tracker, ratios
 from .lorentz import check_weight
 from .rng import EMBED_LORENTZ_SAMPLES, EMBED_SPACE_SAMPLES
 from .sampling import coefficient_samples, size_cap, structured_subsets
-from .spaces import Lp, LorentzSpace, _row_chunks, ambient_gauge_rows
+from .spaces import Lp, LorentzSpace, ambient_gauge_rows
 
 __all__ = [
     "CompanionRow",
@@ -124,12 +125,9 @@ def embed_space_into_weak_lorentz(basis: Basis, w, budget: int = 800, seed: int 
     coeffs = _coefficient_pool(d, [np.ones(d)], budget, seed, EMBED_SPACE_SAMPLES)
     pool = np.vstack((np.eye(basis.dim), coeffs @ basis.vectors))
     tracker = Tracker()
-    for chunk in _row_chunks(pool, basis.dim):
-        f = np.array(chunk)
-        nf = ambient_gauge_rows(basis.space, f)
-        val = ambient_gauge_rows(weak, f @ basis.duals.T)
-        tracker.offer(np.divide(val, nf, out=np.full(len(f), -math.inf), where=nf > 0),
-                      lambda j: {"f": chunk[j].tolist()})
+    for coeffs, f, nf in candidate_blocks(basis, pool, ambient=True):
+        tracker.offer(ratios(ambient_gauge_rows(weak, coeffs), nf),
+                      lambda j: {"f": f[j].tolist()})
 
     upper, note = math.inf, ""
     if basis.is_diagonal():
@@ -150,12 +148,9 @@ def embed_lorentz_into_space(basis: Basis, q, w, budget: int = 800, seed: int = 
     lorentz = LorentzSpace(q, w[:d])
     pool = _coefficient_pool(d, [np.ones(d), *np.eye(d)], budget, seed, EMBED_LORENTZ_SAMPLES)
     tracker = Tracker()
-    for chunk in _row_chunks(pool, basis.dim):
-        g = np.array(chunk)
-        den = ambient_gauge_rows(lorentz, g)
-        num = ambient_gauge_rows(basis.space, g @ basis.vectors)
-        tracker.offer(np.divide(num, den, out=np.full(len(g), -math.inf), where=den > 0),
-                      lambda j: {"g": chunk[j].tolist()})
+    for g, _, nf in candidate_blocks(basis, pool):
+        tracker.offer(ratios(nf, ambient_gauge_rows(lorentz, g)),
+                      lambda j: {"g": g[j].tolist()})
 
     upper, note = math.inf, ""
     if basis.is_diagonal() and not math.isinf(p) and lorentz.q == p:

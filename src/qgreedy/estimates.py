@@ -5,7 +5,8 @@ Every search reports through :meth:`Tracker.estimate`, which holds the one
 rule for a sup-type bound: the lower bound is the best witness value, clamped
 to the upper bound; the upper bound is certified exactly when it is finite,
 since an estimator passes a finite one only when a proved inequality (or an
-exhaustive search) gives it.
+exhaustive search) gives it.  Every gauge ratio a search offers comes from
+:func:`ratios`, the one rule for dividing two gauges.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
+
+
+def ratios(num, den) -> np.ndarray:
+    """The one ratio rule of the witness searches: ``num / den`` where
+    ``den > 0``, -inf (no ratio) elsewhere, and NaN, with no warning, where
+    both gauges overflowed (inf / inf); :meth:`Tracker.offer` ranks NaN last."""
+    with np.errstate(invalid="ignore"):
+        return np.divide(num, den, out=np.full(np.broadcast(num, den).shape, -math.inf),
+                         where=np.asarray(den) > 0)
 
 
 def _close(a: float, b: float) -> bool:

@@ -8,12 +8,14 @@ lower bounds for the associated operator constants; upper bounds are claimed
 only where they can be certified (diagonal systems, or summed product bounds
 under r-convexity).
 
-The searches score their candidates in blocks: one row-kernel call covers a
-block's norms, another its greedy prefixes (or, in forward selection, every
-candidate with every index still available), and no call exceeds the row cap
-of :mod:`qgreedy.spaces`.  Each block is offered to a
-:class:`~qgreedy.estimates.Tracker`, so the first best candidate wins, as in
-a one-at-a-time scan.
+The searches read their candidates in blocks from
+:func:`~qgreedy.bases.candidate_blocks`, which gives each block's
+coefficients, vectors and norms; one more row-kernel call scores a block's
+greedy prefixes (or, in forward selection, every candidate with every index
+still available), and no call exceeds the row cap of :mod:`qgreedy.spaces`.
+Each block's ratios, from :func:`~qgreedy.estimates.ratios`, are offered to
+a :class:`~qgreedy.estimates.Tracker`, so the first best candidate wins, as
+in a one-at-a-time scan.
 
 The quasi-greedy and truncation searches skip the greedy prefixes of a
 candidate whose certified ceiling (:func:`_row_ceilings`, from the
@@ -32,13 +34,13 @@ from typing import Any
 
 import numpy as np
 
-from .bases import (_DIAGONAL_NOTE, Basis, _as_index_set, coefficient_transform,
-                    coordinate_projection)
+from .bases import (_DIAGONAL_NOTE, Basis, _as_index_set, candidate_blocks,
+                    coefficient_transform, coordinate_projection)
 from .errors import InvalidExponentError
-from .estimates import BoundEstimate, Tracker
+from .estimates import BoundEstimate, Tracker, ratios
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
 from .sampling import coefficient_samples, plateau_coefficients, size_cap
-from .spaces import BlockLpL2, Lp, _row_chunks, ambient_gauge_rows, p_convexity
+from .spaces import BlockLpL2, Lp, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "greedy_order",
@@ -277,23 +279,20 @@ def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
     ceiling = _certified_ceiling(basis)
     ceilings = _row_ceilings(basis)
     tracker = Tracker()
+    candidates = _operator_candidates(d, budget, seed, stream)
     # every candidate costs d prefix rows
-    for chunk in _row_chunks(_operator_candidates(d, budget, seed, stream), basis.dim, d):
-        coeffs = np.array(chunk)
-        nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
+    for coeffs, _, nf in candidate_blocks(basis, candidates, d):
         if ceilings is not None:
             with np.errstate(all="ignore"):  # nf = 0 or tiny: inf or nan, never pruned
                 live = np.flatnonzero(~(ceilings(coeffs) / nf <= tracker.best))
             if live.size == 0:
                 continue
-            if live.size < len(chunk):
-                chunk, coeffs, nf = [chunk[j] for j in live], coeffs[live], nf[live]
+            if live.size < len(coeffs):
+                coeffs, nf = coeffs[live], nf[live]
         gauges = _ratios_over_m(basis, coeffs, truncate)
         m = np.argmax(gauges, axis=1)
-        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
-            ratios = np.divide(gauges.max(axis=1), nf, out=np.full(len(chunk), -math.inf),
-                               where=nf > 0)
-        tracker.offer(ratios, lambda j: {"coeffs": chunk[j].tolist(), "m": int(m[j]) + 1})
+        tracker.offer(ratios(gauges.max(axis=1), nf),
+                      lambda j: {"coeffs": coeffs[j].tolist(), "m": int(m[j]) + 1})
         if tracker.best >= ceiling:
             break
     # G_d and U_d reproduce the flat vector: ratio 1 even where its gauges overflow
@@ -367,9 +366,7 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
         keep = np.ones(available.shape, dtype=bool)
         keep[at, j] = False
         available = available[keep].reshape(n, -1)
-        with np.errstate(invalid="ignore"):  # inf / inf where both gauges overflow
-            ratios = vals[at, j] / f_gauges
-        tracker.offer(ratios, witness)
+        tracker.offer(ratios(vals[at, j], f_gauges), witness)
 
 
 def _log_normalized(lower: float, m: int, p: float) -> float:
@@ -407,17 +404,12 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
     # every candidate costs at most d rows per size
     candidates = itertools.chain(np.eye(d), [np.ones(d)],
                                  coefficient_samples(d, budget, seed, CONDITIONALITY_SAMPLES))
-    for chunk in _row_chunks(candidates, basis.dim, d):
-        coeffs = np.array(chunk)
-        nf = ambient_gauge_rows(basis.space, coeffs @ basis.vectors)
-        live = nf > 0
-        _forward_selection(basis, coeffs[live], nf[live], trackers)
+    for coeffs, _, nf in candidate_blocks(basis, candidates, d):
+        _forward_selection(basis, coeffs, nf, trackers)
 
     # ambient unit vectors as inputs
-    for chunk in _row_chunks(range(basis.dim), basis.dim, d):
-        units = np.eye(basis.dim)[chunk]
-        nf = ambient_gauge_rows(basis.space, units)
-        _forward_selection(basis, units @ basis.duals.T, nf, trackers, units)
+    for coeffs, units, nf in candidate_blocks(basis, np.eye(basis.dim), d, ambient=True):
+        _forward_selection(basis, coeffs, nf, trackers, units)
 
     # a witness set of fewer than m members is one of at most m members
     for prev, tracker in zip(trackers, trackers[1:]):

@@ -48,6 +48,7 @@ _MIN_PAIRING = 0.2  # of |x*(x)| / (|x*|_2 |x|_2) <= 1 (Cauchy-Schwarz), so belo
 # more than 1000 rounds with probability below 1e-18; at dim 1000 it is about
 # 2e-10 a draw, and the rounds run out.
 _PAIRING_ROUNDS = 1000
+_PAIRING_HOPELESS = 1e-12  # a family less likely than this to complete is not drawn
 
 
 def _check_p_strict(p) -> float:
@@ -163,6 +164,13 @@ class PairFamily:
 
 def _pair_family_arrays(dim: int, size: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The (vectors, duals) of :func:`random_pair_family`, unvalidated."""
+    # one draw clears the floor with probability at most q = 2 exp(-dim floor^2 / 2)
+    # (the spherical-cap bound), a pair within the rounds with at most rounds * q,
+    # and the whole family with at most that to the power size
+    q = 2.0 * math.exp(-dim * _MIN_PAIRING**2 / 2)
+    if min(1.0, _PAIRING_ROUNDS * q) ** size < _PAIRING_HOPELESS:
+        raise _pairing_error(f"{size} pairs would all find a functional", dim,
+                             f" with probability below {_PAIRING_HOPELESS:g}")
     rng = substream(seed, PAIR_FAMILIES)
     vectors = rng.standard_normal((size, dim))
     vectors /= lp_gauge_rows(vectors, p)[:, None]
@@ -180,13 +188,16 @@ def _pair_family_arrays(dim: int, size: int, p: float, seed: int) -> tuple[np.nd
         if not pending.size:
             break
     else:
-        raise PreconditionError(
-            f"{pending.size} of {size} pairs found no functional with |x*(x)| >= "
-            f"{_MIN_PAIRING} |x*|_2 |x|_2 in {_PAIRING_ROUNDS} rounds at dimension {dim}; "
-            f"such draws grow rarer with the dimension: use a smaller --dim"
-        )
+        raise _pairing_error(f"{pending.size} of {size} pairs found no functional", dim)
     duals /= raw[:, None]
     return vectors, duals
+
+
+def _pairing_error(what: str, dim: int, odds: str = "") -> PreconditionError:
+    return PreconditionError(
+        f"{what} with |x*(x)| >= {_MIN_PAIRING} |x*|_2 |x|_2 in {_PAIRING_ROUNDS} rounds at "
+        f"dimension {dim}{odds}; such draws grow rarer with the dimension: use a smaller --dim"
+    )
 
 
 def random_pair_family(dim: int, size: int, p: float, seed: int = 0) -> PairFamily:
@@ -198,7 +209,9 @@ def random_pair_family(dim: int, size: int, p: float, seed: int = 0) -> PairFami
     row for every pair not yet accepted, and a draw whose raw pairing with its
     vector falls below ``_MIN_PAIRING`` (relative to the natural scale) is
     rejected to keep dual norms moderate.  A pair still unaccepted after
-    ``_PAIRING_ROUNDS`` rounds raises :class:`PreconditionError`.
+    ``_PAIRING_ROUNDS`` rounds raises :class:`PreconditionError`, and so,
+    before any draw, does a family whose pairs all clear the floor within
+    those rounds with probability below 1e-12 by the spherical-cap bound.
     """
     if size < 1 or size > dim:
         raise PreconditionError("need 1 <= size <= dim")

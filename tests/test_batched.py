@@ -26,6 +26,7 @@ from qgreedy.bases import (
     _difference_matrices,
     _sampled_vectors,
     _sign_flip_pass,
+    candidate_blocks,
     coefficient_transform,
     synthesize,
     unconditional_constant,
@@ -346,6 +347,28 @@ def test_sign_flip_pass_matches_scalar_loop(kind, small_cap):
     assert replay("unconditional", basis, tracker.witness) == pytest.approx(tracker.best, rel=REL)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p,d", [(0.001, 6), (0.001, 12), (0.002, 8)])
+def test_sign_flip_survivors_do_not_depend_on_the_row_cap(p, d, monkeypatch):
+    # at these exponents both gauges of many samples overflow: a NaN score
+    # ranks after every number, the earlier first, in every block split
+    basis = zoo("difference", p=p, dim=d)
+    sampled = list(_sampled_vectors(basis, 300, 0))
+    with np.errstate(invalid="ignore"):
+        expected, scored = sign_flip_oracle(basis, sampled)
+    assert any(math.isnan(score) for score, _ in scored)
+    ranked = sorted(range(len(scored)), key=lambda i: (
+        math.inf if math.isnan(scored[i][0]) else -scored[i][0], i))
+    for floats in (1 << 15, 64, 8):
+        monkeypatch.setattr(spaces_module, "_BLOCK_FLOATS", floats)
+        tracker = Tracker()
+        top = _sign_flip_pass(basis, iter(sampled), tracker)
+        assert len(top) == 8
+        for f, i in zip(top, ranked):
+            assert f is scored[i][1]
+        assert (tracker.best, tracker.witness) == (expected.best, expected.witness)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_unconditional_witness_replays(kind, small_cap):
     basis = random_basis(kind, seed=9)
@@ -604,14 +627,36 @@ def test_analyze_respects_row_cap(monkeypatch, capsys):
     assert sizes and max(sizes) <= spaces_module._ROW_CAP
 
 
+def assert_capped(size, width, per_item):
+    rows = size * per_item
+    assert rows <= spaces_module._ROW_CAP
+    assert rows * width <= max(spaces_module._BLOCK_FLOATS, width * per_item)
+
+
 def test_row_chunks_bound_rows_and_floats():
     for width, per_item in ((4, 1), (8, 8), (24, 1), (32, 32), (5000, 1)):
         chunks = list(spaces_module._row_chunks(range(3000), width, per_item))
         assert [i for chunk in chunks for i in chunk] == list(range(3000))
         for chunk in chunks:
-            rows = len(chunk) * per_item
-            assert rows <= spaces_module._ROW_CAP
-            assert rows * width <= max(spaces_module._BLOCK_FLOATS, width * per_item)
+            assert_capped(len(chunk), width, per_item)
+    # candidate_blocks: the same caps, the candidates' order, and the bits of
+    # rows @ vectors (coefficient candidates) or rows @ duals.T (ambient ones)
+    for basis in (zoo("perturbed_unit", p=0.5, dim=24, seed=1),
+                  zoo("block_l2", p=0.5, blocks=(2, 3, 1))):
+        candidates = np.random.default_rng(0).standard_normal((5000, basis.d))
+        for per_item in (1, basis.d):
+            for ambient in (False, True):
+                blocks = list(candidate_blocks(basis, iter(candidates), per_item, ambient))
+                assert len(blocks) > 1
+                for coeffs, f, nf in blocks:
+                    assert_capped(len(f), basis.dim, per_item)
+                    if ambient:
+                        assert coeffs.tobytes() == (f @ basis.duals.T).tobytes()
+                    else:
+                        assert f.tobytes() == (coeffs @ basis.vectors).tobytes()
+                    assert nf.tobytes() == ambient_gauge_rows(basis.space, f).tobytes()
+                rows = np.vstack([f if ambient else coeffs for coeffs, f, _ in blocks])
+                assert rows.tobytes() == candidates.tobytes()
 
 
 # ---------------------------------------------------------------------------

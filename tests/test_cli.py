@@ -409,10 +409,9 @@ class TestVerifyCommand:
 
 class TestConsoleScript:
     def test_module_entrypoint(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qgreedy.cli", "zoo", "list"]
-            if False else [sys.executable, "-c",
-                           "import sys; from qgreedy.cli import main; sys.exit(main(['zoo', 'list']))"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert "difference" in proc.stdout
+        for entry in (["-m", "qgreedy.cli"],  # the form perfbench/run.py launches
+                      ["-c", "import sys; from qgreedy.cli import main; sys.exit(main(sys.argv[1:]))"]):
+            proc = subprocess.run([sys.executable, *entry, "zoo", "list"],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, entry
+            assert "difference" in proc.stdout

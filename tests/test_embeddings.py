@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,14 @@ class TestLorentzIntoSpace:
                  / lorentz_gauge(g, 0.5, w))
         report = embed_lorentz_into_space(basis, 0.5, w, budget=10, seed=0)
         assert report.constant.lower >= ratio - 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gauges_divide_without_warning(self):
+        # at p = q = 0.001 both gauges of some candidates overflow to inf; such a
+        # candidate has no ratio, and its inf / inf raises no "invalid value" warning
+        report = embed_lorentz_into_space(zoo("unit", p=0.001, dim=4), 0.001, np.ones(4),
+                                          budget=20)
+        assert not math.isnan(report.constant.lower)
 
 
 class TestCompanionCsv:

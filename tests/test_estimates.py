@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from qgreedy.bases import Basis, _difference_matrices, unconditional_constant, zoo
 from qgreedy.democracy import democracy_profile
 from qgreedy.embeddings import embed_lorentz_into_space, embed_space_into_weak_lorentz
-from qgreedy.estimates import BoundEstimate, Tracker
+from qgreedy.estimates import BoundEstimate, Tracker, ratios
 from qgreedy.greedy import quasi_greedy_constant, truncation_constant
 from qgreedy.spaces import Lp, LorentzSpace
 
@@ -87,6 +88,25 @@ def test_nan_entries_are_not_eligible(maximize):
     tracker = Tracker(maximize)
     tracker.offer(np.array([math.nan, 5.0]), lambda j: j)
     assert (tracker.best, tracker.witness) == (5.0, 1)
+
+
+def test_ratio_rule():
+    num = np.array([3.0, 1e-300, 0.1, 7.0, math.inf, math.inf, 2.0, 0.0])
+    den = np.array([7.0, 1e300, 0.3, 0.0, math.inf, 2.0, -0.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf / inf warns in a plain division
+        got = ratios(num, den)
+        block = ratios(num.reshape(2, 4), den.reshape(2, 4))
+    defined = den > 0
+    with np.errstate(invalid="ignore"):
+        assert got[defined].tobytes() == (num[defined] / den[defined]).tobytes()
+    assert got[~defined].tolist() == [-math.inf, -math.inf]  # no ratio at den = 0
+    assert math.isnan(got[4])  # inf / inf: NaN, which Tracker.offer ranks last
+    assert got[5] == math.inf
+    # 2-d blocks, as the nested-set sign constant divides
+    assert block.shape == (2, 4)
+    assert block.ravel().tobytes() == got.tobytes()
+    assert float(ratios(6.0, 3.0)) == 2.0
 
 
 def fields(est: BoundEstimate) -> tuple:

@@ -256,6 +256,21 @@ class TestRandomPairFamily:
         with pytest.raises(PreconditionError, match=r"1 of 1 pairs .* --dim"):
             random_pair_family(1000, 1, 0.5, seed=0)
 
+    def test_hopeless_family_is_refused_before_drawing(self, monkeypatch):
+        """By the spherical-cap bound a 3-pair family at dimension 1000 completes
+        within the rounds with probability below (1000 * 2 e^-20)^3, about 7e-17,
+        so no stream is opened; one pair more than 1e-12 likely is drawn."""
+        def no_stream(*key):
+            raise AssertionError(f"stream {key} opened")
+
+        monkeypatch.setattr(strongly_absolute_module, "substream", no_stream)
+        with pytest.raises(PreconditionError,
+                           match=r"^3 pairs would all .* in 1000 rounds at dimension 1000 "
+                                 r"with probability below 1e-12; .* --dim$"):
+            random_pair_family(1000, 3, 0.5, seed=0)
+        with pytest.raises(AssertionError, match="opened"):
+            random_pair_family(1000, 2, 0.5, seed=0)
+
 
 class TestSuiteFamilies:
     def test_suite_checks_random_pair_family(self, monkeypatch):
