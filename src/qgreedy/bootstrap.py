@@ -10,18 +10,26 @@ the third-stage ratio t_m/m = (sum_{n<=m} H_n/n^2)^(-1/2) converges to
 (2 zeta(3))^(-1/2) ~ 0.644945 by Euler's identity sum H_n/n^2 = 2 zeta(3).  All
 running sums use compensated accumulation so stage values at m = 10^6 are
 trustworthy to a relative 1e-12.
+
+Each t_m depends only on s_1..s_m, so the chain streams: every stage is
+computed in blocks of ``_BLOCK`` ranks, each stage's running sum carried from
+one block to the next, and a block has the bits of the whole-array step.  The
+verify suite and the CSV report read the blocks and never hold a whole stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidWeightError
-from .numerics import compensated_cumsum
+from .numerics import RunningTotal, compensated_cumsum
 
 __all__ = ["GrowthSequence", "harmonic", "bootstrap_step", "bootstrap_chain", "BootstrapChain"]
+
+_BLOCK = 1 << 14  # ranks per streamed block: a whole number of chunks keeps every bit
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +65,38 @@ def harmonic(M: int) -> GrowthSequence:
     return GrowthSequence(compensated_cumsum(1.0 / n), "harmonic")
 
 
+def _step(m: np.ndarray, s: np.ndarray, total: RunningTotal) -> np.ndarray:
+    """t at ranks ``m`` from the matching piece of s, carrying ``total`` on."""
+    return m * compensated_cumsum(s**-2.0, total) ** -0.5
+
+
 def bootstrap_step(s, label: str | None = None) -> GrowthSequence:
     """Apply t_m = m (sum_{n<=m} s_n^(-2))^(-1/2) to a positive sequence."""
     s = s if isinstance(s, GrowthSequence) else GrowthSequence(s)
     m = np.arange(1, len(s) + 1, dtype=float)
-    sums = compensated_cumsum(s.values**-2.0)
-    out = m * sums**-0.5
+    out = _step(m, s.values, RunningTotal())
     return GrowthSequence(out, label if label is not None else f"step({s.label})")
+
+
+def _stage_blocks(M: int, iterations: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """``(m, stages)`` for each block of ``_BLOCK`` consecutive ranks up to M:
+    the ranks as floats and the values of stages 0..iterations there.  The
+    arguments are checked at the call, before any block is made."""
+    if M < 1:
+        raise InvalidWeightError("length must be >= 1")
+    if iterations < 0:
+        raise InvalidWeightError("iterations must be >= 0")
+    totals = [RunningTotal() for _ in range(iterations)]
+
+    def blocks():
+        for lo in range(0, M, _BLOCK):
+            m = np.arange(lo + 1, min(lo + _BLOCK, M) + 1, dtype=float)
+            stages = [np.ones(m.size)]
+            for total in totals:
+                stages.append(_step(m, stages[-1], total))
+            yield m, stages
+
+    return blocks()
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +122,8 @@ class BootstrapChain:
 
 def bootstrap_chain(M: int, iterations: int) -> BootstrapChain:
     """Iterate the improvement step ``iterations`` times from the constant 1."""
-    if M < 1:
-        raise InvalidWeightError("length must be >= 1")
-    if iterations < 0:
-        raise InvalidWeightError("iterations must be >= 0")
-    stages = [GrowthSequence(np.ones(M), "stage0")]
-    for k in range(1, iterations + 1):
-        stages.append(bootstrap_step(stages[-1], label=f"stage{k}"))
-    return BootstrapChain(tuple(stages))
+    blocks = _stage_blocks(M, iterations)
+    values = np.empty((iterations + 1, M))
+    for m, stages in blocks:
+        values[:, int(m[0]) - 1 : int(m[-1])] = stages
+    return BootstrapChain(tuple(GrowthSequence(v, f"stage{k}") for k, v in enumerate(values)))

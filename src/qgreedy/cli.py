@@ -20,6 +20,9 @@ import argparse
 import inspect
 import sys
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .bases import ZOO_NAMES, load_basis, save_basis, unconditional_constant, zoo
 from .bootstrap import bootstrap_chain
@@ -141,15 +144,22 @@ def _constants_table(basis, budget: int, seed: int) -> dict:
     }
 
 
-def _emit(files: dict[str, str], out: Path | None) -> None:
-    """Write the first of ``files`` (name -> text) to standard output, or
-    every one of them under the directory ``out``."""
+def _emit(files: dict[str, str | Iterable[str]], out: Path | None) -> None:
+    """Write the first of ``files`` (name -> text, or its pieces in order) to
+    standard output, or every one of them under the directory ``out``; each
+    piece is written as it comes."""
+    def pieces(text):
+        return (text,) if isinstance(text, str) else text
+
     if out is None:
-        sys.stdout.write(next(iter(files.values())))
+        for piece in pieces(next(iter(files.values()))):
+            sys.stdout.write(piece)
         return
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out / name).write_bytes(text.encode("utf-8"))
+        with open(out / name, "wb") as fh:
+            for piece in pieces(text):
+                fh.write(piece.encode("utf-8"))
 
 
 def _bound_row(name: str, est) -> list:
@@ -233,11 +243,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
-    chain = bootstrap_chain(args.max_m, args.iters)
+    # JSON holds each stage as one list, so only the CSV streams
     if args.format == "json":
-        _emit({"bootstrap.json": json_text(chain)}, args.out)
+        _emit({"bootstrap.json": json_text(bootstrap_chain(args.max_m, args.iters))}, args.out)
     else:
-        _emit({"bootstrap.csv": chain_csv(chain)}, args.out)
+        _emit({"bootstrap.csv": chain_csv(args.max_m, args.iters)}, args.out)
     return EXIT_OK
 
 
@@ -269,7 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise ValueError(f"--budget must be >= 0, got {args.budget}")
-        return _COMMANDS[args.command](args)
+        # every overflow is reported in the output ("inf", and verdicts that say so),
+        # so numpy's overflow warnings are silenced once here, not per gauge call
+        with np.errstate(over="ignore"):
+            return _COMMANDS[args.command](args)
     except NotABasisError as exc:
         print(f"basis invariant failure: {exc}", file=sys.stderr)
         return EXIT_BASIS

@@ -4,7 +4,9 @@ sign-pattern tables.
 The compensated prefix sums total each 512-term chunk exactly rounded, as
 ``math.fsum`` would, from vectorised error-free transformations (TwoSum over
 the chunk's own cumsum); ``math.fsum`` runs only for the rare chunk whose
-rounding the error bound cannot decide."""
+rounding the error bound cannot decide.  A :class:`RunningTotal` carries
+the sums from one piece of an input to the next, so a long input streams
+through in blocks with the bits of one whole-array call."""
 
 from __future__ import annotations
 
@@ -57,7 +59,20 @@ def _chunk_totals(rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return total
 
 
-def compensated_cumsum(x: np.ndarray) -> np.ndarray:
+class RunningTotal:
+    """Where a compensated prefix sum stands after the pieces fed so far: the
+    exactly rounded chunk totals carried with Neumaier compensation as
+    ``(carry, comp)``.  Only the last piece may end inside a chunk."""
+
+    __slots__ = ("carry", "comp", "ended")
+
+    def __init__(self) -> None:
+        self.carry = 0.0
+        self.comp = 0.0
+        self.ended = False
+
+
+def compensated_cumsum(x: np.ndarray, total: RunningTotal | None = None) -> np.ndarray:
     """Prefix sums that do not drift on long inputs.
 
     Within a chunk the plain running sum keeps the local error near
@@ -67,24 +82,30 @@ def compensated_cumsum(x: np.ndarray) -> np.ndarray:
     of every prefix stays at a few ulps even for 10^6 terms.  Full chunks are
     cumsummed and totalled ``_BLOCK_ROWS`` at a time; a last partial chunk,
     or a whole input shorter than a chunk, takes one cumsum and one fsum.
+
+    Given a ``total``, the sums carry on from the pieces fed to it before and
+    ``total`` moves past ``x``.  Fed in pieces that are whole chunks, all but
+    the last, the input gets the bits of one call on the whole of it.
     """
     x = np.asarray(x, dtype=float)
+    total = RunningTotal() if total is None else total
+    if total.ended:
+        raise ValueError("only the last piece of a running total may end inside a chunk")
     out = np.empty_like(x)
-    carry = 0.0
-    comp = 0.0
+    carry, comp = total.carry, total.comp
     full = x.size - x.size % _CHUNK
     rows, sums = x[:full].reshape(-1, _CHUNK), out[:full].reshape(-1, _CHUNK)
     for i in range(0, rows.shape[0], _BLOCK_ROWS):
         block, cum = rows[i : i + _BLOCK_ROWS], sums[i : i + _BLOCK_ROWS]
         np.cumsum(block, axis=1, out=cum)
         start = np.empty((block.shape[0], 2))  # (carry, comp) before each chunk
-        for r, total in enumerate(_chunk_totals(block, cum).tolist()):
+        for r, chunk in enumerate(_chunk_totals(block, cum).tolist()):
             start[r] = carry, comp
-            s = carry + total
-            if abs(carry) >= abs(total):
-                comp += (carry - s) + total
+            s = carry + chunk
+            if abs(carry) >= abs(chunk):
+                comp += (carry - s) + chunk
             else:
-                comp += (total - s) + carry
+                comp += (chunk - s) + carry
             carry = s
         cum += start[:, :1]
         cum += start[:, 1:]
@@ -92,6 +113,7 @@ def compensated_cumsum(x: np.ndarray) -> np.ndarray:
     out[full:] += carry
     out[full:] += comp
     math.fsum(x[full:])  # the last total moves no carry, but fsum raises on inf - inf or overflow
+    total.carry, total.comp, total.ended = carry, comp, full < x.size
     return out
 
 

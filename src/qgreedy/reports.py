@@ -2,19 +2,21 @@
 
 CSV uses '.' decimals, ',' separators, LF line endings, and always carries a
 header row.  Floats are rendered with shortest round-trip repr so identical
-runs produce byte-identical files.
+runs produce byte-identical files.  The improvement chain's CSV comes as a
+stream of pieces of ``_CSV_ROWS`` rows, so that no stage is held whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
-from .bootstrap import BootstrapChain
+from .bootstrap import _stage_blocks
 from .democracy import DemocracyProfile
 from .embeddings import EmbeddingReport
 from .greedy import ConditionalityRow
@@ -30,6 +32,8 @@ __all__ = [
     "json_text",
 ]
 
+_CSV_ROWS = 1 << 12  # rows per chain CSV piece: their Python floats and strings take ~1.6 MB
+
 
 def fmt(value) -> str:
     if isinstance(value, float):
@@ -43,11 +47,12 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _csv_lines(rows) -> str:
+    return "".join(",".join(fmt(x) for x in row) + "\n" for row in rows)
+
+
 def csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + _csv_lines(rows)
 
 
 def _witness_set(witness: dict | None) -> str:
@@ -75,16 +80,19 @@ def conditionality_csv(rows: list[ConditionalityRow]) -> str:
                               _witness_set(row.witness)] for row in rows])
 
 
-def chain_csv(chain: BootstrapChain) -> str:
-    k = chain.iterations
-    header = ["m"] + [f"stage{i}" for i in range(k + 1)] + [f"stage{k}_over_m"]
-    final_ratio = chain.final_over_m
-    rows = []
-    for i in range(chain.length):
-        row = [i + 1] + [float(stage.values[i]) for stage in chain.stages]
-        row.append(float(final_ratio[i]))
-        rows.append(row)
-    return csv_text(header, rows)
+def _chain_pieces(blocks) -> Iterator[str]:
+    for m, stages in blocks:
+        columns = [m.astype(np.int64), *stages, stages[-1] / m]
+        for lo in range(0, m.size, _CSV_ROWS):
+            yield _csv_lines(zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in columns)))
+
+
+def chain_csv(max_m: int, iterations: int) -> Iterator[str]:
+    """The CSV of ``bootstrap_chain(max_m, iterations)`` as pieces: the header,
+    then ``_CSV_ROWS`` rows at a time, read from the chain's blocks."""
+    header = ["m"] + [f"stage{i}" for i in range(iterations + 1)] + [f"stage{iterations}_over_m"]
+    return itertools.chain([",".join(header) + "\n"],
+                           _chain_pieces(_stage_blocks(max_m, iterations)))
 
 
 def companion_csv(report: EmbeddingReport) -> str:

@@ -42,6 +42,7 @@ NORMALIZATION_TOL = 1e-9
 _DOMINATION_TOL = 1e-12  # relative and absolute slack of the Lemma 3.2 comparison
 _COUNTING_TOL = 1e-9  # absolute slack of the counting inequality
 _EXACT_SIGN_LIMIT = 20
+_SIGNS = np.array([-1.0, 1.0])  # Monte Carlo signs, indexed by a draw of 0 or 1
 _MIN_PAIRING = 0.2  # of |x*(x)| / (|x*|_2 |x|_2) <= 1 (Cauchy-Schwarz), so below 1
 # Rejection rounds per family.  A draw is kept with probability about 0.045 at
 # dim 100 (the cosine is roughly N(0, 1/dim)), so a family of 100 pairs needs
@@ -350,8 +351,12 @@ def khintchine_square_function(vectors, p: float, mode: str = "exact",
         while done < samples:
             take = min(chunk, samples - done)
             rng = substream(seed, KHINTCHINE_MC, idx)
-            signs = rng.choice([-1.0, 1.0], size=(take, k))
-            vals[done : done + take] = np.sum(np.abs(signs @ vectors) ** p, axis=1)
+            # the draw of rng.choice([-1.0, 1.0], size=(take, k)), without its copies
+            sums = _SIGNS[rng.integers(0, 2, size=(take, k))] @ vectors
+            np.abs(sums, out=sums)
+            sums **= p
+            vals[done : done + take] = sums.sum(axis=1)
+            del sums  # not held while the next chunk draws
             done += take
             idx += 1
         lhs = float(vals.mean())

@@ -14,8 +14,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .bases import zoo
-from .bootstrap import bootstrap_chain, harmonic
+from .bootstrap import _stage_blocks
 from .democracy import democracy_profile, sign_change_constant, succ_constant
+from .numerics import RunningTotal, compensated_cumsum
 from .rng import (
     LEMMA32_VECTORS,
     LEMMA33_SIZES,
@@ -142,21 +143,31 @@ def suite_lemma34(seed: int = 0, trials: int = 100_000, max_m: int = 12,
 
 def suite_bootstrap(max_m: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
     """Closed forms of the first two stages and convergence of the third.
-    The chain is deterministic; ``seed`` is taken so every suite takes one."""
-    chain = bootstrap_chain(max_m, 3)
-    m = np.arange(1, max_m + 1, dtype=float)
+    The chain is deterministic; ``seed`` is taken so every suite takes one.
+    The chain and the harmonic numbers stream in blocks; each check keeps
+    its worst value per block, and the ratio's steps carry across blocks."""
+    harmonic = RunningTotal()
+    err1, err2, increments = [], [], []
+    last = np.empty(0)  # the previous block's last ratio
+    for m, stages in _stage_blocks(max_m, 3):
+        err1.append(np.max(np.abs(stages[1] / np.sqrt(m) - 1.0)))
+        h = compensated_cumsum(1.0 / m, harmonic)
+        err2.append(np.max(np.abs(stages[2] / (m / np.sqrt(h)) - 1.0)))
+        ratio = stages[3] / m
+        steps = np.diff(ratio, prepend=last)
+        if steps.size:  # one term does not increase
+            increments.append(steps.max())
+        last = ratio[-1:]
     results = []
-    err1 = float(np.max(np.abs(chain.stages[1].values / np.sqrt(m) - 1.0)))
+    err1 = float(np.max(err1))
     results.append(CheckResult(
         name="first stage equals sqrt(m) (rel. 1e-12)",
         passed=err1 <= 1e-12, detail=f"max rel err {err1:.3e}"))
-    h = harmonic(max_m)
-    err2 = float(np.max(np.abs(chain.stages[2].values / (m / np.sqrt(h.values)) - 1.0)))
+    err2 = float(np.max(err2))
     results.append(CheckResult(
         name="second stage equals m / sqrt(H_m) (rel. 1e-12)",
         passed=err2 <= 1e-12, detail=f"max rel err {err2:.3e}"))
-    steps = np.diff(chain.stages[3].values / m)
-    nonmono = float(steps.max()) if steps.size else 0.0  # one term does not increase
+    nonmono = float(np.max(increments)) if increments else 0.0
     results.append(CheckResult(
         name="third-stage ratio is non-increasing",
         passed=nonmono <= 1e-15, detail=f"max increment {nonmono:.3e}"))

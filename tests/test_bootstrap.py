@@ -1,13 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgreedy.bootstrap import GrowthSequence, bootstrap_chain, bootstrap_step, harmonic
+from qgreedy.bootstrap import (
+    _BLOCK as BLOCK,
+    GrowthSequence,
+    _stage_blocks,
+    bootstrap_chain,
+    bootstrap_step,
+    harmonic,
+)
 from qgreedy.errors import InvalidWeightError
-from qgreedy.reports import chain_csv
+from qgreedy.reports import chain_csv, csv_text
+from qgreedy.verify import suite_bootstrap
 
 positive_seqs = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False), min_size=1, max_size=20
@@ -114,13 +123,89 @@ class TestChain:
 
 class TestChainCsv:
     def test_header_and_rows(self):
-        text = chain_csv(bootstrap_chain(4, 1))
+        text = "".join(chain_csv(4, 1))
         lines = text.strip().split("\n")
         assert lines[0] == "m,stage0,stage1,stage1_over_m"
         assert lines[1].split(",")[0] == "1"
         assert float(lines[4].split(",")[2]) == pytest.approx(2.0)
 
     def test_deterministic_bytes(self):
-        a = chain_csv(bootstrap_chain(50, 3))
-        b = chain_csv(bootstrap_chain(50, 3))
+        a = "".join(chain_csv(50, 3))
+        b = "".join(chain_csv(50, 3))
         assert a == b
+
+    @pytest.mark.parametrize("M", [1, 513, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_stream_is_the_chain_table(self, M, k):
+        # oracle: the whole chain's rows, formatted as one table
+        chain = bootstrap_chain(M, k)
+        header = ["m"] + [f"stage{i}" for i in range(k + 1)] + [f"stage{k}_over_m"]
+        rows = [[i + 1] + [float(s.values[i]) for s in chain.stages] + [float(r)]
+                for i, r in enumerate(chain.final_over_m)]
+        assert "".join(chain_csv(M, k)) == csv_text(header, rows)
+
+    def test_rejects_bad_arguments_at_the_call(self):
+        with pytest.raises(InvalidWeightError):
+            chain_csv(0, 3)
+        with pytest.raises(InvalidWeightError):
+            chain_csv(5, -1)
+
+    def test_stream_stays_small(self):
+        # 200,000 rows of 5 columns; the whole chain alone would take 6.4 MB
+        tracemalloc.start()
+        try:
+            size = sum(len(piece) for piece in chain_csv(200_000, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 10 * 2**20
+        assert peak < 4 * 2**20
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("M", [1, 511, 512, 513, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_chain_is_repeated_steps(self, M):
+        chain = bootstrap_chain(M, 3)
+        stage = chain.stages[0]
+        assert np.array_equal(stage.values, np.ones(M))
+        for k in (1, 2, 3):
+            stage = bootstrap_step(stage)
+            assert np.array_equal(chain.stages[k].values, stage.values)
+
+    def test_blocks_cover_the_ranks(self):
+        blocks = list(_stage_blocks(2 * BLOCK + 3, 2))
+        assert [m.size for m, _ in blocks] == [BLOCK, BLOCK, 3]
+        assert np.array_equal(np.concatenate([m for m, _ in blocks]),
+                              np.arange(1, 2 * BLOCK + 4, dtype=float))
+        assert all(len(stages) == 3 for _, stages in blocks)
+
+
+def reference_suite(max_m):
+    """The bootstrap suite's three values from whole arrays."""
+    chain = bootstrap_chain(max_m, 3)
+    m = np.arange(1, max_m + 1, dtype=float)
+    err1 = float(np.max(np.abs(chain.stages[1].values / np.sqrt(m) - 1.0)))
+    h = harmonic(max_m).values
+    err2 = float(np.max(np.abs(chain.stages[2].values / (m / np.sqrt(h)) - 1.0)))
+    steps = np.diff(chain.stages[3].values / m)
+    nonmono = float(steps.max()) if steps.size else 0.0
+    return [f"max rel err {err1:.3e}", f"max rel err {err2:.3e}", f"max increment {nonmono:.3e}"]
+
+
+class TestSuite:
+    @pytest.mark.parametrize("M", [1, 2, 511, 513, BLOCK, BLOCK + 1, BLOCK + 2, 40_000])
+    def test_blocks_give_the_whole_array_values(self, M):
+        results = suite_bootstrap(max_m=M)
+        assert [r.detail for r in results] == reference_suite(M)
+        assert all(r.passed for r in results)
+
+    def test_suite_stays_small(self):
+        # the whole-array suite held stages, harmonic numbers and temporaries: 61 MB
+        tracemalloc.start()
+        try:
+            results = suite_bootstrap()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak < 4 * 2**20

@@ -163,7 +163,6 @@ class TestAnalyzeCommand:
         assert out == ""
         assert sorted(p.name for p in (tmp_path / "report").iterdir()) == names
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("zoo_name", ["difference", "unit"])
     def test_overflowing_exponent_reports(self, capsys, zoo_name):
         # at p = 0.001 the r-convexity bound m^(1/p) and (1 + log m)^(1/p) leave the
@@ -185,6 +184,16 @@ class TestAnalyzeCommand:
                 assert est["lower"] == "inf" or est["lower"] >= 1.0
                 assert est["witness"] is not None
             assert "m^nan" not in report["verdict"]
+
+    @pytest.mark.parametrize("zoo_name", ["difference", "unit"])
+    def test_overflowing_exponent_warns_nothing(self, zoo_name):
+        # the overflows are reported in the output, so standard error has the verdict alone
+        proc = subprocess.run([sys.executable, "-m", "qgreedy.cli", "analyze", "--zoo", zoo_name,
+                               "--p", "0.001", "--dim", "4", "--budget", "10"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        verdict = next(line for line in proc.stdout.splitlines() if line.startswith("verdict: "))
+        assert proc.stderr == verdict + "\n"
 
     def test_json_without_a_slope_is_strict(self, capsys):
         # a one-vector basis fits no slope; its NaN slopes and residuals are null

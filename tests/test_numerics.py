@@ -10,7 +10,7 @@ import pytest
 
 from qgreedy import numerics
 from qgreedy.bootstrap import bootstrap_chain
-from qgreedy.numerics import compensated_cumsum
+from qgreedy.numerics import RunningTotal, compensated_cumsum
 
 CHUNK = 512
 LENGTHS = [0, 1, 511, 512, 513, 3 * CHUNK + 7, 10**6]
@@ -130,3 +130,38 @@ def test_block_boundaries_do_not_move_bits(monkeypatch):
     for rows in (1, 2, 5):
         monkeypatch.setattr(numerics, "_BLOCK_ROWS", rows)
         assert compensated_cumsum(x).tobytes() == want
+
+
+def in_pieces(x, sizes):
+    """compensated_cumsum fed through one running total, ``sizes`` terms a piece."""
+    total = RunningTotal()
+    bounds = np.cumsum([0, *sizes])
+    return np.concatenate([compensated_cumsum(x[a:b], total) for a, b in zip(bounds, bounds[1:])]
+                          + [compensated_cumsum(x[bounds[-1]:], total)])
+
+
+PIECES = [[], [CHUNK], [CHUNK, CHUNK], [16 * CHUNK], [3 * CHUNK, 0, 17 * CHUNK]]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("sizes", PIECES)
+@pytest.mark.parametrize("n", [CHUNK * 20, CHUNK * 20 + 9, CHUNK * 37 + 500])
+def test_pieces_give_the_one_shot_bits(n, sizes, kind):
+    x = KINDS[kind](n, np.random.default_rng(n))
+    assert in_pieces(x, sizes).tobytes() == compensated_cumsum(x).tobytes()
+
+
+@pytest.mark.parametrize("values", [[math.inf, -math.inf], [-math.inf, 1.0], [math.inf],
+                                    [1e308, 1e308, -1e308], [BIG, 2.0**969, 2.0**969, -BIG]])
+@pytest.mark.parametrize("at", [5, CHUNK - 2, 2 * CHUNK + 5, 3 * CHUNK + 2])
+def test_pieces_raise_as_one_shot(values, at):
+    x = np.random.default_rng(4).standard_normal(3 * CHUNK + 7)
+    x[at : at + len(values)] = values
+    assert outcome(lambda x: in_pieces(x, [CHUNK, 2 * CHUNK]), x) == outcome(compensated_cumsum, x)
+
+
+def test_only_the_last_piece_ends_inside_a_chunk():
+    total = RunningTotal()
+    compensated_cumsum(np.ones(CHUNK + 1), total)
+    with pytest.raises(ValueError, match="last piece"):
+        compensated_cumsum(np.ones(CHUNK), total)
