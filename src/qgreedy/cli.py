@@ -8,6 +8,10 @@ A command rejects, with exit 2, every flag it does not read.  ``verify
 SUITE`` has one flag per parameter of the suite's function in
 :data:`qgreedy.verify.SUITES`; a flag left out keeps the suite's default.
 
+``analyze`` runs its nine independent estimators (eight off an ``l_p``
+ambient) as one task list through :func:`qgreedy.tasks.run_tasks`, on the
+usable CPUs; its output does not depend on how many there are.
+
 Reports go to standard output or ``--out``; diagnostics go to standard
 error.  Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 basis-invariant failure.  Identical configurations (including the seed)
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -26,11 +31,12 @@ import numpy as np
 
 from .bases import ZOO_NAMES, load_basis, save_basis, unconditional_constant, zoo
 from .bootstrap import bootstrap_chain
-from .democracy import democracy_profile
+from .democracy import LARGEST_FIRST, profile_tasks
 from .errors import BasisFileError, NotABasisError, QGreedyError
 from .greedy import conditionality_growth_profile, quasi_greedy_constant, truncation_constant
 from .reports import chain_csv, conditionality_csv, csv_text, json_text, profile_csv
 from .spaces import Lp
+from .tasks import run_tasks
 from .verify import SUITE_MINIMA, SUITES, run_suite
 
 EXIT_OK = 0
@@ -136,14 +142,6 @@ def _resolve_basis(args: argparse.Namespace):
     return zoo(args.zoo_name, p=p, dim=8 if args.dim is None else args.dim, seed=args.seed)
 
 
-def _constants_table(basis, budget: int, seed: int) -> dict:
-    return {
-        "unconditional": unconditional_constant(basis, mode="random", budget=budget, seed=seed),
-        "quasi_greedy": quasi_greedy_constant(basis, budget=budget, seed=seed),
-        "truncation": truncation_constant(basis, budget=budget, seed=seed),
-    }
-
-
 def _emit(files: dict[str, str | Iterable[str]], out: Path | None) -> None:
     """Write the first of ``files`` (name -> text, or its pieces in order) to
     standard output, or every one of them under the directory ``out``; each
@@ -192,18 +190,23 @@ def _analysis_table(basis, profile, constants: dict, cond_rows) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     basis = _resolve_basis(args)
-    budget = args.budget
-    profile = democracy_profile(basis, m_max=args.max_m, mode=args.mode,
-                                budget=budget, seed=args.seed)
-    constants = _constants_table(basis, budget, args.seed)
+    budget, seed = args.budget, args.seed
+    tasks, assemble = profile_tasks(basis, m_max=args.max_m, mode=args.mode, budget=budget,
+                                    seed=seed)
+    tasks["unconditional"] = partial(unconditional_constant, basis, mode="random", budget=budget,
+                                     seed=seed)
+    tasks["quasi_greedy"] = partial(quasi_greedy_constant, basis, budget=budget, seed=seed)
+    tasks["truncation"] = partial(truncation_constant, basis, budget=budget, seed=seed)
+    if isinstance(basis.space, Lp):
+        tasks["conditionality"] = partial(conditionality_growth_profile, basis,
+                                          max_m=args.max_m, budget=min(budget, 400), seed=seed)
+    parts = run_tasks(tasks, LARGEST_FIRST)
+    profile = assemble(parts)
+    constants = {name: parts[name] for name in ("unconditional", "quasi_greedy", "truncation")}
     constants["succ"] = profile.succ
     constants["sign_change"] = profile.sign_change
     constants["super_democracy"] = profile.super_democracy
-
-    cond_rows = None
-    if isinstance(basis.space, Lp):
-        cond_rows = conditionality_growth_profile(
-            basis, max_m=args.max_m, budget=min(budget, 400), seed=args.seed)
+    cond_rows = parts.get("conditionality")
 
     # the primary file comes first: it alone goes to standard output without --out
     if args.format == "json":

@@ -15,7 +15,11 @@ it has the bits of ``vectors[A].sum(axis=0)``.  Random mode feeds structured
 and sampled sets as rows of boolean masks, summed by gathering each row's
 members in member order, and reports witness-certified one-sided bounds.
 The sign constants score same-size sets in blocks on their sign patterns.
-The ``threads`` argument of :func:`democracy_profile` has no effect.
+:func:`democracy_profile` is five independent tasks (:func:`profile_tasks`)
+and an assembly step; it runs the tasks through
+:func:`~qgreedy.tasks.run_tasks` on the usable CPUs, and ``analyze`` runs
+them in one list with its other estimators.  Its ``threads`` argument has no
+effect.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -48,6 +53,7 @@ from .rng import (
 )
 from .sampling import random_masks, size_cap, structured_subsets
 from .spaces import BlockLpL2, _row_chunks, _subset_sums, ambient_gauge_rows, p_convexity
+from .tasks import run_tasks
 
 __all__ = [
     "indicator_gauge",
@@ -57,6 +63,7 @@ __all__ = [
     "sign_change_constant",
     "super_democracy_constant",
     "democracy_profile",
+    "profile_tasks",
     "DemocracyProfile",
     "ProfileRow",
     "EXACT_SUBSET_LIMIT",
@@ -333,12 +340,15 @@ def _sign_gauges(basis: Basis, sets: list, stream=None):
         if k > _SIGN_ENUM_CAP and stream is None:
             raise ValueError(f"sets of {k} > {_SIGN_ENUM_CAP} members need a sign stream")
         table = sign_patterns(k, 0, 1 << (k - 1)) if k <= _SIGN_ENUM_CAP else None
-        fixed = np.ones((2, k))
-        fixed[1, 1::2] = -1.0
         for chunk in _row_chunks(members, basis.dim, 130 if table is None else len(table)):
-            signs = (np.broadcast_to(table, (len(chunk), *table.shape)) if table is not None else
-                     np.stack([np.vstack((fixed, stream(i).choice([-1.0, 1.0], size=(128, k))))
-                               for i in chunk]))
+            if table is not None:
+                signs = np.broadcast_to(table, (len(chunk), *table.shape))
+            else:
+                signs = np.empty((len(chunk), 130, k))
+                signs[:, :2] = 1.0
+                signs[:, 1, 1::2] = -1.0
+                for r, i in enumerate(chunk):
+                    signs[r, 2:] = stream(i).choice([-1.0, 1.0], size=(128, k))
             idx = np.array([sets[i] for i in chunk], dtype=int)
             yield chunk, idx, signs, _stacked_gauges(basis, signs @ basis.vectors[idx])
 
@@ -350,16 +360,22 @@ def _stacked_gauges(basis: Basis, sums: np.ndarray) -> np.ndarray:
 
 def _sign_extremes(basis: Basis, sets: list, stream):
     """Per set, in order: its first largest and first smallest gauge over its
-    sign patterns, and (pattern of the largest, pattern of the smallest)."""
-    hi, lo, patterns = np.empty(len(sets)), np.empty(len(sets)), [None] * len(sets)
+    sign patterns, and ``patterns(i)``, set i's (pattern of the largest,
+    pattern of the smallest)."""
+    hi, lo = np.empty(len(sets)), np.empty(len(sets))
+    where, blocks = np.empty((len(sets), 2), dtype=int), []  # set -> (block, row)
     for chunk, _, signs, gauges in _sign_gauges(basis, sets, stream):
         j_hi, j_lo = np.argmax(gauges, axis=1), np.argmin(gauges, axis=1)
         rows = np.arange(len(chunk))
         hi[chunk], lo[chunk] = gauges[rows, j_hi], gauges[rows, j_lo]
+        where[chunk, 0], where[chunk, 1] = len(blocks), rows
         # copies of the two rows only, so no block of drawn signs outlives its scoring
-        patterns_hi, patterns_lo = signs[rows, j_hi], signs[rows, j_lo]
-        for r, i in enumerate(chunk):
-            patterns[i] = (patterns_hi[r], patterns_lo[r])
+        blocks.append((signs[rows, j_hi], signs[rows, j_lo]))
+
+    def patterns(i: int) -> tuple[np.ndarray, np.ndarray]:
+        block, row = where[i]
+        return blocks[block][0][row], blocks[block][1][row]
+
     return hi, lo, patterns
 
 
@@ -394,24 +410,27 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         pairs.append((np.arange(start, d, 2), np.arange(d)))
     pairs.extend(_succ_pairs(d, budget, seed))
 
+    # the members of each pair's A, marked in one scatter
+    in_a = np.zeros((len(pairs), d), dtype=bool)
+    in_a[np.repeat(np.arange(len(pairs)), [len(a) for a, _ in pairs]),
+         np.concatenate([np.empty(0, dtype=int), *(a for a, _ in pairs)])] = True
     # per pair, its first largest ratio and that pattern
-    best, patterns = np.empty(len(pairs)), [None] * len(pairs)
+    best = np.empty(len(pairs))
+    where, chosen = np.empty((len(pairs), 2), dtype=int), []  # pair -> (block, row)
     for chunk, idx, signs, den in _sign_gauges(basis, [b for _, b in pairs],
                                                lambda i: substream(seed, SUCC_PAIRS, i)):
         # B's signs outside A zeroed: a zero term adds exactly 0, so these are the sums over A
-        mask = np.zeros(idx.shape)
-        for r, i in enumerate(chunk):
-            mask[r, np.searchsorted(pairs[i][1], pairs[i][0])] = 1.0
+        mask = in_a[np.asarray(chunk)[:, None], idx]
         num = _stacked_gauges(basis, (signs * mask[:, None, :]) @ basis.vectors[idx])
         scores = ratios(num, den)
         rows = np.arange(len(chunk))
         j = np.argmax(scores, axis=1)
-        best[chunk], chosen = scores[rows, j], signs[rows, j]
-        for r, i in enumerate(chunk):
-            patterns[i] = chosen[r]
+        best[chunk] = scores[rows, j]
+        where[chunk, 0], where[chunk, 1] = len(chosen), rows
+        chosen.append(signs[rows, j])
     tracker.offer(best, lambda i: {"A": [int(x) for x in pairs[i][0]],
                                    "B": [int(x) for x in pairs[i][1]],
-                                   "signs": patterns[i].tolist()})
+                                   "signs": chosen[where[i][0]][where[i][1]].tolist()})
     return tracker.estimate()
 
 
@@ -430,8 +449,8 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
     hi, lo, patterns = _sign_extremes(
         basis, sets, lambda i: substream(seed, SIGN_CHANGE, i))
     tracker.offer(ratios(hi, lo), lambda i: {"A": [int(x) for x in sets[i]],
-                                             "theta": patterns[i][0].tolist(),
-                                             "eps": patterns[i][1].tolist()})
+                                             "theta": patterns(i)[0].tolist(),
+                                             "eps": patterns(i)[1].tolist()})
     return tracker.estimate()
 
 
@@ -455,7 +474,7 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
         b = int(np.argmin(np.where(lo > 0, lo, math.inf)))
         tracker.update(float(ratios(hi[a], lo[b])), {
             "A": [int(x) for x in cands[a]], "B": [int(x) for x in cands[b]],
-            "theta": patterns[a][0].tolist(), "eps": patterns[b][1].tolist(),
+            "theta": patterns(a)[0].tolist(), "eps": patterns(b)[1].tolist(),
         })
     return tracker.estimate()
 
@@ -531,6 +550,44 @@ def _profile_rows(basis: Basis, m_max: int, blocks, finish) -> list[ProfileRow]:
             for m in range(1, m_max + 1)]
 
 
+# The estimators of an ``analyze`` run by name, roughly largest first as timed
+# per task on the benchmark's analyze runs: :func:`~qgreedy.tasks.run_tasks`
+# hands them out in this order, so the small ones fill in at the end.
+LARGEST_FIRST = ("rows", "succ", "conditionality", "sign_change", "unconditional",
+                 "truncation", "quasi_greedy", "super_democracy", "profile_quasi_greedy")
+
+
+def profile_tasks(basis: Basis, m_max: int | None = None, mode: str = "exact",
+                  budget: int = 2000, seed: int = 0):
+    """The five independent estimators of :func:`democracy_profile` as named
+    zero-argument tasks, and the ``assemble`` that turns their results (by
+    the same names) into the profile.  The tasks are listed in the order a
+    sequential run takes them, which decides the error a failing run raises."""
+    m_max = size_cap(m_max, basis.d, 12)
+    small = min(budget, 500)
+    tasks = {
+        "rows": partial(_rows, basis, m_max, mode, budget, seed),
+        "profile_quasi_greedy": partial(quasi_greedy_constant, basis, budget=small, seed=seed),
+        "succ": partial(succ_constant, basis, budget=small, seed=seed),
+        "sign_change": partial(sign_change_constant, basis, budget=small, seed=seed),
+        "super_democracy": partial(super_democracy_constant, basis, m_max=m_max, budget=small,
+                                   seed=seed),
+    }
+    return tasks, partial(_assemble, m_max, {"mode": mode, "m_max": m_max, "budget": budget,
+                                             "seed": seed})
+
+
+def _rows(basis: Basis, m_max: int, mode: str, budget: int, seed: int) -> list[ProfileRow]:
+    if mode == "exact" and _use_occupancy(basis):
+        return [ProfileRow(m=m, phi_u=upper_democracy(basis, m, mode, budget, seed),
+                           phi_l=lower_democracy(basis, m, mode, budget, seed))
+                for m in range(1, m_max + 1)]
+    # lower_democracy(1) spans every size, so its overflow guard is the
+    # first one the per-m calls would trip
+    return _profile_rows(basis, m_max,
+                         *_feed(basis, mode, 1, basis.d, budget, seed, PROFILE_SETS, ">= 1"))
+
+
 def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact",
                       budget: int = 2000, seed: int = 0, threads: int = 1) -> DemocracyProfile:
     """Tabulate phi_u/phi_l for m = 1..m_max with slopes and verdict flags.
@@ -542,19 +599,18 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     fixed heuristic gap (0.1); the almost-greedy flag additionally requires
     a certified finite quasi-greedy upper bound, so it stays conservative
     for bases where only heuristic lower bounds exist.
-    """
-    d = basis.d
-    m_max = size_cap(m_max, d, 12)
-    if mode == "exact" and _use_occupancy(basis):
-        rows = [ProfileRow(m=m, phi_u=upper_democracy(basis, m, mode, budget, seed),
-                           phi_l=lower_democracy(basis, m, mode, budget, seed))
-                for m in range(1, m_max + 1)]
-    else:
-        # lower_democracy(1) spans every size, so its overflow guard is the
-        # first one the per-m calls would trip
-        rows = _profile_rows(basis, m_max,
-                             *_feed(basis, mode, 1, d, budget, seed, PROFILE_SETS, ">= 1"))
 
+    The row pass, the three sign constants and the quasi-greedy search at
+    budget min(budget, 500) run through :func:`~qgreedy.tasks.run_tasks`, on
+    the usable CPUs; the result does not depend on where each one ran.
+    """
+    tasks, assemble = profile_tasks(basis, m_max, mode, budget, seed)
+    return assemble(run_tasks(tasks, LARGEST_FIRST))
+
+
+def _assemble(m_max: int, meta: dict[str, Any], parts: dict[str, Any]) -> DemocracyProfile:
+    """The profile from its tasks' results: slopes, ratio and verdict."""
+    rows = parts["rows"]
     lo_fit = max(2, m_max // 4)
     fit_rows = [r for r in rows if lo_fit <= r.m <= m_max]
     phi_u = np.array([r.phi_u_value for r in fit_rows])
@@ -570,10 +626,7 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
     ratio_max = max(
         (r.phi_u_value / r.phi_l_value) for r in rows if r.phi_l_value > 0
     )
-    qg = quasi_greedy_constant(basis, budget=min(budget, 500), seed=seed)
-    succ = succ_constant(basis, budget=min(budget, 500), seed=seed)
-    sign_change = sign_change_constant(basis, budget=min(budget, 500), seed=seed)
-    super_dem = super_democracy_constant(basis, m_max=m_max, budget=min(budget, 500), seed=seed)
+    qg = parts["profile_quasi_greedy"]
 
     slope_gap = slope_u - slope_l if not math.isnan(slope_u) else math.inf
     democratic = slope_gap <= _SLOPE_GAP_DEMOCRATIC
@@ -597,12 +650,12 @@ def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact
         slope_residual_u=res_u,
         slope_residual_l=res_l,
         ratio_max=ratio_max,
-        succ=succ,
-        sign_change=sign_change,
-        super_democracy=super_dem,
+        succ=parts["succ"],
+        sign_change=parts["sign_change"],
+        super_democracy=parts["super_democracy"],
         quasi_greedy=qg,
         democratic=democratic,
         almost_greedy=almost_greedy,
         verdict=verdict,
-        meta={"mode": mode, "m_max": m_max, "budget": budget, "seed": seed},
+        meta=meta,
     )

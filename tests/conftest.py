@@ -5,6 +5,10 @@ imports no ``qgreedy`` and so replays witnesses apart from the program."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import qgreedy.tasks as tasks_module
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,3 +20,11 @@ def load_module(name: str, path: Path):
 
 
 check = load_module("perfbench_check", ROOT / "perfbench" / "check.py")
+
+
+@pytest.fixture
+def inline_tasks(monkeypatch):
+    """Make :func:`qgreedy.tasks.run_tasks` see one usable CPU, so every task
+    runs in the test's own process, where patched functions can record
+    their calls."""
+    monkeypatch.setattr(tasks_module, "_usable_cpus", lambda: 1)

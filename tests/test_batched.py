@@ -606,8 +606,9 @@ def test_embedding_search_matches_scalar_loop(direction, seed, small_cap):
 # ---------------------------------------------------------------------------
 
 
-def test_analyze_respects_row_cap(monkeypatch, capsys):
-    """No rows call of an analyze run exceeds the cap, which bounds its memory."""
+def test_analyze_respects_row_cap(monkeypatch, capsys, inline_tasks):
+    """No rows call of an analyze run exceeds the cap, which bounds its memory.
+    The estimators run inline, so every rows call is counted here."""
     sizes = []
     real = spaces_module.ambient_gauge_rows
 

@@ -337,12 +337,13 @@ CALL_SITE_RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(CALL_SITE_RUNS))
-def test_call_sites_match_per_key_streams(name, monkeypatch):
+def test_call_sites_match_per_key_streams(name, monkeypatch, inline_tasks):
     """Byte-identical output when every module's ``block_samples`` is replaced
     by one numpy ``SeedSequence`` stream per block key (seed, *key, block),
     drawn whole and cut to the count, and the keys and counts those calls ask
     for are the expected ones: each call site draws the same blocks in the
-    same order."""
+    same order.  The estimators run inline, in their listed order, so every
+    call is recorded here."""
     run, expected_calls = CALL_SITE_RUNS[name]
     got = run()
     calls = []
