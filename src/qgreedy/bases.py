@@ -150,6 +150,15 @@ class Basis:
         off = ~np.eye(self.d, dtype=bool)
         return not (np.any(self.vectors[off]) or np.any(self.duals[off]))
 
+    @cached_property
+    def disjoint_supports(self) -> bool:
+        """True when each ambient coordinate is nonzero in at most one basis
+        vector (the identity, blocks of it, and every scaled or permuted
+        diagonal).  Then every signed sum sum_{n in A} eps_n x_n with eps_n =
+        +-1 has, in each coordinate, one nonzero term or none, so it is +-x_n
+        there exactly: adding +-0 is exact, FMA included."""
+        return bool(np.count_nonzero(self.vectors, axis=0).max() <= 1)
+
 
 def coefficient_transform(basis: Basis, f) -> np.ndarray:
     """The coefficient array (x_n*(f))_n of ``f``."""

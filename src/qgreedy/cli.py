@@ -30,11 +30,10 @@ from typing import Iterable
 import numpy as np
 
 from .bases import ZOO_NAMES, load_basis, save_basis, unconditional_constant, zoo
-from .bootstrap import bootstrap_chain
 from .democracy import LARGEST_FIRST, profile_tasks
 from .errors import BasisFileError, NotABasisError, QGreedyError
 from .greedy import conditionality_growth_profile, quasi_greedy_constant, truncation_constant
-from .reports import chain_csv, conditionality_csv, csv_text, json_text, profile_csv
+from .reports import chain_csv, chain_json, conditionality_csv, csv_text, json_text, profile_csv
 from .spaces import Lp
 from .tasks import run_tasks
 from .verify import SUITE_MINIMA, SUITES, run_suite
@@ -246,9 +245,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
-    # JSON holds each stage as one list, so only the CSV streams
     if args.format == "json":
-        _emit({"bootstrap.json": json_text(bootstrap_chain(args.max_m, args.iters))}, args.out)
+        _emit({"bootstrap.json": chain_json(args.max_m, args.iters)}, args.out)
     else:
         _emit({"bootstrap.csv": chain_csv(args.max_m, args.iters)}, args.out)
     return EXIT_OK

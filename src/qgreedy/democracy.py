@@ -14,7 +14,8 @@ exact sign average also read; each sum adds its members in member order, so
 it has the bits of ``vectors[A].sum(axis=0)``.  Random mode feeds structured
 and sampled sets as rows of boolean masks, summed by gathering each row's
 members in member order, and reports witness-certified one-sided bounds.
-The sign constants score same-size sets in blocks on their sign patterns.
+The sign constants score same-size sets in blocks on their sign patterns,
+one pattern per set on a basis whose vectors have disjoint supports.
 :func:`democracy_profile` is five independent tasks (:func:`profile_tasks`)
 and an assembly step; it runs the tasks through
 :func:`~qgreedy.tasks.run_tasks` on the usable CPUs, and ``analyze`` runs
@@ -324,6 +325,11 @@ def lower_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 200
 # ---------------------------------------------------------------------------
 
 
+def _one_pattern(basis: Basis) -> bool:
+    """Whether the sign constants score one pattern per set (see :func:`_sign_gauges`)."""
+    return basis.disjoint_supports
+
+
 def _sign_gauges(basis: Basis, sets: list, stream=None):
     """Yield (positions, index rows, signs (n, P, k), gauges (n, P)) for the
     sums sum_{n in A} eps_n x_n over the sign patterns of index sets A, in
@@ -332,14 +338,24 @@ def _sign_gauges(basis: Basis, sets: list, stream=None):
     (negation keeps a gauge, so they hold the first extremes of all 2^k);
     otherwise the all-ones and the alternating pattern, then 128 drawn from
     ``stream(i)`` (i = position in ``sets``), which is made only then and is
-    required."""
+    required.
+
+    On a basis with disjoint supports (:attr:`~qgreedy.bases.Basis.disjoint_supports`)
+    only pattern 0 is scored, the first enumerated one or the all-ones row,
+    and no stream is made: every pattern's sum is +-x_n exactly in each
+    coordinate, so all patterns of a set have the same moduli and the same
+    gauge bits, and the first extreme over them is pattern 0."""
+    one = _one_pattern(basis)
     by_size: dict[int, list[int]] = {}
     for i, a in enumerate(sets):
         by_size.setdefault(len(a), []).append(i)
     for k, members in by_size.items():
-        if k > _SIGN_ENUM_CAP and stream is None:
+        if k <= _SIGN_ENUM_CAP:
+            table = sign_patterns(k, 0, 1 if one else 1 << (k - 1))
+        else:
+            table = np.ones((1, k)) if one else None
+        if table is None and stream is None:
             raise ValueError(f"sets of {k} > {_SIGN_ENUM_CAP} members need a sign stream")
-        table = sign_patterns(k, 0, 1 << (k - 1)) if k <= _SIGN_ENUM_CAP else None
         for chunk in _row_chunks(members, basis.dim, 130 if table is None else len(table)):
             if table is not None:
                 signs = np.broadcast_to(table, (len(chunk), *table.shape))

@@ -2,8 +2,9 @@
 
 CSV uses '.' decimals, ',' separators, LF line endings, and always carries a
 header row.  Floats are rendered with shortest round-trip repr so identical
-runs produce byte-identical files.  The improvement chain's CSV comes as a
-stream of pieces of ``_CSV_ROWS`` rows, so that no stage is held whole.
+runs produce byte-identical files.  The improvement chain's CSV and JSON
+come as streams of pieces of ``_CSV_ROWS`` rows (values, in the JSON), so
+that no stage is held whole.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "profile_csv",
     "conditionality_csv",
     "chain_csv",
+    "chain_json",
     "companion_csv",
     "to_jsonable",
     "json_text",
@@ -93,6 +95,28 @@ def chain_csv(max_m: int, iterations: int) -> Iterator[str]:
     header = ["m"] + [f"stage{i}" for i in range(iterations + 1)] + [f"stage{iterations}_over_m"]
     return itertools.chain([",".join(header) + "\n"],
                            _chain_pieces(_stage_blocks(max_m, iterations)))
+
+
+def chain_json(max_m: int, iterations: int) -> Iterator[str]:
+    """The text of ``json_text(bootstrap_chain(max_m, iterations))`` as
+    pieces.  The JSON is stage-major, so each stage takes one pass of the
+    chain's blocks up to that stage (the same bits as the whole chain's),
+    written ``_CSV_ROWS`` values at a time; the arguments are checked at the call."""
+    _stage_blocks(max_m, iterations)
+    return _json_pieces(max_m, iterations)
+
+
+def _json_pieces(max_m: int, iterations: int) -> Iterator[str]:
+    yield '{\n  "stages": [\n'
+    for k in range(iterations + 1):
+        yield f'    {{\n      "label": "stage{k}",\n      "values": [\n'
+        sep = "        "
+        for _, stages in _stage_blocks(max_m, k):
+            for lo in range(0, stages[k].size, _CSV_ROWS):
+                yield sep + ",\n        ".join(map(repr, stages[k][lo : lo + _CSV_ROWS].tolist()))
+                sep = ",\n        "
+        yield "\n      ]\n    }" + (",\n" if k < iterations else "\n")
+    yield "  ]\n}\n"
 
 
 def companion_csv(report: EmbeddingReport) -> str:

@@ -833,3 +833,75 @@ def test_sign_gauges_requires_a_stream_for_large_sets():
     chunks = list(_sign_gauges(basis, [np.arange(13)], lambda i: substream(0, 99, i)))
     assert chunks[0][3].shape == (1, 130)
     assert np.array_equal(chunks[0][2][0, :2], [[1.0] * 13, [1.0, -1.0] * 6 + [1.0]])
+
+
+def _disjoint_vectors(supports, dim: int, seed: int):
+    """Vectors with the given disjoint supports (lists of coordinates) and
+    random nonzero entries there, as (vectors, duals): each dual is its
+    vector over the vector's squared Euclidean norm."""
+    rng = np.random.default_rng(seed)
+    vectors = np.zeros((len(supports), dim))
+    for n, cols in enumerate(supports):
+        vectors[n, cols] = rng.uniform(0.3, 3.0, len(cols)) * rng.choice([-1.0, 1.0], len(cols))
+    return vectors, vectors / np.sum(vectors**2, axis=1, keepdims=True)
+
+
+def disjoint_basis(kind: str, p: float) -> Basis:
+    """A basis of more than 12 vectors with disjoint supports, so its sets
+    take both sign paths (enumerated and drawn patterns)."""
+    if kind == "unit":
+        return zoo("unit", p=p, dim=14)
+    if kind == "block_l2":  # uneven blocks, d = 15
+        return zoo("block_l2", p=p, blocks=(5, 1, 4, 3, 2))
+    if kind == "scaled_permuted":
+        rng = np.random.default_rng(3)
+        vectors = np.zeros((14, 14))
+        vectors[np.arange(14), rng.permutation(14)] = (rng.uniform(0.3, 3.0, 14)
+                                                       * rng.choice([-1.0, 1.0], 14))
+        return Basis(Lp(p, 14), vectors, np.linalg.inv(vectors).T)
+    # 13 vectors on 16 coordinates: three with two coordinates each
+    order = np.random.default_rng(4).permutation(16).tolist()
+    supports = [order[0:2], order[2:4], order[4:6]] + [[c] for c in order[6:]]
+    vectors, duals = _disjoint_vectors(supports, 16, seed=5)
+    space = (BlockLpL2(p, (4, 4, 3, 5)) if kind == "block_spread"
+             else LorentzSpace(p, power_weight(2.0, 16)))
+    return Basis(space, vectors, duals)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kind", ["unit", "block_l2", "scaled_permuted", "block_spread",
+                                  "lorentz_spread"])
+def test_one_sign_pattern_on_disjoint_supports(kind, p, monkeypatch):
+    """On disjointly supported vectors the sign constants score one pattern per
+    set, make no per-set sign stream, and report what scoring every pattern
+    reports."""
+    basis = disjoint_basis(kind, p)
+    assert basis.disjoint_supports and basis.d > 12
+    runs = [lambda: succ_constant(basis, budget=40, seed=2),
+            lambda: sign_change_constant(basis, budget=40, seed=2),
+            lambda: super_democracy_constant(basis, budget=40, seed=2)]
+    made = record_keys(monkeypatch, vars(democracy_module))
+    short = [run().as_dict() for run in runs]
+    assert made == []
+    monkeypatch.setattr(democracy_module, "_one_pattern", lambda basis: False)
+    full = [run().as_dict() for run in runs]
+    assert made  # the full path draws the patterns of every set of more than 12 members
+    assert short == full
+
+
+def test_one_pattern_per_set_is_scored():
+    basis = disjoint_basis("block_l2", 0.5)
+    sets = [np.arange(3), np.arange(13), np.arange(1, 4)]
+    blocks = list(_sign_gauges(basis, sets))  # no stream is needed
+    assert [c for c, *_ in blocks] == [[0, 2], [1]]
+    assert [g.shape for *_, g in blocks] == [(2, 1), (1, 1)]
+    assert np.array_equal(blocks[0][2][0, 0], [-1.0] * 3)  # the first enumerated pattern
+    assert np.array_equal(blocks[1][2][0, 0], [1.0] * 13)  # the all-ones row
+
+
+@pytest.mark.parametrize("name,expected", [("unit", True), ("block_l2", True),
+                                           ("difference", False), ("perturbed_unit", False)])
+def test_disjoint_supports(name, expected):
+    basis = (zoo(name, p=0.5, blocks=(2, 3)) if name == "block_l2"
+             else zoo(name, p=0.5, dim=5, seed=0))
+    assert basis.disjoint_supports is expected

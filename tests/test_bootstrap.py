@@ -15,7 +15,7 @@ from qgreedy.bootstrap import (
     harmonic,
 )
 from qgreedy.errors import InvalidWeightError
-from qgreedy.reports import chain_csv, csv_text
+from qgreedy.reports import chain_csv, chain_json, csv_text, json_text
 from qgreedy.verify import suite_bootstrap
 
 positive_seqs = st.lists(
@@ -155,6 +155,31 @@ class TestChainCsv:
         tracemalloc.start()
         try:
             size = sum(len(piece) for piece in chain_csv(200_000, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 10 * 2**20
+        assert peak < 4 * 2**20
+
+
+class TestChainJson:
+    @pytest.mark.parametrize("M", [1, 513, BLOCK + 1, 50_000])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_stream_is_the_chain_json(self, M, k):
+        assert "".join(chain_json(M, k)) == json_text(bootstrap_chain(M, k))
+
+    def test_rejects_bad_arguments_at_the_call(self):
+        with pytest.raises(InvalidWeightError):
+            chain_json(0, 3)
+        with pytest.raises(InvalidWeightError):
+            chain_json(5, -1)
+
+    def test_stream_stays_small(self):
+        # 200,000 ranks in 4 stages; the whole chain alone would take 6.4 MB,
+        # and its JSON text (as json_text builds it) about 14 MB
+        tracemalloc.start()
+        try:
+            size = sum(len(piece) for piece in chain_json(200_000, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
