@@ -36,7 +36,9 @@ from .spaces import (
     BlockLpL2,
     Lp,
     LorentzSpace,
+    _block_buffer,
     _row_chunks,
+    _scratch,
     _subset_sums,
     ambient_gauge,
     ambient_gauge_rows,
@@ -340,16 +342,25 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker) -> list[np.ndarray]
     returns the ``_SIGN_FLIP_KEEP`` best-scoring vectors, the earlier first among equal
     scores and NaN scores last, as :meth:`Tracker.offer` ranks them; vectors with
     f = 0 are skipped.  It returns the caller's own arrays, so it chunks them itself.
+    Every block is scored in the same four flat buffers, made once per call.
     """
     top: list[tuple[float, int, np.ndarray]] = []
     seen = 0
-    for chunk in _row_chunks(vectors, basis.dim):
-        fs = np.array(chunk)
-        nf = ambient_gauge_rows(basis.space, fs)
-        coeffs = fs @ basis.duals.T
-        gammas = np.where(coeffs < 0, -1.0, 1.0)
+    d, dim = basis.d, basis.dim
+    fs_buffer, coeffs_buffer, gammas_buffer, moduli = (
+        _block_buffer(dim) for _ in range(4))  # d <= dim: coefficient rows fit too
+    for chunk in _row_chunks(vectors, dim):
+        n = len(chunk)
+        fs = np.concatenate(chunk, out=_scratch(fs_buffer, n * dim)).reshape(n, dim)
+        nf = ambient_gauge_rows(basis.space, fs, _scratch(moduli, n, dim))
+        coeffs = np.matmul(fs, basis.duals.T, out=_scratch(coeffs_buffer, n, d))
+        gammas = _scratch(gammas_buffer, n, d)
+        gammas.fill(1.0)
+        np.copyto(gammas, -1.0, where=coeffs < 0)
         gammas[:, 1::2] *= -1.0
-        scores = ratios(ambient_gauge_rows(basis.space, (gammas * coeffs) @ basis.vectors), nf)
+        # the sums overwrite fs, which nothing reads after the coefficients
+        sums = np.matmul(np.multiply(gammas, coeffs, out=coeffs), basis.vectors, out=fs)
+        scores = ratios(ambient_gauge_rows(basis.space, sums, _scratch(moduli, n, dim)), nf)
         tracker.offer(scores, lambda b: {"f": chunk[b].tolist(), "gamma": gammas[b].tolist()})
         keys = np.where(np.isnan(scores), math.inf, -scores)
         live = np.flatnonzero(nf > 0)

@@ -37,7 +37,7 @@ from .bases import Basis, _as_index_set
 from .errors import CombinatorialOverflowError
 from .estimates import BoundEstimate, Tracker, ratios
 from .greedy import quasi_greedy_constant
-from .numerics import loglog_slope, sign_patterns
+from .numerics import _SIGNS, loglog_slope, sign_patterns
 from .rng import (
     LOWER_DEMOCRACY_SETS,
     PROFILE_SETS,
@@ -53,7 +53,8 @@ from .rng import (
     substream,
 )
 from .sampling import random_masks, size_cap, structured_subsets
-from .spaces import BlockLpL2, _row_chunks, _subset_sums, ambient_gauge_rows, p_convexity
+from .spaces import (_BLOCK_FLOATS, BlockLpL2, _block_buffer, _block_rows, _row_chunks, _scratch,
+                     _subset_sums, ambient_gauge_rows, p_convexity)
 from .tasks import run_tasks
 
 __all__ = [
@@ -96,19 +97,39 @@ def _indicator_gauges(basis: Basis, masks: np.ndarray) -> np.ndarray:
     return ambient_gauge_rows(basis.space, _indicator_sums(basis, masks))
 
 
-def _indicator_sums(basis: Basis, masks: np.ndarray) -> np.ndarray:
+def _indicator_sums(basis: Basis, masks: np.ndarray, buffers=None) -> np.ndarray:
     """The sums sum_{n in A} x_n of the index sets marked by the rows of ``masks``.
 
-    Sets of one size are gathered and summed together, each adding its
-    vectors in member order, so a sum does not depend on its block.
+    Sets of one size are gathered and summed together, at most _BLOCK_FLOATS
+    gathered floats at a time, each adding its vectors in member order, so a
+    sum does not depend on its block.  The sums are a view of the first of
+    ``buffers`` (:func:`_indicator_buffers`, made here when None), and the
+    gathers and partial sums are written into the other two.
     """
+    dim = basis.dim
+    sums_buffer, gathered, part = buffers or _indicator_buffers(basis, len(masks))
+    sums = _scratch(sums_buffer, len(masks), dim)
     sizes = np.count_nonzero(masks, axis=1)
-    sums = np.empty((len(masks), basis.dim))
     for k in set(sizes.tolist()):
         at = np.flatnonzero(sizes == k)
         members = np.nonzero(masks[at])[1].reshape(-1, k)
-        sums[at] = basis.vectors[members.T].sum(axis=0)
+        step = max(1, _BLOCK_FLOATS // (k * dim))
+        for lo in range(0, at.size, step):
+            rows = members[lo:lo + step].T
+            g = np.take(basis.vectors, rows, axis=0, mode="clip",  # "raise" would copy
+                        out=_scratch(gathered, *rows.shape, dim))
+            sums[at[lo:lo + step]] = np.add.reduce(g, axis=0,
+                                                   out=_scratch(part, rows.shape[1], dim))
     return sums
+
+
+def _indicator_buffers(basis: Basis, rows: int):
+    """Flat buffers (sums, gathered members, partial sums) for the sums of up to
+    ``rows`` index sets in :func:`_indicator_sums`."""
+    dim = basis.dim
+    gathered = min(rows * basis.d, max(_BLOCK_FLOATS // dim, basis.d)) * dim
+    return (np.empty(rows * dim), np.empty(gathered),
+            np.empty(min(rows, max(1, _BLOCK_FLOATS // dim)) * dim))
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +262,16 @@ def _set_feed(basis: Basis, lo: int, hi: int, budget: int, seed: int, op: int,
               fixed: int | None = None):
     """The random feed: capped blocks (sums, sizes, witness_of) of index sets
     of sizes lo..hi in feed order: the structured ones by size, the
-    block-spread ones, then ``budget`` samples of ``op``, all as mask rows."""
+    block-spread ones, then ``budget`` samples of ``op``, all as mask rows.
+    Every block's sums are a view of one buffer, valid until the next block."""
     structured = [s for k in range(lo, hi + 1) for s in structured_subsets(basis.d, k)]
     structured += [s for s in _block_spread_sets(basis) if lo <= s.size <= hi]
     rows = itertools.chain((_mask_of(s, basis.d) for s in structured),
                            _random_masks(basis.d, lo, hi, budget, seed, op, fixed=fixed))
+    buffers = _indicator_buffers(basis, _block_rows(basis.dim))
     for chunk in _row_chunks(rows, basis.dim):
         masks = np.array(chunk)
-        yield (_indicator_sums(basis, masks), np.count_nonzero(masks, axis=1),
+        yield (_indicator_sums(basis, masks, buffers), np.count_nonzero(masks, axis=1),
                lambda j, masks=masks: {"set": np.flatnonzero(masks[j]).tolist()})
 
 
@@ -299,8 +322,10 @@ def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
                            UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS,
                            f"<= {m}" if maximize else f">= {m}", fixed=m)
     tracker = Tracker(maximize)
+    moduli = _block_buffer(basis.dim)
     for sums, _, witness_of in blocks:
-        tracker.offer(ambient_gauge_rows(basis.space, sums), witness_of)
+        tracker.offer(ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape)),
+                      witness_of)
     return finish(basis, m, tracker)
 
 
@@ -330,7 +355,15 @@ def _one_pattern(basis: Basis) -> bool:
     return basis.disjoint_supports
 
 
-def _sign_gauges(basis: Basis, sets: list, stream=None):
+def _sign_buffers(basis: Basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat buffers (sums, moduli, drawn signs) of one sign search, made
+    once per search call.  A block of :func:`_sign_gauges` has at most
+    2^(_SIGN_ENUM_CAP - 1) patterns per set and otherwise fits the row cap,
+    and a set has k <= d <= dim members, so each buffer holds any block."""
+    return tuple(_block_buffer(basis.dim, 1 << (_SIGN_ENUM_CAP - 1)) for _ in range(3))
+
+
+def _sign_gauges(basis: Basis, sets: list, stream=None, buffers=None):
     """Yield (positions, index rows, signs (n, P, k), gauges (n, P)) for the
     sums sum_{n in A} eps_n x_n over the sign patterns of index sets A, in
     capped blocks of one size k, in order within a size.  For k <= _SIGN_ENUM_CAP
@@ -338,7 +371,12 @@ def _sign_gauges(basis: Basis, sets: list, stream=None):
     (negation keeps a gauge, so they hold the first extremes of all 2^k);
     otherwise the all-ones and the alternating pattern, then 128 drawn from
     ``stream(i)`` (i = position in ``sets``), which is made only then and is
-    required.
+    required: the bits of ``stream(i).choice([-1.0, 1.0], (128, k))``.
+
+    Every block is written into ``buffers`` (:func:`_sign_buffers`, made here
+    when None): the drawn signs, the sums and the gauge's moduli.  A yielded
+    ``signs`` is a view of them, valid until the next block; the sums and
+    moduli buffers are free while the caller holds a block.
 
     On a basis with disjoint supports (:attr:`~qgreedy.bases.Basis.disjoint_supports`)
     only pattern 0 is scored, the first enumerated one or the all-ones row,
@@ -346,6 +384,7 @@ def _sign_gauges(basis: Basis, sets: list, stream=None):
     coordinate, so all patterns of a set have the same moduli and the same
     gauge bits, and the first extreme over them is pattern 0."""
     one = _one_pattern(basis)
+    sums_buffer, moduli, drawn = buffers or _sign_buffers(basis)
     by_size: dict[int, list[int]] = {}
     for i, a in enumerate(sets):
         by_size.setdefault(len(a), []).append(i)
@@ -360,27 +399,32 @@ def _sign_gauges(basis: Basis, sets: list, stream=None):
             if table is not None:
                 signs = np.broadcast_to(table, (len(chunk), *table.shape))
             else:
-                signs = np.empty((len(chunk), 130, k))
+                signs = _scratch(drawn, len(chunk), 130, k)
                 signs[:, :2] = 1.0
                 signs[:, 1, 1::2] = -1.0
                 for r, i in enumerate(chunk):
-                    signs[r, 2:] = stream(i).choice([-1.0, 1.0], size=(128, k))
+                    signs[r, 2:] = _SIGNS[stream(i).integers(0, 2, (128, k))]
             idx = np.array([sets[i] for i in chunk], dtype=int)
-            yield chunk, idx, signs, _stacked_gauges(basis, signs @ basis.vectors[idx])
+            sums = np.matmul(signs, basis.vectors[idx],
+                             out=_scratch(sums_buffer, *signs.shape[:2], basis.dim))
+            yield chunk, idx, signs, _stacked_gauges(basis, sums, moduli)
 
 
-def _stacked_gauges(basis: Basis, sums: np.ndarray) -> np.ndarray:
-    """Gauges (n, P) of a stack of (n, P, d) ambient vectors, in one rows call."""
-    return ambient_gauge_rows(basis.space, sums.reshape(-1, basis.dim)).reshape(sums.shape[:2])
+def _stacked_gauges(basis: Basis, sums: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Gauges (n, P) of a stack of (n, P, d) ambient vectors, in one rows call
+    that computes its moduli in the flat buffer ``moduli``."""
+    rows = sums.reshape(-1, basis.dim)
+    return ambient_gauge_rows(basis.space, rows,
+                              _scratch(moduli, *rows.shape)).reshape(sums.shape[:2])
 
 
-def _sign_extremes(basis: Basis, sets: list, stream):
+def _sign_extremes(basis: Basis, sets: list, stream, buffers=None):
     """Per set, in order: its first largest and first smallest gauge over its
     sign patterns, and ``patterns(i)``, set i's (pattern of the largest,
-    pattern of the smallest)."""
+    pattern of the smallest); the blocks are scored in ``buffers``."""
     hi, lo = np.empty(len(sets)), np.empty(len(sets))
     where, blocks = np.empty((len(sets), 2), dtype=int), []  # set -> (block, row)
-    for chunk, _, signs, gauges in _sign_gauges(basis, sets, stream):
+    for chunk, _, signs, gauges in _sign_gauges(basis, sets, stream, buffers):
         j_hi, j_lo = np.argmax(gauges, axis=1), np.argmin(gauges, axis=1)
         rows = np.arange(len(chunk))
         hi[chunk], lo[chunk] = gauges[rows, j_hi], gauges[rows, j_lo]
@@ -433,11 +477,18 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
     # per pair, its first largest ratio and that pattern
     best = np.empty(len(pairs))
     where, chosen = np.empty((len(pairs), 2), dtype=int), []  # pair -> (block, row)
+    buffers = _sign_buffers(basis)
+    sums_buffer, moduli, _ = buffers
     for chunk, idx, signs, den in _sign_gauges(basis, [b for _, b in pairs],
-                                               lambda i: substream(seed, SUCC_PAIRS, i)):
+                                               lambda i: substream(seed, SUCC_PAIRS, i), buffers):
         # B's signs outside A zeroed: a zero term adds exactly 0, so these are the sums over A
         mask = in_a[np.asarray(chunk)[:, None], idx]
-        num = _stacked_gauges(basis, (signs * mask[:, None, :]) @ basis.vectors[idx])
+        # scored in the search's sums and moduli buffers, free while a block is held;
+        # the masked signs go to the moduli buffer, which the gauge needs only after them
+        masked = np.multiply(signs, mask[:, None, :], out=_scratch(moduli, *signs.shape))
+        sums = np.matmul(masked, basis.vectors[idx],
+                         out=_scratch(sums_buffer, *signs.shape[:2], basis.dim))
+        num = _stacked_gauges(basis, sums, moduli)
         scores = ratios(num, den)
         rows = np.arange(len(chunk))
         j = np.argmax(scores, axis=1)
@@ -480,12 +531,13 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})
 
+    buffers = _sign_buffers(basis)
     for m in range(1, m_max + 1):
         cands = structured_subsets(d, m)
         per_size = max(1, budget // max(1, m_max))
         cands.extend(_random_sets(d, m, m, per_size, seed, SUPER_DEMOCRACY_SETS, m))
         hi, lo, patterns = _sign_extremes(
-            basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i))
+            basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i), buffers)
         a = int(np.argmax(hi))
         b = int(np.argmin(np.where(lo > 0, lo, math.inf)))
         tracker.update(float(ratios(hi[a], lo[b])), {
@@ -552,8 +604,9 @@ def _profile_rows(basis: Basis, m_max: int, blocks, finish) -> list[ProfileRow]:
     """
     up = [Tracker() for _ in range(m_max)]
     down = [Tracker(maximize=False) for _ in range(m_max)]
+    moduli = _block_buffer(basis.dim)  # every feed block fits the row cap
     for sums, sizes, witness_of in blocks:
-        gauges = ambient_gauge_rows(basis.space, sums)
+        gauges = ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape))
         # an exact block has one size, so most rows take it whole or not at all
         small, large = sizes.min(), sizes.max()
         for m in range(1, m_max + 1):

@@ -40,7 +40,8 @@ from .errors import InvalidExponentError
 from .estimates import BoundEstimate, Tracker, ratios
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
 from .sampling import coefficient_samples, plateau_coefficients, size_cap
-from .spaces import BlockLpL2, LorentzSpace, Lp, ambient_gauge_rows, p_convexity
+from .spaces import (BlockLpL2, LorentzSpace, Lp, _block_buffer, _scratch, ambient_gauge_rows,
+                     p_convexity)
 
 __all__ = [
     "greedy_order",
@@ -166,7 +167,7 @@ def _normal_range(space) -> tuple[float, float]:
         q = space.q
         tables = [space.weight, space.primitive]
         if math.isfinite(q):
-            tables.append(space.primitive ** (q - 1.0))  # the kernel's own call
+            tables.append(space.table)  # the kernel's own table
         logs = [_log2_range(t) for t in tables]
         if min(x for x, _ in logs) < -_LOG2_NORMAL or max(y for _, y in logs) > _LOG2_NORMAL:
             return math.inf, -math.inf
@@ -363,20 +364,33 @@ class ConditionalityRow:
     witness: dict[str, Any] | None
 
 
+def _selection_buffers(basis: Basis):
+    """Flat buffers for the blocks of :func:`_forward_selection`: a block of
+    candidates fits the row cap at d rows each (:func:`~qgreedy.bases.candidate_blocks`)."""
+    return tuple(_block_buffer(basis.dim, basis.d) for _ in range(3))
+
+
 def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
-                       trackers: list[Tracker], inputs: np.ndarray | None = None) -> None:
+                       trackers: list[Tracker], inputs: np.ndarray | None = None,
+                       buffers=None) -> None:
     """Greedily grow A one index at a time for every row of ``coeffs``,
     maximizing ||S_A f|| at each size; one rows call per size scores every
     candidate with every index still available.  Ties go to the smaller
     index, and ``trackers[m - 1]`` is offered the ratios of the sets of size
     m.  Given the ambient ``inputs`` f (one row per row of ``coeffs``), a
-    witness keeps its f too: synthesizing f from its coefficients rounds."""
+    witness keeps its f too: synthesizing f from its coefficients rounds.
+    The products, the trial sums and the gauge's moduli are written into the
+    three flat ``buffers`` of the search (:func:`_selection_buffers`, made
+    here when None)."""
     n, d = coeffs.shape
     if n == 0:
         return
+    dim = basis.dim
     at = np.arange(n)
-    scaled = coeffs[:, :, None] * basis.vectors
-    running = np.zeros((n, basis.dim))
+    products, sums, moduli = buffers or _selection_buffers(basis)
+    scaled = np.multiply(coeffs[:, :, None], basis.vectors, out=_scratch(products, n, d, dim))
+    flat = scaled.reshape(n * d, dim)
+    running = np.zeros((n, dim))
     available = np.tile(np.arange(d), (n, 1))
     chosen = np.empty((n, 0), dtype=int)
 
@@ -387,8 +401,14 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
         return out
 
     for tracker in trackers:
-        trials = running[:, None, :] + scaled[at[:, None], available]
-        vals = ambient_gauge_rows(basis.space, trials.reshape(-1, basis.dim))
+        # the rows scaled[i, available[i]], then running[i] added to each (addition
+        # commutes exactly); "clip" never applies to these indices, and unlike
+        # "raise" it writes straight into the buffer
+        trials = np.take(flat, available + d * at[:, None], axis=0, mode="clip",
+                         out=_scratch(sums, *available.shape, dim))
+        np.add(running[:, None, :], trials, out=trials)
+        rows = trials.reshape(-1, dim)
+        vals = ambient_gauge_rows(basis.space, rows, _scratch(moduli, *rows.shape))
         vals = vals.reshape(available.shape)
         j = np.argmax(vals, axis=1)
         picked = available[at, j]
@@ -433,14 +453,15 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
 
     trackers = [Tracker() for _ in range(max_m)]
     # every candidate costs at most d rows per size
+    buffers = _selection_buffers(basis)
     candidates = itertools.chain(np.eye(d), [np.ones(d)],
                                  coefficient_samples(d, budget, seed, CONDITIONALITY_SAMPLES))
     for coeffs, _, nf in candidate_blocks(basis, candidates, d):
-        _forward_selection(basis, coeffs, nf, trackers)
+        _forward_selection(basis, coeffs, nf, trackers, buffers=buffers)
 
     # ambient unit vectors as inputs
     for coeffs, units, nf in candidate_blocks(basis, np.eye(basis.dim), d, ambient=True):
-        _forward_selection(basis, coeffs, nf, trackers, units)
+        _forward_selection(basis, coeffs, nf, trackers, units, buffers)
 
     # a witness set of fewer than m members is one of at most m members
     for prev, tracker in zip(trackers, trackers[1:]):

@@ -137,6 +137,9 @@ def loglog_slope(m: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coeff[0]), float(coeff[1]), res
 
 
+_SIGNS = np.array([-1.0, 1.0])  # random signs, indexed by a draw of 0 or 1
+
+
 def sign_patterns(k: int, start: int, stop: int) -> np.ndarray:
     """Rows of +/-1 for pattern ids ``start <= i < stop`` over k positions.
 

@@ -6,10 +6,12 @@ norm inside consecutive coordinate blocks before an outer lp sum, and
 weighted Lorentz spaces (weights and primitive weights in :mod:`qgreedy.lorentz`).
 
 Each space has one gauge path, a plain formula over the rows of a 2-d block
-of moduli, computed in place in the one moduli array it takes.  A scalar gauge is its 1-row case, so one vector gets the same bits
-from every entry point.  A row that over- or underflowed is recomputed with
-its largest modulus factored out, so no gauge returns inf or 0 when the true
-value is finite and nonzero.
+of moduli, computed in place in the one moduli array it takes: a fresh one,
+or a scratch the caller owns and reuses from block to block.  A scalar gauge
+is its 1-row case, so one vector gets the same bits from every entry point.
+A row that over- or underflowed is recomputed with its largest modulus
+factored out, so no gauge returns inf or 0 when the true value is finite and
+nonzero.
 """
 
 from __future__ import annotations
@@ -84,6 +86,19 @@ def check_weight(w) -> np.ndarray:
 # floats (256 KB): 1024 rows at dimension 32.
 _ROW_CAP = 4096
 _BLOCK_FLOATS = 1 << 15
+
+
+def _block_buffer(width: int, rows: int = 0) -> np.ndarray:
+    """A flat float buffer that holds any block of a search whose blocks are
+    capped at _BLOCK_FLOATS floats or ``rows`` rows of length ``width``.  Its
+    pages are touched only as blocks fill them, and every block of the search
+    reuses them (see :func:`_scratch`)."""
+    return np.empty(max(_BLOCK_FLOATS, rows * width, width))
+
+
+def _scratch(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous view of the first prod(shape) floats of the flat ``buffer``."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _block_rows(width: int) -> int:
@@ -218,18 +233,21 @@ def _completion_witness(d, starts, n, r, members, tables):
     return witness
 
 
-def _guarded(plain, rows: np.ndarray, moduli, *args):
-    """``plain(moduli(rows), *args)`` over the rows of the 2-d ``rows``.
-    ``moduli`` returns a fresh array, which ``plain`` may overwrite in place.
-    The gauges are homogeneous, so a row whose result came out inf, nan, or 0
-    is recomputed from its moduli as M * plain(row / M, *args), with M the
-    row's largest modulus; in-range results are the plain formula's."""
-    out = plain(moduli(rows), *args)
-    if out.size == 0 or (out.min() > 0.0 and math.isfinite(out.sum())) or rows.shape[1] == 0:
+def _guarded(plain, rows: np.ndarray, moduli, *args, scratch=None):
+    """``plain(moduli(rows, scratch), *args)`` over the rows of the 2-d ``rows``.
+    ``moduli`` writes the moduli into ``scratch`` (a fresh array when it is
+    None), which ``plain`` may overwrite in place.  The gauges are
+    homogeneous, so a row whose result came out inf, nan, or 0 is recomputed
+    from the moduli of its row of ``rows`` as M * plain(row / M, *args), with
+    M the row's largest modulus; in-range results are the plain formula's."""
+    out = plain(moduli(rows, scratch), *args)
+    # one range test: every result in (0, inf), NaN failing it
+    if (out.size == 0 or rows.shape[1] == 0
+            or 0.0 < np.minimum.reduce(out) <= np.maximum.reduce(out) < math.inf):
         return out
     bad = ~np.isfinite(out) | (out == 0.0)
     if bad.any():
-        sub = moduli(rows[bad])
+        sub = moduli(rows[bad], None)
         scale = sub.max(axis=1, keepdims=True)
         ratio = np.divide(sub, scale, out=np.zeros_like(sub), where=scale > 0)
         out[bad] = scale[:, 0] * plain(ratio, *args)
@@ -243,7 +261,7 @@ def _lp_sum(a: np.ndarray, p: float):
     if math.isinf(p):
         return a.max(axis=-1)
     a **= p
-    return np.sum(a, axis=-1) ** (1.0 / p)
+    return np.add.reduce(a, axis=-1) ** (1.0 / p)
 
 
 def lp_gauge(f, p) -> float:
@@ -306,7 +324,8 @@ class LorentzSpace:
     """Weighted Lorentz sequence space d_q(w) at dimension ``len(weight)``.
 
     The weight is validated and its primitive weight (compensated running
-    sums) computed once, here; every gauge evaluation reads the stored array.
+    sums) computed once, here; every gauge evaluation reads the stored array,
+    and the table s^(q-1) of the finite-q kernel, computed at its first use.
     """
 
     q: float
@@ -325,6 +344,11 @@ class LorentzSpace:
     def dim(self) -> int:
         return int(self.weight.size)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """s^(q-1) for the primitive weight s, as the kernel multiplies it in (finite q)."""
+        return self.primitive ** (self.q - 1.0)
+
 
 AmbientSpace = Union[Lp, BlockLpL2, LorentzSpace]
 
@@ -341,35 +365,36 @@ def _block_sum(a: np.ndarray, space: BlockLpL2):
     return _lp_sum(_block_norms(space, a), space.p)
 
 
-def _lorentz_sum(a: np.ndarray, q: float, w: np.ndarray, s: np.ndarray):
+def _lorentz_sum(a: np.ndarray, space: LorentzSpace):
     """d_q(w) gauge of non-increasing moduli ``a``, which it overwrites, against
-    the primitive weight ``s``; the products in the order a^q * s^(q-1) * w."""
-    if math.isinf(q):
-        a *= s
+    the primitive weight s; the products in the order a^q * s^(q-1) * w."""
+    if math.isinf(space.q):
+        a *= space.primitive
         return a.max(axis=-1)
-    a **= q
-    a *= s ** (q - 1.0)
-    a *= w
-    return np.sum(a, axis=-1) ** (1.0 / q)
+    a **= space.q
+    a *= space.table
+    a *= space.weight
+    return np.add.reduce(a, axis=-1) ** (1.0 / space.q)
 
 
-def _sorted_moduli(rows: np.ndarray) -> np.ndarray:
-    """The moduli of each row, non-increasing, as a fresh contiguous array:
-    numpy may take a different power kernel for a strided view, and the last
-    ulp would follow it."""
-    a = np.abs(rows)
+def _sorted_moduli(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The moduli of each row, non-increasing, in ``out`` or a fresh array,
+    contiguous either way: numpy may take a different power kernel for a
+    strided view, and the last ulp would follow it."""
+    a = np.abs(rows, out=out)
     np.negative(a, out=a)
     a.sort(axis=-1)
     return np.negative(a, out=a)
 
 
-def _rows_gauge(space: AmbientSpace, rows: np.ndarray):
-    """Ambient gauge of each row of the 2-d ``rows``, which it leaves unchanged."""
+def _rows_gauge(space: AmbientSpace, rows: np.ndarray, scratch: np.ndarray | None = None):
+    """Ambient gauge of each row of the 2-d ``rows``, which it leaves unchanged;
+    the moduli go to ``scratch`` if given (see :func:`ambient_gauge_rows`)."""
     if isinstance(space, Lp):
-        return _guarded(_lp_sum, rows, np.abs, space.p)
+        return _guarded(_lp_sum, rows, np.abs, space.p, scratch=scratch)
     if isinstance(space, BlockLpL2):
-        return _guarded(_block_sum, rows, np.abs, space)
-    return _guarded(_lorentz_sum, rows, _sorted_moduli, space.q, space.weight, space.primitive)
+        return _guarded(_block_sum, rows, np.abs, space, scratch=scratch)
+    return _guarded(_lorentz_sum, rows, _sorted_moduli, space, scratch=scratch)
 
 
 def ambient_gauge(space: AmbientSpace, f) -> float:
@@ -378,12 +403,28 @@ def ambient_gauge(space: AmbientSpace, f) -> float:
     return float(_rows_gauge(space, f[None, :])[0])
 
 
-def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray) -> np.ndarray:
-    """Row-wise ambient gauge (vectorized kernel for enumeration loops)."""
+def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise ambient gauge (vectorized kernel for enumeration loops).
+
+    ``scratch``, if given, is a caller-owned float array of the shape of
+    ``mat`` and C-contiguous (a prefix view from :func:`_scratch` is one); the
+    kernel computes the moduli there, in place of a fresh array, with the same
+    bits, and leaves ``mat`` unchanged.  A search that scores block after
+    block reuses one scratch, so it does not allocate a block per call."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:
         raise DimensionMismatchError(f"expected rows of length {space.dim}")
-    return _rows_gauge(space, mat)
+    return _rows_gauge(space, mat, _checked_scratch(mat, scratch))
+
+
+def _checked_scratch(mat: np.ndarray, scratch: np.ndarray | None) -> np.ndarray | None:
+    """``scratch`` if it can hold the moduli of ``mat`` in the kernel's layout."""
+    if scratch is not None and not (scratch.shape == mat.shape and scratch.dtype == np.float64
+                                    and scratch.flags.c_contiguous):
+        raise ValueError(f"a gauge scratch must be a C-contiguous float array of shape "
+                         f"{mat.shape}, got {scratch.dtype} {scratch.shape}")
+    return scratch
 
 
 def _dual_sum(a: np.ndarray, space: AmbientSpace):

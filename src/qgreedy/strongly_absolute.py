@@ -19,6 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidExponentError, PreconditionError
+from .numerics import _SIGNS
 from .rng import KHINTCHINE_MC, PAIR_FAMILIES, substream
 from .spaces import _subset_sums, as_vector, lp_gauge_rows
 
@@ -42,7 +43,6 @@ NORMALIZATION_TOL = 1e-9
 _DOMINATION_TOL = 1e-12  # relative and absolute slack of the Lemma 3.2 comparison
 _COUNTING_TOL = 1e-9  # absolute slack of the counting inequality
 _EXACT_SIGN_LIMIT = 20
-_SIGNS = np.array([-1.0, 1.0])  # Monte Carlo signs, indexed by a draw of 0 or 1
 _MIN_PAIRING = 0.2  # of |x*(x)| / (|x*|_2 |x|_2) <= 1 (Cauchy-Schwarz), so below 1
 # Rejection rounds per family.  A draw is kept with probability about 0.045 at
 # dim 100 (the cosine is roughly N(0, 1/dim)), so a family of 100 pairs needs

@@ -18,6 +18,7 @@ import pytest
 import qgreedy
 import qgreedy.democracy as democracy_module
 import qgreedy.spaces as spaces_module
+import qgreedy.strongly_absolute as strongly_absolute_module
 from conftest import check
 from qgreedy.bases import (
     Basis,
@@ -59,7 +60,7 @@ from qgreedy.greedy import (
     truncation_constant,
 )
 from qgreedy.lorentz import lorentz_gauge, power_weight
-from qgreedy.numerics import sign_patterns
+from qgreedy.numerics import _SIGNS, sign_patterns
 from qgreedy.rng import (
     CONDITIONALITY_SAMPLES,
     EMBED_LORENTZ_SAMPLES,
@@ -612,9 +613,9 @@ def test_analyze_respects_row_cap(monkeypatch, capsys, inline_tasks):
     sizes = []
     real = spaces_module.ambient_gauge_rows
 
-    def counting(space, mat):
+    def counting(space, mat, scratch=None):
         sizes.append(len(mat))
-        return real(space, mat)
+        return real(space, mat, scratch)
 
     for info in pkgutil.iter_modules(qgreedy.__path__):
         module = importlib.import_module(f"qgreedy.{info.name}")
@@ -833,6 +834,22 @@ def test_sign_gauges_requires_a_stream_for_large_sets():
     chunks = list(_sign_gauges(basis, [np.arange(13)], lambda i: substream(0, 99, i)))
     assert chunks[0][3].shape == (1, 130)
     assert np.array_equal(chunks[0][2][0, :2], [[1.0] * 13, [1.0, -1.0] * 6 + [1.0]])
+
+
+@pytest.mark.parametrize("k", [13, 20, 32])
+@pytest.mark.parametrize("key", [(0, SIGN_CHANGE, 0), (5, SUCC_PAIRS, 17),
+                                 (3, SUPER_DEMOCRACY, 13, 2), (11, SIGN_CHANGE, 499)])
+def test_drawn_signs_are_the_choice_bits(k, key):
+    """A large set's 128 drawn sign rows index the shared -1/+1 table by
+    ``integers(0, 2)``, written into the search's reused block; they are the
+    bits of ``Generator.choice([-1.0, 1.0])``, which the pinned reports were
+    made with."""
+    want = substream(*key).choice([-1.0, 1.0], size=(128, k))
+    assert _SIGNS[substream(*key).integers(0, 2, (128, k))].tobytes() == want.tobytes()
+    basis = zoo("difference", p=0.5, dim=k)
+    (_, _, signs, _), = _sign_gauges(basis, [np.arange(k)], lambda i: substream(*key))
+    assert signs[0, 2:].tobytes() == want.tobytes()
+    assert strongly_absolute_module._SIGNS is _SIGNS
 
 
 def _disjoint_vectors(supports, dim: int, seed: int):

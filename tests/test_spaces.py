@@ -14,6 +14,7 @@ from qgreedy.spaces import (
     BlockLpL2,
     Lp,
     LorentzSpace,
+    _scratch,
     ambient_gauge,
     ambient_gauge_rows,
     dual_gauge,
@@ -217,6 +218,17 @@ def _reference_lorentz_sum(a, q, w, s):
     return np.sum(a**q * s ** (q - 1.0) * w, axis=-1) ** (1.0 / q)
 
 
+def _reference_rows(space, rows):
+    """The reference gauges of the rows of ``rows`` in ``space``."""
+    a = np.abs(rows)
+    if isinstance(space, Lp):
+        return _reference_guarded(_reference_lp_sum, a, space.p)
+    if isinstance(space, BlockLpL2):
+        return _reference_guarded(_reference_block_sum, a, space, space.p)
+    return _reference_guarded(_reference_lorentz_sum, -np.sort(-a, axis=-1), space.q,
+                              space.weight, space.primitive)
+
+
 def _conjugate(p):
     return math.inf if p <= 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
 
@@ -279,6 +291,41 @@ class TestInPlaceKernels:
         for row, value in zip(mat[:8], want[:8]):
             assert ambient_gauge(space, row) == value
         assert np.array_equal(mat, before)
+
+    @staticmethod
+    def spaces(width):
+        return [Lp(p, width) for p in TestInPlaceKernels.EXPONENTS] + [
+            BlockLpL2(p, (2, width - 2)) for p in (0.5, 2.0, math.inf)] + [
+            LorentzSpace(q, 2.0 * np.arange(1.0, width + 1.0) - 1.0)
+            for q in (0.5, 1.0, 2.0, math.inf)]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("width", [6, 32])
+    def test_scratch_gives_the_same_bits(self, width):
+        """A caller-owned moduli scratch, NaN-filled, reused across calls with
+        different row counts, and sliced to shape from an oversized flat
+        buffer, gives the fresh array's bits, guard rows included; the
+        rescale path reads the caller's rows, and ``mat`` is unchanged."""
+        mat = self.rows(width)
+        before = mat.copy()
+        flat = np.full(mat.size + 7 * width, np.nan)  # oversized, one buffer for every call
+        for space in self.spaces(width):
+            for rows in (mat, mat[:4], mat[2:3], mat[:150], mat[::-2]):
+                rows = np.ascontiguousarray(rows)
+                want = _reference_rows(space, rows)
+                fresh = np.full(rows.shape, np.nan)
+                self.assert_bits(ambient_gauge_rows(space, rows, fresh), want)
+                self.assert_bits(ambient_gauge_rows(space, rows, _scratch(flat, *rows.shape)),
+                                 want)
+        assert np.array_equal(mat, before)
+
+    def test_scratch_must_fit_the_kernel(self):
+        mat = self.rows(6)
+        space = Lp(0.5, 6)
+        for bad in (np.empty((mat.shape[0] + 1, 6)), np.empty((6, mat.shape[0])).T,
+                    np.empty(mat.shape, dtype=np.float32)):
+            with pytest.raises(ValueError, match="scratch"):
+                ambient_gauge_rows(space, mat, bad)
 
 
 class TestDualGauge:
