@@ -15,7 +15,8 @@ it has the bits of ``vectors[A].sum(axis=0)``.  Random mode feeds structured
 and sampled sets as rows of boolean masks, summed by gathering each row's
 members in member order, and reports witness-certified one-sided bounds.
 The sign constants score same-size sets in blocks on their sign patterns,
-one pattern per set on a basis whose vectors have disjoint supports.
+one pattern per set on a basis whose vectors have disjoint supports, and
+offer every block to a tracker too.
 :func:`democracy_profile` is five independent tasks (:func:`profile_tasks`)
 and an assembly step; it runs the tasks through
 :func:`~qgreedy.tasks.run_tasks` on the usable CPUs, and ``analyze`` runs
@@ -418,27 +419,6 @@ def _stacked_gauges(basis: Basis, sums: np.ndarray, moduli: np.ndarray) -> np.nd
                               _scratch(moduli, *rows.shape)).reshape(sums.shape[:2])
 
 
-def _sign_extremes(basis: Basis, sets: list, stream, buffers=None):
-    """Per set, in order: its first largest and first smallest gauge over its
-    sign patterns, and ``patterns(i)``, set i's (pattern of the largest,
-    pattern of the smallest); the blocks are scored in ``buffers``."""
-    hi, lo = np.empty(len(sets)), np.empty(len(sets))
-    where, blocks = np.empty((len(sets), 2), dtype=int), []  # set -> (block, row)
-    for chunk, _, signs, gauges in _sign_gauges(basis, sets, stream, buffers):
-        j_hi, j_lo = np.argmax(gauges, axis=1), np.argmin(gauges, axis=1)
-        rows = np.arange(len(chunk))
-        hi[chunk], lo[chunk] = gauges[rows, j_hi], gauges[rows, j_lo]
-        where[chunk, 0], where[chunk, 1] = len(blocks), rows
-        # copies of the two rows only, so no block of drawn signs outlives its scoring
-        blocks.append((signs[rows, j_hi], signs[rows, j_lo]))
-
-    def patterns(i: int) -> tuple[np.ndarray, np.ndarray]:
-        block, row = where[i]
-        return blocks[block][0][row], blocks[block][1][row]
-
-    return hi, lo, patterns
-
-
 def _succ_pairs(d: int, budget: int, seed: int):
     """Random nested pairs (A, B), members sorted: B uniform of uniform size
     in [2, d], A a uniform subset of B of uniform size in [1, |B| - 1]; none
@@ -474,9 +454,6 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
     in_a = np.zeros((len(pairs), d), dtype=bool)
     in_a[np.repeat(np.arange(len(pairs)), [len(a) for a, _ in pairs]),
          np.concatenate([np.empty(0, dtype=int), *(a for a, _ in pairs)])] = True
-    # per pair, its first largest ratio and that pattern
-    best = np.empty(len(pairs))
-    where, chosen = np.empty((len(pairs), 2), dtype=int), []  # pair -> (block, row)
     buffers = _sign_buffers(basis)
     sums_buffer, moduli, _ = buffers
     for chunk, idx, signs, den in _sign_gauges(basis, [b for _, b in pairs],
@@ -488,16 +465,12 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
         masked = np.multiply(signs, mask[:, None, :], out=_scratch(moduli, *signs.shape))
         sums = np.matmul(masked, basis.vectors[idx],
                          out=_scratch(sums_buffer, *signs.shape[:2], basis.dim))
-        num = _stacked_gauges(basis, sums, moduli)
-        scores = ratios(num, den)
-        rows = np.arange(len(chunk))
+        scores = ratios(_stacked_gauges(basis, sums, moduli), den)
+        # per pair its first largest ratio (NaN if any), offered while the block's signs are valid
         j = np.argmax(scores, axis=1)
-        best[chunk] = scores[rows, j]
-        where[chunk, 0], where[chunk, 1] = len(chosen), rows
-        chosen.append(signs[rows, j])
-    tracker.offer(best, lambda i: {"A": [int(x) for x in pairs[i][0]],
-                                   "B": [int(x) for x in pairs[i][1]],
-                                   "signs": chosen[where[i][0]][where[i][1]].tolist()})
+        tracker.offer(scores[np.arange(len(chunk)), j],
+                      lambda r: {"A": pairs[chunk[r]][0].tolist(), "B": pairs[chunk[r]][1].tolist(),
+                                 "signs": signs[r, j[r]].tolist()})
     return tracker.estimate()
 
 
@@ -513,11 +486,13 @@ def sign_change_constant(basis: Basis, budget: int = 500, seed: int = 0) -> Boun
         sets.extend(structured_subsets(d, k))
     sets.extend(_random_sets(d, 1, d, budget, seed, SIGN_CHANGE_SETS))
 
-    hi, lo, patterns = _sign_extremes(
-        basis, sets, lambda i: substream(seed, SIGN_CHANGE, i))
-    tracker.offer(ratios(hi, lo), lambda i: {"A": [int(x) for x in sets[i]],
-                                             "theta": patterns(i)[0].tolist(),
-                                             "eps": patterns(i)[1].tolist()})
+    for chunk, _, signs, gauges in _sign_gauges(basis, sets,
+                                                lambda i: substream(seed, SIGN_CHANGE, i)):
+        hi, lo = np.argmax(gauges, axis=1), np.argmin(gauges, axis=1)
+        rows = np.arange(len(chunk))
+        tracker.offer(ratios(gauges[rows, hi], gauges[rows, lo]),
+                      lambda r: {"A": sets[chunk[r]].tolist(), "theta": signs[r, hi[r]].tolist(),
+                                 "eps": signs[r, lo[r]].tolist()})
     return tracker.estimate()
 
 
@@ -532,18 +507,24 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})
 
     buffers = _sign_buffers(basis)
+    per_size = max(1, budget // m_max)
     for m in range(1, m_max + 1):
         cands = structured_subsets(d, m)
-        per_size = max(1, budget // max(1, m_max))
         cands.extend(_random_sets(d, m, m, per_size, seed, SUPER_DEMOCRACY_SETS, m))
-        hi, lo, patterns = _sign_extremes(
-            basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i), buffers)
-        a = int(np.argmax(hi))
-        b = int(np.argmin(np.where(lo > 0, lo, math.inf)))
-        tracker.update(float(ratios(hi[a], lo[b])), {
-            "A": [int(x) for x in cands[a]], "B": [int(x) for x in cands[b]],
-            "theta": patterns(a)[0].tolist(), "eps": patterns(b)[1].tolist(),
-        })
+        # (set, pattern) of the first largest gauge and of the first smallest positive one
+        top, low = Tracker(), Tracker(maximize=False)
+        for chunk, _, signs, gauges in _sign_gauges(
+                basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i), buffers):
+            hi, lo = np.argmax(gauges, axis=1), np.argmin(gauges, axis=1)
+            rows = np.arange(len(chunk))
+            smallest = gauges[rows, lo]
+            top.offer(gauges[rows, hi], lambda r: (cands[chunk[r]], signs[r, hi[r]].tolist()))
+            low.offer(smallest, lambda r: (cands[chunk[r]], signs[r, lo[r]].tolist()),
+                      eligible=smallest > 0)
+        if low.witness is not None:
+            (a, theta), (b, eps) = top.witness, low.witness
+            tracker.update(float(ratios(top.best, low.best)),
+                           {"A": a.tolist(), "B": b.tolist(), "theta": theta, "eps": eps})
     return tracker.estimate()
 
 

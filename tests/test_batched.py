@@ -806,10 +806,15 @@ def record_keys(monkeypatch, *namespaces):
 
 @pytest.mark.parametrize("name", sorted(SIGN_CONSTANTS))
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("d,budget", [(6, 120), (14, 30), (16, 30)])
-def test_sign_constant_matches_per_set_loop(name, kind, d, budget, small_cap, monkeypatch):
-    """Bit-identical value and equal witness; no stream for a set of <= 12
-    members, and the oracle's key for every larger set."""
+@pytest.mark.parametrize("d,budget,cap", [
+    pytest.param(d, budget, cap, id=f"{d}-{budget}{suffix}")
+    for cap, suffix in [(SMALL_CAP, ""), (spaces_module._ROW_CAP, "-default_cap")]
+    for d, budget in [(6, 120), (14, 30), (16, 30)]])
+def test_sign_constant_matches_per_set_loop(name, kind, d, budget, cap, monkeypatch):
+    """Bit-identical value and equal witness, with one set per scored block
+    (the small cap) and with many (the default cap); no stream for a set of
+    <= 12 members, and the oracle's key for every larger set."""
+    monkeypatch.setattr(spaces_module, "_ROW_CAP", cap)
     new, oracle = SIGN_CONSTANTS[name]
     basis = sign_basis(kind, seed=d, d=d)
     sign_log = []

@@ -7,8 +7,9 @@ byte for byte.  On other versions numbers are compared to a relative 1e-12
 and witnesses exactly.  A mismatch names the first differing line or JSON
 path.  ``python tests/golden/regen.py`` rewrites the files; no test calls it.
 
-The pinned ``analyze`` reports and fresh exact unconditionality constants are
-also replayed by ``perfbench/check.py``, which imports no ``qgreedy``.
+The pinned and fresh ``analyze`` reports and sign constants, and fresh exact
+unconditionality constants, are also replayed by ``perfbench/check.py``,
+which imports no ``qgreedy``.
 """
 
 import json
@@ -113,11 +114,48 @@ def test_sign_constants_are_pinned(base, seed):
     assert SIGNS["budget"] == regen.SIGN_BUDGET
     want = SIGNS["results"][regen.sign_key(base, seed)]
     got_text = json_text(regen.sign_constants(base, seed))
+    # the fresh constants replay independently, also on numpy versions other than the pinned one
+    assert sign_errors(base, seed, json.loads(got_text)) == []
     exact = exact_versions(SIGNS)
     if exact and got_text == json_text(want):
         return
     found = json_mismatch(json.loads(got_text), want, exact)
     assert found is None, f"{regen.sign_key(base, seed)}: {found}"
+
+
+def sign_errors(base: str, seed: int, results: dict) -> list[str]:
+    """The independent checker's findings on the three sign constants of one
+    case, and any witness whose shape does not fit its constant's ratio."""
+    spec = regen.SIGN_BASES[base]
+    if spec["name"] == "difference":
+        basis = check.difference_basis(spec["dim"], p=spec["p"])
+    elif spec["name"] == "block_l2":
+        basis = check.block_identity(spec["blocks"], p=spec["p"])
+    else:  # the checker cannot draw the seeded perturbation, so it takes the rows
+        made = zoo(spec["name"], p=spec["p"], dim=spec["dim"], seed=seed)
+        basis = check.CheckBasis("lp", made.vectors, made.duals, p=spec["p"])
+    errs = []
+    for kind, est in sorted(results.items()):
+        name = f"{regen.sign_key(base, seed)}.{kind}"
+        errs += check.check_bound(name, kind, est, basis)
+        w = est["witness"]
+        if kind == "succ":
+            fits = set(w["A"]) <= set(w["B"]) and len(w["signs"]) == len(w["B"])
+        elif kind == "sign_change":
+            fits = len(w["theta"]) == len(w["eps"]) == len(w["A"])
+        else:
+            fits = len(w["A"]) == len(w["B"]) == len(w["theta"]) == len(w["eps"])
+        if not fits:
+            errs.append(f"{name}: witness shape {w}")
+    return errs
+
+
+@pytest.mark.parametrize("base,seed", regen.sign_cases(),
+                         ids=[regen.sign_key(*case) for case in regen.sign_cases()])
+def test_pinned_sign_constants_replay_independently(base, seed):
+    results = SIGNS["results"][regen.sign_key(base, seed)]
+    assert sorted(results) == sorted(regen.SIGN_CONSTANTS)
+    assert sign_errors(base, seed, results) == []
 
 
 @pytest.mark.parametrize("case,seed", regen.analyze_cases(),
