@@ -177,7 +177,7 @@ def synthesize(basis: Basis, coeffs) -> np.ndarray:
 
 
 def _as_index_set(A, d: int) -> np.ndarray:
-    idx = np.unique(np.asarray(list(A), dtype=int))
+    idx = np.array(sorted(set(np.asarray(list(A), dtype=int).ravel().tolist())), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= d):
         raise IndexError(f"index set must lie in [0, {d}), got extremes {idx[0]}, {idx[-1]}")
     return idx

@@ -213,8 +213,9 @@ def _completions(vectors: np.ndarray, sums, n, r, counts, tables):
     starts = np.cumsum(counts) - counts
     out = np.empty((int(counts.sum()), dim))
     keys = n * (int(r.max()) + 1) + r
-    for key in np.unique(keys):
-        rows = np.flatnonzero(keys == key)
+    # the rows of each key, keys ascending (np.unique would import numpy.ma)
+    order = np.argsort(keys, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
         tail = vectors[d - int(n[rows[0]]):]
         table = _lex_table(tables, int(n[rows[0]]), int(r[rows[0]]))
         x = np.repeat(sums[rows][:, None, :], len(table), axis=1)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidExponentError, PreconditionError
 from .numerics import _SIGNS
 from .rng import KHINTCHINE_MC, PAIR_FAMILIES, substream
-from .spaces import _subset_sums, as_vector, lp_gauge_rows
+from .spaces import _block_rows, _subset_sums, as_vector, lp_gauge_rows
 
 __all__ = [
     "strongly_absolute_function",
@@ -320,7 +320,11 @@ def khintchine_square_function(vectors, p: float, mode: str = "exact",
     coordinate square function sum_j (sum_n x_n[j]^2)^(p/2).
 
     Exact mode enumerates all 2^|A| sign patterns (|A| <= 20); Monte Carlo
-    mode reports the sample mean with its standard error.
+    mode reports the sample mean with its standard error.  Its samples come
+    in chunks of 16,384, chunk i from the stream (seed, KHINTCHINE_MC, i),
+    each drawn and scored in blocks of the row cap (2,048 rows at dimension
+    16) with the bits of the chunk drawn whole; beyond 8 bytes a sample it
+    holds one block.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
@@ -345,22 +349,23 @@ def khintchine_square_function(vectors, p: float, mode: str = "exact",
         if samples < 2:
             raise PreconditionError("Monte Carlo mode needs samples >= 2")
         chunk = 1 << 14
+        rows = _block_rows(vectors.shape[1])
         vals = np.empty(samples)
-        done = 0
-        idx = 0
-        while done < samples:
-            take = min(chunk, samples - done)
+        for idx, start in enumerate(range(0, samples, chunk)):
             rng = substream(seed, KHINTCHINE_MC, idx)
-            # the draw of rng.choice([-1.0, 1.0], size=(take, k)), without its copies
-            sums = _SIGNS[rng.integers(0, 2, size=(take, k))] @ vectors
-            np.abs(sums, out=sums)
-            sums **= p
-            vals[done : done + take] = sums.sum(axis=1)
-            del sums  # not held while the next chunk draws
-            done += take
-            idx += 1
+            stop = min(start + chunk, samples)
+            for lo in range(start, stop, rows):
+                # the chunk's rng.choice([-1.0, 1.0], size=(stop - start, k)), a capped block at a time
+                sums = _SIGNS[rng.integers(0, 2, size=(min(rows, stop - lo), k))] @ vectors
+                np.abs(sums, out=sums)
+                sums **= p
+                vals[lo : lo + len(sums)] = sums.sum(axis=1)
+                del sums  # not held while the next block draws
         lhs = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(samples))
+        # vals.std(ddof=1), with the deviations squared in place rather than in a copy
+        vals -= lhs
+        vals *= vals
+        stderr = math.sqrt(vals.sum() / (samples - 1)) / math.sqrt(samples)
         n_used = samples
     else:
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")

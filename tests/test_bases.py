@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -19,7 +20,7 @@ from qgreedy.bases import (
 )
 from qgreedy.cli import main as cli_main
 from qgreedy.errors import BasisFileError, CombinatorialOverflowError, NotABasisError
-from qgreedy.spaces import BlockLpL2, Lp, ambient_gauge
+from qgreedy.spaces import BlockLpL2, Lp, ambient_gauge, ambient_gauge_rows
 
 
 @pytest.fixture
@@ -272,6 +273,24 @@ class TestUnconditionalConstant:
         est = unconditional_constant(basis, mode="random", budget=300, seed=2)
         assert pool
         assert est.upper == 1.0 and est.upper_certified
+
+    # On l_p with p <= 1 the unit ball is the closed p-convex hull of the +-e_j,
+    # so ||S_gamma|| = max_j ||S_gamma e_j||_p (Kalton, Peck and Roberts, An
+    # F-space sampler, 1984).  Its max over gamma in {-1, 0, 1}^d bounds every
+    # searched multiplier's ratio and is at most the sup over ||gamma||_inf <= 1.
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bounds_bracket_the_multiplier_truth(self, p, d, seed):
+        basis = zoo("perturbed_unit", p=p, dim=d, seed=seed)
+        gammas = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
+        # row (g, j): S_gamma e_j = sum_n gamma_n x_n*(e_j) x_n
+        images = np.einsum("gn,nj,nk->gjk", gammas, basis.duals, basis.vectors)
+        truth = float(np.max(ambient_gauge_rows(basis.space, images.reshape(-1, d))))
+        for mode in ("random", "exact"):
+            est = unconditional_constant(basis, mode=mode, budget=300, seed=seed)
+            assert est.lower <= truth * (1 + 1e-12)
+            assert est.upper_certified and est.upper >= truth * (1 - 1e-12)
 
     def test_certified_upper_formula(self, diff4):
         # sum of ||x_n||^p ||x_n*||^p over n, to the power 1/p

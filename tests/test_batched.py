@@ -668,7 +668,18 @@ def test_row_chunks_bound_rows_and_floats():
 # The oracles are the earlier per-set loops over the same sampled sets: one
 # sign stream made per set (drawn from only for sets of more than 12 members)
 # and one or two rows calls per set.  ``sign_log`` records each per-set stream
-# key with the size of its set.
+# key with the size of its set.  They scan the sets in block order, the order
+# in which ``_sign_gauges`` scores them, so a tie across sizes keeps the
+# witness that the blocks offer first.
+
+
+def block_order(sizes):
+    """Positions by size, sizes in order of first appearance, then in order
+    within a size."""
+    by_size = {}
+    for i, k in enumerate(sizes):
+        by_size.setdefault(k, []).append(i)
+    return [i for members in by_size.values() for i in members]
 
 
 def sign_stream(log, seed, key, size):
@@ -704,7 +715,8 @@ def succ_oracle(basis, budget, seed, sign_log):
     pairs.append((np.arange(0, d, 2), np.arange(d)))
     pairs.append((np.arange(1, d, 2), np.arange(d)))
     pairs.extend(_succ_pairs(d, budget, seed))
-    for i, (a, b) in enumerate(pairs):
+    for i in block_order([b.size for _, b in pairs]):
+        a, b = pairs[i]
         assert 0 < a.size < b.size and set(a) <= set(b)
         rng = sign_stream(sign_log, seed, (SUCC_PAIRS, i), b.size)
         pos = np.searchsorted(b, a)
@@ -730,7 +742,8 @@ def sign_change_oracle(basis, budget, seed, sign_log):
     for k in range(1, d + 1):
         sets.extend(structured_subsets(d, k))
     sets.extend(_random_sets(d, 1, d, budget, seed, SIGN_CHANGE_SETS))
-    for idx, a in enumerate(sets):
+    for idx in block_order([len(a) for a in sets]):
+        a = sets[idx]
         rng = sign_stream(sign_log, seed, (SIGN_CHANGE, idx), len(a))
         gauges, signs = sign_gauges_oracle(basis, np.asarray(a, dtype=int), rng)
         hi, lo = int(np.argmax(gauges)), int(np.argmin(gauges))
@@ -815,19 +828,38 @@ def test_sign_constant_matches_per_set_loop(name, kind, d, budget, cap, monkeypa
     (the small cap) and with many (the default cap); no stream for a set of
     <= 12 members, and the oracle's key for every larger set."""
     monkeypatch.setattr(spaces_module, "_ROW_CAP", cap)
+    assert_matches_per_set_loop(name, sign_basis(kind, seed=d, d=d), budget, 5, monkeypatch)
+
+
+def assert_matches_per_set_loop(name, basis, budget, seed, monkeypatch):
     new, oracle = SIGN_CONSTANTS[name]
-    basis = sign_basis(kind, seed=d, d=d)
     sign_log = []
     made = record_keys(monkeypatch, vars(rng_module), vars(democracy_module))
-    expected = oracle(basis, budget, 5, sign_log)
+    expected = oracle(basis, budget, seed, sign_log)
     draw_keys = made[:]  # the oracle's block draws; its sign streams go to sign_log
     made.clear()
-    got = new(basis, budget=budget, seed=5)
+    got = new(basis, budget=budget, seed=seed)
     assert got.lower == expected.lower
     assert got.as_dict() == expected.as_dict()
     large = [key for key, size in sign_log if size > _SIGN_ENUM_CAP]
-    assert (d > _SIGN_ENUM_CAP) == bool(large)
+    assert (basis.d > _SIGN_ENUM_CAP) == bool(large)
     assert sorted(made) == sorted(draw_keys + large)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_CONSTANTS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sign_constant_cross_size_tie_keeps_the_first_block(name, seed, monkeypatch):
+    """V = I + 0.5 (e_0 x e_3 + e_1 x e_2) in l_1: the sign-change ratio 5/3 is
+    attained by {0, 3}, {1, 2} and {0, 1, 2, 3}, so only the block order picks
+    the witness: the first two-member set scored, never the whole set."""
+    vectors = np.eye(4)
+    vectors[0, 3] = vectors[1, 2] = 0.5
+    basis = Basis(Lp(1.0, 4), vectors, np.linalg.inv(vectors).T)
+    got = assert_matches_per_set_loop(name, basis, 50, seed, monkeypatch)
+    if name == "sign_change":
+        assert got.lower == 5 / 3
+        assert got.witness["A"] in ([0, 3], [1, 2])
 
 
 def test_sign_gauges_requires_a_stream_for_large_sets():

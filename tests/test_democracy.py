@@ -1,10 +1,16 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgreedy
 import qgreedy.spaces as spaces_module
 from qgreedy.bases import Basis, zoo
 from qgreedy.democracy import (
@@ -249,6 +255,34 @@ class TestExactFeed:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_exact_kernels_leave_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma (about 1.3 MB of RSS) in numpy 2.x; every
+        # task runs in the fresh interpreter itself, which then reports
+        # whether numpy alone loaded numpy.ma and whether the kernels did
+        code = """
+import json, sys
+import numpy as np
+alone = "numpy.ma" in sys.modules
+import qgreedy.tasks
+from qgreedy import democracy_profile, khintchine_square_function, unconditional_constant, zoo
+from qgreedy.democracy import indicator_gauge
+qgreedy.tasks._usable_cpus = lambda: 1
+democracy_profile(zoo("unit", p=0.5, dim=12), mode="exact")
+indicator_gauge(zoo("unit", p=0.5, dim=12), [2, 0, 2])
+unconditional_constant(zoo("difference", p=0.5, dim=8), mode="exact")
+khintchine_square_function(np.random.default_rng(0).standard_normal((8, 4)), 0.5, mode="exact")
+print(json.dumps([alone, "numpy.ma" in sys.modules]))
+"""
+        src = str(Path(qgreedy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        alone, loaded = json.loads(out)
+        if alone:
+            pytest.skip("importing numpy alone loads numpy.ma")
+        assert not loaded
 
 
 class TestRandomDemocracy:

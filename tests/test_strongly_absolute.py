@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 import qgreedy.strongly_absolute as strongly_absolute_module
 from qgreedy.errors import InvalidExponentError, PreconditionError
 import qgreedy.verify as verify_module
+from qgreedy.numerics import _SIGNS
 from qgreedy.rng import (
+    KHINTCHINE_MC,
     LEMMA33_SIZES,
     PAIR_FAMILIES,
     SAMPLE_BLOCK,
@@ -471,3 +474,40 @@ class TestKhintchine:
     def test_mc_needs_samples(self):
         with pytest.raises(PreconditionError):
             khintchine_square_function(np.eye(3), 0.5, mode="mc", samples=1)
+
+    # sample counts at the edges of a row block (4,096 rows at dim 5, 2,048 at
+    # dim 16) and of a 16,384-sample chunk
+    @pytest.mark.parametrize("dim", [5, 16])
+    @pytest.mark.parametrize("k", [1, 3, 12, 13])
+    def test_mc_has_the_bits_of_whole_chunk_draws(self, dim, k):
+        x = np.random.default_rng(100 * dim + k).standard_normal((k, dim))
+        for samples in (2, 2047, 2048, 2049, 4097, 16383, 16384, 16385, 40001):
+            got = khintchine_square_function(x, 0.5, mode="mc", samples=samples, seed=samples % 3)
+            want = mc_whole_chunks(x, 0.5, samples, samples % 3)
+            assert (got.lhs.hex(), got.stderr.hex()) == tuple(v.hex() for v in want)
+
+    def test_mc_memory_is_one_row_block_beyond_the_samples(self):
+        # 800 KB of per-sample values and a 2,048-row block; a whole chunk of
+        # 16,384 rows peaked at about 4.5 MB
+        x = np.random.default_rng(0).standard_normal((12, 16))
+        tracemalloc.start()
+        try:
+            khintchine_square_function(x, 0.5, mode="mc", samples=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
+def mc_whole_chunks(vectors, p, samples, seed):
+    """(lhs, stderr) of the Monte Carlo sign average, each 16,384-sample chunk
+    drawn and scored whole."""
+    chunk, k = 1 << 14, vectors.shape[0]
+    vals = np.empty(samples)
+    for idx, start in enumerate(range(0, samples, chunk)):
+        take = min(chunk, samples - start)
+        sums = _SIGNS[substream(seed, KHINTCHINE_MC, idx).integers(0, 2, size=(take, k))] @ vectors
+        np.abs(sums, out=sums)
+        sums **= p
+        vals[start : start + take] = sums.sum(axis=1)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
