@@ -19,9 +19,10 @@ The files pin, for seeds 0-2:
   4 x 4.
 - ``analyze_json.json``: the standard output of ``qgreedy analyze --format
   json`` on ``difference`` at d = 8 (default budget) and d = 16 in random
-  mode, on ``difference`` at d = 12 in exact mode, on ``block_l2`` with
-  blocks 4 x 4, and on difference vectors in the Lorentz space d_q(w) with
-  q = 1/2, w_n = 2n - 1 at d = 16.  All but the first run at budget 1000.
+  mode, on ``difference`` and ``perturbed_unit`` (p = 1/2) at d = 12 in
+  exact mode, on ``block_l2`` with blocks 4 x 4, and on difference vectors
+  in the Lorentz space d_q(w) with q = 1/2, w_n = 2n - 1, at d = 16 and, in
+  exact mode, d = 12.  All but the first run at budget 1000.
 - ``embeddings.json``: both embedding reports (the constant's ``as_dict()``
   and the companion table) at the default budget with w_n = 2n - 1 and, from
   d_q(w), q = 1/2, on ``difference`` at d = 8 (exact companion tables) and
@@ -82,11 +83,14 @@ ANALYZE_ARGS = {
     "difference-16": ["--zoo", "difference", "--p", "0.5", "--dim", "16", *ANALYZE_BUDGET],
     "difference-12-exact": ["--zoo", "difference", "--p", "0.5", "--dim", "12",
                             "--mode", "exact", *ANALYZE_BUDGET],
+    "perturbed_unit-12-exact": ["--zoo", "perturbed_unit", "--p", "0.5", "--dim", "12",
+                                "--mode", "exact", *ANALYZE_BUDGET],
     "block_l2-4x4": ["--zoo", "block_l2", "--p", "0.5", "--blocks", "4", "4", "4", "4",
                      *ANALYZE_BUDGET],
-    "lorentz-16": [*ANALYZE_BUDGET],  # the basis file is added by analyze_stdout
+    # the basis file of a Lorentz case, at the dimension in its name, is added by analyze_stdout
+    "lorentz-16": [*ANALYZE_BUDGET],
+    "lorentz-12-exact": ["--mode", "exact", *ANALYZE_BUDGET],
 }
-LORENTZ_DIM = 16
 EMBED_BASES = {
     "difference-8": dict(name="difference", p=0.5, dim=8),
     "perturbed_unit-14": dict(name="perturbed_unit", p=0.5, dim=14),
@@ -133,7 +137,7 @@ def sign_cases() -> list[tuple[str, int]]:
     return [(base, seed) for base in SIGN_BASES for seed in SEEDS]
 
 
-def lorentz_basis(d: int = LORENTZ_DIM) -> Basis:
+def lorentz_basis(d: int) -> Basis:
     """x_n = e_n - e_{n-1} in d_q(w), q = 1/2, w_n = 2n - 1 (primitive n^2)."""
     vectors, duals = _difference_matrices(d)
     return Basis(LorentzSpace(0.5, 2.0 * np.arange(1, d + 1) - 1.0), vectors, duals)
@@ -146,11 +150,16 @@ def analyze_stdout(case: str, seed: int) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         if case.startswith("lorentz"):
             path = Path(tmp) / "lorentz.json"
-            save_basis(lorentz_basis(), path)
+            save_basis(lorentz_basis(case_dim(case)), path)
             argv += ["--basis", str(path)]
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             main(argv)
     return buf.getvalue()
+
+
+def case_dim(case: str) -> int:
+    """The dimension an ``analyze`` case names, as in ``lorentz-16``."""
+    return int(case.split("-")[1])
 
 
 def analyze_key(case: str, seed: int) -> str:

@@ -1,5 +1,5 @@
 """Outputs pinned in tests/golden/: the stdout of the verify suites, the sign
-constants, ``analyze --format json`` on five bases and the two embedding
+constants, ``analyze --format json`` on seven cases and the two embedding
 reports on two bases, for seeds 0-2.
 
 On the Python and numpy versions a golden file records, outputs must match
@@ -165,7 +165,7 @@ def test_analyze_json_is_pinned(case, seed):
     got_text = regen.analyze_stdout(case, seed)
     got = json.loads(got_text)
     # the fresh report replays independently, also on numpy versions other than the pinned one
-    assert analyze_errors(case, got) == []
+    assert analyze_errors(case, seed, got) == []
     exact = exact_versions(ANALYZE)
     if exact and got_text == json_text(want):
         return
@@ -173,16 +173,21 @@ def test_analyze_json_is_pinned(case, seed):
     assert found is None, f"analyze {regen.analyze_key(case, seed)}: {found}"
 
 
-def analyze_errors(case: str, payload: dict) -> list[str]:
+def analyze_errors(case: str, seed: int, payload: dict) -> list[str]:
     """The independent checker's findings on one ``analyze`` report."""
     if case.startswith("block_l2"):
         return check.check_block_analyze(payload, check.block_identity((4,) * 4))
+    d = regen.case_dim(case)
     if case.startswith("lorentz"):
-        d = regen.LORENTZ_DIM
-        return check.check_analyze(payload, check.difference_basis(
-            d, kind="lorentz", weight=check.lorentz_weight(d)))
-    basis = check.difference_basis(int(case.split("-")[1]))
+        basis = check.difference_basis(d, kind="lorentz", weight=check.lorentz_weight(d))
+    elif case.startswith("perturbed_unit"):
+        vectors = zoo("perturbed_unit", p=0.5, dim=d, seed=seed)
+        basis = check.CheckBasis("lp", vectors.vectors, vectors.duals)
+    else:
+        basis = check.difference_basis(d)
     if not case.endswith("-exact"):
+        if case.startswith("lorentz"):
+            return check.check_analyze(payload, basis)
         return check.check_difference_analyze(payload, basis)
     # check_analyze reads profile bounds as random-mode ones, so an exact
     # profile is replayed against brute force over all subsets, and the
@@ -195,7 +200,7 @@ def analyze_errors(case: str, payload: dict) -> list[str]:
 @pytest.mark.parametrize("case,seed", regen.analyze_cases(),
                          ids=[regen.analyze_key(*case) for case in regen.analyze_cases()])
 def test_pinned_analyze_replays_independently(case, seed):
-    assert analyze_errors(case, ANALYZE["stdout"][regen.analyze_key(case, seed)]) == []
+    assert analyze_errors(case, seed, ANALYZE["stdout"][regen.analyze_key(case, seed)]) == []
 
 
 @pytest.mark.parametrize("name", ["difference", "perturbed_unit"])
