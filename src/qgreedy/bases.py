@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import row_ceilings
 from .errors import (
     BasisFileError,
     CombinatorialOverflowError,
@@ -391,9 +392,13 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
     suppression family {0,1}^d and sign family {-1,1}^d (exact over those
     families, for the tested vector pool), over the support of each vector's
     coefficients only, from one pass of the subset-sum feed of
-    :mod:`qgreedy.spaces` per vector.  A vector repeated in the pool is tested
-    once.  On the identity the search stops at its initial witness (see
-    :func:`_is_identity`).  Exact mode requires d <= 20 and runs in one thread.
+    :mod:`qgreedy.spaces` per vector.  That pass is skipped when the vector's
+    certified ceiling (:func:`~qgreedy.bounds.row_ceilings`) over its norm is
+    at most the running best: then no ratio of either family could replace
+    the best, so the result is the full search's.  A vector repeated in the
+    pool is tested once.  On the identity the search stops at its initial
+    witness (see :func:`_is_identity`).  Exact mode requires d <= 20 and runs
+    in one thread.
     """
     if mode not in ("exact", "random"):
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
@@ -412,14 +417,20 @@ def unconditional_constant(basis: Basis, mode: str = "random", budget: int = 200
         pool = _canonical_test_vectors(basis) + _sign_flip_pass(basis, sampled, tracker)
         # a repeated vector repeats a score, which cannot win, and a zero one has no ratio
         unique = {f.tobytes(): f for f in pool}.values()
+        # the flip family's sums fl(total - 2 * sums) round at most 3 d + 1 times
+        ceilings = row_ceilings(basis, 3 * basis.d + 1) if mode == "exact" else None
         for _, fs, nf in candidate_blocks(basis, unique, ambient=True):
             # one duals @ f per vector, as coefficient_transform rounds it: on a
             # dense basis the block product differs in the last bits
             coeffs = np.array([basis.duals @ f for f in fs])
             gammas, values = _descend_pool(basis, coeffs)
-            for c, f, norm, gamma, val in zip(coeffs, fs, nf, gammas, values):
-                # per f: the exact families first, then the descent
-                found = (_exact_family_best(basis, c) if mode == "exact" else []) + [(val, gamma)]
+            tops = ratios(ceilings(coeffs), nf) if ceilings else np.full(len(fs), math.inf)
+            for c, f, norm, gamma, val, top in zip(coeffs, fs, nf, gammas, values, tops):
+                # per f: the exact families first, unless no ratio of theirs can
+                # beat the running best, then the descent
+                found = [(val, gamma)]
+                if mode == "exact" and not top <= tracker.best:
+                    found = _exact_family_best(basis, c) + found
                 tracker.offer(ratios([value for value, _ in found], norm),
                               lambda k: {"f": f.tolist(), "gamma": found[k][1].tolist()})
     upper, note = _certified_ku_upper(basis)

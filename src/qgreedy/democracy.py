@@ -5,15 +5,19 @@ over |A| >= m.  Both modes score a feed of blocks of (sums, sizes,
 witness_of), one row-kernel call per block within the row cap of
 :mod:`qgreedy.spaces`, and offer each block to a
 :class:`~qgreedy.estimates.Tracker`, so the first best set in feed order
-wins.  Exact mode feeds every set, by size and then lexicographically, and
+wins.  Exact mode scans every set, by size and then lexicographically, and
 reports the value as certified on both sides (for identity coordinates in a
 block space it optimizes block occupancies instead, which is exact far
 beyond subset range).  Its blocks come from the subset-sum feed of
 :mod:`qgreedy.spaces`, which the exact unconditionality constant and the
 exact sign average also read; each sum adds its members in member order, so
-it has the bits of ``vectors[A].sum(axis=0)``.  Random mode feeds structured
-and sampled sets as rows of boolean masks, summed by gathering each row's
-members in member order, and reports witness-certified one-sided bounds.
+it has the bits of ``vectors[A].sum(axis=0)``.  The feed skips every
+partial set whose completions provably hold no first best: their certified
+ceiling and floor (:mod:`qgreedy.bounds`) cannot beat the running bests of
+the trackers they would reach (:func:`_pruner`), so no reported bit moves.
+Random mode feeds structured and sampled sets as rows of boolean masks,
+summed by gathering each row's members in member order, and reports
+witness-certified one-sided bounds.
 The sign constants score same-size sets in blocks on their sign patterns,
 one pattern per set on a basis whose vectors have disjoint supports, and
 offer every block to a tracker too.
@@ -35,6 +39,7 @@ from typing import Any
 import numpy as np
 
 from .bases import Basis, _as_index_set
+from .bounds import completion_bounds
 from .errors import CombinatorialOverflowError
 from .estimates import BoundEstimate, Tracker, ratios
 from .greedy import quasi_greedy_constant
@@ -288,19 +293,56 @@ def _random_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
     return tracker.estimate(_phi_u_certified_upper(basis, m))
 
 
+def _pruner(basis: Basis, hi: int, ceiling_best, floor_best):
+    """The exact feed's ``prune`` (see :func:`~qgreedy.spaces._subset_sums`):
+    it drops a frontier row of size k when no completion could be a first best.
+
+    ``ceiling_best(k)`` is the running best that a set of size k must beat
+    strictly to win any maximizing tracker it is offered to, and
+    ``floor_best(k)`` the one for the minimizing trackers, each None when no
+    such tracker takes size k.  Sizes come in ascending order, so every
+    maximizing tracker that takes size k has been fed the same sets, and the
+    minimizing tracker of the largest m that takes it has been fed a subset
+    of what the others have: these are the bests to beat.  A row goes when
+    its completions' ceiling (:func:`~qgreedy.bounds.completion_bounds`) is at
+    most the first and their floor at least the second: no completion's
+    computed gauge is strictly better, and a tracker's best only ever gets
+    better, so it could never replace one.  The winners and their witnesses
+    are the full scan's.  None (no pruning) where the bounds do not hold."""
+    bounds = completion_bounds(basis.vectors, basis.space, hi)
+    if bounds is None:
+        return None
+    ceilings, floors = bounds
+
+    def prune(k: int, sums: np.ndarray, sizes: np.ndarray, last: np.ndarray) -> np.ndarray:
+        up, down = ceiling_best(k), floor_best(k)
+        starts, r = last + 1, k - sizes
+        drop = np.ones(len(sizes), dtype=bool)
+        if down is not None:
+            drop = floors(sums, starts, r) >= down
+        live = np.flatnonzero(drop)
+        if up is not None and live.size:
+            drop[live] = ceilings(sums[live], starts[live], r[live]) <= up
+        return drop
+
+    return prune
+
+
 def _feed(basis: Basis, mode: str, lo: int, hi: int, budget: int, seed: int, op: int,
-          bound: str, fixed: int | None = None):
+          bound: str, bests, fixed: int | None = None):
     """The blocks (sums, sizes, witness_of) of the index sets of sizes lo..hi
     in ``mode``, and the ``finish`` that turns a tracker fed them into an
-    estimate.  Exact mode feeds every set, guarded against overflow (``bound``
-    names the size range in the error); random mode is the set feed of ``op``."""
+    estimate.  Exact mode feeds every set that could be a first best of the
+    trackers whose running bests the pair ``bests`` reads (see
+    :func:`_pruner`), guarded against overflow (``bound`` names the size
+    range in the error); random mode is the set feed of ``op``."""
     if mode == "exact":
         if sum(math.comb(basis.d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
             raise CombinatorialOverflowError(
                 f"exact enumeration over sets of size {bound} in d = {basis.d} exceeds "
                 f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
             )
-        return _subset_sums(basis.vectors, lo, hi), _exact_phi
+        return _subset_sums(basis.vectors, lo, hi, _pruner(basis, hi, *bests)), _exact_phi
     if mode == "random":
         return _set_feed(basis, lo, hi, budget, seed, op, fixed=fixed), _random_phi
     raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
@@ -319,10 +361,13 @@ def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
         witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
         return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
     lo, hi = (1, m) if maximize else (m, d)
+    tracker = Tracker(maximize)
+    # every fed size goes to the one tracker
+    bests = (lambda k: tracker.best if maximize else None,
+             lambda k: None if maximize else tracker.best)
     blocks, finish = _feed(basis, mode, lo, hi, budget, seed,
                            UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS,
-                           f"<= {m}" if maximize else f">= {m}", fixed=m)
-    tracker = Tracker(maximize)
+                           f"<= {m}" if maximize else f">= {m}", bests, fixed=m)
     moduli = _block_buffer(basis.dim)
     for sums, _, witness_of in blocks:
         tracker.offer(ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape)),
@@ -575,16 +620,25 @@ class DemocracyProfile:
 _SLOPE_GAP_DEMOCRATIC = 0.1
 
 
-def _profile_rows(basis: Basis, m_max: int, blocks, finish) -> list[ProfileRow]:
-    """The rows m = 1..m_max from one pass over the feed ``blocks`` of (sums,
-    sizes, witness_of), each row's two trackers turned into estimates by
+def _profile_rows(basis: Basis, m_max: int, mode: str, budget: int,
+                  seed: int) -> list[ProfileRow]:
+    """The rows m = 1..m_max from one pass over the feed of ``mode`` over all
+    sizes, each row's two trackers turned into estimates by the feed's
     ``finish`` (:func:`_exact_phi` or :func:`_random_phi`).
 
     A set of size s is feasible for phi_u at every m >= s and for phi_l at
-    every m <= s, so each set is offered to a range of rows.
+    every m <= s, so each set is offered to a range of rows.  In exact mode
+    the feed skips every frontier row that provably holds no first best of
+    any of them (:func:`_pruner`): a set of size k must beat up[k - 1] (if
+    k <= m_max) or down[min(k, m_max) - 1] strictly to win anything.
     """
     up = [Tracker() for _ in range(m_max)]
     down = [Tracker(maximize=False) for _ in range(m_max)]
+    # lower_democracy(1) spans every size, so its overflow guard is the
+    # first one the per-m calls would trip
+    blocks, finish = _feed(basis, mode, 1, basis.d, budget, seed, PROFILE_SETS, ">= 1",
+                           (lambda k: up[k - 1].best if k <= m_max else None,
+                            lambda k: down[min(k, m_max) - 1].best))
     moduli = _block_buffer(basis.dim)  # every feed block fits the row cap
     for sums, sizes, witness_of in blocks:
         gauges = ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape))
@@ -632,10 +686,7 @@ def _rows(basis: Basis, m_max: int, mode: str, budget: int, seed: int) -> list[P
         return [ProfileRow(m=m, phi_u=upper_democracy(basis, m, mode, budget, seed),
                            phi_l=lower_democracy(basis, m, mode, budget, seed))
                 for m in range(1, m_max + 1)]
-    # lower_democracy(1) spans every size, so its overflow guard is the
-    # first one the per-m calls would trip
-    return _profile_rows(basis, m_max,
-                         *_feed(basis, mode, 1, basis.d, budget, seed, PROFILE_SETS, ">= 1"))
+    return _profile_rows(basis, m_max, mode, budget, seed)
 
 
 def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact",

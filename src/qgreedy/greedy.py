@@ -18,10 +18,10 @@ a :class:`~qgreedy.estimates.Tracker`, so the first best candidate wins, as
 in a one-at-a-time scan.
 
 The quasi-greedy and truncation searches skip the greedy prefixes of a
-candidate whose certified ceiling (:func:`_row_ceilings`: the gauge of the
-modulus majorant sum_t |c_t| |x_t|, which bounds every prefix in a solid
-ambient, times a derived rounding allowance) cannot beat the running best;
-such a candidate could not have won, so the result is the full search's.
+candidate whose certified ceiling (:func:`~qgreedy.bounds.row_ceilings`: the
+gauge of the modulus majorant sum_t |c_t| |x_t|, which bounds every prefix in
+a solid ambient, times a derived rounding allowance) cannot beat the running
+best; such a candidate could not have won, so the result is the full search's.
 Every ambient kind is solid, so l_p, block and Lorentz searches all prune.
 """
 
@@ -36,12 +36,12 @@ import numpy as np
 
 from .bases import (_DIAGONAL_NOTE, Basis, _as_index_set, candidate_blocks,
                     coefficient_transform, coordinate_projection)
+from .bounds import row_ceilings
 from .errors import InvalidExponentError
 from .estimates import BoundEstimate, Tracker, ratios
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
 from .sampling import coefficient_samples, plateau_coefficients, size_cap
-from .spaces import (BlockLpL2, LorentzSpace, Lp, _block_buffer, _scratch, ambient_gauge_rows,
-                     p_convexity)
+from .spaces import Lp, _block_buffer, _scratch, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "greedy_order",
@@ -145,153 +145,12 @@ def _certified_ceiling(basis: Basis) -> float:
     return 1.0 if basis.is_diagonal() else math.inf
 
 
-# log2 headroom: a double is normal from 2^-1022 up to below 2^1024, and the
-# 22 bits to spare absorb the rounding factors and the bounds' own rounding
-_LOG2_NORMAL = 1000.0
-
-
-def _log2_range(values: np.ndarray) -> tuple[float, float]:
-    return math.log2(values.min()), math.log2(values.max())
-
-
-def _normal_range(space) -> tuple[float, float]:
-    """log2 bounds (lo, hi) such that every vector of ``space`` whose nonzero
-    moduli lie in [2^lo, 2^hi] has its gauge computed on the plain path of
-    :mod:`qgreedy.spaces` with every power, square, product, sum and root a
-    normal double: it neither underflows nor overflows.  The range is empty
-    (lo > hi) when a Lorentz weight, primitive weight or table s^(q-1) has
-    an entry out of range itself."""
-    n = math.log2(space.dim)
-    lo, hi = -_LOG2_NORMAL, _LOG2_NORMAL - n
-    if isinstance(space, LorentzSpace):
-        q = space.q
-        tables = [space.weight, space.primitive]
-        if math.isfinite(q):
-            tables.append(space.table)  # the kernel's own table
-        logs = [_log2_range(t) for t in tables]
-        if min(x for x, _ in logs) < -_LOG2_NORMAL or max(y for _, y in logs) > _LOG2_NORMAL:
-            return math.inf, -math.inf
-        (w_lo, w_hi), (s_lo, s_hi), *table = logs
-        if not table:  # the products a_n s_n, then their max
-            return max(lo, -_LOG2_NORMAL - s_lo), min(hi, _LOG2_NORMAL - s_hi)
-        # the partial products a^q, a^q t_n and a^q t_n w_n, their sum and its 1/q power
-        (t_lo, t_hi), = table
-        g_lo, g_hi = min(0.0, t_lo, t_lo + w_lo), max(0.0, t_hi, t_hi + w_hi)
-        return (max(lo, (-_LOG2_NORMAL - g_lo) / q, -_LOG2_NORMAL - g_lo / q),
-                min(hi, (_LOG2_NORMAL - n - g_hi) / q, _LOG2_NORMAL - (g_hi + n) / q))
-    shift = 0.0
-    if isinstance(space, BlockLpL2):  # squares and their sums; a block norm is below 2^(hi + n/2)
-        lo, hi, shift = -_LOG2_NORMAL / 2, (_LOG2_NORMAL - n) / 2, n / 2
-    p = space.p
-    if math.isfinite(p):
-        lo = max(lo, -_LOG2_NORMAL / p)
-        hi = min(hi, (_LOG2_NORMAL - n) / p - shift, _LOG2_NORMAL - n / p - shift)
-    return lo, hi
-
-
-def _row_ceilings(basis: Basis):
-    """A function from a block of coefficient rows to each row's certified
-    ceiling: no gauge :func:`_ratios_over_m` computes for the row exceeds it.
-    None when the basis vectors' entries leave the range where the argument
-    below holds.
-
-    The ceiling of a row c is ``A * g(h)``: h = |c| @ |V| is the computed
-    modulus majorant (V the basis vectors, moduli entrywise), g the ambient's
-    row kernel and A the allowance below.  It is inf for every row of a
-    block that leaves that range.
-
-    Why no computed gauge exceeds it.  Every ambient is solid: its exact gauge
-    G depends on the moduli only and grows with each of them (a Lorentz gauge
-    reads the non-increasing rearrangement, which grows entrywise with each
-    modulus, against positive weights).  Let H = sum_t |c_t| |x_t| exactly.
-    In greedy order a G_m row is the prefix sum of the products c_t x_t; a
-    U_m row is the prefix sum of the +-x_t times |c_(m)|, and |c_(m)| <=
-    |c_t| for t <= m.  With u = 2^-53 and gamma_k = k u / (1 - k u), Higham's
-    bounds for products and recursive sums put each entry of a computed row
-    at |y_j| <= (1 + gamma_d) H_j, and the majorant, a sum of nonnegative
-    products in any order (FMA included), at h_j >= (1 - gamma_d) H_j.  So
-    |y| <= K h entrywise with K = (1 + gamma_d) / (1 - gamma_d), and G(y) <=
-    K G(h).  Where the ambient is r-normed, G(H) <= (sum_t |c_t|^r
-    ||x_t||^r)^(1/r) by the r-triangle inequality, so this ceiling is never
-    looser than that product bound; and it needs no r.
-
-    The allowance A covers the kernel's rounding, counted once, since both
-    sides run the same kernel with the same computed exponent e = fl(1/p) (p
-    the outer exponent, q for Lorentz).  Let theta = gamma_N with N = max(d,
-    dim) + 32, which bounds each product's, sum's and square root's relative
-    error and, by assumption, each numpy float64 power's: within 16 ulps (a
-    deliberately wide margin) for normal arguments and results, and the same
-    bits for the same input array.  At finite p the kernel forms terms, each
-    within (1 +- theta)^k of its exact value, sums them (one more factor) and
-    returns fl(S^e):
-
-    - l_p: the terms a_j^p, k = 1;
-    - block: squares, a block's sum and its square root give block norms
-      within (1 +- theta)^2; raised to p, k = 2p + 1;
-    - Lorentz d_q(w): fl(fl(fl(a_n^q) t_n) w_n) with a the non-increasing
-      moduli and t = fl(s^(q-1)) the table the kernel computes from the
-      stored primitive weight s, the same bits on both sides.  G is read with
-      the positive weights t_n w_n, so it stays solid and the table's own
-      error does not count; k = 3.
-
-    With rho = (1 + theta) / (1 - theta), the computed sums have S_y / S_h <=
-    rho^(k+1) K^p, a bound of at least 1; and e <= (1 + u) / p.  So
-    fl(S_y^e) <= rho (S_y / S_h)^e fl(S_h^e) <= rho^(1 + (k+1)(1+u)/p)
-    K^(1+u) fl(S_h^e).  With K <= rho the exponent of rho is at most 2 +
-    2/p on l_p, 4 + 2/p on block and 2 + 4/q on Lorentz, up to terms in u.
-    At p = inf there are no powers, and the computed gauges of y are within
-    K, rho^2 K and rho K times those of h (l_p takes the max modulus,
-    exactly; a block the max of its norms; Lorentz the max of fl(a_n s_n)).
-    Every case is within rho^(5 + 5/p), and ln rho <= 2 theta / (1 -
-    theta), so A = exp(12 (1 + 1/p) theta) exceeds it by more than the
-    rounding of A and of its product with g(h).
-    At 1/p = 100 (the tested extreme) A - 1 is below 1e-10 at d = dim = 32.
-
-    These bounds take every intermediate value to be a normal double; a
-    subnormal loses relative accuracy and an overflow trips the gauge's
-    rescaled path.  :func:`_normal_range` gives a sufficient condition,
-    checked for the basis vectors (entries in [vmin, vmax]) and for both
-    sides' computed entries, which are 0 or lie in [cmin vmin 2^-54, 2 d
-    cmax vmax] (a nonzero sum of floats is a multiple of the smallest
-    summand's ulp; cmin is the smallest nonzero |c_t|).  The check is made
-    once per block, on all its rows together.
-
-    On a diagonal system h = |f| entrywise (each entry is one rounded
-    product on both sides), so the ceiling over the norm of f is A >= 1:
-    pruning cannot stand in for :func:`_certified_ceiling`, which ends a
-    diagonal search outright.
-    """
-    moduli = np.abs(basis.vectors)
-    v_lo, v_hi = _log2_range(moduli[moduli != 0])
-    lo, hi = _normal_range(basis.space)
-    if not lo <= v_lo <= v_hi <= hi:
-        return None
-    # the bounds on a block's cmin and cmax, as floats (0 or inf past the float range)
-    x, y = lo - v_lo + 54, hi - v_hi - math.log2(2 * basis.d)
-    c_lo = math.inf if x > 1023 else 2.0**x
-    c_hi = 0.0 if y < -1074 else math.inf if y > 1023 else 2.0**y
-    u = 2.0**-53
-    n = max(basis.d, basis.dim) + 32
-    theta = n * u / (1 - n * u)
-    space = basis.space
-    p = space.q if isinstance(space, LorentzSpace) else space.p
-    allowance = math.exp(12 * (1 + 1 / p) * theta)
-
-    def ceilings(coeffs: np.ndarray) -> np.ndarray:
-        c = np.abs(coeffs)
-        if c.max() > c_hi or c[c < c_lo].any():
-            return np.full(len(c), math.inf)
-        return allowance * ambient_gauge_rows(space, c @ moduli)
-
-    return ceilings
-
-
 def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
                        truncate: bool) -> BoundEstimate:
     """The quasi-greedy (or, with ``truncate``, truncation) search over the
     candidates of :func:`_operator_candidates`, in capped blocks.
 
-    A candidate whose ceiling (:func:`_row_ceilings`) over its norm rounds to
+    A candidate whose ceiling (:func:`~qgreedy.bounds.row_ceilings`) over its norm rounds to
     at most the running best is dropped before its greedy prefixes are
     scored.  Its computed ratio, the rounded quotient of a gauge below the
     ceiling by the same norm, could not exceed that best, since rounding is
@@ -309,7 +168,7 @@ def _operator_constant(basis: Basis, budget: int, seed: int, stream: int,
     """
     d = basis.d
     ceiling = _certified_ceiling(basis)
-    ceilings = _row_ceilings(basis)
+    ceilings = row_ceilings(basis)
     tracker = Tracker()
     candidates = _operator_candidates(d, budget, seed, stream)
     # every candidate costs d prefix rows

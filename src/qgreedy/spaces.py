@@ -115,7 +115,7 @@ def _row_chunks(items, width: int, rows_per_item: int = 1):
         yield chunk
 
 
-def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
+def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
     """Every index set A of sizes lo..hi over the rows of ``vectors``, by size
     and then lexicographically (indicator order, descending, index 0 most
     significant), in capped blocks of (sums, sizes, witness_of): the one
@@ -126,6 +126,14 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
     Its sum is H's table sum plus the tail members, read from a lexicographic
     table of tail subsets and added one at a time, so it has the bits of
     ``vectors[list(A)].sum(axis=0)`` (-0.0 for the empty set).
+
+    The sets come from a stack of frontier rows: partial sets, each a sum, a
+    size and a last decided index, completed by members after it.  Given
+    ``prune``, every new segment of frontier rows is first shown to
+    ``prune(k, sums, sizes, last)`` (k the size being fed), which returns a
+    boolean mask of the rows to drop; their completions are never built or
+    fed.  It runs between blocks, so it sees what the caller made of every
+    block fed so far.
     """
     d = vectors.shape[0]
     cap = _block_rows(vectors.shape[1])
@@ -133,11 +141,22 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
     head, head_sizes, head_sums = _head_table(vectors, h, max(0, lo - (d - h)), min(h, hi))
     comb = _capped_binomials(d, hi, cap)
     tables: dict[tuple[int, int], np.ndarray] = {}
+    # a stack of frontier segments, the next in feed order on top; a row is
+    # a partial set: its sum, size, last decided index and members
+    pending: list = []
+
+    def push(k, sums, size, last, members):
+        if prune is not None and size.size:
+            keep = np.flatnonzero(~prune(k, sums, size, last))
+            if keep.size < size.size:
+                sums, size, last = sums[keep], size[keep], last[keep]
+                members = [members[i] for i in keep.tolist()]
+        if size.size:
+            pending.append((sums, size, last, members))
+
     for k in range(lo, hi + 1):
         at = np.flatnonzero((head_sizes >= k - (d - h)) & (head_sizes <= k))
-        # a stack of frontier segments, the next in feed order on top; a row is
-        # a partial set: its sum, size, last decided index and members
-        pending = [(head_sums[at], head_sizes[at], np.full(at.size, h - 1), [head[i] for i in at])]
+        push(k, head_sums[at], head_sizes[at], np.full(at.size, h - 1), [head[i] for i in at])
         while pending:
             sums, size, last, members = pending.pop()
             counts = comb[d - 1 - last, k - size]  # completions of each row
@@ -145,8 +164,8 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int):
                 j = np.arange(last[0] + 1, d - k + size[0] + 1)
                 if size.size > 1:
                     pending.append((sums[1:], size[1:], last[1:], members[1:]))
-                pending.append((sums[0] + vectors[j], np.full(j.size, size[0] + 1), j,
-                                [members[0] + (i,) for i in j.tolist()]))
+                push(k, sums[0] + vectors[j], np.full(j.size, size[0] + 1), j,
+                     [members[0] + (i,) for i in j.tolist()])
                 continue
             n = int(np.searchsorted(np.cumsum(counts), cap, side="right"))
             if n < size.size:

@@ -39,9 +39,7 @@ from qgreedy.democracy import (
     _SIGN_ENUM_CAP,
     _block_spread_sets,
     _profile_rows,
-    _random_phi,
     _random_sets,
-    _set_feed,
     _succ_pairs,
     _sign_gauges,
     _swap_refine,
@@ -477,8 +475,7 @@ def test_profile_feed_matches_scalar_loop(kind, small_cap, monkeypatch):
     # leave the feed's witnesses as they are
     monkeypatch.setattr(democracy_module, "_swap_refine",
                         lambda basis, s, maximize: (list(s), -math.inf if maximize else math.inf))
-    rows = _profile_rows(basis, 5, _set_feed(basis, 1, basis.d, 40, 3, PROFILE_SETS),
-                         _random_phi)
+    rows = _profile_rows(basis, 5, "random", 40, 3)
     for row, up, down in zip(rows, expected_up, expected_down):
         assert row.phi_u.lower == pytest.approx(min(up.best, row.phi_u.upper), rel=REL)
         assert row.phi_l.upper == pytest.approx(down.best, rel=REL)
@@ -535,8 +532,7 @@ def test_swap_refine_keeps_the_set_size():
 
 def test_random_profile_witness_sizes():
     basis = zoo("perturbed_unit", p=0.5, dim=12, seed=1)
-    profile_rows = _profile_rows(basis, 12, _set_feed(basis, 1, basis.d, 200, 1, PROFILE_SETS),
-                                 _random_phi)
+    profile_rows = _profile_rows(basis, 12, "random", 200, 1)
     for row in profile_rows:
         assert len(row.phi_u.witness["set"]) <= row.m <= len(row.phi_l.witness["set"])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -11,20 +12,26 @@ import numpy as np
 import pytest
 
 import qgreedy
+import qgreedy.bounds as bounds_module
+import qgreedy.democracy as democracy_module
 import qgreedy.spaces as spaces_module
-from qgreedy.bases import Basis, zoo
+from qgreedy import power_weight
+from qgreedy.bases import Basis, unconditional_constant, zoo
 from qgreedy.democracy import (
+    ProfileRow,
     democracy_profile,
     indicator_gauge,
     lower_democracy,
+    profile_tasks,
     sign_change_constant,
     succ_constant,
     super_democracy_constant,
     upper_democracy,
 )
 from qgreedy.errors import CombinatorialOverflowError
+from qgreedy.estimates import BoundEstimate
 from qgreedy.reports import profile_csv
-from qgreedy.spaces import BlockLpL2, ambient_gauge
+from qgreedy.spaces import BlockLpL2, LorentzSpace, Lp, ambient_gauge, ambient_gauge_rows
 
 
 def brute_force_phi(basis, m):
@@ -185,6 +192,128 @@ class TestExactProfile:
         basis = zoo("difference", p=0.5, dim=6)
         with pytest.raises(ValueError, match=rf"m_max must be >= 1, got {m_max}"):
             democracy_profile(basis, m_max=m_max, mode=mode, budget=20)
+
+
+def scan_oracle(basis):
+    """Every nonempty set in feed order (by size, then itertools.combinations
+    order), each scored by the row kernel on its member-order sum."""
+    sets = [list(a) for k in range(1, basis.d + 1)
+            for a in itertools.combinations(range(basis.d), k)]
+    sums = np.array([basis.vectors[a].sum(axis=0) for a in sets])
+    return sets, np.array([len(a) for a in sets]), ambient_gauge_rows(basis.space, sums)
+
+
+def oracle_estimates(basis, m):
+    """phi_u(m) and phi_l(m) as the exact kernels report them, from the first
+    strict best of :func:`scan_oracle` over the sizes each takes."""
+    sets, sizes, gauges = scan_oracle(basis)
+    out = []
+    for at, pick in ((np.flatnonzero(sizes <= m), np.argmax),
+                     (np.flatnonzero(sizes >= m), np.argmin)):
+        j = at[pick(gauges[at])]  # the first extreme: argmax and argmin stop at the first
+        value = float(gauges[j])
+        out.append(BoundEstimate(value, value, {"set": sets[j]}, upper_certified=True,
+                                 heuristic=False))
+    return out
+
+
+def _near_identity_block_basis():
+    """Block l_{1/2}(l_2), blocks (3, 3, 2, 4), vectors near the identity: not
+    diagonal, so exact mode enumerates subsets rather than occupancies."""
+    vectors = np.eye(12) + 0.1 * np.random.default_rng(5).standard_normal((12, 12))
+    return Basis(BlockLpL2(0.5, (3, 3, 2, 4)), vectors, np.linalg.inv(vectors).T)
+
+
+def _lorentz_difference(d):
+    basis = zoo("difference", p=0.5, dim=d)
+    return Basis(LorentzSpace(0.5, power_weight(2.0, d)), basis.vectors, basis.duals)
+
+
+ORACLE_BASES = [
+    pytest.param(lambda: zoo("difference", p=0.5, dim=12), id="difference"),
+    *(pytest.param(lambda p=p: zoo("perturbed_unit", p=p, dim=12, seed=3), id=f"perturbed_unit-{p}")
+      for p in (0.5, 1.0, 2.0)),
+    pytest.param(lambda: _lorentz_difference(12), id="lorentz"),
+    pytest.param(_near_identity_block_basis, id="block_l2"),
+]
+
+
+class TestExactOracle:
+    """Exact mode, which skips the frontier rows that provably hold no first
+    best, reports what a scan of every set reports, witnesses included."""
+
+    # at m_max = 4 the sets of more than 4 members are dropped by their floors alone
+    @pytest.mark.parametrize("m_max", [4, 12])
+    @pytest.mark.parametrize("make", ORACLE_BASES)
+    def test_profile_equals_the_full_scan(self, make, m_max):
+        basis = make()
+        assert not democracy_module._use_occupancy(basis)
+        tasks, assemble = profile_tasks(basis, m_max, mode="exact", budget=100, seed=1)
+        parts = {name: task() for name, task in tasks.items() if name != "rows"}
+        parts["rows"] = [ProfileRow(m, *oracle_estimates(basis, m)) for m in range(1, m_max + 1)]
+        got = democracy_profile(basis, m_max, mode="exact", budget=100, seed=1)
+        assert dataclasses.asdict(got) == dataclasses.asdict(assemble(parts))
+
+    @pytest.mark.parametrize("make", ORACLE_BASES)
+    def test_single_functions_equal_the_full_scan(self, make):
+        basis = make()
+        for m in range(1, basis.d + 1):
+            up, down = oracle_estimates(basis, m)
+            assert upper_democracy(basis, m).as_dict() == up.as_dict()
+            assert lower_democracy(basis, m).as_dict() == down.as_dict()
+
+    def test_d20_profile_scores_few_sets(self, monkeypatch):
+        """The difference d = 20, m <= 6 profile's rows pass scores at most
+        15% of its 2^20 sets, bound rows included."""
+        scored = []
+        real = spaces_module.ambient_gauge_rows
+
+        def counting(space, mat, scratch=None):
+            scored.append(len(mat))
+            return real(space, mat, scratch)
+
+        for module in (democracy_module, bounds_module):
+            monkeypatch.setattr(module, "ambient_gauge_rows", counting)
+        tasks, _ = profile_tasks(zoo("difference", p=0.5, dim=20), m_max=6)
+        tasks["rows"]()
+        assert sum(scored) <= 0.15 * 2**20
+
+
+def _moved_bases(p, seed):
+    """A random dense basis of l_p at d = 8, and the same basis after a
+    permutation and sign flips of the ambient coordinates and a reordering
+    of the basis."""
+    rng = np.random.default_rng(seed)
+    d = 8
+    vectors = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+    duals = np.linalg.inv(vectors).T
+    perm, order = rng.permutation(d), rng.permutation(d)
+    signs = rng.choice([-1.0, 1.0], d)
+    moved = Basis(Lp(p, d), (vectors[:, perm] * signs)[order], (duals[:, perm] * signs)[order])
+    return Basis(Lp(p, d), vectors, duals), moved
+
+
+class TestMetamorphic:
+    """Exact values depend on the basis as a set of vectors, and an l_p gauge
+    does not see coordinate permutations and sign flips."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_democracy_is_invariant(self, p, seed):
+        basis, moved = _moved_bases(p, seed)
+        for m in range(1, basis.d + 1):
+            for fn in (upper_democracy, lower_democracy):
+                a, b = fn(basis, m), fn(moved, m)
+                assert b.lower == pytest.approx(a.lower, rel=1e-12, abs=0)
+                assert b.upper == pytest.approx(a.upper, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unconditional_constant_is_invariant(self, p, seed):
+        basis, moved = _moved_bases(p, seed)
+        a, b = unconditional_constant(basis, mode="exact"), unconditional_constant(moved, mode="exact")
+        assert b.lower == pytest.approx(a.lower, rel=1e-12, abs=0)
+        assert b.upper == pytest.approx(a.upper, rel=1e-12, abs=0)
 
 
 def _size_ranges(d):

@@ -203,6 +203,16 @@ def test_pinned_analyze_replays_independently(case, seed):
     assert analyze_errors(case, seed, ANALYZE["stdout"][regen.analyze_key(case, seed)]) == []
 
 
+@pytest.mark.parametrize("case,seed", regen.analyze_cases(),
+                         ids=[regen.analyze_key(*case) for case in regen.analyze_cases()])
+def test_pinned_profiles_flag_almost_greedy(case, seed):
+    """A pinned profile is almost greedy exactly when it is democratic and its
+    quasi-greedy constant has a certified upper bound."""
+    profile = ANALYZE["stdout"][regen.analyze_key(case, seed)]["profile"]
+    assert profile["almost_greedy"] == (profile["democratic"]
+                                        and profile["quasi_greedy"]["upper_certified"])
+
+
 @pytest.mark.parametrize("name", ["difference", "perturbed_unit"])
 def test_exact_unconditional_replays_independently(name):
     basis = zoo(name, p=0.5, dim=8)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgreedy.bounds as bounds_module
 import qgreedy.greedy as greedy_module
 from qgreedy import power_weight
 from qgreedy.bases import Basis, synthesize, zoo
@@ -299,7 +300,7 @@ class TestRowCeilings:
     def test_ceiling_bounds_every_computed_gauge(self, kind, p, data):
         basis = _ceiling_basis(kind, p)
         coeffs = data.draw(_coefficient_rows(basis.d, basis.duals))
-        caps = greedy_module._row_ceilings(basis)(coeffs)
+        caps = bounds_module.row_ceilings(basis)(coeffs)
         assert np.all(np.isfinite(caps))  # these rows lie in the certified range
         for truncate in (False, True):
             gauges = _ratios_over_m(basis, coeffs, truncate)
@@ -310,7 +311,7 @@ class TestRowCeilings:
     def test_blocks_out_of_range_are_never_pruned(self, row):
         """A value that could leave the normal range gives its whole block
         infinite ceilings; zeros do not."""
-        ceilings = greedy_module._row_ceilings(zoo("difference", p=2.0, dim=4))
+        ceilings = bounds_module.row_ceilings(zoo("difference", p=2.0, dim=4))
         assert np.all(np.isfinite(ceilings(np.array([[1.0, 2.0, 0.0, 4.0]]))))
         assert np.all(ceilings(np.array([[1.0, 2.0, 3.0, 4.0], row])) == math.inf)
 
@@ -318,8 +319,8 @@ class TestRowCeilings:
         vectors = np.eye(3)
         vectors[0, 1] = 1e-200  # its square underflows
         basis = Basis(Lp(2.0, 3), vectors, np.linalg.inv(vectors).T)
-        assert greedy_module._row_ceilings(basis) is None
-        assert greedy_module._row_ceilings(Basis(Lp(0.5, 3), vectors, basis.duals)) is not None
+        assert bounds_module.row_ceilings(basis) is None
+        assert bounds_module.row_ceilings(Basis(Lp(0.5, 3), vectors, basis.duals)) is not None
 
     @pytest.mark.parametrize("q,entry,weight", [(2.0, 1e-200, 1.0), (0.5, 1.0, 1e-320),
                                                 (math.inf, 16.0, 1e300)])
@@ -330,9 +331,9 @@ class TestRowCeilings:
         vectors[0, 1] = entry
         weights = np.array([1.0, 2.0, weight])
         basis = Basis(LorentzSpace(q, weights), vectors, np.linalg.inv(vectors).T)
-        assert greedy_module._row_ceilings(basis) is None
+        assert bounds_module.row_ceilings(basis) is None
         in_range = Basis(LorentzSpace(q, np.array([1.0, 2.0, 3.0])), np.eye(3), np.eye(3))
-        assert greedy_module._row_ceilings(in_range) is not None
+        assert bounds_module.row_ceilings(in_range) is not None
 
     @pytest.mark.parametrize("estimator", [quasi_greedy_constant, truncation_constant])
     def test_lorentz_ambients_are_pruned(self, monkeypatch, estimator):
@@ -371,7 +372,7 @@ class TestRowCeilings:
                             or real(basis, coeffs, truncate))
         pruned = estimator(basis, budget=1500, seed=2)
         pruned_rows = sum(scored)
-        monkeypatch.setattr(greedy_module, "_row_ceilings", lambda basis: None)
+        monkeypatch.setattr(greedy_module, "row_ceilings", lambda basis: None)
         full = estimator(basis, budget=1500, seed=2)
         full_rows = sum(scored) - pruned_rows
         assert pruned.as_dict() == full.as_dict()
@@ -382,7 +383,7 @@ class TestRowCeilings:
                 "--budget", "2000", "--format", "json"]
         assert main(args) == 0
         pruned = capsys.readouterr().out
-        monkeypatch.setattr(greedy_module, "_row_ceilings", lambda basis: None)
+        monkeypatch.setattr(greedy_module, "row_ceilings", lambda basis: None)
         assert main(args) == 0
         assert capsys.readouterr().out == pruned
 

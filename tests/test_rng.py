@@ -25,9 +25,7 @@ from qgreedy.bases import unconditional_constant, zoo
 from qgreedy.cli import main
 from qgreedy.democracy import (
     _profile_rows,
-    _random_phi,
     _random_sets,
-    _set_feed,
     _succ_pairs,
     lower_democracy,
     sign_change_constant,
@@ -55,8 +53,7 @@ SEARCHES = {
     "truncation": lambda b: truncation_constant(BASIS, budget=b, seed=3),
     "conditionality": lambda b: conditionality_growth_profile(BASIS, budget=b, seed=3),
     "unconditional": lambda b: unconditional_constant(BASIS, mode="random", budget=b, seed=3),
-    "profile": lambda b: _profile_rows(BASIS, 6, _set_feed(BASIS, 1, 6, b, 3, rng.PROFILE_SETS),
-                                        _random_phi),
+    "profile": lambda b: _profile_rows(BASIS, 6, "random", b, 3),
     "upper_democracy": lambda b: upper_democracy(BASIS, 3, mode="random", budget=b, seed=3),
     "lower_democracy": lambda b: lower_democracy(BASIS, 3, mode="random", budget=b, seed=3),
     "succ": lambda b: succ_constant(BASIS, budget=b, seed=3),
