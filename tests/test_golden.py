@@ -181,8 +181,8 @@ def analyze_errors(case: str, seed: int, payload: dict) -> list[str]:
     if case.startswith("lorentz"):
         basis = check.difference_basis(d, kind="lorentz", weight=check.lorentz_weight(d))
     elif case.startswith("perturbed_unit"):
-        vectors = zoo("perturbed_unit", p=0.5, dim=d, seed=seed)
-        basis = check.CheckBasis("lp", vectors.vectors, vectors.duals)
+        perturbed = zoo("perturbed_unit", p=0.5, dim=d, seed=seed)
+        basis = check.CheckBasis("lp", perturbed.vectors, perturbed.duals)
     else:
         basis = check.difference_basis(d)
     if not case.endswith("-exact"):
