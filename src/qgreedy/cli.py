@@ -59,7 +59,8 @@ def int_at_least(low: int):
 # verify flag types by suite parameter; the flag is "--" + the name, "_" -> "-"
 # (qgreedy.verify.SUITE_MINIMA raises the minimum of a flag for one suite)
 VERIFY_FLAG_TYPES = {"p": float, "dim": int_at_least(1), "trials": int_at_least(1),
-                     "max_m": int_at_least(1), "C": float, "budget": int, "seed": int}
+                     "max_m": int_at_least(1), "C": float, "budget": int_at_least(0),
+                     "seed": int}
 
 
 def _add_output(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
@@ -74,8 +75,8 @@ def _add_basis_args(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--basis", type=Path, default=None, help="basis JSON file")
     parser.add_argument("--p", type=float, default=None, help="exponent of a --zoo basis "
                         "(default 0.5)")
-    parser.add_argument("--dim", type=int, default=None, help="dimension of a --zoo basis "
-                        "other than block_l2 (default 8)")
+    parser.add_argument("--dim", type=int_at_least(1), default=None,
+                        help="dimension of a --zoo basis other than block_l2 (default 8)")
     parser.add_argument("--blocks", type=int, nargs="+", default=None,
                         help="block sizes of --zoo block_l2")
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed")
@@ -91,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="democracy profile and operator constants")
     _add_basis_args(p_an)
-    p_an.add_argument("--max-m", type=int, default=None)
+    p_an.add_argument("--max-m", type=int_at_least(1), default=None)
     p_an.add_argument("--mode", choices=("exact", "random"), default="random")
-    p_an.add_argument("--budget", type=int, default=10000, help="sample budget per estimator")
+    p_an.add_argument("--budget", type=int_at_least(0), default=10000,
+                      help="sample budget per estimator")
     _add_output(p_an, formats=("table", "csv", "json"))
 
     # one parser per suite, with one flag per suite parameter and no other
@@ -278,8 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, matching the config-error contract
         return int(exc.code) if exc.code is not None else EXIT_CONFIG
     try:
-        if getattr(args, "budget", None) is not None and args.budget < 0:
-            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         # every overflow is reported in the output ("inf", and verdicts that say so),
         # so numpy's overflow warnings are silenced once here, not per gauge call
         with np.errstate(over="ignore"):

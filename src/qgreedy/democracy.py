@@ -1,23 +1,20 @@
 """Democracy functions and the related sign-constant estimators.
 
 phi_u(m) is the sup of ||sum_{n in A} x_n|| over |A| <= m, phi_l(m) the inf
-over |A| >= m.  Both modes score a feed of blocks of (sums, sizes,
-witness_of), one row-kernel call per block within the row cap of
-:mod:`qgreedy.spaces`, and offer each block to a
-:class:`~qgreedy.estimates.Tracker`, so the first best set in feed order
-wins.  Exact mode scans every set, by size and then lexicographically, and
-reports the value as certified on both sides (for identity coordinates in a
-block space it optimizes block occupancies instead, which is exact far
-beyond subset range).  Its blocks come from the subset-sum feed of
-:mod:`qgreedy.spaces`, which the exact unconditionality constant and the
-exact sign average also read; each sum adds its members in member order, so
-it has the bits of ``vectors[A].sum(axis=0)``.  The feed skips every
-partial set whose completions provably hold no first best: their certified
-ceiling and floor (:mod:`qgreedy.bounds`) cannot beat the running bests of
-the trackers they would reach (:func:`_pruner`), so no reported bit moves.
-Random mode feeds structured and sampled sets as rows of boolean masks,
-summed by gathering each row's members in member order, and reports
-witness-certified one-sided bounds.
+over |A| >= m.  Every value of them comes from one scan (:func:`_scan`) over
+size windows: phi_u(m) is a maximizing :class:`~qgreedy.estimates.Tracker`
+of the sizes 1..m, phi_l(m) a minimizing one of m..d, and each block of the
+feed, (sums, sizes, witness_of) within the row cap of :mod:`qgreedy.spaces`,
+is scored once and offered to every window that takes one of its sizes, so
+the first best set in feed order wins.  Exact mode scans every set, by size
+and then lexicographically, from the subset-sum feed of
+:mod:`qgreedy.spaces` (each sum has the bits of ``vectors[A].sum(axis=0)``),
+and reports the value as certified on both sides; the feed skips every
+partial set whose certified ceiling and floor (:mod:`qgreedy.bounds`) cannot
+beat the windows it would reach (:func:`_pruner`), so no reported bit moves.
+For identity coordinates in a block space it optimizes block occupancies
+instead.  Random mode feeds structured and sampled sets as rows of boolean
+masks and reports witness-certified one-sided bounds.
 The sign constants score same-size sets in blocks on their sign patterns,
 one pattern per set on a basis whose vectors have disjoint supports, and
 offer every block to a tracker too.
@@ -118,6 +115,9 @@ def _indicator_sums(basis: Basis, masks: np.ndarray, buffers=None) -> np.ndarray
     sizes = np.count_nonzero(masks, axis=1)
     for k in set(sizes.tolist()):
         at = np.flatnonzero(sizes == k)
+        if k == 0:  # the empty sum, written since the buffer starts uninitialized
+            sums[at] = 0.0
+            continue
         members = np.nonzero(masks[at])[1].reshape(-1, k)
         step = max(1, _BLOCK_FLOATS // (k * dim))
         for lo in range(0, at.size, step):
@@ -141,11 +141,6 @@ def _indicator_buffers(basis: Basis, rows: int):
 # ---------------------------------------------------------------------------
 # exact kernels
 # ---------------------------------------------------------------------------
-
-
-def _exact_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
-    """The exact estimate from a tracker fed every feasible set."""
-    return tracker.estimate(tracker.best, heuristic=False)
 
 
 def _occupancy_extreme(space: BlockLpL2, m: int, maximize: bool) -> tuple[float, list[int]]:
@@ -174,7 +169,10 @@ def _occupancy_extreme(space: BlockLpL2, m: int, maximize: bool) -> tuple[float,
     for bi in range(len(choices) - 1, -1, -1):
         occupancy[bi] = choices[bi][t]
         t -= occupancy[bi]
-    return (sense * best[m]) ** (1.0 / space.p), occupancy
+    try:
+        return (sense * best[m]) ** (1.0 / space.p), occupancy
+    except OverflowError:  # past the float range, as an overflowing subset sum's gauge
+        return math.inf, occupancy
 
 
 def _occupancy_to_set(space: BlockLpL2, occupancy: list[int]) -> list[int]:
@@ -293,29 +291,29 @@ def _random_phi(basis: Basis, m: int, tracker: Tracker) -> BoundEstimate:
     return tracker.estimate(_phi_u_certified_upper(basis, m))
 
 
-def _pruner(basis: Basis, hi: int, ceiling_best, floor_best):
+def _pruner(basis: Basis, hi: int, windows):
     """The exact feed's ``prune`` (see :func:`~qgreedy.spaces._subset_sums`):
-    it drops a frontier row of size k when no completion could be a first best.
+    it drops a frontier row of size k when none of its completions could be a
+    first best of a window of :func:`_scan` that takes size k.
 
-    ``ceiling_best(k)`` is the running best that a set of size k must beat
-    strictly to win any maximizing tracker it is offered to, and
-    ``floor_best(k)`` the one for the minimizing trackers, each None when no
-    such tracker takes size k.  Sizes come in ascending order, so every
-    maximizing tracker that takes size k has been fed the same sets, and the
-    minimizing tracker of the largest m that takes it has been fed a subset
-    of what the others have: these are the bests to beat.  A row goes when
-    its completions' ceiling (:func:`~qgreedy.bounds.completion_bounds`) is at
-    most the first and their floor at least the second: no completion's
-    computed gauge is strictly better, and a tracker's best only ever gets
-    better, so it could never replace one.  The winners and their witnesses
-    are the full scan's.  None (no pruning) where the bounds do not hold."""
+    A set wins a maximizing window only by beating the window's running best
+    strictly when it is offered, and a running best only ever gets better.
+    So a row goes when its completions' ceiling
+    (:func:`~qgreedy.bounds.completion_bounds`) is at most the least best
+    among the maximizing windows that take k, and their floor at least the
+    largest best among the minimizing ones; a side with no such window holds
+    no row back.  No completion could then replace any window's best, so the
+    winners and their witnesses are the full scan's.  None (no pruning)
+    where the bounds do not hold."""
     bounds = completion_bounds(basis.vectors, basis.space, hi)
     if bounds is None:
         return None
     ceilings, floors = bounds
 
     def prune(k: int, sums: np.ndarray, sizes: np.ndarray, last: np.ndarray) -> np.ndarray:
-        up, down = ceiling_best(k), floor_best(k)
+        taking = [tracker for tracker, small, large in windows if small <= k <= large]
+        up = min((t.best for t in taking if t.maximize), default=None)
+        down = max((t.best for t in taking if not t.maximize), default=None)
         starts, r = last + 1, k - sizes
         drop = np.ones(len(sizes), dtype=bool)
         if down is not None:
@@ -328,24 +326,53 @@ def _pruner(basis: Basis, hi: int, ceiling_best, floor_best):
     return prune
 
 
-def _feed(basis: Basis, mode: str, lo: int, hi: int, budget: int, seed: int, op: int,
-          bound: str, bests, fixed: int | None = None):
-    """The blocks (sums, sizes, witness_of) of the index sets of sizes lo..hi
-    in ``mode``, and the ``finish`` that turns a tracker fed them into an
-    estimate.  Exact mode feeds every set that could be a first best of the
-    trackers whose running bests the pair ``bests`` reads (see
-    :func:`_pruner`), guarded against overflow (``bound`` names the size
-    range in the error); random mode is the set feed of ``op``."""
+def _scan(basis: Basis, mode: str, lo: int, hi: int, budget: int, seed: int, op: int,
+          bound: str, windows, fixed: int | None = None) -> list[BoundEstimate]:
+    """One estimate per window, a (tracker, smallest size, largest size)
+    triple, from one scoring pass over the index sets of sizes lo..hi in
+    ``mode``: phi_u(m) is the maximizing window (1, m) and phi_l(m) the
+    minimizing window (m, d).
+
+    Each block of the feed is scored once and offered to every window that
+    takes one of its sizes.  Exact mode feeds every set that could be a first
+    best of a window (:func:`_pruner`), guarded against overflow (``bound``
+    names the size range in the error), and reports each best as exhaustive,
+    certified where it is finite.  For identity coordinates in a block space
+    it optimizes block occupancies instead, which is exact far beyond subset
+    range: the gain c^(p/2) strictly increases with c, so a maximizing
+    window's extreme is at its largest size and a minimizing one's at its
+    smallest.  Random mode is the set feed of ``op`` (``fixed`` as in
+    :func:`_random_masks`), each window finished by :func:`_random_phi`."""
     if mode == "exact":
-        if sum(math.comb(basis.d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
+        blocks = ()
+        if _use_occupancy(basis):
+            for tracker, small, large in windows:
+                best, occ = _occupancy_extreme(basis.space, large if tracker.maximize else small,
+                                               tracker.maximize)
+                tracker.update(best, {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ})
+        elif sum(math.comb(basis.d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
             raise CombinatorialOverflowError(
                 f"exact enumeration over sets of size {bound} in d = {basis.d} exceeds "
                 f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
             )
-        return _subset_sums(basis.vectors, lo, hi, _pruner(basis, hi, *bests)), _exact_phi
-    if mode == "random":
-        return _set_feed(basis, lo, hi, budget, seed, op, fixed=fixed), _random_phi
-    raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
+        else:
+            blocks = _subset_sums(basis.vectors, lo, hi, _pruner(basis, hi, windows))
+    elif mode == "random":
+        blocks = _set_feed(basis, lo, hi, budget, seed, op, fixed=fixed)
+    else:
+        raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
+    moduli = _block_buffer(basis.dim)  # every feed block fits the row cap
+    for sums, sizes, witness_of in blocks:
+        gauges = ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape))
+        # an exact block has one size, so most windows take it whole or not at all
+        small, large = sizes.min(), sizes.max()
+        for tracker, a, b in windows:
+            if small <= b and large >= a:
+                tracker.offer(gauges, witness_of,
+                              None if a <= small and large <= b else (sizes >= a) & (sizes <= b))
+    if mode == "exact":
+        return [tracker.estimate(tracker.best, heuristic=False) for tracker, _, _ in windows]
+    return [_random_phi(basis, large, tracker) for tracker, _, large in windows]
 
 
 def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
@@ -354,25 +381,12 @@ def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
     d = basis.d
     if not 1 <= m <= d:
         raise ValueError(f"m must lie in [1, {d}], got {m}")
-    if mode == "exact" and _use_occupancy(basis):
-        # occupancy gain c^(p/2) strictly increases with c, so the sup
-        # over sizes <= m and the inf over sizes >= m are attained at size m
-        best, occ = _occupancy_extreme(basis.space, m, maximize)
-        witness = {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ}
-        return BoundEstimate(best, best, witness, upper_certified=True, heuristic=False)
     lo, hi = (1, m) if maximize else (m, d)
-    tracker = Tracker(maximize)
-    # every fed size goes to the one tracker
-    bests = (lambda k: tracker.best if maximize else None,
-             lambda k: None if maximize else tracker.best)
-    blocks, finish = _feed(basis, mode, lo, hi, budget, seed,
-                           UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS,
-                           f"<= {m}" if maximize else f">= {m}", bests, fixed=m)
-    moduli = _block_buffer(basis.dim)
-    for sums, _, witness_of in blocks:
-        tracker.offer(ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape)),
-                      witness_of)
-    return finish(basis, m, tracker)
+    (estimate,) = _scan(basis, mode, lo, hi, budget, seed,
+                        UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS,
+                        f"<= {m}" if maximize else f">= {m}", [(Tracker(maximize), lo, hi)],
+                        fixed=m)
+    return estimate
 
 
 def upper_democracy(basis: Basis, m: int, mode: str = "exact", budget: int = 2000,
@@ -622,36 +636,15 @@ _SLOPE_GAP_DEMOCRATIC = 0.1
 
 def _profile_rows(basis: Basis, m_max: int, mode: str, budget: int,
                   seed: int) -> list[ProfileRow]:
-    """The rows m = 1..m_max from one pass over the feed of ``mode`` over all
-    sizes, each row's two trackers turned into estimates by the feed's
-    ``finish`` (:func:`_exact_phi` or :func:`_random_phi`).
-
-    A set of size s is feasible for phi_u at every m >= s and for phi_l at
-    every m <= s, so each set is offered to a range of rows.  In exact mode
-    the feed skips every frontier row that provably holds no first best of
-    any of them (:func:`_pruner`): a set of size k must beat up[k - 1] (if
-    k <= m_max) or down[min(k, m_max) - 1] strictly to win anything.
-    """
-    up = [Tracker() for _ in range(m_max)]
-    down = [Tracker(maximize=False) for _ in range(m_max)]
+    """The rows m = 1..m_max from one :func:`_scan` over all sizes, row m
+    the windows (1, m) of phi_u and (m, d) of phi_l: a set of size s is
+    offered to phi_u at every m >= s and to phi_l at every m <= s."""
+    windows = [(Tracker(maximize), *((1, m) if maximize else (m, basis.d)))
+               for m in range(1, m_max + 1) for maximize in (True, False)]
     # lower_democracy(1) spans every size, so its overflow guard is the
     # first one the per-m calls would trip
-    blocks, finish = _feed(basis, mode, 1, basis.d, budget, seed, PROFILE_SETS, ">= 1",
-                           (lambda k: up[k - 1].best if k <= m_max else None,
-                            lambda k: down[min(k, m_max) - 1].best))
-    moduli = _block_buffer(basis.dim)  # every feed block fits the row cap
-    for sums, sizes, witness_of in blocks:
-        gauges = ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape))
-        # an exact block has one size, so most rows take it whole or not at all
-        small, large = sizes.min(), sizes.max()
-        for m in range(1, m_max + 1):
-            if small <= m:
-                up[m - 1].offer(gauges, witness_of, None if large <= m else sizes <= m)
-            if large >= m:
-                down[m - 1].offer(gauges, witness_of, None if small >= m else sizes >= m)
-    return [ProfileRow(m=m, phi_u=finish(basis, m, up[m - 1]),
-                       phi_l=finish(basis, m, down[m - 1]))
-            for m in range(1, m_max + 1)]
+    estimates = _scan(basis, mode, 1, basis.d, budget, seed, PROFILE_SETS, ">= 1", windows)
+    return [ProfileRow(m, *estimates[2 * m - 2:2 * m]) for m in range(1, m_max + 1)]
 
 
 # The estimators of an ``analyze`` run by name, roughly largest first as timed
@@ -670,7 +663,7 @@ def profile_tasks(basis: Basis, m_max: int | None = None, mode: str = "exact",
     m_max = size_cap(m_max, basis.d, 12)
     small = min(budget, 500)
     tasks = {
-        "rows": partial(_rows, basis, m_max, mode, budget, seed),
+        "rows": partial(_profile_rows, basis, m_max, mode, budget, seed),
         "profile_quasi_greedy": partial(quasi_greedy_constant, basis, budget=small, seed=seed),
         "succ": partial(succ_constant, basis, budget=small, seed=seed),
         "sign_change": partial(sign_change_constant, basis, budget=small, seed=seed),
@@ -679,14 +672,6 @@ def profile_tasks(basis: Basis, m_max: int | None = None, mode: str = "exact",
     }
     return tasks, partial(_assemble, m_max, {"mode": mode, "m_max": m_max, "budget": budget,
                                              "seed": seed})
-
-
-def _rows(basis: Basis, m_max: int, mode: str, budget: int, seed: int) -> list[ProfileRow]:
-    if mode == "exact" and _use_occupancy(basis):
-        return [ProfileRow(m=m, phi_u=upper_democracy(basis, m, mode, budget, seed),
-                           phi_l=lower_democracy(basis, m, mode, budget, seed))
-                for m in range(1, m_max + 1)]
-    return _profile_rows(basis, m_max, mode, budget, seed)
 
 
 def democracy_profile(basis: Basis, m_max: int | None = None, mode: str = "exact",

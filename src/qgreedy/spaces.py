@@ -128,8 +128,8 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
     ``vectors[list(A)].sum(axis=0)`` (-0.0 for the empty set).
 
     The sets come from a stack of frontier rows: partial sets, each a sum, a
-    size and a last decided index, completed by members after it.  Given
-    ``prune``, every new segment of frontier rows is first shown to
+    size, a last decided index and a member mask, completed by members after
+    it.  Given ``prune``, every new segment of frontier rows is first shown to
     ``prune(k, sums, sizes, last)`` (k the size being fed), which returns a
     boolean mask of the rows to drop; their completions are never built or
     fed.  It runs between blocks, so it sees what the caller made of every
@@ -142,21 +142,20 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
     comb = _capped_binomials(d, hi, cap)
     tables: dict[tuple[int, int], np.ndarray] = {}
     # a stack of frontier segments, the next in feed order on top; a row is
-    # a partial set: its sum, size, last decided index and members
+    # a partial set: its sum, size, last decided index and member mask
     pending: list = []
 
     def push(k, sums, size, last, members):
         if prune is not None and size.size:
             keep = np.flatnonzero(~prune(k, sums, size, last))
             if keep.size < size.size:
-                sums, size, last = sums[keep], size[keep], last[keep]
-                members = [members[i] for i in keep.tolist()]
+                sums, size, last, members = sums[keep], size[keep], last[keep], members[keep]
         if size.size:
             pending.append((sums, size, last, members))
 
     for k in range(lo, hi + 1):
         at = np.flatnonzero((head_sizes >= k - (d - h)) & (head_sizes <= k))
-        push(k, head_sums[at], head_sizes[at], np.full(at.size, h - 1), [head[i] for i in at])
+        push(k, head_sums[at], head_sizes[at], np.full(at.size, h - 1), head[at])
         while pending:
             sums, size, last, members = pending.pop()
             counts = comb[d - 1 - last, k - size]  # completions of each row
@@ -164,8 +163,9 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
                 j = np.arange(last[0] + 1, d - k + size[0] + 1)
                 if size.size > 1:
                     pending.append((sums[1:], size[1:], last[1:], members[1:]))
-                push(k, sums[0] + vectors[j], np.full(j.size, size[0] + 1), j,
-                     [members[0] + (i,) for i in j.tolist()])
+                children = np.repeat(members[:1], j.size, axis=0)
+                children[np.arange(j.size), j] = True
+                push(k, sums[0] + vectors[j], np.full(j.size, size[0] + 1), j, children)
                 continue
             n = int(np.searchsorted(np.cumsum(counts), cap, side="right"))
             if n < size.size:
@@ -188,9 +188,10 @@ def _head_size(d: int, lo: int, hi: int, cap: int) -> int:
 
 def _head_table(vectors: np.ndarray, h: int, lo: int, hi: int):
     """Every subset of [0, h) with lo..hi members, in indicator order
-    (descending, index 0 most significant): member tuples, sizes, and sums
-    adding the members in member order from -0.0 (which adds nothing)."""
-    bits = np.zeros((1, h), dtype=bool)
+    (descending, index 0 most significant): member masks over all d indices,
+    sizes, and sums adding the members in member order from -0.0 (which adds
+    nothing)."""
+    bits = np.zeros((1, vectors.shape[0]), dtype=bool)
     sizes = np.zeros(1, dtype=int)
     sums = np.full((1, vectors.shape[1]), -0.0)
     for i in range(h):
@@ -202,7 +203,7 @@ def _head_table(vectors: np.ndarray, h: int, lo: int, hi: int):
         bits, sums = bits[rep], sums[rep]
         bits[:, i] = take
         sums[take] += vectors[i]
-    return [tuple(np.flatnonzero(row).tolist()) for row in bits], sizes, sums
+    return bits, sizes, sums
 
 
 def _capped_binomials(n_max: int, r_max: int, cap: int) -> np.ndarray:
@@ -249,7 +250,7 @@ def _completion_witness(d, starts, n, r, members, tables):
     def witness(q: int) -> dict[str, list[int]]:
         f = int(np.searchsorted(starts, q, side="right")) - 1
         tail = _lex_table(tables, int(n[f]), int(r[f]))[q - int(starts[f])]
-        return {"set": list(members[f]) + (d - int(n[f]) + tail).tolist()}
+        return {"set": np.flatnonzero(members[f]).tolist() + (d - int(n[f]) + tail).tolist()}
     return witness
 
 

@@ -128,9 +128,7 @@ class TestAnalyzeCommand:
     def test_nonpositive_max_m_exit_two(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        # analyze reaches the library's check; verify rejects the flag itself
-        assert ("argument --max-m: must be >= " if argv[0] == "verify"
-                else "m_max must be >= 1") in err
+        assert "argument --max-m: must be >= " in err
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--zoo", "difference", "--budget", "-5"],
@@ -139,7 +137,16 @@ class TestAnalyzeCommand:
     def test_negative_budget_exit_two(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        assert "configuration error: --budget must be >= 0" in err
+        assert "argument --budget: must be >= 0, got " in err
+
+    def test_occupancy_past_float_range_exit_zero(self, capsys):
+        code, out, _ = run_cli(["analyze", "--zoo", "block_l2", "--p", "0.001", "--blocks", "4",
+                                "4", "4", "--mode", "exact", "--budget", "50", "--format",
+                                "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert "leave the float range" in payload["verdict"]
+        assert payload["profile"]["rows"][-1]["phi_u"]["upper"] == "inf"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli([

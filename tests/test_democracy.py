@@ -59,6 +59,18 @@ class TestIndicatorGauge:
         assert indicator_gauge(basis, [0, 0]) == indicator_gauge(basis, [0])
         assert indicator_gauge(basis, [0, 0]) != ambient_gauge(basis.space, 2 * basis.vectors[0])
 
+    @pytest.mark.parametrize("name", ["unit", "difference", "block_l2"])
+    def test_empty_set_is_zero(self, name):
+        # the empty sum is 0, whatever the sums buffer held before
+        basis = zoo(name, p=0.5, dim=6) if name != "block_l2" else zoo(name, p=0.5, blocks=(3, 3))
+        assert indicator_gauge(basis, [0, 1]) > 0
+        assert indicator_gauge(basis, []) == 0.0
+        masks = np.zeros((3, 6), dtype=bool)
+        masks[::2, [1, 4]] = True
+        gauges = democracy_module._indicator_gauges(basis, masks)
+        assert gauges.tolist() == [indicator_gauge(basis, [1, 4]), 0.0,
+                                   indicator_gauge(basis, [1, 4])]
+
 
 class TestExactDemocracy:
     def test_unit_phi_values(self):
@@ -120,6 +132,42 @@ class TestExactDemocracy:
         assert est.lower == indicator_gauge(basis, est.witness["set"])
         assert est.lower == pytest.approx(4.000009999993751, rel=1e-12)
         assert "occupancy" in upper_democracy(zoo("block_l2", p=0.5, blocks=(2, 2)), 2).witness
+
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    @pytest.mark.parametrize("blocks", [(3, 3, 2, 4), (1, 5, 2), (4, 4, 4)])
+    def test_profile_rows_are_the_single_occupancy_values(self, p, blocks):
+        basis = zoo("block_l2", p=p, blocks=blocks)
+        tasks, _ = profile_tasks(basis, basis.d, mode="exact")
+        rows = tasks["rows"]()
+        sets, sizes, gauges = scan_oracle(basis)
+        assert [row.m for row in rows] == list(range(1, basis.d + 1))
+        for row in rows:
+            assert row.phi_u.as_dict() == upper_democracy(basis, row.m).as_dict()
+            assert row.phi_l.as_dict() == lower_democracy(basis, row.m).as_dict()
+            for est in (row.phi_u, row.phi_l):
+                assert est.exact and not est.heuristic
+                assert len(est.witness["set"]) == row.m == sum(est.witness["occupancy"])
+                assert indicator_gauge(basis, est.witness["set"]) == pytest.approx(est.lower,
+                                                                                   rel=1e-12)
+            # against every set scored by the row kernel
+            assert row.phi_u.lower == pytest.approx(gauges[sizes <= row.m].max(), rel=1e-12)
+            assert row.phi_l.lower == pytest.approx(gauges[sizes >= row.m].min(), rel=1e-12)
+
+    def test_occupancy_overflow_is_an_uncertified_inf(self):
+        # (sum_b c_b^(p/2))^(1/p) leaves the float range at p = 0.001 from three
+        # occupied blocks on, as the subset scan's gauge of unit vectors does
+        basis = zoo("block_l2", p=0.001, blocks=(4, 4, 4))
+        with np.errstate(over="ignore"):
+            scan = upper_democracy(zoo("unit", p=0.001, dim=4), 4)
+        assert (scan.lower, scan.upper, scan.upper_certified) == (math.inf, math.inf, False)
+        assert upper_democracy(basis, 2).exact
+        up, down = upper_democracy(basis, 3), lower_democracy(basis, 12)
+        assert (up.lower, up.upper, up.upper_certified, up.heuristic) == (
+            math.inf, math.inf, False, False)
+        assert up.witness == {"set": [0, 4, 8], "occupancy": [1, 1, 1]}
+        assert (down.lower, down.upper, down.upper_certified, down.witness) == (
+            math.inf, math.inf, False, None)
+        assert lower_democracy(basis, 3).exact
 
     def test_overflow_guard(self):
         basis = zoo("unit", p=0.5, dim=40)
