@@ -37,9 +37,8 @@ from .spaces import (
     BlockLpL2,
     Lp,
     LorentzSpace,
-    _block_buffer,
+    Scratch,
     _row_chunks,
-    _scratch,
     _subset_sums,
     ambient_gauge,
     ambient_gauge_rows,
@@ -178,7 +177,12 @@ def synthesize(basis: Basis, coeffs) -> np.ndarray:
 
 
 def _as_index_set(A, d: int) -> np.ndarray:
-    idx = np.array(sorted(set(np.asarray(list(A), dtype=int).ravel().tolist())), dtype=int)
+    """The distinct indices of A, ascending: integers (or integral floats) in [0, d)."""
+    raw = np.asarray(list(A)).ravel()
+    whole = np.isfinite(raw) & (raw == np.trunc(raw)) if raw.dtype.kind == "f" else True
+    if raw.dtype == bool or not np.all(whole):
+        raise IndexError(f"index set must list integer indices, got {raw.tolist()}")
+    idx = np.array(sorted(set(raw.astype(int).tolist())), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= d):
         raise IndexError(f"index set must lie in [0, {d}), got extremes {idx[0]}, {idx[-1]}")
     return idx
@@ -343,25 +347,24 @@ def _sign_flip_pass(basis: Basis, vectors, tracker: Tracker) -> list[np.ndarray]
     returns the ``_SIGN_FLIP_KEEP`` best-scoring vectors, the earlier first among equal
     scores and NaN scores last, as :meth:`Tracker.offer` ranks them; vectors with
     f = 0 are skipped.  It returns the caller's own arrays, so it chunks them itself.
-    Every block is scored in the same four flat buffers, made once per call.
+    Every block is scored in one :class:`~qgreedy.spaces.Scratch`, made once per call.
     """
     top: list[tuple[float, int, np.ndarray]] = []
     seen = 0
     d, dim = basis.d, basis.dim
-    fs_buffer, coeffs_buffer, gammas_buffer, moduli = (
-        _block_buffer(dim) for _ in range(4))  # d <= dim: coefficient rows fit too
+    scratch = Scratch()
     for chunk in _row_chunks(vectors, dim):
         n = len(chunk)
-        fs = np.concatenate(chunk, out=_scratch(fs_buffer, n * dim)).reshape(n, dim)
-        nf = ambient_gauge_rows(basis.space, fs, _scratch(moduli, n, dim))
-        coeffs = np.matmul(fs, basis.duals.T, out=_scratch(coeffs_buffer, n, d))
-        gammas = _scratch(gammas_buffer, n, d)
+        fs = np.concatenate(chunk, out=scratch("fs", n * dim)).reshape(n, dim)
+        nf = ambient_gauge_rows(basis.space, fs, scratch)
+        coeffs = np.matmul(fs, basis.duals.T, out=scratch("coeffs", n, d))
+        gammas = scratch("gammas", n, d)
         gammas.fill(1.0)
         np.copyto(gammas, -1.0, where=coeffs < 0)
         gammas[:, 1::2] *= -1.0
         # the sums overwrite fs, which nothing reads after the coefficients
         sums = np.matmul(np.multiply(gammas, coeffs, out=coeffs), basis.vectors, out=fs)
-        scores = ratios(ambient_gauge_rows(basis.space, sums, _scratch(moduli, n, dim)), nf)
+        scores = ratios(ambient_gauge_rows(basis.space, sums, scratch), nf)
         tracker.offer(scores, lambda b: {"f": chunk[b].tolist(), "gamma": gammas[b].tolist()})
         keys = np.where(np.isnan(scores), math.inf, -scores)
         live = np.flatnonzero(nf > 0)

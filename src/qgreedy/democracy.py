@@ -56,8 +56,8 @@ from .rng import (
     substream,
 )
 from .sampling import random_masks, size_cap, structured_subsets
-from .spaces import (_BLOCK_FLOATS, BlockLpL2, _block_buffer, _block_rows, _row_chunks, _scratch,
-                     _subset_sums, ambient_gauge_rows, p_convexity)
+from .spaces import (_BLOCK_FLOATS, BlockLpL2, Scratch, _row_chunks, _subset_sums,
+                     ambient_gauge_rows, p_convexity)
 from .tasks import run_tasks
 
 __all__ = [
@@ -100,22 +100,22 @@ def _indicator_gauges(basis: Basis, masks: np.ndarray) -> np.ndarray:
     return ambient_gauge_rows(basis.space, _indicator_sums(basis, masks))
 
 
-def _indicator_sums(basis: Basis, masks: np.ndarray, buffers=None) -> np.ndarray:
+def _indicator_sums(basis: Basis, masks: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """The sums sum_{n in A} x_n of the index sets marked by the rows of ``masks``.
 
     Sets of one size are gathered and summed together, at most _BLOCK_FLOATS
     gathered floats at a time, each adding its vectors in member order, so a
-    sum does not depend on its block.  The sums are a view of the first of
-    ``buffers`` (:func:`_indicator_buffers`, made here when None), and the
-    gathers and partial sums are written into the other two.
+    sum does not depend on its block.  The sums are the ``"sums"`` of the
+    search's ``scratch`` (made here when None), and the gathers and partial
+    sums go to its ``"gathered"`` and ``"part"``.
     """
     dim = basis.dim
-    sums_buffer, gathered, part = buffers or _indicator_buffers(basis, len(masks))
-    sums = _scratch(sums_buffer, len(masks), dim)
+    scratch = scratch or Scratch()
+    sums = scratch("sums", len(masks), dim)
     sizes = np.count_nonzero(masks, axis=1)
     for k in set(sizes.tolist()):
         at = np.flatnonzero(sizes == k)
-        if k == 0:  # the empty sum, written since the buffer starts uninitialized
+        if k == 0:  # the empty sum, written since the scratch starts uninitialized
             sums[at] = 0.0
             continue
         members = np.nonzero(masks[at])[1].reshape(-1, k)
@@ -123,19 +123,10 @@ def _indicator_sums(basis: Basis, masks: np.ndarray, buffers=None) -> np.ndarray
         for lo in range(0, at.size, step):
             rows = members[lo:lo + step].T
             g = np.take(basis.vectors, rows, axis=0, mode="clip",  # "raise" would copy
-                        out=_scratch(gathered, *rows.shape, dim))
+                        out=scratch("gathered", *rows.shape, dim))
             sums[at[lo:lo + step]] = np.add.reduce(g, axis=0,
-                                                   out=_scratch(part, rows.shape[1], dim))
+                                                   out=scratch("part", rows.shape[1], dim))
     return sums
-
-
-def _indicator_buffers(basis: Basis, rows: int):
-    """Flat buffers (sums, gathered members, partial sums) for the sums of up to
-    ``rows`` index sets in :func:`_indicator_sums`."""
-    dim = basis.dim
-    gathered = min(rows * basis.d, max(_BLOCK_FLOATS // dim, basis.d)) * dim
-    return (np.empty(rows * dim), np.empty(gathered),
-            np.empty(min(rows, max(1, _BLOCK_FLOATS // dim)) * dim))
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +254,18 @@ def _random_sets(d: int, low: int, high: int, count: int, seed: int, *key: int,
 
 
 def _set_feed(basis: Basis, lo: int, hi: int, budget: int, seed: int, op: int,
-              fixed: int | None = None):
+              scratch: Scratch, fixed: int | None = None):
     """The random feed: capped blocks (sums, sizes, witness_of) of index sets
     of sizes lo..hi in feed order: the structured ones by size, the
     block-spread ones, then ``budget`` samples of ``op``, all as mask rows.
-    Every block's sums are a view of one buffer, valid until the next block."""
+    Every block's sums are the ``"sums"`` of ``scratch``, valid until the next block."""
     structured = [s for k in range(lo, hi + 1) for s in structured_subsets(basis.d, k)]
     structured += [s for s in _block_spread_sets(basis) if lo <= s.size <= hi]
     rows = itertools.chain((_mask_of(s, basis.d) for s in structured),
                            _random_masks(basis.d, lo, hi, budget, seed, op, fixed=fixed))
-    buffers = _indicator_buffers(basis, _block_rows(basis.dim))
     for chunk in _row_chunks(rows, basis.dim):
         masks = np.array(chunk)
-        yield (_indicator_sums(basis, masks, buffers), np.count_nonzero(masks, axis=1),
+        yield (_indicator_sums(basis, masks, scratch), np.count_nonzero(masks, axis=1),
                lambda j, masks=masks: {"set": np.flatnonzero(masks[j]).tolist()})
 
 
@@ -303,8 +293,10 @@ def _pruner(basis: Basis, hi: int, windows):
     among the maximizing windows that take k, and their floor at least the
     largest best among the minimizing ones; a side with no such window holds
     no row back.  No completion could then replace any window's best, so the
-    winners and their witnesses are the full scan's.  None (no pruning)
-    where the bounds do not hold."""
+    winners and their witnesses are the full scan's.  While a window that
+    takes k has no best yet, no ceiling is -inf and no floor is inf, so
+    nothing drops and no bound is computed.  None (no pruning) where the
+    bounds do not hold."""
     bounds = completion_bounds(basis.vectors, basis.space, hi)
     if bounds is None:
         return None
@@ -314,6 +306,8 @@ def _pruner(basis: Basis, hi: int, windows):
         taking = [tracker for tracker, small, large in windows if small <= k <= large]
         up = min((t.best for t in taking if t.maximize), default=None)
         down = max((t.best for t in taking if not t.maximize), default=None)
+        if up == -math.inf or down == math.inf:
+            return np.zeros(len(sizes), dtype=bool)
         starts, r = last + 1, k - sizes
         drop = np.ones(len(sizes), dtype=bool)
         if down is not None:
@@ -326,23 +320,26 @@ def _pruner(basis: Basis, hi: int, windows):
     return prune
 
 
-def _scan(basis: Basis, mode: str, lo: int, hi: int, budget: int, seed: int, op: int,
-          bound: str, windows, fixed: int | None = None) -> list[BoundEstimate]:
+def _scan(basis: Basis, mode: str, budget: int, seed: int, op: int, windows,
+          fixed: int | None = None) -> list[BoundEstimate]:
     """One estimate per window, a (tracker, smallest size, largest size)
-    triple, from one scoring pass over the index sets of sizes lo..hi in
-    ``mode``: phi_u(m) is the maximizing window (1, m) and phi_l(m) the
-    minimizing window (m, d).
+    triple, from one scoring pass over the index sets of the sizes the
+    windows take, in ``mode``: phi_u(m) is the maximizing window (1, m) and
+    phi_l(m) the minimizing window (m, d).
 
     Each block of the feed is scored once and offered to every window that
     takes one of its sizes.  Exact mode feeds every set that could be a first
-    best of a window (:func:`_pruner`), guarded against overflow (``bound``
-    names the size range in the error), and reports each best as exhaustive,
-    certified where it is finite.  For identity coordinates in a block space
-    it optimizes block occupancies instead, which is exact far beyond subset
+    best of a window (:func:`_pruner`), guarded against overflow (the error
+    names the sizes as ``<= hi`` when every window maximizes, else as ``>=
+    lo``, for sizes lo..hi), and reports each best as exhaustive, certified
+    where it is finite.  For identity coordinates in a block space it
+    optimizes block occupancies instead, which is exact far beyond subset
     range: the gain c^(p/2) strictly increases with c, so a maximizing
     window's extreme is at its largest size and a minimizing one's at its
     smallest.  Random mode is the set feed of ``op`` (``fixed`` as in
     :func:`_random_masks`), each window finished by :func:`_random_phi`."""
+    lo, hi = min(small for _, small, _ in windows), max(large for _, _, large in windows)
+    scratch = Scratch()
     if mode == "exact":
         blocks = ()
         if _use_occupancy(basis):
@@ -351,6 +348,7 @@ def _scan(basis: Basis, mode: str, lo: int, hi: int, budget: int, seed: int, op:
                                                tracker.maximize)
                 tracker.update(best, {"set": _occupancy_to_set(basis.space, occ), "occupancy": occ})
         elif sum(math.comb(basis.d, k) for k in range(lo, hi + 1)) > EXACT_SUBSET_LIMIT:
+            bound = f"<= {hi}" if all(t.maximize for t, _, _ in windows) else f">= {lo}"
             raise CombinatorialOverflowError(
                 f"exact enumeration over sets of size {bound} in d = {basis.d} exceeds "
                 f"{EXACT_SUBSET_LIMIT} subsets; use mode='random'"
@@ -358,12 +356,11 @@ def _scan(basis: Basis, mode: str, lo: int, hi: int, budget: int, seed: int, op:
         else:
             blocks = _subset_sums(basis.vectors, lo, hi, _pruner(basis, hi, windows))
     elif mode == "random":
-        blocks = _set_feed(basis, lo, hi, budget, seed, op, fixed=fixed)
+        blocks = _set_feed(basis, lo, hi, budget, seed, op, scratch, fixed=fixed)
     else:
         raise ValueError(f"mode must be 'exact' or 'random', got {mode!r}")
-    moduli = _block_buffer(basis.dim)  # every feed block fits the row cap
     for sums, sizes, witness_of in blocks:
-        gauges = ambient_gauge_rows(basis.space, sums, _scratch(moduli, *sums.shape))
+        gauges = ambient_gauge_rows(basis.space, sums, scratch)
         # an exact block has one size, so most windows take it whole or not at all
         small, large = sizes.min(), sizes.max()
         for tracker, a, b in windows:
@@ -381,11 +378,9 @@ def _democracy(basis: Basis, m: int, mode: str, budget: int, seed: int,
     d = basis.d
     if not 1 <= m <= d:
         raise ValueError(f"m must lie in [1, {d}], got {m}")
-    lo, hi = (1, m) if maximize else (m, d)
-    (estimate,) = _scan(basis, mode, lo, hi, budget, seed,
+    (estimate,) = _scan(basis, mode, budget, seed,
                         UPPER_DEMOCRACY_SETS if maximize else LOWER_DEMOCRACY_SETS,
-                        f"<= {m}" if maximize else f">= {m}", [(Tracker(maximize), lo, hi)],
-                        fixed=m)
+                        [(Tracker(maximize), *((1, m) if maximize else (m, d)))], fixed=m)
     return estimate
 
 
@@ -415,15 +410,7 @@ def _one_pattern(basis: Basis) -> bool:
     return basis.disjoint_supports
 
 
-def _sign_buffers(basis: Basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat buffers (sums, moduli, drawn signs) of one sign search, made
-    once per search call.  A block of :func:`_sign_gauges` has at most
-    2^(_SIGN_ENUM_CAP - 1) patterns per set and otherwise fits the row cap,
-    and a set has k <= d <= dim members, so each buffer holds any block."""
-    return tuple(_block_buffer(basis.dim, 1 << (_SIGN_ENUM_CAP - 1)) for _ in range(3))
-
-
-def _sign_gauges(basis: Basis, sets: list, stream=None, buffers=None):
+def _sign_gauges(basis: Basis, sets: list, stream=None, scratch: Scratch | None = None):
     """Yield (positions, index rows, signs (n, P, k), gauges (n, P)) for the
     sums sum_{n in A} eps_n x_n over the sign patterns of index sets A, in
     capped blocks of one size k, in order within a size.  For k <= _SIGN_ENUM_CAP
@@ -433,10 +420,10 @@ def _sign_gauges(basis: Basis, sets: list, stream=None, buffers=None):
     ``stream(i)`` (i = position in ``sets``), which is made only then and is
     required: the bits of ``stream(i).choice([-1.0, 1.0], (128, k))``.
 
-    Every block is written into ``buffers`` (:func:`_sign_buffers`, made here
-    when None): the drawn signs, the sums and the gauge's moduli.  A yielded
-    ``signs`` is a view of them, valid until the next block; the sums and
-    moduli buffers are free while the caller holds a block.
+    Every block is written into the search's ``scratch`` (made here when
+    None): the drawn signs in ``"drawn"``, the sums in ``"sums"`` and the
+    gauge's moduli.  A yielded ``signs`` is valid until the next block; the
+    sums and moduli are free while the caller holds a block.
 
     On a basis with disjoint supports (:attr:`~qgreedy.bases.Basis.disjoint_supports`)
     only pattern 0 is scored, the first enumerated one or the all-ones row,
@@ -444,7 +431,7 @@ def _sign_gauges(basis: Basis, sets: list, stream=None, buffers=None):
     coordinate, so all patterns of a set have the same moduli and the same
     gauge bits, and the first extreme over them is pattern 0."""
     one = _one_pattern(basis)
-    sums_buffer, moduli, drawn = buffers or _sign_buffers(basis)
+    scratch = scratch or Scratch()
     by_size: dict[int, list[int]] = {}
     for i, a in enumerate(sets):
         by_size.setdefault(len(a), []).append(i)
@@ -459,23 +446,22 @@ def _sign_gauges(basis: Basis, sets: list, stream=None, buffers=None):
             if table is not None:
                 signs = np.broadcast_to(table, (len(chunk), *table.shape))
             else:
-                signs = _scratch(drawn, len(chunk), 130, k)
+                signs = scratch("drawn", len(chunk), 130, k)
                 signs[:, :2] = 1.0
                 signs[:, 1, 1::2] = -1.0
                 for r, i in enumerate(chunk):
                     signs[r, 2:] = _SIGNS[stream(i).integers(0, 2, (128, k))]
             idx = np.array([sets[i] for i in chunk], dtype=int)
             sums = np.matmul(signs, basis.vectors[idx],
-                             out=_scratch(sums_buffer, *signs.shape[:2], basis.dim))
-            yield chunk, idx, signs, _stacked_gauges(basis, sums, moduli)
+                             out=scratch("sums", *signs.shape[:2], basis.dim))
+            yield chunk, idx, signs, _stacked_gauges(basis, sums, scratch)
 
 
-def _stacked_gauges(basis: Basis, sums: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+def _stacked_gauges(basis: Basis, sums: np.ndarray, scratch: Scratch) -> np.ndarray:
     """Gauges (n, P) of a stack of (n, P, d) ambient vectors, in one rows call
-    that computes its moduli in the flat buffer ``moduli``."""
+    that computes its moduli in ``scratch``."""
     rows = sums.reshape(-1, basis.dim)
-    return ambient_gauge_rows(basis.space, rows,
-                              _scratch(moduli, *rows.shape)).reshape(sums.shape[:2])
+    return ambient_gauge_rows(basis.space, rows, scratch).reshape(sums.shape[:2])
 
 
 def _succ_pairs(d: int, budget: int, seed: int):
@@ -513,18 +499,17 @@ def succ_constant(basis: Basis, budget: int = 500, seed: int = 0) -> BoundEstima
     in_a = np.zeros((len(pairs), d), dtype=bool)
     in_a[np.repeat(np.arange(len(pairs)), [len(a) for a, _ in pairs]),
          np.concatenate([np.empty(0, dtype=int), *(a for a, _ in pairs)])] = True
-    buffers = _sign_buffers(basis)
-    sums_buffer, moduli, _ = buffers
+    scratch = Scratch()
     for chunk, idx, signs, den in _sign_gauges(basis, [b for _, b in pairs],
-                                               lambda i: substream(seed, SUCC_PAIRS, i), buffers):
+                                               lambda i: substream(seed, SUCC_PAIRS, i), scratch):
         # B's signs outside A zeroed: a zero term adds exactly 0, so these are the sums over A
         mask = in_a[np.asarray(chunk)[:, None], idx]
-        # scored in the search's sums and moduli buffers, free while a block is held;
-        # the masked signs go to the moduli buffer, which the gauge needs only after them
-        masked = np.multiply(signs, mask[:, None, :], out=_scratch(moduli, *signs.shape))
+        # scored in the search's sums and moduli, free while a block is held; the
+        # masked signs go to the moduli, which the gauge needs only after them
+        masked = np.multiply(signs, mask[:, None, :], out=scratch("moduli", *signs.shape))
         sums = np.matmul(masked, basis.vectors[idx],
-                         out=_scratch(sums_buffer, *signs.shape[:2], basis.dim))
-        scores = ratios(_stacked_gauges(basis, sums, moduli), den)
+                         out=scratch("sums", *signs.shape[:2], basis.dim))
+        scores = ratios(_stacked_gauges(basis, sums, scratch), den)
         # per pair its first largest ratio (NaN if any), offered while the block's signs are valid
         j = np.argmax(scores, axis=1)
         tracker.offer(scores[np.arange(len(chunk)), j],
@@ -565,7 +550,7 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
     tracker = Tracker()
     tracker.update(1.0, {"A": [0], "B": [0], "theta": [1.0], "eps": [1.0]})
 
-    buffers = _sign_buffers(basis)
+    scratch = Scratch()
     per_size = max(1, budget // m_max)
     for m in range(1, m_max + 1):
         cands = structured_subsets(d, m)
@@ -573,7 +558,7 @@ def super_democracy_constant(basis: Basis, m_max: int | None = None, budget: int
         # (set, pattern) of the first largest gauge and of the first smallest positive one
         top, low = Tracker(), Tracker(maximize=False)
         for chunk, _, signs, gauges in _sign_gauges(
-                basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i), buffers):
+                basis, cands, lambda i: substream(seed, SUPER_DEMOCRACY, m, i), scratch):
             hi, lo = np.argmax(gauges, axis=1), np.argmin(gauges, axis=1)
             rows = np.arange(len(chunk))
             smallest = gauges[rows, lo]
@@ -641,9 +626,7 @@ def _profile_rows(basis: Basis, m_max: int, mode: str, budget: int,
     offered to phi_u at every m >= s and to phi_l at every m <= s."""
     windows = [(Tracker(maximize), *((1, m) if maximize else (m, basis.d)))
                for m in range(1, m_max + 1) for maximize in (True, False)]
-    # lower_democracy(1) spans every size, so its overflow guard is the
-    # first one the per-m calls would trip
-    estimates = _scan(basis, mode, 1, basis.d, budget, seed, PROFILE_SETS, ">= 1", windows)
+    estimates = _scan(basis, mode, budget, seed, PROFILE_SETS, windows)
     return [ProfileRow(m, *estimates[2 * m - 2:2 * m]) for m in range(1, m_max + 1)]
 
 

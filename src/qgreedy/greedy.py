@@ -41,7 +41,7 @@ from .errors import InvalidExponentError
 from .estimates import BoundEstimate, Tracker, ratios
 from .rng import CONDITIONALITY_SAMPLES, QG_SAMPLES, TRUNCATION_SAMPLES
 from .sampling import coefficient_samples, plateau_coefficients, size_cap
-from .spaces import Lp, _block_buffer, _scratch, ambient_gauge_rows, p_convexity
+from .spaces import Lp, Scratch, ambient_gauge_rows, p_convexity
 
 __all__ = [
     "greedy_order",
@@ -223,15 +223,9 @@ class ConditionalityRow:
     witness: dict[str, Any] | None
 
 
-def _selection_buffers(basis: Basis):
-    """Flat buffers for the blocks of :func:`_forward_selection`: a block of
-    candidates fits the row cap at d rows each (:func:`~qgreedy.bases.candidate_blocks`)."""
-    return tuple(_block_buffer(basis.dim, basis.d) for _ in range(3))
-
-
 def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
                        trackers: list[Tracker], inputs: np.ndarray | None = None,
-                       buffers=None) -> None:
+                       scratch: Scratch | None = None) -> None:
     """Greedily grow A one index at a time for every row of ``coeffs``,
     maximizing ||S_A f|| at each size; one rows call per size scores every
     candidate with every index still available.  Ties go to the smaller
@@ -239,15 +233,14 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
     m.  Given the ambient ``inputs`` f (one row per row of ``coeffs``), a
     witness keeps its f too: synthesizing f from its coefficients rounds.
     The products, the trial sums and the gauge's moduli are written into the
-    three flat ``buffers`` of the search (:func:`_selection_buffers`, made
-    here when None)."""
+    search's ``scratch`` (made here when None)."""
     n, d = coeffs.shape
     if n == 0:
         return
     dim = basis.dim
     at = np.arange(n)
-    products, sums, moduli = buffers or _selection_buffers(basis)
-    scaled = np.multiply(coeffs[:, :, None], basis.vectors, out=_scratch(products, n, d, dim))
+    scratch = scratch or Scratch()
+    scaled = np.multiply(coeffs[:, :, None], basis.vectors, out=scratch("products", n, d, dim))
     flat = scaled.reshape(n * d, dim)
     running = np.zeros((n, dim))
     available = np.tile(np.arange(d), (n, 1))
@@ -262,13 +255,12 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
     for tracker in trackers:
         # the rows scaled[i, available[i]], then running[i] added to each (addition
         # commutes exactly); "clip" never applies to these indices, and unlike
-        # "raise" it writes straight into the buffer
+        # "raise" it writes straight into the scratch
         trials = np.take(flat, available + d * at[:, None], axis=0, mode="clip",
-                         out=_scratch(sums, *available.shape, dim))
+                         out=scratch("sums", *available.shape, dim))
         np.add(running[:, None, :], trials, out=trials)
         rows = trials.reshape(-1, dim)
-        vals = ambient_gauge_rows(basis.space, rows, _scratch(moduli, *rows.shape))
-        vals = vals.reshape(available.shape)
+        vals = ambient_gauge_rows(basis.space, rows, scratch).reshape(available.shape)
         j = np.argmax(vals, axis=1)
         picked = available[at, j]
         running = running + scaled[at, picked]
@@ -311,16 +303,16 @@ def conditionality_growth_profile(basis: Basis, max_m: int | None = None,
             uppers = np.cumsum(products[:max_m]) ** (1.0 / r)
 
     trackers = [Tracker() for _ in range(max_m)]
+    scratch = Scratch()
     # every candidate costs at most d rows per size
-    buffers = _selection_buffers(basis)
     candidates = itertools.chain(np.eye(d), [np.ones(d)],
                                  coefficient_samples(d, budget, seed, CONDITIONALITY_SAMPLES))
     for coeffs, _, nf in candidate_blocks(basis, candidates, d):
-        _forward_selection(basis, coeffs, nf, trackers, buffers=buffers)
+        _forward_selection(basis, coeffs, nf, trackers, scratch=scratch)
 
     # ambient unit vectors as inputs
     for coeffs, units, nf in candidate_blocks(basis, np.eye(basis.dim), d, ambient=True):
-        _forward_selection(basis, coeffs, nf, trackers, units, buffers)
+        _forward_selection(basis, coeffs, nf, trackers, units, scratch)
 
     # a witness set of fewer than m members is one of at most m members
     for prev, tracker in zip(trackers, trackers[1:]):

@@ -7,11 +7,11 @@ weighted Lorentz spaces (weights and primitive weights in :mod:`qgreedy.lorentz`
 
 Each space has one gauge path, a plain formula over the rows of a 2-d block
 of moduli, computed in place in the one moduli array it takes: a fresh one,
-or a scratch the caller owns and reuses from block to block.  A scalar gauge
-is its 1-row case, so one vector gets the same bits from every entry point.
-A row that over- or underflowed is recomputed with its largest modulus
-factored out, so no gauge returns inf or 0 when the true value is finite and
-nonzero.
+or the ``"moduli"`` of a search's :class:`Scratch`, reused from block to
+block.  A scalar gauge is its 1-row case, so one vector gets the same bits
+from every entry point.  A row that over- or underflowed is recomputed with
+its largest modulus factored out, so no gauge returns inf or 0 when the true
+value is finite and nonzero.
 """
 
 from __future__ import annotations
@@ -88,17 +88,25 @@ _ROW_CAP = 4096
 _BLOCK_FLOATS = 1 << 15
 
 
-def _block_buffer(width: int, rows: int = 0) -> np.ndarray:
-    """A flat float buffer that holds any block of a search whose blocks are
-    capped at _BLOCK_FLOATS floats or ``rows`` rows of length ``width``.  Its
-    pages are touched only as blocks fill them, and every block of the search
-    reuses them (see :func:`_scratch`)."""
-    return np.empty(max(_BLOCK_FLOATS, rows * width, width))
+class Scratch:
+    """The block arrays of one search, by name, in flat float buffers it reuses.
 
+    ``scratch(name, *shape)`` is a C-contiguous view of the first prod(shape)
+    floats of the buffer ``name``, which is made at its first request, at
+    exactly that size, and made again when a later request outgrows it.  A
+    view stays valid until the next request for its name: callers rely on
+    that, and on :func:`ambient_gauge_rows` taking ``"moduli"`` for its
+    moduli, so a block written there must be read before the next gauge."""
 
-def _scratch(buffer: np.ndarray, *shape: int) -> np.ndarray:
-    """A C-contiguous view of the first prod(shape) floats of the flat ``buffer``."""
-    return buffer[:math.prod(shape)].reshape(shape)
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
 
 
 def _block_rows(width: int) -> int:
@@ -410,7 +418,7 @@ def _sorted_moduli(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def _rows_gauge(space: AmbientSpace, rows: np.ndarray, scratch: np.ndarray | None = None):
     """Ambient gauge of each row of the 2-d ``rows``, which it leaves unchanged;
-    the moduli go to ``scratch`` if given (see :func:`ambient_gauge_rows`)."""
+    the moduli go to the array ``scratch`` of its shape if given."""
     if isinstance(space, Lp):
         return _guarded(_lp_sum, rows, np.abs, space.p, scratch=scratch)
     if isinstance(space, BlockLpL2):
@@ -425,27 +433,17 @@ def ambient_gauge(space: AmbientSpace, f) -> float:
 
 
 def ambient_gauge_rows(space: AmbientSpace, mat: np.ndarray,
-                       scratch: np.ndarray | None = None) -> np.ndarray:
+                       scratch: Scratch | None = None) -> np.ndarray:
     """Row-wise ambient gauge (vectorized kernel for enumeration loops).
 
-    ``scratch``, if given, is a caller-owned float array of the shape of
-    ``mat`` and C-contiguous (a prefix view from :func:`_scratch` is one); the
-    kernel computes the moduli there, in place of a fresh array, with the same
-    bits, and leaves ``mat`` unchanged.  A search that scores block after
-    block reuses one scratch, so it does not allocate a block per call."""
+    Given a search's ``scratch``, the kernel computes the moduli in its
+    ``"moduli"`` in place of a fresh array, with the same bits, and leaves
+    ``mat`` unchanged: a search that scores block after block does not
+    allocate a block per call."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != space.dim:
         raise DimensionMismatchError(f"expected rows of length {space.dim}")
-    return _rows_gauge(space, mat, _checked_scratch(mat, scratch))
-
-
-def _checked_scratch(mat: np.ndarray, scratch: np.ndarray | None) -> np.ndarray | None:
-    """``scratch`` if it can hold the moduli of ``mat`` in the kernel's layout."""
-    if scratch is not None and not (scratch.shape == mat.shape and scratch.dtype == np.float64
-                                    and scratch.flags.c_contiguous):
-        raise ValueError(f"a gauge scratch must be a C-contiguous float array of shape "
-                         f"{mat.shape}, got {scratch.dtype} {scratch.shape}")
-    return scratch
+    return _rows_gauge(space, mat, None if scratch is None else scratch("moduli", *mat.shape))
 
 
 def _dual_sum(a: np.ndarray, space: AmbientSpace):

@@ -19,7 +19,9 @@ from qgreedy.bases import (
     zoo,
 )
 from qgreedy.cli import main as cli_main
+from qgreedy.democracy import indicator_gauge
 from qgreedy.errors import BasisFileError, CombinatorialOverflowError, NotABasisError
+from qgreedy.greedy import restricted_truncation
 from qgreedy.spaces import BlockLpL2, Lp, ambient_gauge, ambient_gauge_rows
 
 
@@ -180,6 +182,41 @@ class TestCoordinateProjection:
     def test_out_of_range_rejected(self, diff4):
         with pytest.raises(IndexError):
             coordinate_projection(diff4, [4], diff4.vectors[0])
+
+
+# each index-set taker as a function of (basis, A) on f = the all-ones coefficients
+INDEX_SET_TAKERS = [
+    pytest.param(indicator_gauge, id="indicator_gauge"),
+    pytest.param(lambda b, A: coordinate_projection(b, A, np.ones(b.dim)), id="projection"),
+    pytest.param(lambda b, A: restricted_truncation(b, np.arange(1.0, b.dim + 1), A),
+                 id="restricted_truncation"),
+]
+
+
+class TestIndexSets:
+    """An index set lists indices: a boolean mask or a non-integral entry is
+    refused rather than read as other indices."""
+
+    @pytest.mark.parametrize("take", INDEX_SET_TAKERS)
+    def test_boolean_mask_rejected(self, take):
+        basis = zoo("unit", p=1, dim=4)
+        for mask in (np.array([False, True, True, True]), [True, False]):
+            with pytest.raises(IndexError, match=r"integer indices, got \[(True|False), "):
+                take(basis, mask)
+
+    @pytest.mark.parametrize("take", INDEX_SET_TAKERS)
+    def test_non_integral_entries_rejected(self, take):
+        basis = zoo("unit", p=1, dim=4)
+        for entries, named in (([0.9, 2.5], r"\[0\.9, 2\.5\]"), ([1.0, 2.5], r"\[1\.0, 2\.5\]"),
+                               ([np.nan, 1], r"\[nan, 1\.0\]"), ([np.inf], r"\[inf\]")):
+            with pytest.raises(IndexError, match=named):
+                take(basis, entries)
+
+    @pytest.mark.parametrize("take", INDEX_SET_TAKERS)
+    def test_integral_floats_are_indices(self, take):
+        basis = zoo("difference", p=0.5, dim=4)
+        assert np.array_equal(take(basis, [1.0, 3.0, 1.0]), take(basis, [1, 3]))
+        assert np.array_equal(take(basis, np.array([3, 1])), take(basis, [1, 3]))
 
 
 class TestUnconditionalConstant:

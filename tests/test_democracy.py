@@ -233,6 +233,11 @@ class TestExactProfile:
             democracy_profile(basis, m_max=3, mode="exact")
         with pytest.raises(CombinatorialOverflowError, match=message):
             lower_democracy(basis, 1, mode="exact")
+        unit = zoo("unit", p=0.5, dim=24)
+        for estimate, m, bound in ((upper_democracy, 24, "<= 24"), (lower_democracy, 3, ">= 3")):
+            with pytest.raises(CombinatorialOverflowError,
+                               match=message.replace(">= 1", bound)):
+                estimate(unit, m, mode="exact")
 
     @pytest.mark.parametrize("mode", ["exact", "random"])
     @pytest.mark.parametrize("m_max", [0, -2])
@@ -265,11 +270,12 @@ def oracle_estimates(basis, m):
     return out
 
 
-def _near_identity_block_basis():
-    """Block l_{1/2}(l_2), blocks (3, 3, 2, 4), vectors near the identity: not
+def _near_identity_block_basis(blocks=(3, 3, 2, 4)):
+    """Block l_{1/2}(l_2) over ``blocks``, vectors near the identity: not
     diagonal, so exact mode enumerates subsets rather than occupancies."""
-    vectors = np.eye(12) + 0.1 * np.random.default_rng(5).standard_normal((12, 12))
-    return Basis(BlockLpL2(0.5, (3, 3, 2, 4)), vectors, np.linalg.inv(vectors).T)
+    d = sum(blocks)
+    vectors = np.eye(d) + 0.1 * np.random.default_rng(5).standard_normal((d, d))
+    return Basis(BlockLpL2(0.5, blocks), vectors, np.linalg.inv(vectors).T)
 
 
 def _lorentz_difference(d):
@@ -325,6 +331,100 @@ class TestExactOracle:
         tasks, _ = profile_tasks(zoo("difference", p=0.5, dim=20), m_max=6)
         tasks["rows"]()
         assert sum(scored) <= 0.15 * 2**20
+
+    def test_no_bound_rows_while_a_window_has_no_best(self, monkeypatch):
+        """Each size's first frontier rows meet the phi_l window of that size
+        before it has a best, so none can drop and no bound is computed for
+        them.  On ``unit`` at d = 12 (the m <= 12 profile of ``verify
+        democracy-lp``) every size's sets fit one block, so none is at all."""
+        rows = []
+        real = spaces_module.ambient_gauge_rows
+
+        def counting(space, mat, scratch=None):
+            rows.append(len(mat))
+            return real(space, mat, scratch)
+
+        monkeypatch.setattr(bounds_module, "ambient_gauge_rows", counting)
+        tasks, _ = profile_tasks(zoo("unit", p=0.5, dim=12), m_max=12)
+        tasks["rows"]()
+        assert sum(rows) == 0
+
+
+def _dropped_rows(monkeypatch, run):
+    """Every frontier row the exact scans of ``run()`` drop, as (k, sum, size,
+    last, up, down): the size k being fed and the thresholds in force at that
+    call, the least best of the maximizing windows that take k (inf if none)
+    and the largest best of the minimizing ones (-inf if none)."""
+    drops = []
+    real = democracy_module._pruner
+
+    def pruner(basis, hi, windows):
+        prune = real(basis, hi, windows)
+        if prune is None:
+            return None
+
+        def recording(k, sums, sizes, last):
+            drop = prune(k, sums, sizes, last)
+            taking = [t for t, small, large in windows if small <= k <= large]
+            up = min((t.best for t in taking if t.maximize), default=math.inf)
+            down = max((t.best for t in taking if not t.maximize), default=-math.inf)
+            drops.extend((k, sums[i], sizes[i], last[i], up, down) for i in np.flatnonzero(drop))
+            return drop
+
+        return recording
+
+    monkeypatch.setattr(democracy_module, "_pruner", pruner)
+    run()
+    return drops
+
+
+def _assert_no_completion_wins(basis, drops):
+    """Every completion of each dropped row, built in the feed's own addition
+    order and scored by the row kernel, is at most ``up`` and at least ``down``."""
+    tables = {}
+    for k, total, size, last, up, down in drops:
+        more = k - size
+        avail = basis.d - 1 - last if more > 0 else 0
+        block, _ = spaces_module._completions(
+            basis.vectors, total[None], np.array([avail]), np.array([more]),
+            np.array([math.comb(avail, more)]), tables)
+        gauges = ambient_gauge_rows(basis.space, block)
+        assert gauges.max() <= up and gauges.min() >= down, (k, size, last)
+
+
+AUDIT_BASES = [
+    pytest.param(lambda: zoo("difference", p=0.5, dim=16), id="difference"),
+    *(pytest.param(lambda p=p: zoo("perturbed_unit", p=p, dim=16, seed=3),
+                   id=f"perturbed_unit-{p}") for p in (0.5, 1.0, 2.0)),
+    pytest.param(lambda: _lorentz_difference(16), id="lorentz"),
+    pytest.param(lambda: _near_identity_block_basis((3, 3, 2, 4, 4)), id="block_l2"),
+]
+
+
+class TestPrunerAudit:
+    """Where the exact scan drops frontier rows, no completion of a dropped
+    row could have replaced the best it was dropped against.  The
+    single-sense scans carry the check: above a profile's m_max every drop is
+    far from its threshold."""
+
+    @pytest.mark.parametrize("scan", [
+        pytest.param(lambda b: upper_democracy(b, 6), id="phi_u-6"),
+        pytest.param(lambda b: lower_democracy(b, 10), id="phi_l-10"),
+        pytest.param(lambda b: democracy_module._profile_rows(b, 8, "exact", 0, 0), id="rows-8"),
+    ])
+    @pytest.mark.parametrize("make", AUDIT_BASES)
+    def test_dropped_rows_hold_no_winner(self, monkeypatch, make, scan):
+        basis = make()
+        drops = _dropped_rows(monkeypatch, lambda: scan(basis))
+        assert drops
+        _assert_no_completion_wins(basis, drops)
+
+    def test_dropped_rows_hold_no_winner_at_d20(self, monkeypatch):
+        basis = zoo("difference", p=0.5, dim=20)
+        drops = _dropped_rows(
+            monkeypatch, lambda: democracy_module._profile_rows(basis, 6, "exact", 0, 0))
+        assert drops
+        _assert_no_completion_wins(basis, drops[::7])
 
 
 def _moved_bases(p, seed):

@@ -14,7 +14,7 @@ from qgreedy.spaces import (
     BlockLpL2,
     Lp,
     LorentzSpace,
-    _scratch,
+    Scratch,
     ambient_gauge,
     ambient_gauge_rows,
     dual_gauge,
@@ -302,30 +302,21 @@ class TestInPlaceKernels:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("width", [6, 32])
     def test_scratch_gives_the_same_bits(self, width):
-        """A caller-owned moduli scratch, NaN-filled, reused across calls with
-        different row counts, and sliced to shape from an oversized flat
-        buffer, gives the fresh array's bits, guard rows included; the
-        rescale path reads the caller's rows, and ``mat`` is unchanged."""
+        """One search scratch, its moduli NaN-filled at the start, reused
+        across calls that grow and shrink it, gives the reference bits, guard
+        rows included, as a fresh array does; the rescale path reads the
+        caller's rows, and ``mat`` is unchanged."""
         mat = self.rows(width)
         before = mat.copy()
-        flat = np.full(mat.size + 7 * width, np.nan)  # oversized, one buffer for every call
+        scratch = Scratch()
+        scratch("moduli", 4, width).fill(np.nan)
         for space in self.spaces(width):
-            for rows in (mat, mat[:4], mat[2:3], mat[:150], mat[::-2]):
+            for rows in (mat[:4], mat, mat[2:3], mat[:150], mat[::-2]):
                 rows = np.ascontiguousarray(rows)
                 want = _reference_rows(space, rows)
-                fresh = np.full(rows.shape, np.nan)
-                self.assert_bits(ambient_gauge_rows(space, rows, fresh), want)
-                self.assert_bits(ambient_gauge_rows(space, rows, _scratch(flat, *rows.shape)),
-                                 want)
+                self.assert_bits(ambient_gauge_rows(space, rows), want)
+                self.assert_bits(ambient_gauge_rows(space, rows, scratch), want)
         assert np.array_equal(mat, before)
-
-    def test_scratch_must_fit_the_kernel(self):
-        mat = self.rows(6)
-        space = Lp(0.5, 6)
-        for bad in (np.empty((mat.shape[0] + 1, 6)), np.empty((6, mat.shape[0])).T,
-                    np.empty(mat.shape, dtype=np.float32)):
-            with pytest.raises(ValueError, match="scratch"):
-                ambient_gauge_rows(space, mat, bad)
 
 
 class TestDualGauge:
