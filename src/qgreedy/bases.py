@@ -177,10 +177,15 @@ def synthesize(basis: Basis, coeffs) -> np.ndarray:
 
 
 def _as_index_set(A, d: int) -> np.ndarray:
-    """The distinct indices of A, ascending: integers (or integral floats) in [0, d)."""
-    raw = np.asarray(list(A)).ravel()
-    whole = np.isfinite(raw) & (raw == np.trunc(raw)) if raw.dtype.kind == "f" else True
-    if raw.dtype == bool or not np.all(whole):
+    """The distinct indices of A, ascending: A is a one-dimensional sequence of
+    integers (or integral floats) in [0, d)."""
+    items = list(A)
+    try:
+        raw = np.asarray(items)
+    except ValueError:  # a ragged nest of sequences
+        raise IndexError(f"index set must list integer indices, got {items}") from None
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf" or not np.all(
+            np.isfinite(raw) & (raw == np.trunc(raw))):
         raise IndexError(f"index set must list integer indices, got {raw.tolist()}")
     idx = np.array(sorted(set(raw.astype(int).tolist())), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= d):

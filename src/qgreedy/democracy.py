@@ -56,8 +56,8 @@ from .rng import (
     substream,
 )
 from .sampling import random_masks, size_cap, structured_subsets
-from .spaces import (_BLOCK_FLOATS, BlockLpL2, Scratch, _row_chunks, _subset_sums,
-                     ambient_gauge_rows, p_convexity)
+from .spaces import (BlockLpL2, Scratch, _row_chunks, _subset_sums, ambient_gauge_rows,
+                     p_convexity)
 from .tasks import run_tasks
 
 __all__ = [
@@ -103,9 +103,9 @@ def _indicator_gauges(basis: Basis, masks: np.ndarray) -> np.ndarray:
 def _indicator_sums(basis: Basis, masks: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """The sums sum_{n in A} x_n of the index sets marked by the rows of ``masks``.
 
-    Sets of one size are gathered and summed together, at most _BLOCK_FLOATS
-    gathered floats at a time, each adding its vectors in member order, so a
-    sum does not depend on its block.  The sums are the ``"sums"`` of the
+    Sets of one size are gathered and summed together in the chunks of
+    :func:`~qgreedy.spaces._row_chunks`, each adding its vectors in member
+    order, so a sum does not depend on its chunk.  The sums are the ``"sums"`` of the
     search's ``scratch`` (made here when None), and the gathers and partial
     sums go to its ``"gathered"`` and ``"part"``.
     """
@@ -119,13 +119,12 @@ def _indicator_sums(basis: Basis, masks: np.ndarray, scratch: Scratch | None = N
             sums[at] = 0.0
             continue
         members = np.nonzero(masks[at])[1].reshape(-1, k)
-        step = max(1, _BLOCK_FLOATS // (k * dim))
-        for lo in range(0, at.size, step):
-            rows = members[lo:lo + step].T
+        for chunk in _row_chunks(range(at.size), dim, k):
+            part = slice(chunk[0], chunk[-1] + 1)
+            rows = members[part].T
             g = np.take(basis.vectors, rows, axis=0, mode="clip",  # "raise" would copy
                         out=scratch("gathered", *rows.shape, dim))
-            sums[at[lo:lo + step]] = np.add.reduce(g, axis=0,
-                                                   out=scratch("part", rows.shape[1], dim))
+            sums[at[part]] = np.add.reduce(g, axis=0, out=scratch("part", rows.shape[1], dim))
     return sums
 
 
@@ -437,7 +436,7 @@ def _sign_gauges(basis: Basis, sets: list, stream=None, scratch: Scratch | None 
         by_size.setdefault(len(a), []).append(i)
     for k, members in by_size.items():
         if k <= _SIGN_ENUM_CAP:
-            table = sign_patterns(k, 0, 1 if one else 1 << (k - 1))
+            table = sign_patterns(k, 1 if one else 1 << (k - 1))
         else:
             table = np.ones((1, k)) if one else None
         if table is None and stream is None:

@@ -235,8 +235,6 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
     The products, the trial sums and the gauge's moduli are written into the
     search's ``scratch`` (made here when None)."""
     n, d = coeffs.shape
-    if n == 0:
-        return
     dim = basis.dim
     at = np.arange(n)
     scratch = scratch or Scratch()
@@ -267,7 +265,7 @@ def _forward_selection(basis: Basis, coeffs: np.ndarray, f_gauges: np.ndarray,
         chosen = np.column_stack((chosen, picked))
         keep = np.ones(available.shape, dtype=bool)
         keep[at, j] = False
-        available = available[keep].reshape(n, -1)
+        available = available[keep].reshape(n, available.shape[1] - 1)
         tracker.offer(ratios(vals[at, j], f_gauges), witness)
 
 

@@ -140,12 +140,12 @@ def loglog_slope(m: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 _SIGNS = np.array([-1.0, 1.0])  # random signs, indexed by a draw of 0 or 1
 
 
-def sign_patterns(k: int, start: int, stop: int) -> np.ndarray:
-    """Rows of +/-1 for pattern ids ``start <= i < stop`` over k positions.
+def sign_patterns(k: int, count: int) -> np.ndarray:
+    """Rows of +/-1 for pattern ids ``0 <= i < count`` over k positions.
 
     Bit j of the id gives the sign of position j, so the full table for
-    ``start=0, stop=2**k`` enumerates every pattern exactly once.
+    ``count=2**k`` enumerates every pattern exactly once.
     """
-    ids = np.arange(start, stop, dtype=np.uint64)[:, None]
+    ids = np.arange(count, dtype=np.uint64)[:, None]
     bits = (ids >> np.arange(k, dtype=np.uint64)) & np.uint64(1)
     return bits.astype(np.float64) * 2.0 - 1.0

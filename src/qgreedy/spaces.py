@@ -133,7 +133,9 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
     (in the order of the head table) followed by a tail subset of the remaining size.
     Its sum is H's table sum plus the tail members, read from a lexicographic
     table of tail subsets and added one at a time, so it has the bits of
-    ``vectors[list(A)].sum(axis=0)`` (-0.0 for the empty set).
+    ``vectors[list(A)].sum(axis=0)`` (-0.0 for the empty set).  h is the largest
+    h <= d / 2 whose head table fits one block (0 if none does), counted in the
+    capped binomial table that packs the blocks, where a capped count reads cap + 1.
 
     The sets come from a stack of frontier rows: partial sets, each a sum, a
     size, a last decided index and a member mask, completed by members after
@@ -145,9 +147,10 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
     """
     d = vectors.shape[0]
     cap = _block_rows(vectors.shape[1])
-    h = _head_size(d, lo, hi, cap)
-    head, head_sizes, head_sums = _head_table(vectors, h, max(0, lo - (d - h)), min(h, hi))
     comb = _capped_binomials(d, hi, cap)
+    h = next((h for h in range(d // 2, 0, -1)
+              if comb[h, max(0, lo - (d - h)):min(h, hi) + 1].sum() <= cap), 0)
+    head, head_sizes, head_sums = _head_table(vectors, h, max(0, lo - (d - h)), min(h, hi))
     tables: dict[tuple[int, int], np.ndarray] = {}
     # a stack of frontier segments, the next in feed order on top; a row is
     # a partial set: its sum, size, last decided index and member mask
@@ -180,18 +183,9 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
                 pending.append((sums[n:], size[n:], last[n:], members[n:]))
             more = k - size[:n]
             avail = np.where(more > 0, d - 1 - last[:n], 0)
-            block, starts = _completions(vectors, sums[:n], avail, more, counts[:n], tables)
-            yield block, np.full(len(block), k), _completion_witness(
-                d, starts, avail, more, members[:n], tables)
-
-
-def _head_size(d: int, lo: int, hi: int, cap: int) -> int:
-    """The largest h <= d / 2 whose head table of subsets of [0, h), of the
-    sizes that sets of lo..hi members can have there, fits one block of ``cap`` rows."""
-    for h in range(d // 2, 0, -1):
-        if sum(math.comb(h, j) for j in range(max(0, lo - (d - h)), min(h, hi) + 1)) <= cap:
-            return h
-    return 0
+            block, witness_of = _completions(vectors, sums[:n], avail, more, counts[:n],
+                                             members[:n], tables)
+            yield block, np.full(len(block), k), witness_of
 
 
 def _head_table(vectors: np.ndarray, h: int, lo: int, hi: int):
@@ -231,12 +225,12 @@ def _lex_table(tables: dict, n: int, r: int) -> np.ndarray:
     return tables[(n, r)]
 
 
-def _completions(vectors: np.ndarray, sums, n, r, counts, tables):
+def _completions(vectors: np.ndarray, sums, n, r, counts, members, tables):
     """The sums of the completions of each frontier row, row by row and
-    lexicographically, and each row's first position: a row takes r more
-    members from the last n indices.  Rows with the same (n, r) extend
-    together, each tail r-subset of the table added one member at a time; a
-    complete row (r = 0) has n = 0."""
+    lexicographically, and their witness_of: a row with member mask
+    ``members`` takes r more members from the last n indices.  Rows with the
+    same (n, r) extend together, each tail r-subset of the table added one
+    member at a time; a complete row (r = 0) has n = 0."""
     d, dim = vectors.shape
     starts = np.cumsum(counts) - counts
     out = np.empty((int(counts.sum()), dim))
@@ -249,17 +243,17 @@ def _completions(vectors: np.ndarray, sums, n, r, counts, tables):
         x = np.repeat(sums[rows][:, None, :], len(table), axis=1)
         for col in table.T:
             x += tail[col]
-        out[(starts[rows, None] + np.arange(len(table))).ravel()] = x.reshape(-1, dim)
-    return out, starts
+        # -1 cannot stand for the row count at dim = 0
+        out[(starts[rows, None] + np.arange(len(table))).ravel()] = x.reshape(
+            len(rows) * len(table), dim)
 
-
-def _completion_witness(d, starts, n, r, members, tables):
-    """witness_of for a block of :func:`_completions`: row q's set, members sorted."""
-    def witness(q: int) -> dict[str, list[int]]:
+    def witness_of(q: int) -> dict[str, list[int]]:
+        """Row q's set, members sorted."""
         f = int(np.searchsorted(starts, q, side="right")) - 1
         tail = _lex_table(tables, int(n[f]), int(r[f]))[q - int(starts[f])]
         return {"set": np.flatnonzero(members[f]).tolist() + (d - int(n[f]) + tail).tolist()}
-    return witness
+
+    return out, witness_of
 
 
 def _guarded(plain, rows: np.ndarray, moduli, *args, scratch=None):

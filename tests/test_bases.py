@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from qgreedy.bases import (
 )
 from qgreedy.cli import main as cli_main
 from qgreedy.democracy import indicator_gauge
-from qgreedy.errors import BasisFileError, CombinatorialOverflowError, NotABasisError
+from qgreedy.errors import (BasisFileError, CombinatorialOverflowError, DimensionMismatchError,
+                            NotABasisError)
 from qgreedy.greedy import restricted_truncation
 from qgreedy.spaces import BlockLpL2, Lp, ambient_gauge, ambient_gauge_rows
 
@@ -74,6 +77,17 @@ class TestZoo:
         with pytest.raises(ValueError, match="unknown zoo"):
             zoo("haar", p=0.5, dim=4)
 
+    @pytest.mark.parametrize("name,given,needs", [
+        ("unit", {"dim": 4}, "p and dim"),
+        ("difference", {"p": 0.5}, "p and dim"),
+        ("perturbed_unit", {}, "p and dim"),
+        ("block_l2", {"p": 0.5}, "p and blocks"),
+        ("block_l2", {"blocks": [2, 2]}, "p and blocks"),
+    ])
+    def test_missing_parameters_rejected(self, name, given, needs):
+        with pytest.raises(ValueError, match=re.escape(f"zoo({name!r}) needs {needs}")):
+            zoo(name, **given)
+
 
 class TestBasisInvariants:
     def test_biorthogonality_failure_names_worst_pair(self):
@@ -82,6 +96,26 @@ class TestBasisInvariants:
         duals[1, 2] = 1e-3
         with pytest.raises(NotABasisError, match=r"\(n=1, k=2\)"):
             Basis(Lp(0.5, 3), vectors, duals)
+
+    @pytest.mark.parametrize("space,vectors,duals,labels,error,message", [
+        pytest.param(Lp(0.5, 2), np.ones(2), np.ones(2), (), NotABasisError,
+                     "vectors and duals must be 2-d arrays", id="not-2d"),
+        pytest.param(Lp(0.5, 2), np.eye(2), np.ones((2, 3)), (), NotABasisError,
+                     "vectors shape (2, 2) != duals shape (2, 3)", id="shapes"),
+        pytest.param(Lp(0.5, 2), np.zeros((0, 2)), np.zeros((0, 2)), (), NotABasisError,
+                     "a basis needs at least one vector", id="no-vectors"),
+        pytest.param(Lp(0.5, 3), np.eye(2), np.eye(2), (), DimensionMismatchError,
+                     "row length 2 != ambient dimension 3", id="row-length"),
+        pytest.param(Lp(0.5, 2), [[1.0, 0.0], [0.0, np.nan]], np.eye(2), (), NotABasisError,
+                     "vectors and duals must be finite", id="nan-vector"),
+        pytest.param(Lp(0.5, 2), np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], (), NotABasisError,
+                     "vectors and duals must be finite", id="inf-dual"),
+        pytest.param(Lp(0.5, 2), np.eye(2), np.eye(2), ("a",), NotABasisError,
+                     "got 1 labels for 2 vectors", id="labels"),
+    ])
+    def test_malformed_basis_rejected(self, space, vectors, duals, labels, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            Basis(space, vectors, duals, labels)
 
     def test_zero_vector_rejected(self):
         vectors = np.eye(2)
@@ -211,6 +245,24 @@ class TestIndexSets:
                                ([np.nan, 1], r"\[nan, 1\.0\]"), ([np.inf], r"\[inf\]")):
             with pytest.raises(IndexError, match=named):
                 take(basis, entries)
+
+    @pytest.mark.parametrize("take", INDEX_SET_TAKERS)
+    def test_only_flat_sequences_of_numbers_are_indices(self, take):
+        # strings, complex numbers and nested sequences are not index sets,
+        # and numpy must not read them as other indices or raise its own error
+        basis = zoo("unit", p=1, dim=4)
+        for entries, named in (("012", r"\['0', '1', '2'\]"), (["1", "3"], r"\['1', '3'\]"),
+                               (np.array([[0, 1], [2, 3]]), r"\[\[0, 1\], \[2, 3\]\]"),
+                               ([[0, 1]], r"\[\[0, 1\]\]"), ([1 + 0j], r"\[\(1\+0j\)\]"),
+                               ([[0], [1, 2]], r"\[\[0\], \[1, 2\]\]")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IndexError, match=r"integer indices, got " + named):
+                    take(basis, entries)
+        expected = take(basis, [1, 3])
+        for entries in ({3, 1}, (i for i in (3, 1)), np.array([1, 3], dtype=np.uint8),
+                        [np.int64(3), 1], np.array([1.0, 3.0])):
+            assert np.array_equal(take(basis, entries), expected)
 
     @pytest.mark.parametrize("take", INDEX_SET_TAKERS)
     def test_integral_floats_are_indices(self, take):
@@ -439,6 +491,57 @@ class TestBasisFiles:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content,error,message", [
+        pytest.param(None, BasisFileError, "cannot read basis file", id="missing-file"),
+        pytest.param("{not json", BasisFileError, "cannot read basis file", id="invalid-json"),
+        pytest.param([1, 2], BasisFileError, "basis file must contain a JSON object",
+                     id="not-an-object"),
+        pytest.param('{"vectors": [[1.0]]}', BasisFileError,
+                     "basis file needs 'ambient' and 'vectors' fields", id="no-ambient"),
+        pytest.param('{"ambient": {"kind": "lp", "p": 0.5, "dim": 1}}', BasisFileError,
+                     "basis file needs 'ambient' and 'vectors' fields", id="no-vectors"),
+        pytest.param({"ambient": {"p": 0.5, "dim": 2}}, BasisFileError,
+                     "'ambient' must be an object with a 'kind' field", id="no-kind"),
+        pytest.param({"ambient": "lp"}, BasisFileError,
+                     "'ambient' must be an object with a 'kind' field", id="ambient-string"),
+        pytest.param({"ambient": {"kind": "lq", "p": 0.5, "dim": 2}}, BasisFileError,
+                     "unknown ambient kind 'lq'", id="unknown-kind"),
+        pytest.param({"ambient": {"kind": "lp", "p": 0.5}}, BasisFileError,
+                     "ambient kind 'lp' is missing field 'dim'", id="missing-field"),
+        pytest.param({"ambient": {"kind": "lorentz", "q": 1.0}}, BasisFileError,
+                     "ambient kind 'lorentz' is missing field 'weight'", id="lorentz-no-weight"),
+        pytest.param({"vectors": [["a", "b"], ["c", "d"]]}, BasisFileError,
+                     "'vectors' is not a numeric matrix", id="text-vectors"),
+        pytest.param({"vectors": [[1.0, 0.0], [1.0]]}, BasisFileError,
+                     "'vectors' is not a numeric matrix", id="ragged-vectors"),
+        pytest.param({"vectors": [1.0, 0.0]}, BasisFileError,
+                     "'vectors' must be a list of equal-length rows", id="flat-vectors"),
+        pytest.param({"vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, BasisFileError,
+                     "vector rows have length 3 but ambient dim is 2", id="row-length"),
+        pytest.param({"duals": [["x", "y"], ["z", "w"]]}, BasisFileError,
+                     "'duals' is not a numeric matrix", id="text-duals"),
+        pytest.param({"duals": [[1.0, 0.0]]}, NotABasisError,
+                     "vectors shape (2, 2) != duals shape (1, 2)", id="duals-shape"),
+        pytest.param({"vectors": [[1.0, 1.0], [1.0, 1.0]]}, NotABasisError,
+                     "singular vector matrix; not a basis", id="singular"),
+    ])
+    def test_bad_file_named_on_load_and_in_analyze(self, tmp_path, capsys, content, error,
+                                                   message):
+        # objects are laid over a valid l_{1/2}^2 identity file; strings are the file
+        path = tmp_path / "basis.json"
+        if isinstance(content, dict):
+            content = {"ambient": {"kind": "lp", "p": 0.5, "dim": 2},
+                       "vectors": np.eye(2).tolist(), **content}
+        if content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        with pytest.raises(error, match=re.escape(message)):
+            load_basis(path)
+        invariant = error is NotABasisError
+        assert cli_main(["analyze", "--basis", str(path)]) == (3 if invariant else 2)
+        out, err = capsys.readouterr()
+        assert err.startswith("basis invariant failure:" if invariant else "configuration error:")
+        assert message in err and "Traceback" not in err and out == ""
 
 
 class TestExactMultiplierEnumeration:

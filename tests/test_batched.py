@@ -687,7 +687,7 @@ def sign_gauges_oracle(basis, idx, rng):
     k = idx.size
     rows = basis.vectors[idx]
     if k <= _SIGN_ENUM_CAP:
-        signs = sign_patterns(k, 0, 1 << k)
+        signs = sign_patterns(k, 1 << k)
     else:
         signs = large_set_signs(rng, k)
     return ambient_gauge_rows(basis.space, signs @ rows), signs
@@ -717,7 +717,7 @@ def succ_oracle(basis, budget, seed, sign_log):
         rng = sign_stream(sign_log, seed, (SUCC_PAIRS, i), b.size)
         pos = np.searchsorted(b, a)
         if b.size <= _SIGN_ENUM_CAP:
-            signs = sign_patterns(b.size, 0, 1 << b.size)
+            signs = sign_patterns(b.size, 1 << b.size)
         else:
             signs = large_set_signs(rng, b.size)
         den = ambient_gauge_rows(basis.space, signs @ basis.vectors[b])

@@ -374,6 +374,10 @@ class TestVerifyCommand:
         (["verify", "democracy-lp", "--budget", "500"], "--budget"),
         (["bootstrap", "--max-m", "0"], "argument --max-m: must be >= 1, got 0"),
         (["bootstrap", "--iters", "-1"], "argument --iters: must be >= 0, got -1"),
+        (["analyze", "--zoo", "block_l2"],
+         "configuration error: --blocks is required for the block_l2 basis"),
+        (["zoo", "emit", "--zoo", "block_l2", "--out", "g.json"],
+         "configuration error: --blocks is required for the block_l2 basis"),
     ])
     def test_unread_or_invalid_flag_exit_two(self, capsys, argv, flag):
         code, out, err = run_cli(argv, capsys)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qgreedy
+import qgreedy.bases as bases_module
 import qgreedy.bounds as bounds_module
 import qgreedy.democracy as democracy_module
 import qgreedy.spaces as spaces_module
@@ -29,7 +30,7 @@ from qgreedy.democracy import (
     upper_democracy,
 )
 from qgreedy.errors import CombinatorialOverflowError
-from qgreedy.estimates import BoundEstimate
+from qgreedy.estimates import BoundEstimate, Tracker, ratios
 from qgreedy.reports import profile_csv
 from qgreedy.spaces import BlockLpL2, LorentzSpace, Lp, ambient_gauge, ambient_gauge_rows
 
@@ -387,7 +388,7 @@ def _assert_no_completion_wins(basis, drops):
         avail = basis.d - 1 - last if more > 0 else 0
         block, _ = spaces_module._completions(
             basis.vectors, total[None], np.array([avail]), np.array([more]),
-            np.array([math.comb(avail, more)]), tables)
+            np.array([math.comb(avail, more)]), np.zeros((1, basis.d), dtype=bool), tables)
         gauges = ambient_gauge_rows(basis.space, block)
         assert gauges.max() <= up and gauges.min() >= down, (k, size, last)
 
@@ -425,6 +426,73 @@ class TestPrunerAudit:
             monkeypatch, lambda: democracy_module._profile_rows(basis, 6, "exact", 0, 0))
         assert drops
         _assert_no_completion_wins(basis, drops[::7])
+
+
+def _skipped_pool_vectors(monkeypatch, basis):
+    """Run exact K_u on ``basis``, recording each pool vector f whose family
+    pass was skipped, with the running best at the moment of the skip.  In
+    exact mode the search's tracker (the first one made) takes one offer per
+    pool vector, right after the vector's skip decision and family pass."""
+    passes, made, skips = [0], [], []
+    family_best = bases_module._exact_family_best
+
+    def counting(basis, coeffs):
+        passes[0] += 1
+        return family_best(basis, coeffs)
+
+    class Recording(Tracker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+            self.passes = passes[0]  # family passes at this tracker's last offer
+
+        def offer(self, values, witness_of, eligible=None):
+            if self is made[0]:
+                if passes[0] == self.passes:
+                    skips.append((np.array(witness_of(0)["f"]), self.best))
+                self.passes = passes[0]
+            return super().offer(values, witness_of, eligible)
+
+    monkeypatch.setattr(bases_module, "_exact_family_best", counting)
+    monkeypatch.setattr(bases_module, "Tracker", Recording)
+    unconditional_constant(basis, mode="exact")
+    return skips
+
+
+class TestUnconditionalSkipAudit:
+    """Where exact K_u skips a pool vector's family pass, no ratio of either
+    family could have replaced the best it was skipped against."""
+
+    @pytest.mark.parametrize("make", [
+        *ORACLE_BASES, pytest.param(lambda: zoo("difference", p=0.5, dim=16), id="difference-16"),
+    ])
+    def test_skipped_vectors_hold_no_winner(self, monkeypatch, make):
+        basis = make()
+        family_best = bases_module._exact_family_best
+        skips = _skipped_pool_vectors(monkeypatch, basis)
+        assert skips
+        for f, best in skips:
+            norm = ambient_gauge_rows(basis.space, f[None])
+            found = family_best(basis, basis.duals @ f)
+            assert ratios([value for value, _ in found], norm).max() <= best
+
+
+class TestRandomModeBracketsExact:
+    """Random mode's phi_u bounds and phi_l upper bound hold the exact value,
+    on dense I + 0.4 G bases of l_p, p <= 1, at every m."""
+
+    @pytest.mark.parametrize("p,d,seed", [
+        pytest.param(p, d, seed, id=f"p{p}-d{d}-seed{seed}")
+        for p in (0.3, 0.5, 1.0) for d in (4, 6, 8) for seed in range(3)])
+    def test_random_bounds_hold_exact_values(self, p, d, seed):
+        vectors = np.eye(d) + 0.4 * np.random.default_rng(seed).standard_normal((d, d))
+        basis = Basis(Lp(p, d), vectors, np.linalg.inv(vectors).T)
+        for m in range(1, d + 1):
+            phi_u = upper_democracy(basis, m).lower
+            sampled = upper_democracy(basis, m, mode="random", budget=200)
+            assert sampled.upper_certified and sampled.lower <= phi_u <= sampled.upper
+            assert lower_democracy(basis, m, mode="random", budget=200).upper >= (
+                lower_democracy(basis, m).lower)
 
 
 def _moved_bases(p, seed):
@@ -510,9 +578,9 @@ class TestExactFeed:
             tables.append(lex_table(cache, n, r))
             return tables[-1]
 
-        def recording_completions(vectors, sums, n, r, counts, cache):
+        def recording_completions(vectors, sums, n, r, counts, members, cache):
             groups.append(len(set(zip(n.tolist(), r.tolist()))))
-            return completions(vectors, sums, n, r, counts, cache)
+            return completions(vectors, sums, n, r, counts, members, cache)
 
         monkeypatch.setattr(spaces_module, "_lex_table", recording_table)
         monkeypatch.setattr(spaces_module, "_completions", recording_completions)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -388,7 +389,35 @@ class TestRowCeilings:
         assert capsys.readouterr().out == pruned
 
 
+def _dense_lp_basis(p, d, seed):
+    """I + 0.4 G in l_p^d, G gaussian, duals by inversion."""
+    vectors = np.eye(d) + 0.4 * np.random.default_rng(seed).standard_normal((d, d))
+    return Basis(Lp(p, d), vectors, np.linalg.inv(vectors).T)
+
+
+DENSE_LP = [pytest.param(p, d, seed, id=f"p{p}-d{d}-seed{seed}")
+            for p in (0.3, 0.5, 1.0) for d in (4, 6, 8) for seed in range(3)]
+
+
 class TestConditionalityProfile:
+    @pytest.mark.parametrize("p,d,seed", DENSE_LP)
+    def test_rows_bracket_the_truth(self, p, d, seed):
+        # for p <= 1 the unit ball of l_p is the closed p-convex hull of the
+        # +-e_j, so ||S_A|| = max_j ||S_A e_j||_p, with S_A e_j the sum over
+        # n in A of x_n*(e_j) x_n; the truth at m is the max over |A| <= m
+        basis = _dense_lp_basis(p, d, seed)
+        truth = np.zeros(d + 1)
+        for mask in itertools.product((0.0, 1.0), repeat=d):
+            images = (np.array(mask)[:, None] * basis.duals).T @ basis.vectors
+            size = int(sum(mask))
+            truth[size] = max(truth[size], np.max(np.sum(np.abs(images) ** p, axis=1) ** (1 / p)))
+        truth = np.maximum.accumulate(truth)
+        rows = conditionality_growth_profile(basis)
+        assert [row.m for row in rows] == list(range(1, d + 1))
+        for row in rows:
+            assert row.lower <= truth[row.m] * (1 + 1e-12)
+            assert row.upper_certified and row.upper >= truth[row.m] * (1 - 1e-12)
+
     def test_unit_is_flat_one(self, unit4):
         rows = conditionality_growth_profile(unit4, budget=20, seed=0)
         for row in rows:

@@ -456,6 +456,14 @@ class TestKhintchine:
             cmp = khintchine_square_function(x, 0.5, mode="exact")
             assert 0.3 <= cmp.ratio <= 3.5
 
+    def test_zero_width_stack_agrees_across_modes(self):
+        # vectors of dimension 0: every gauge is 0, as for lp_gauge([]), so
+        # both modes read lhs = rhs = 0 and a NaN ratio
+        exact = khintchine_square_function(np.zeros((3, 0)), 0.5, mode="exact")
+        mc = khintchine_square_function(np.zeros((3, 0)), 0.5, mode="mc", samples=100)
+        for cmp in (exact, mc):
+            assert (cmp.lhs, cmp.rhs) == (0.0, 0.0) and math.isnan(cmp.ratio)
+
     @pytest.mark.parametrize("k", [1, 2, 5, 6, 9])
     @pytest.mark.parametrize("cap", [None, 4])
     def test_exact_matches_pattern_bruteforce(self, monkeypatch, k, cap):
