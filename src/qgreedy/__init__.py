@@ -1,124 +1,53 @@
 """Greedy-approximation diagnostics on finite-dimensional quasi-normed
 sequence spaces: gauges, biorthogonal bases, thresholding greedy operators,
 democracy functions, sign-averaging comparisons, and the iterated
-sequence-improvement chain, with witness-certified bound reporting."""
+sequence-improvement chain, with witness-certified bound reporting.
 
-from .bases import (
-    Basis,
-    coefficient_transform,
-    coordinate_projection,
-    load_basis,
-    save_basis,
-    sign_operator,
-    synthesize,
-    unconditional_constant,
-    zoo,
-)
-from .bootstrap import BootstrapChain, GrowthSequence, bootstrap_chain, bootstrap_step, harmonic
-from .democracy import (
-    DemocracyProfile,
-    democracy_profile,
-    lower_democracy,
-    sign_change_constant,
-    succ_constant,
-    super_democracy_constant,
-    upper_democracy,
-)
-from .embeddings import EmbeddingReport, embed_lorentz_into_space, embed_space_into_weak_lorentz
-from .estimates import BoundEstimate
-from .greedy import (
-    conditionality_growth_profile,
-    greedy_approximation,
-    greedy_set,
-    greedy_truncation,
-    quasi_greedy_constant,
-    restricted_truncation,
-    truncation_constant,
-)
-from .lorentz import (
-    difference_weight,
-    log_damped_primitive,
-    lorentz_gauge,
-    power_primitive,
-    power_weight,
-    primitive_weight,
-)
-from .spaces import (
-    BlockLpL2,
-    Lp,
-    LorentzSpace,
-    ambient_gauge,
-    dual_gauge,
-    lp_gauge,
-    nonincreasing_rearrangement,
-    p_triangle_defect,
-)
-from .strongly_absolute import (
-    PairFamily,
-    concentration_set,
-    counting_inequality_check,
-    counting_parameters,
-    khintchine_square_function,
-    random_pair_family,
-    strongly_absolute_check,
-    strongly_absolute_function,
-)
+The package imports its modules lazily: a public name is looked up in
+``_EXPORTS`` on first use, its module is imported then, and the name is
+cached here, so ``import qgreedy`` loads no submodule and a command loads
+only the modules it calls."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "BlockLpL2",
-    "BootstrapChain",
-    "BoundEstimate",
-    "DemocracyProfile",
-    "EmbeddingReport",
-    "GrowthSequence",
-    "Lp",
-    "LorentzSpace",
-    "PairFamily",
-    "ambient_gauge",
-    "bootstrap_chain",
-    "bootstrap_step",
-    "coefficient_transform",
-    "concentration_set",
-    "conditionality_growth_profile",
-    "coordinate_projection",
-    "counting_inequality_check",
-    "counting_parameters",
-    "democracy_profile",
-    "difference_weight",
-    "dual_gauge",
-    "embed_lorentz_into_space",
-    "embed_space_into_weak_lorentz",
-    "greedy_approximation",
-    "greedy_set",
-    "greedy_truncation",
-    "harmonic",
-    "khintchine_square_function",
-    "load_basis",
-    "log_damped_primitive",
-    "lorentz_gauge",
-    "lower_democracy",
-    "lp_gauge",
-    "nonincreasing_rearrangement",
-    "p_triangle_defect",
-    "power_primitive",
-    "power_weight",
-    "primitive_weight",
-    "quasi_greedy_constant",
-    "random_pair_family",
-    "restricted_truncation",
-    "save_basis",
-    "sign_change_constant",
-    "sign_operator",
-    "strongly_absolute_check",
-    "strongly_absolute_function",
-    "succ_constant",
-    "super_democracy_constant",
-    "synthesize",
-    "truncation_constant",
-    "unconditional_constant",
-    "upper_democracy",
-    "zoo",
-]
+# module -> the public names it provides
+_EXPORTS = {
+    "bases": ("Basis", "coefficient_transform", "coordinate_projection", "load_basis",
+              "save_basis", "sign_operator", "synthesize", "unconditional_constant", "zoo"),
+    "bootstrap": ("BootstrapChain", "GrowthSequence", "bootstrap_chain", "bootstrap_step",
+                  "harmonic"),
+    "democracy": ("DemocracyProfile", "democracy_profile", "lower_democracy",
+                  "sign_change_constant", "succ_constant", "super_democracy_constant",
+                  "upper_democracy"),
+    "embeddings": ("EmbeddingReport", "embed_lorentz_into_space",
+                   "embed_space_into_weak_lorentz"),
+    "estimates": ("BoundEstimate",),
+    "greedy": ("conditionality_growth_profile", "greedy_approximation", "greedy_set",
+               "greedy_truncation", "quasi_greedy_constant", "restricted_truncation",
+               "truncation_constant"),
+    "lorentz": ("difference_weight", "log_damped_primitive", "lorentz_gauge",
+                "power_primitive", "power_weight", "primitive_weight"),
+    "spaces": ("BlockLpL2", "Lp", "LorentzSpace", "ambient_gauge", "dual_gauge", "lp_gauge",
+               "nonincreasing_rearrangement", "p_triangle_defect"),
+    "strongly_absolute": ("PairFamily", "concentration_set", "counting_inequality_check",
+                          "counting_parameters", "khintchine_square_function",
+                          "random_pair_family", "strongly_absolute_check",
+                          "strongly_absolute_function"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

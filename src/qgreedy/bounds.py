@@ -73,7 +73,7 @@ import math
 
 import numpy as np
 
-from .spaces import BlockLpL2, LorentzSpace, ambient_gauge_rows
+from .spaces import BlockLpL2, LorentzSpace, Scratch, ambient_gauge_rows
 
 __all__ = ["allowance", "row_ceilings", "completion_bounds"]
 
@@ -271,6 +271,7 @@ def completion_bounds(vectors: np.ndarray, space, r_max: int):
         return None
     scale, weight, least = allowance(space, d + 2), 4 * theta, 2.0**lo
     tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    scratch = Scratch()
 
     def table(t: int):
         """(largest moduli, smallest, largest) running sums over the tail from t."""
@@ -282,8 +283,9 @@ def completion_bounds(vectors: np.ndarray, space, r_max: int):
         return tables[t]
 
     def gather(starts: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The three tables' rows (3, rows, dim) at each (start, r)."""
-        out = np.empty((3, len(r), dim))
+        """The three tables' rows (3, rows, dim) at each (start, r), valid
+        until the next call: each bound consumes them before the next prune."""
+        out = scratch("gathered", 3, len(r), dim)
         for t in set(starts.tolist()):
             at = np.flatnonzero(starts == t)
             out[:, at] = table(t)[:, r[at]]

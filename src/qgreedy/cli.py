@@ -16,12 +16,20 @@ Reports go to standard output or ``--out``; diagnostics go to standard
 error.  Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 basis-invariant failure.  Identical configurations (including the seed)
 produce byte-identical primary output files.
+
+A command imports only its own modules, when it runs.  A process runs
+:func:`entry` (the ``qgreedy`` script and ``python -m qgreedy.cli``); there a
+closed standard output ends the command as it ends ``cat``: killed by
+SIGPIPE, with no message (status -SIGPIPE, or 141 in a shell), where the
+platform has the signal.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
+import signal
 import sys
 from functools import partial
 from pathlib import Path
@@ -29,13 +37,9 @@ from typing import Iterable
 
 import numpy as np
 
+# the parser's modules (the zoo names and the suite table) and no other
 from .bases import ZOO_NAMES, load_basis, save_basis, unconditional_constant, zoo
-from .democracy import LARGEST_FIRST, profile_tasks
 from .errors import BasisFileError, NotABasisError, QGreedyError
-from .greedy import conditionality_growth_profile, quasi_greedy_constant, truncation_constant
-from .reports import chain_csv, chain_json, conditionality_csv, csv_text, json_text, profile_csv
-from .spaces import Lp
-from .tasks import run_tasks
 from .verify import SUITE_MINIMA, SUITES, run_suite
 
 EXIT_OK = 0
@@ -190,6 +194,12 @@ def _analysis_table(basis, profile, constants: dict, cond_rows) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .democracy import LARGEST_FIRST, profile_tasks
+    from .greedy import conditionality_growth_profile, quasi_greedy_constant, truncation_constant
+    from .reports import conditionality_csv, csv_text, json_text, profile_csv
+    from .spaces import Lp
+    from .tasks import run_tasks
+
     basis = _resolve_basis(args)
     budget, seed = args.budget, args.seed
     tasks, assemble = profile_tasks(basis, m_max=args.max_m, mode=args.mode, budget=budget,
@@ -247,6 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
+    from .reports import chain_csv, chain_json
+
     if args.format == "json":
         _emit({"bootstrap.json": chain_json(args.max_m, args.iters)}, args.out)
     else:
@@ -292,5 +304,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
+def entry() -> int:
+    """:func:`main` as a process: the ``qgreedy`` script and ``python -m
+    qgreedy.cli``.  A write to a closed pipe kills the process, as it does
+    ``cat``, and every object alive at the end is frozen, so the
+    interpreter's final collections skip the heap; reference counting still
+    frees it, and flushes and ``atexit`` still run."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry())

@@ -98,15 +98,16 @@ def compensated_cumsum(x: np.ndarray, total: RunningTotal | None = None) -> np.n
     for i in range(0, rows.shape[0], _BLOCK_ROWS):
         block, cum = rows[i : i + _BLOCK_ROWS], sums[i : i + _BLOCK_ROWS]
         np.cumsum(block, axis=1, out=cum)
-        start = np.empty((block.shape[0], 2))  # (carry, comp) before each chunk
-        for r, chunk in enumerate(_chunk_totals(block, cum).tolist()):
-            start[r] = carry, comp
+        before = []  # (carry, comp) before each chunk
+        for chunk in _chunk_totals(block, cum).tolist():
+            before.append((carry, comp))
             s = carry + chunk
             if abs(carry) >= abs(chunk):
                 comp += (carry - s) + chunk
             else:
                 comp += (chunk - s) + carry
             carry = s
+        start = np.array(before)
         cum += start[:, :1]
         cum += start[:, 1:]
     np.cumsum(x[full:], out=out[full:])

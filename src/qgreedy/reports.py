@@ -13,14 +13,14 @@ import dataclasses
 import itertools
 import json
 import math
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from .bootstrap import _stage_blocks
-from .democracy import DemocracyProfile
-from .embeddings import EmbeddingReport
-from .greedy import ConditionalityRow
+if TYPE_CHECKING:  # annotations only: a report writer loads no estimator
+    from .democracy import DemocracyProfile
+    from .embeddings import EmbeddingReport
+    from .greedy import ConditionalityRow
 
 __all__ = [
     "fmt",
@@ -92,6 +92,8 @@ def _chain_pieces(blocks) -> Iterator[str]:
 def chain_csv(max_m: int, iterations: int) -> Iterator[str]:
     """The CSV of ``bootstrap_chain(max_m, iterations)`` as pieces: the header,
     then ``_CSV_ROWS`` rows at a time, read from the chain's blocks."""
+    from .bootstrap import _stage_blocks
+
     header = ["m"] + [f"stage{i}" for i in range(iterations + 1)] + [f"stage{iterations}_over_m"]
     return itertools.chain([",".join(header) + "\n"],
                            _chain_pieces(_stage_blocks(max_m, iterations)))
@@ -102,11 +104,15 @@ def chain_json(max_m: int, iterations: int) -> Iterator[str]:
     pieces.  The JSON is stage-major, so each stage takes one pass of the
     chain's blocks up to that stage (the same bits as the whole chain's),
     written ``_CSV_ROWS`` values at a time; the arguments are checked at the call."""
+    from .bootstrap import _stage_blocks
+
     _stage_blocks(max_m, iterations)
     return _json_pieces(max_m, iterations)
 
 
 def _json_pieces(max_m: int, iterations: int) -> Iterator[str]:
+    from .bootstrap import _stage_blocks
+
     yield '{\n  "stages": [\n'
     for k in range(iterations + 1):
         yield f'    {{\n      "label": "stage{k}",\n      "values": [\n'

@@ -151,7 +151,7 @@ def _subset_sums(vectors: np.ndarray, lo: int, hi: int, prune=None):
     h = next((h for h in range(d // 2, 0, -1)
               if comb[h, max(0, lo - (d - h)):min(h, hi) + 1].sum() <= cap), 0)
     head, head_sizes, head_sums = _head_table(vectors, h, max(0, lo - (d - h)), min(h, hi))
-    tables: dict[tuple[int, int], np.ndarray] = {}
+    tables: dict = {}  # the lexicographic tables of _completions, and its Scratch
     # a stack of frontier segments, the next in feed order on top; a row is
     # a partial set: its sum, size, last decided index and member mask
     pending: list = []
@@ -230,17 +230,20 @@ def _completions(vectors: np.ndarray, sums, n, r, counts, members, tables):
     lexicographically, and their witness_of: a row with member mask
     ``members`` takes r more members from the last n indices.  Rows with the
     same (n, r) extend together, each tail r-subset of the table added one
-    member at a time; a complete row (r = 0) has n = 0."""
+    member at a time in a :class:`Scratch` that ``tables`` keeps under None
+    with the lexicographic tables; a complete row (r = 0) has n = 0."""
     d, dim = vectors.shape
     starts = np.cumsum(counts) - counts
     out = np.empty((int(counts.sum()), dim))
+    scratch = tables.setdefault(None, Scratch())
     keys = n * (int(r.max()) + 1) + r
     # the rows of each key, keys ascending (np.unique would import numpy.ma)
     order = np.argsort(keys, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
         tail = vectors[d - int(n[rows[0]]):]
         table = _lex_table(tables, int(n[rows[0]]), int(r[rows[0]]))
-        x = np.repeat(sums[rows][:, None, :], len(table), axis=1)
+        x = scratch("x", len(rows), len(table), dim)
+        x[...] = sums[rows][:, None, :]
         for col in table.T:
             x += tail[col]
         # -1 cannot stand for the row count at dim = 0

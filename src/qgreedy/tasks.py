@@ -62,6 +62,8 @@ def run_tasks(tasks: Mapping[str, Callable[[], Any]],
         return {name: task() for name, task in tasks.items()}
     import mmap  # the forked path's modules load only when it runs
     import signal
+
+    import numpy.random  # noqa: F401  (every task draws from it: load it once, before the fork)
     first = [names.index(name) for name in order if name in tasks]
     queue = first + [i for i in range(len(names)) if i not in first]
     calls = [tasks[name] for name in names]

@@ -3,7 +3,8 @@
 Each suite returns a list of named checks.  Every check either holds by a
 proved inequality or pins a frozen closed form, so a failure indicates an
 implementation bug rather than statistical noise.  A suite's parameters are
-exactly the flags ``qgreedy verify SUITE`` takes.
+exactly the flags ``qgreedy verify SUITE`` takes.  Each suite imports the
+modules it checks when it runs, so a command loads only its own suite's.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .bases import zoo
-from .bootstrap import _stage_blocks
-from .democracy import democracy_profile, sign_change_constant, succ_constant
 from .numerics import RunningTotal, compensated_cumsum
 from .rng import (
     LEMMA32_VECTORS,
@@ -26,12 +24,6 @@ from .rng import (
     substream,
 )
 from .spaces import _row_chunks
-from .strongly_absolute import (
-    _counting_rows,
-    _pair_family_arrays,
-    khintchine_square_function,
-    strongly_absolute_rows,
-)
 
 __all__ = ["CheckResult", "SUITES", "SUITE_MINIMA", "run_suite"]
 
@@ -57,6 +49,8 @@ def suite_lemma32(p: float | None = None, trials: int = 10_000, seed: int = 0,
                   dim: int = 16) -> list[CheckResult]:
     """l1-vs-max domination with A(eps) = eps^(-p/(1-p)): zero violations.
     Vectors are drawn once and checked in blocks; a witness is the last violation."""
+    from .strongly_absolute import strongly_absolute_rows
+
     p_values = (p,) if p is not None else (0.3, 0.5, 0.7)
     eps_values = (0.1, 1.0, 10.0)
     violations = [0] * len(p_values)
@@ -85,6 +79,8 @@ def suite_lemma33(trials: int = 1000, seed: int = 0, dim: int = 8, p: float = 0.
     is ``random_pair_family(dim, size_i, p, seed * 1_000_003 + i)``; the
     families of a block are checked one size at a time, and a witness is the
     last violation."""
+    from .strongly_absolute import _counting_rows, _pair_family_arrays
+
     violations = 0
     witness = None
     last = -1
@@ -115,6 +111,8 @@ def suite_lemma33(trials: int = 1000, seed: int = 0, dim: int = 8, p: float = 0.
 def suite_lemma34(seed: int = 0, trials: int = 100_000, max_m: int = 12,
                   p: float = 0.5) -> list[CheckResult]:
     """Sign-average square function: disjoint exactness and exact-vs-MC."""
+    from .strongly_absolute import khintchine_square_function
+
     results = []
     worst = 0.0
     for m in range(1, max_m + 1):
@@ -146,6 +144,8 @@ def suite_bootstrap(max_m: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
     The chain is deterministic; ``seed`` is taken so every suite takes one.
     The chain and the harmonic numbers stream in blocks; each check keeps
     its worst value per block, and the ratio's steps carry across blocks."""
+    from .bootstrap import _stage_blocks
+
     harmonic = RunningTotal()
     err1, err2, increments = [], [], []
     last = np.empty(0)  # the previous block's last ratio
@@ -177,6 +177,9 @@ def suite_bootstrap(max_m: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
 def suite_democracy_lp(p: float = 0.5, dim: int = 12, max_m: int | None = None,
                        seed: int = 0) -> list[CheckResult]:
     """Identity system democracy: phi values m^(1/p) exactly, slopes 1/p."""
+    from .bases import zoo
+    from .democracy import democracy_profile
+
     basis = zoo("unit", p=p, dim=dim)
     profile = democracy_profile(basis, m_max=max_m, mode="exact", seed=seed)
     expected = np.array([m ** (1.0 / p) for m in profile.m_values], dtype=float)
@@ -202,6 +205,9 @@ def suite_succ(p: float = 0.5, dim: int = 8, seed: int = 0,
     """Sign constants of the identity and the difference system.
     The nested-set and same-set constants are exactly 1 for the identity
     system; the difference system has the adjacent-pair witness."""
+    from .bases import zoo
+    from .democracy import sign_change_constant, succ_constant
+
     unit = zoo("unit", p=p, dim=dim)
     succ_u = succ_constant(unit, budget=budget, seed=seed)
     change_u = sign_change_constant(unit, budget=budget, seed=seed)

@@ -1,11 +1,15 @@
 import inspect
 import json
+import os
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgreedy
 import qgreedy.strongly_absolute as strongly_absolute_module
 from qgreedy.bases import zoo
 from qgreedy.cli import VERIFY_FLAG_TYPES, main
@@ -302,17 +306,17 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flag,budget", [([], 300), (["--budget", "57"], 57)])
     def test_budget_reaches_suite_only_when_given(self, capsys, monkeypatch, flag, budget):
         """Without --budget a suite keeps its own default (succ: 300), not
-        analyze's 10000."""
-        import qgreedy.verify as verify_module
+        analyze's 10000.  The suite reads succ_constant from its module when it runs."""
+        import qgreedy.democracy as democracy_module
 
         budgets = []
-        real = verify_module.succ_constant
+        real = democracy_module.succ_constant
 
         def recording(basis, budget, seed):
             budgets.append(budget)
             return real(basis, budget=budget, seed=seed)
 
-        monkeypatch.setattr(verify_module, "succ_constant", recording)
+        monkeypatch.setattr(democracy_module, "succ_constant", recording)
         code, _, _ = run_cli(["verify", "succ", *flag], capsys)
         assert code == 0
         assert budgets == [budget, budget]
@@ -427,6 +431,24 @@ class TestVerifyCommand:
         assert "witness" in err
 
 
+def _env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(qgreedy.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True, **kwargs)
+
+
+# the two ways a process runs the CLI: ``python -m`` (as perfbench/run.py
+# launches it) and the function the ``qgreedy`` console script calls
+ENTRIES = [pytest.param(["-m", "qgreedy.cli"], id="module"),
+           pytest.param(["-c", "import sys; from qgreedy.cli import entry; sys.exit(entry())"],
+                        id="script")]
+
+
 class TestConsoleScript:
     def test_module_entrypoint(self):
         for entry in (["-m", "qgreedy.cli"],  # the form perfbench/run.py launches
@@ -435,3 +457,82 @@ class TestConsoleScript:
                                   capture_output=True, text=True)
             assert proc.returncode == 0, entry
             assert "difference" in proc.stdout
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_exit_codes(self, entry, tmp_path):
+        bad = tmp_path / "bad.json"  # the basis of test_bad_duals_exit_three
+        duals = np.eye(3)
+        duals[2, 0] = 5e-3
+        bad.write_text(json.dumps({"ambient": {"kind": "lp", "p": 0.5, "dim": 3},
+                                   "vectors": np.eye(3).tolist(), "duals": duals.tolist()}))
+        for code, argv in ((0, ["zoo", "list"]),
+                           # phi(m) = m^1000 overflows, so the closed form cannot be matched
+                           (1, ["verify", "democracy-lp", "--p", "0.001"]),
+                           (2, ["verify", "nonsense"]),
+                           (3, ["analyze", "--basis", str(bad)])):
+            assert _python(*entry, *argv).returncode == code, argv
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_piped_output_matches_in_process_main(self, entry, capsys):
+        proc = _python(*entry, "bootstrap", "--max-m", "100000")
+        assert proc.returncode == 0
+        assert main(["bootstrap", "--max-m", "100000"]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_pipe_ends_the_process_quietly(self):
+        """A reader that stops early (``qgreedy bootstrap | head -1``) ends the
+        command by SIGPIPE, not with a configuration error."""
+        proc = subprocess.Popen([sys.executable, "-m", "qgreedy.cli", "bootstrap",
+                                 "--max-m", "200000"], env=_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"m,stage0,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == -signal.SIGPIPE
+        assert b"configuration error" not in err
+
+
+class TestLazyImports:
+    """Each command loads only its own modules; the package loads none."""
+
+    def _loaded(self, *argv: str) -> set[str]:
+        code = """
+import json, sys
+from qgreedy.cli import main
+argv = sys.argv[1:]
+if argv:
+    main(argv)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qgreedy."))))
+"""
+        proc = _python("-c", code, *argv, text=True, check=True)
+        return {name.split(".", 1)[1] for name in json.loads(proc.stdout.splitlines()[-1])}
+
+    def test_import_qgreedy_loads_no_submodule(self):
+        code = "import json, sys, qgreedy; print(json.dumps([m for m in sys.modules if m.startswith('qgreedy.')]))"
+        assert json.loads(_python("-c", code, text=True, check=True).stdout) == []
+
+    @pytest.mark.parametrize("argv,present,absent", [
+        *(pytest.param(["verify", suite, *flags], "strongly_absolute",
+                       {"democracy", "greedy", "tasks", "bootstrap"}, id=suite)
+          for suite, flags in (("lemma32", ["--trials", "10"]), ("lemma33", ["--trials", "10"]),
+                               ("lemma34", ["--trials", "10", "--max-m", "3"]))),
+        pytest.param(["verify", "bootstrap", "--max-m", "1000"], "bootstrap",
+                     {"democracy", "strongly_absolute", "greedy"}, id="bootstrap"),
+        pytest.param(["analyze", "--zoo", "difference", "--dim", "6", "--budget", "50"],
+                     "democracy", {"strongly_absolute", "bootstrap", "embeddings"}, id="analyze"),
+    ])
+    def test_command_loads_only_its_modules(self, argv, present, absent):
+        loaded = self._loaded(*argv)
+        assert present in loaded
+        assert not loaded & absent, sorted(loaded & absent)
+
+    def test_every_public_name_resolves(self):
+        namespace: dict = {}
+        exec("from qgreedy import *", namespace)
+        for name in qgreedy.__all__:
+            assert namespace[name] is getattr(qgreedy, name), name
+        assert set(qgreedy.__all__) <= set(dir(qgreedy))
+        with pytest.raises(AttributeError):
+            qgreedy.no_such_name

@@ -7,7 +7,6 @@ import pytest
 
 import qgreedy.strongly_absolute as strongly_absolute_module
 from qgreedy.errors import InvalidExponentError, PreconditionError
-import qgreedy.verify as verify_module
 from qgreedy.numerics import _SIGNS
 from qgreedy.rng import (
     KHINTCHINE_MC,
@@ -282,7 +281,9 @@ class TestSuiteFamilies:
         family is checked exactly once."""
         trials, seed, dim, p = 300, 2, 6, 0.4
         drawn, stacked = {}, []
-        real_draw, real_rows = verify_module._pair_family_arrays, verify_module._counting_rows
+        # the suite reads both from their module when it runs
+        real_draw = strongly_absolute_module._pair_family_arrays
+        real_rows = strongly_absolute_module._counting_rows
 
         def draw(*args):
             drawn[args] = real_draw(*args)
@@ -292,8 +293,8 @@ class TestSuiteFamilies:
             stacked.extend(zip(vectors.tolist(), duals.tolist()))
             return real_rows(vectors, duals, *args)
 
-        monkeypatch.setattr(verify_module, "_pair_family_arrays", draw)
-        monkeypatch.setattr(verify_module, "_counting_rows", rows)
+        monkeypatch.setattr(strongly_absolute_module, "_pair_family_arrays", draw)
+        monkeypatch.setattr(strongly_absolute_module, "_counting_rows", rows)
         assert suite_lemma33(trials=trials, seed=seed, dim=dim, p=p)[0].passed
         sizes = list(block_samples(lambda rng, start: rng.integers(1, dim + 1, size=SAMPLE_BLOCK),
                                    trials, seed, LEMMA33_SIZES))
